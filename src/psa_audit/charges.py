@@ -261,31 +261,6 @@ class ChargeCatalog:
                 raise ConfigError(f"unknown catalog category {e.category!r}")
             self._by_category[e.category].setdefault(e.pattern.statute, []).append(e)
 
-    @property
-    def violent_set(self) -> frozenset[ChargeCode]:
-        return self._pattern_set("violent")
-
-    @property
-    def exclusion_set(self) -> frozenset[ChargeCode]:
-        return self._pattern_set("exclusion")
-
-    @property
-    def bumpup_set(self) -> frozenset[ChargeCode]:
-        return self._pattern_set("bumpup")
-
-    @property
-    def weapon_use_ambiguous(self) -> dict[ChargeCode, bool]:
-        return {
-            e.pattern: e.treat_as_bumpup
-            for entries in self._by_category["weapon_ambiguous"].values()
-            for e in entries
-        }
-
-    def _pattern_set(self, category: str) -> frozenset[ChargeCode]:
-        return frozenset(
-            e.pattern for entries in self._by_category[category].values() for e in entries
-        )
-
     def _member(self, category: str, charge: ChargeCode) -> bool:
         for e in self._by_category[category].get(charge.statute, ()):
             if matches(charge, e.pattern):

@@ -37,6 +37,9 @@ from .io import (
 from .linkage import MatchResult, deduplicate, filter_complete, link_records
 from .stats import (
     DEFAULT_ALPHA,
+    AffectedTable,
+    RateTable,
+    agreement_rate,
     initial_distribution,
     proportion_affected,
     race_consistency,
@@ -71,17 +74,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
-    handler = {
-        "score": cmd_score,
-        "audit": cmd_audit,
-        "simulate": cmd_simulate,
-        "consistency": cmd_consistency,
-        "validate": cmd_validate,
-        "dedupe": cmd_dedupe,
-        "link": cmd_link,
-    }[command]
     out_dir.mkdir(parents=True, exist_ok=True)
-    code = handler(opts, out_dir)
+    code = _HANDLERS[command](opts, out_dir)
     _write_manifest(out_dir, command, opts)
     return code
 
@@ -189,7 +183,7 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
         opts = manifest["options"]
     except (json.JSONDecodeError, KeyError) as exc:
         raise SchemaError(f"{path}: not a valid run manifest: {exc}") from None
-    if command not in ("score", "audit", "simulate", "consistency", "validate", "dedupe", "link"):
+    if command not in _HANDLERS:
         raise SchemaError(f"{path}: unknown subcommand {command!r}")
     return _dispatch(command, opts, Path(args.out))
 
@@ -218,6 +212,16 @@ def _write_issues(path: Path, issues) -> None:
 
 def _hard_issues(issues):
     return [i for i in issues if not i.message.startswith("warning:")]
+
+
+def _exit_code(produced: bool, issues) -> int:
+    """EXIT_EMPTY when nothing was produced, else EXIT_PARTIAL when rows
+    were skipped, else EXIT_OK."""
+    if not produced:
+        return EXIT_EMPTY
+    if _hard_issues(issues):
+        return EXIT_PARTIAL
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +255,7 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
         "bumpup", "bumpup_reason", "initial", "final"), rows)
     _write_issues(out_dir / "score_errors.csv", row_errors)
     print(f"scored {len(rows)} records, {len(_hard_issues(row_errors))} row errors")
-    if not rows:
-        return EXIT_EMPTY
-    if _hard_issues(row_errors):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(bool(rows), row_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +274,9 @@ def _group_labels(matches: list[MatchResult], cases, group_by: str) -> dict[str,
     }
 
 
-def _write_rate_tables(path: Path, tables) -> None:
-    if not isinstance(tables, dict):
-        tables = {"all": tables}
+def _write_rate_tables(path: Path, tables: dict[str, RateTable]) -> None:
     rows = []
-    for scope in tables:
-        t = tables[scope]
+    for scope, t in tables.items():
         for r in t.rows:
             rows.append({
                 "scope": scope, "n": t.n, "component": r.component,
@@ -291,29 +288,24 @@ def _write_rate_tables(path: Path, tables) -> None:
                      "difference", "statistic", "p_value", "significant"), rows)
 
 
-def _write_affected_tables(path: Path, tables) -> None:
-    if not isinstance(tables, dict):
-        tables = {"all": tables}
+def _write_affected_tables(path: Path, tables: dict[str, AffectedTable]) -> None:
     rows = []
-    for scope in tables:
-        t = tables[scope]
+    for scope, t in tables.items():
         for r in t.rows:
             rows.append({"scope": scope, "n": t.n, "component": r.component,
                          "count": r.count, "fraction": r.fraction})
     write_csv(path, ("scope", "n", "component", "count", "fraction"), rows)
 
 
-def _write_summary(path: Path, counts: dict, tables, affected, alpha: float) -> None:
+def _write_summary(
+    path: Path, counts: dict, tables: dict[str, RateTable], affected: dict[str, AffectedTable], alpha: float
+) -> None:
     lines = ["# audit summary", ""]
     for key, value in counts.items():
         lines.append(f"{key}: {value}")
     lines.append(f"alpha: {format(alpha, '.10g')} (Bonferroni-corrected within each table)")
     lines.append("")
-    if isinstance(tables, dict):
-        scopes = tables
-    else:
-        scopes = {"all": tables}
-    for scope, t in scopes.items():
+    for scope, t in tables.items():
         lines.append(f"[rates {scope}] n={t.n}")
         for r in t.rows:
             stat = "n/a" if r.statistic is None else format(r.statistic, ".6g")
@@ -323,11 +315,7 @@ def _write_summary(path: Path, counts: dict, tables, affected, alpha: float) -> 
                 f"  {r.component}: booking={r.booking:.6g} conviction={r.conviction:.6g} "
                 f"difference={r.difference:.6g} statistic={stat} p={p} {sig}"
             )
-    if isinstance(affected, dict):
-        aff_scopes = affected
-    else:
-        aff_scopes = {"all": affected}
-    for scope, t in aff_scopes.items():
+    for scope, t in affected.items():
         lines.append(f"[affected {scope}] n={t.n}")
         for r in t.rows:
             lines.append(f"  {r.component}: count={r.count} fraction={r.fraction:.6g}")
@@ -467,22 +455,16 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
         if opts.get("sensitivity"):
             keep = [p for p in pairs if not p.excluded_by_sensitivity]
             if keep:
-                sub_groups = {k: v for k, v in (groups or {}).items()} or None
                 _write_rate_tables(out_dir / "rate_table_sensitivity.csv",
-                                   rate_table(keep, sub_groups, alpha=alpha))
+                                   rate_table(keep, groups, alpha=alpha))
                 _write_affected_tables(out_dir / "affected_table_sensitivity.csv",
-                                       proportion_affected(keep, sub_groups))
+                                       proportion_affected(keep, groups))
     else:
         _write_rate_tables(out_dir / "rate_table.csv", {})
         _write_affected_tables(out_dir / "affected_table.csv", {})
         _write_distribution(out_dir / "initial_distribution.csv", {})
         _write_summary(out_dir / "test_summary.txt", counts, {}, {}, alpha)
-
-    if not pairs:
-        return EXIT_EMPTY
-    if _hard_issues(issues):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(bool(pairs), issues)
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +530,7 @@ def cmd_consistency(opts: dict, out_dir: Path) -> int:
     write_csv(out_dir / "race_consistency.csv",
               ("designation", "n_individuals") + matrix.categories, rows)
     print(f"consistency rows: {len(rows)} (multi-record individuals only)")
-    if not rows:
-        return EXIT_EMPTY
-    if _hard_issues(issues):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(bool(rows), issues)
 
 
 def cmd_validate(opts: dict, out_dir: Path) -> int:
@@ -592,13 +570,13 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
 
     rows = []
     for component, pairs in comparisons.items():
-        n = len(pairs)
-        agree = sum(1 for e, r in pairs if e == r)
+        engine_values = [e for e, _ in pairs]
+        recorded_values = [r for _, r in pairs]
         rows.append({
             "component": component,
-            "n": n,
-            "agree": agree,
-            "agreement_rate": (agree / n) if n else "",
+            "n": len(pairs),
+            "agree": sum(e == r for e, r in pairs),
+            "agreement_rate": agreement_rate(engine_values, recorded_values) if pairs else "",
         })
     write_csv(out_dir / "validation_report.csv", ("component", "n", "agree", "agreement_rate"), rows)
     write_csv(out_dir / "validation_mismatches.csv", ("record_id", "component", "engine", "recorded"),
@@ -607,11 +585,7 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
         rate = r["agreement_rate"]
         print(f"{r['component']}: {r['agree']}/{r['n']}"
               + (f" = {rate:.6g}" if rate != "" else " (no comparable rows)"))
-    if all(r["n"] == 0 for r in rows):
-        return EXIT_EMPTY
-    if _hard_issues(issues):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(any(r["n"] for r in rows), issues)
 
 
 def _psa_record_row(rec) -> dict:
@@ -645,11 +619,7 @@ def cmd_dedupe(opts: dict, out_dir: Path) -> int:
     dropped += [{"record_id": r.record_id, "reason": "duplicate"} for r in duplicates]
     write_csv(out_dir / "dedupe_dropped.csv", ("record_id", "reason"), dropped)
     print(f"kept {len(unique)}, dropped {len(incomplete)} incomplete, {len(duplicates)} duplicates")
-    if not unique:
-        return EXIT_EMPTY
-    if _hard_issues(issues):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(bool(unique), issues)
 
 
 def cmd_link(opts: dict, out_dir: Path) -> int:
@@ -665,11 +635,18 @@ def cmd_link(opts: dict, out_dir: Path) -> int:
               [{"stage": k, "count": v} for k, v in counts.items()])
     for key, value in counts.items():
         print(f"{key}: {value}")
-    if not report.matched:
-        return EXIT_EMPTY
-    if _hard_issues(issues):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_code(bool(report.matched), issues)
+
+
+_HANDLERS = {
+    "score": cmd_score,
+    "audit": cmd_audit,
+    "simulate": cmd_simulate,
+    "consistency": cmd_consistency,
+    "validate": cmd_validate,
+    "dedupe": cmd_dedupe,
+    "link": cmd_link,
+}
 
 
 if __name__ == "__main__":

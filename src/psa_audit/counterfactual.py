@@ -38,7 +38,7 @@ class DispositionPolicy:
             raise ValueError("conviction_threshold must be > 0")
 
 
-def fully_disposed(case: CourtCase, policy: DispositionPolicy | None = None) -> bool:
+def fully_disposed(case: CourtCase) -> bool:
     """True when every filed charge carries a terminal disposition code."""
     return all(d is not None for d in case.dispositions)
 
@@ -57,7 +57,7 @@ def is_conviction(code: int | None, case: CourtCase, policy: DispositionPolicy) 
     if (
         policy.companion_zero_rule
         and code == 0
-        and fully_disposed(case, policy)
+        and fully_disposed(case)
         and any(d == policy.plea_to_other_code for d in case.dispositions)
     ):
         return True
@@ -82,7 +82,7 @@ def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[C
     if match.status is not MatchStatus.MATCHED:
         raise ValueError("conviction_charges needs a Matched record")
     for case in match.matched_cases:
-        if not fully_disposed(case, policy):
+        if not fully_disposed(case):
             raise NotDisposed(f"case {case.court_number} has pending charges")
     out = []
     for case in match.matched_cases:
@@ -97,13 +97,18 @@ def booking_charges(match: MatchResult) -> tuple[ChargeCode, ...]:
     return _dedup_sorted(c for case in match.matched_cases for c in case.booking_charges)
 
 
-def record_factors(record: PsaRecord, current_offense_violent: bool) -> RiskFactors:
+def record_factors(
+    age_at_arrest: int | None,
+    prior_conviction: bool | None,
+    prior_violent_convictions: int | None,
+    current_offense_violent: bool,
+) -> RiskFactors:
     """Risk factors from the fields an assessment record carries; absent
     fields contribute nothing to the violence-flag score."""
     return RiskFactors(
-        age_at_arrest=record.age_at_arrest or 0,
-        prior_conviction=bool(record.prior_conviction),
-        prior_violent_convictions=record.prior_violent_convictions or 0,
+        age_at_arrest=age_at_arrest or 0,
+        prior_conviction=bool(prior_conviction),
+        prior_violent_convictions=prior_violent_convictions or 0,
         current_offense_violent=current_offense_violent,
     )
 
@@ -124,7 +129,10 @@ def counterfactual_assess(
     if record.fta is None or record.nca is None:
         raise ValueError(f"record {record.record_id} has no sub-scores")
     violent = any(config.catalog.is_violent(c) for c in charges)
-    nvca = nvca_flag_value(record_factors(record, violent), config.weights)
+    factors = record_factors(
+        record.age_at_arrest, record.prior_conviction, record.prior_violent_convictions, violent
+    )
+    nvca = nvca_flag_value(factors, config.weights)
     subs = SubScores(fta=record.fta, nca=record.nca, nvca_flag=nvca)
     return assess(subs, charges, False, config.dmf, config.catalog)
 
@@ -178,7 +186,7 @@ def build_audit_pairs(
     for m in matches:
         if m.status is not MatchStatus.MATCHED:
             continue
-        if not all(fully_disposed(c, policy) for c in m.matched_cases):
+        if not all(fully_disposed(c) for c in m.matched_cases):
             skipped.append(m)
             continue
         pairs.append(build_audit_pair(m, policy, config))

@@ -4,9 +4,9 @@ lookup, and bump-up, producing initial and final supervision recommendations.
 Every operation here is a pure function over immutable inputs, so records
 can be scored in parallel with no coordination.  The four-step shape:
 
-  1. sub-scores (two 1..6 scales plus a binary violence flag), either
-     taken from the form or computed from risk factors under a weight
-     config;
+  1. sub-scores (two 1..6 scales plus a binary violence flag): the scales
+     are taken from the form, and the violence flag is derived from risk
+     factors under the nvca weights;
   2. charge-based exclusion (extradition, a listed serious offense, or a
      violent charge combined with the violence flag) forces the most
      restrictive recommendation;
@@ -64,37 +64,25 @@ _LABEL_LEVELS = {v: k for k, v in _LEVEL_LABELS.items()}
 
 @dataclass(frozen=True)
 class RiskFactors:
+    """The violence-flag inputs an assessment record carries."""
+
     age_at_arrest: int = 0
-    pending_charge: bool = False
-    prior_misdemeanor_conviction: bool = False
-    prior_felony_conviction: bool = False
     prior_conviction: bool = False
     prior_violent_convictions: int = 0
-    ftas_past_two_years: int = 0
-    fta_older_than_two_years: bool = False
-    prior_incarceration: bool = False
     current_offense_violent: bool = False
 
     def __post_init__(self):
         if self.age_at_arrest < 0:
             raise ValueError("age_at_arrest must be >= 0")
-        if self.prior_violent_convictions < 0 or self.ftas_past_two_years < 0:
+        if self.prior_violent_convictions < 0:
             raise ValueError("counts must be >= 0")
-        if (self.prior_misdemeanor_conviction or self.prior_felony_conviction) and not self.prior_conviction:
-            raise ValueError("prior_conviction must be true when a prior misdemeanor or felony conviction is set")
 
 
 #: Numeric value each factor contributes per unit of weight.
 FACTOR_VALUES = {
     "age_at_arrest": lambda f: f.age_at_arrest,
-    "pending_charge": lambda f: int(f.pending_charge),
-    "prior_misdemeanor_conviction": lambda f: int(f.prior_misdemeanor_conviction),
-    "prior_felony_conviction": lambda f: int(f.prior_felony_conviction),
     "prior_conviction": lambda f: int(f.prior_conviction),
     "prior_violent_convictions": lambda f: f.prior_violent_convictions,
-    "ftas_past_two_years": lambda f: f.ftas_past_two_years,
-    "fta_older_than_two_years": lambda f: int(f.fta_older_than_two_years),
-    "prior_incarceration": lambda f: int(f.prior_incarceration),
     "current_offense_violent": lambda f: int(f.current_offense_violent),
 }
 
@@ -111,27 +99,6 @@ class SubScores:
 
 
 @dataclass(frozen=True)
-class ScoreBin:
-    lo: int
-    hi: int
-    score: int
-
-
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Integer weights plus the raw-score breakpoint table for one 1..6 scale."""
-
-    weights: Mapping[str, int]
-    bins: tuple[ScoreBin, ...]
-
-    def scale(self, raw: int) -> int:
-        for b in self.bins:
-            if b.lo <= raw <= b.hi:
-                return b.score
-        raise ConfigError(f"raw score {raw} outside breakpoint table domain [{self.bins[0].lo}, {self.bins[-1].hi}]")
-
-
-@dataclass(frozen=True)
 class FlagSpec:
     """Integer weights plus the threshold for the binary violence flag."""
 
@@ -141,8 +108,6 @@ class FlagSpec:
 
 @dataclass(frozen=True)
 class WeightConfig:
-    fta: ScaleSpec
-    nca: ScaleSpec
     nvca: FlagSpec
 
 
@@ -152,16 +117,6 @@ def raw_score(weights: Mapping[str, int], factors: RiskFactors) -> int:
 
 def nvca_flag_value(factors: RiskFactors, config: WeightConfig) -> bool:
     return raw_score(config.nvca.weights, factors) >= config.nvca.threshold
-
-
-def compute_subscores(factors: RiskFactors, config: WeightConfig) -> SubScores:
-    """Linear raw scores mapped through the breakpoint tables.
-
-    Raises ConfigError if a raw score falls outside its table's domain.
-    """
-    fta = config.fta.scale(raw_score(config.fta.weights, factors))
-    nca = config.nca.scale(raw_score(config.nca.weights, factors))
-    return SubScores(fta=fta, nca=nca, nvca_flag=nvca_flag_value(factors, config))
 
 
 _SPLIT = "SPLIT"
@@ -321,44 +276,19 @@ def _load_weights_map(doc, where: str) -> dict[str, int]:
     return out
 
 
-def _load_bins(doc, where: str) -> tuple[ScoreBin, ...]:
-    if not isinstance(doc, list) or not doc:
-        raise ConfigError(f"{where}: bins must be a non-empty list")
-    bins = []
-    for i, item in enumerate(doc):
-        _require_keys(item, {"min", "max", "score"}, {"min", "max", "score"}, f"{where}[{i}]")
-        b = ScoreBin(lo=int(item["min"]), hi=int(item["max"]), score=int(item["score"]))
-        if b.lo > b.hi:
-            raise ConfigError(f"{where}[{i}]: min > max")
-        if not (1 <= b.score <= 6):
-            raise ConfigError(f"{where}[{i}]: score must be in 1..6")
-        bins.append(b)
-    for prev, cur in zip(bins, bins[1:]):
-        if cur.lo != prev.hi + 1:
-            raise ConfigError(f"{where}: bins must be contiguous (gap after max={prev.hi})")
-        if cur.score < prev.score:
-            raise ConfigError(f"{where}: scores must be monotone non-decreasing")
-    return tuple(bins)
-
-
 def load_weight_config(path: str | Path) -> WeightConfig:
+    """Load the violence-flag weights.
+
+    Older files also carry ``fta``/``nca`` scale sections; the audit takes
+    those scales from the form, so the sections are accepted and ignored.
+    """
     doc = _read_yaml(path)
-    _require_keys(doc, {"fta", "nca", "nvca"}, {"fta", "nca", "nvca"}, str(path))
-    scales = {}
-    for key in ("fta", "nca"):
-        section = doc[key]
-        _require_keys(section, {"weights", "bins"}, {"weights", "bins"}, f"{path}:{key}")
-        scales[key] = ScaleSpec(
-            weights=_load_weights_map(section["weights"], f"{path}:{key}"),
-            bins=_load_bins(section["bins"], f"{path}:{key}.bins"),
-        )
+    _require_keys(doc, {"fta", "nca", "nvca"}, {"nvca"}, str(path))
     nvca = doc["nvca"]
     _require_keys(nvca, {"weights", "threshold"}, {"weights", "threshold"}, f"{path}:nvca")
     if not isinstance(nvca["threshold"], int) or isinstance(nvca["threshold"], bool):
         raise ConfigError(f"{path}:nvca threshold must be an integer")
     return WeightConfig(
-        fta=scales["fta"],
-        nca=scales["nca"],
         nvca=FlagSpec(weights=_load_weights_map(nvca["weights"], f"{path}:nvca"), threshold=nvca["threshold"]),
     )
 
@@ -407,7 +337,6 @@ class EngineConfig:
     catalog: ChargeCatalog
     dmf: DmfConfig
     weights: WeightConfig
-    paths: tuple[str, str, str] = ("", "", "")  # catalog, dmf, weights as loaded
 
 
 CONFIG_FILENAMES = {"catalog": "charge_catalog.yaml", "dmf": "dmf.yaml", "weights": "weights.yaml"}
@@ -442,5 +371,4 @@ def load_engine_config(
         catalog=catalog,
         dmf=load_dmf_config(dmf_p),
         weights=load_weight_config(wts_p),
-        paths=(str(cat_p), str(dmf_p), str(wts_p)),
     )

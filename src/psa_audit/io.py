@@ -1,10 +1,10 @@
 """Tabular file schemas and readers/writers.
 
-All files are comma-separated UTF-8 with a header row.  Multi-valued
-cells (charge lists, disposition lists) join their elements with ";".
-Dates are ISO 8601, booleans are "true"/"false", missing values are
-empty cells.  Writers emit "\n" newlines and fixed column orders so
-repeated runs are byte-identical.
+All files are comma-separated UTF-8 with a header row; readers also accept
+a leading byte-order mark.  Multi-valued cells (charge lists, disposition
+lists) join their elements with ";".  Dates are ISO 8601, booleans are
+"true"/"false", missing values are empty cells.  Writers emit "\n"
+newlines and fixed column orders so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .charges import ChargeCode, Derivative, parse_charge_code
 from .engine import SupervisionLevel
-from .errors import SchemaError
+from .errors import ParseError, SchemaError
 from .linkage import CourtCase, PsaRecord
 
 PSA_COLUMNS = (
@@ -128,7 +128,7 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> list[dict]:
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"{path}: file not found")
-    with p.open(encoding="utf-8", newline="") as fh:
+    with p.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
@@ -143,14 +143,17 @@ def read_psa_records(
     """Parse an assessment-record file.
 
     Returns (records, issues).  Rows that cannot be parsed are skipped and
-    reported; soft invariant violations (e.g. a form date more than a day
-    before the arrest date) keep the row but add a warning issue.
+    reported, as are rows with an empty or repeated ``record_id``; soft
+    invariant violations (e.g. a form date more than a day before the
+    arrest date) keep the row but add a warning issue.
     """
     rows = _read_rows(path, PSA_COLUMNS)
     records, issues = [], []
+    first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
         rid = (row.get("record_id") or "").strip()
         try:
+            _check_id("record_id", rid, first_row)
             rec = PsaRecord(
                 record_id=rid,
                 sfid=(row.get("sfid") or "").strip(),
@@ -171,13 +174,22 @@ def read_psa_records(
                 recorded_bumpup=parse_bool(row.get("recorded_bumpup") or "", "recorded_bumpup"),
                 recorded_recommendation=_parse_level(row.get("recorded_recommendation") or ""),
             )
-        except Exception as exc:
+        except (ValueError, ParseError) as exc:
             issues.append(RowIssue(row=i, record_id=rid, message=str(exc)))
             continue
+        first_row[rid] = i
         for soft in rec.validate():
             issues.append(RowIssue(row=i, record_id=rid, message=f"warning: {soft}"))
         records.append(rec)
     return records, issues
+
+
+def _check_id(column: str, value: str, first_row: Mapping[str, int]) -> None:
+    """Ids key the joins and groupings, so each must be present and unique."""
+    if not value:
+        raise ValueError(f"{column} must be non-empty")
+    if value in first_row:
+        raise ValueError(f"{column} {value!r} repeats row {first_row[value]}")
 
 
 def _parse_score(text: str, where: str) -> int | None:
@@ -199,11 +211,11 @@ def read_court_cases(
 ) -> tuple[list[CourtCase], list[RowIssue]]:
     rows = _read_rows(path, COURT_COLUMNS)
     cases, issues = [], []
+    first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
         cn = (row.get("court_number") or "").strip()
         try:
-            if not cn:
-                raise ValueError("court_number must be non-empty")
+            _check_id("court_number", cn, first_row)
             race = (row.get("race") or "").strip().upper()
             if race not in RACE_VALUES:
                 raise ValueError(f"race: unknown designation {race!r}")
@@ -231,9 +243,10 @@ def read_court_cases(
                     dispositions=dispositions,
                 )
             )
-        except Exception as exc:
+        except (ValueError, ParseError) as exc:
             issues.append(RowIssue(row=i, record_id=cn, message=str(exc)))
             continue
+        first_row[cn] = i
     return cases, issues
 
 
@@ -266,7 +279,8 @@ File schemas (all comma-separated UTF-8 with a header row; lists join
 elements with ';'; dates ISO 8601; booleans true/false; missing = empty)
 
 psa_records.csv (input to score/audit/validate/dedupe/link)
-  record_id     unique row id
+  record_id     unique, non-empty row id; an empty or repeated id makes
+                the row a row error
   sfid          person identifier shared with the court file
   name, dob     as recorded
   arrest_date   date of the arrest that triggered the assessment
@@ -282,7 +296,8 @@ psa_records.csv (input to score/audit/validate/dedupe/link)
                              Release-Not-Recommended (or rank 1..4)
 
 court_cases.csv (input to audit/validate/consistency/link)
-  court_number  unique case id (one person may have several)
+  court_number  unique, non-empty case id (one person may have several);
+                an empty or repeated id makes the row a row error
   sfid, name, dob
   arrest_date   the case's arrest date
   race          one of B C F H I J O U W, or empty

@@ -151,15 +151,24 @@ class RateTable:
     rows: tuple[RateRow, ...]
 
 
-def _pair_fields(pairs: Sequence[AuditPair]):
-    booking = [p.booking_result for p in pairs]
-    conviction = [p.conviction_result for p in pairs]
-    return booking, conviction
+def _scopes(
+    pairs: Sequence[AuditPair],
+    group: Mapping[str, str] | None,
+    expected_groups: Sequence[str] = (),
+) -> dict[str, list[AuditPair]]:
+    """Split pairs by scope: "all" first, then each group label (record id
+    to label) and each expected label in sorted order, possibly empty."""
+    scopes = {"all": list(pairs)}
+    if group is not None:
+        for label in sorted(set(group.values()) | set(expected_groups)):
+            scopes[label] = [p for p in pairs if group.get(p.record_id) == label]
+    return scopes
 
 
 def _rate_table_one(pairs: Sequence[AuditPair], scope: str, alpha: float) -> RateTable:
     n = len(pairs)
-    booking, conviction = _pair_fields(pairs)
+    booking = [p.booking_result for p in pairs]
+    conviction = [p.conviction_result for p in pairs]
     components = [
         ("exclusion", [r.exclusion for r in booking], [r.exclusion for r in conviction]),
         ("bumpup", [r.bumpup for r in booking], [r.bumpup for r in conviction]),
@@ -202,22 +211,19 @@ def rate_table(
     group: Mapping[str, str] | None = None,
     *,
     alpha: float = DEFAULT_ALPHA,
-) -> RateTable | dict[str, RateTable]:
+) -> dict[str, RateTable]:
     """Component rates and mean recommendation per charge source.
 
-    With ``group`` (record id to label), returns one table per label plus
-    an "all" table; otherwise a single overall table.
+    Returns tables keyed by scope: "all" first, then, with ``group``
+    (record id to label), one per label that has pairs.
     """
     if not pairs:
         raise EmptyInput("no audit pairs")
-    if group is None:
-        return _rate_table_one(pairs, "all", alpha)
-    tables = {"all": _rate_table_one(pairs, "all", alpha)}
-    for label in sorted(set(group.values())):
-        subset = [p for p in pairs if group.get(p.record_id) == label]
-        if subset:
-            tables[label] = _rate_table_one(subset, label, alpha)
-    return tables
+    return {
+        scope: _rate_table_one(subset, scope, alpha)
+        for scope, subset in _scopes(pairs, group).items()
+        if subset
+    }
 
 
 @dataclass(frozen=True)
@@ -249,20 +255,16 @@ def _affected_one(pairs: Sequence[AuditPair], scope: str) -> AffectedTable:
 def proportion_affected(
     pairs: Sequence[AuditPair],
     group: Mapping[str, str] | None = None,
-) -> AffectedTable | dict[str, AffectedTable]:
+) -> dict[str, AffectedTable]:
     """Strictly one-sided change rates: a component held under booking but
     not under conviction charges, and a final recommendation strictly
-    higher under booking.  Cases moving the other way do not offset."""
+    higher under booking.  Cases moving the other way do not offset.
+
+    Returns tables keyed by scope, as ``rate_table`` does.
+    """
     if not pairs:
         raise EmptyInput("no audit pairs")
-    if group is None:
-        return _affected_one(pairs, "all")
-    tables = {"all": _affected_one(pairs, "all")}
-    for label in sorted(set(group.values())):
-        subset = [p for p in pairs if group.get(p.record_id) == label]
-        if subset:
-            tables[label] = _affected_one(subset, label)
-    return tables
+    return {scope: _affected_one(subset, scope) for scope, subset in _scopes(pairs, group).items() if subset}
 
 
 @dataclass(frozen=True)
@@ -293,12 +295,8 @@ def initial_distribution(
     ``expected_groups`` labels with no pairs still get a row, flagged
     empty, so a missing group is visible rather than silent.
     """
-    labels: dict[str, list[AuditPair]] = {"all": list(pairs)}
-    if group is not None:
-        for label in sorted(set(group.values()) | set(expected_groups)):
-            labels[label] = [p for p in pairs if group.get(p.record_id) == label]
     out = {}
-    for label, subset in labels.items():
+    for label, subset in _scopes(pairs, group, expected_groups).items():
         counts = [0, 0, 0, 0]
         for p in subset:
             counts[int(p.booking_result.initial) - 1] += 1

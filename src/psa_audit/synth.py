@@ -34,7 +34,8 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .charges import ChargeCode, parse_charge_code
-from .engine import EngineConfig, RiskFactors, SubScores, assess, load_engine_config, nvca_flag_value
+from .counterfactual import record_factors
+from .engine import EngineConfig, SubScores, assess, load_engine_config, nvca_flag_value
 from .errors import ConfigError
 from .io import (
     COURT_COLUMNS,
@@ -365,12 +366,12 @@ class _Generator:
         cell_kind = {"overbooked_affected": "low", "overbooked_saturated": "top"}.get(scenario)
         fta, nca = self._draw_scores(person.group, cell_kind)
 
+        # the flag is derived from the row exactly as the audit re-derives it
+        row = self._psa_row(person, arrest, fta, nca, None, charges, prior_conviction, pv)
         violent = any(self.engine.catalog.is_violent(c) for c in charges)
-        factors = record_factors_like(person, arrest, prior_conviction, pv, violent)
-        nvca = nvca_flag_value(factors, self.engine.weights)
+        factors = record_factors(row["age_at_arrest"], prior_conviction, pv, violent)
+        row["nvca_flag"] = nvca = nvca_flag_value(factors, self.engine.weights)
         result = assess(SubScores(fta, nca, nvca), charges, False, self.engine.dmf, self.engine.catalog)
-
-        row = self._psa_row(person, arrest, fta, nca, nvca, charges, prior_conviction, pv)
         row["recorded_exclusion"] = result.exclusion
         row["recorded_bumpup"] = result.bumpup
         row["recorded_recommendation"] = result.final
@@ -505,16 +506,6 @@ class _Generator:
             "recorded_bumpup": "",
             "recorded_recommendation": "",
         }
-
-
-def record_factors_like(person: _Person, arrest: date, prior_conviction: bool, pv: int, violent: bool):
-    """Factors as the audit will reconstruct them from the record row."""
-    return RiskFactors(
-        age_at_arrest=(arrest - person.dob).days // 365,
-        prior_conviction=prior_conviction,
-        prior_violent_convictions=pv,
-        current_offense_violent=violent,
-    )
 
 
 def generate(config: GeneratorConfig, engine: EngineConfig | None = None) -> SynthDataset:

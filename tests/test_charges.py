@@ -45,6 +45,15 @@ def test_parse_no_statute_raises():
         parse_charge_code("PC F")
 
 
+@given(st.text())
+def test_parse_arbitrary_text_returns_or_raises_parse_error(text):
+    # readers treat ParseError as a row diagnostic; anything else is a bug
+    try:
+        parse_charge_code(text)
+    except ParseError:
+        pass
+
+
 @pytest.mark.parametrize(
     "text, statute, subdivs, body, cls",
     [

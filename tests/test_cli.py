@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from psa_audit.cli import main
-from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, write_csv
+from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_psa_records, write_csv
 
 
 def run(args):
@@ -102,6 +102,53 @@ def test_missing_column_is_schema_failure(tmp_path):
 
 def test_missing_file_is_schema_failure(tmp_path):
     assert run(["score", "--psa", tmp_path / "nope.csv", "--out", tmp_path / "out"]) == 2
+
+
+def test_empty_and_repeated_ids_are_row_errors(tmp_path):
+    psa = tmp_path / "psa.csv"
+    write_csv(psa, PSA_COLUMNS, [psa_row("R1"), psa_row("R1"), psa_row("")])
+    court = tmp_path / "court.csv"
+    write_csv(court, COURT_COLUMNS, [court_row("C1")])
+    out = tmp_path / "audit"
+    assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 3
+    errors = read_rows(out / "input_errors.csv")
+    assert [(e["row"], e["record_id"], e["message"]) for e in errors] == [
+        ("2", "R1", "record_id 'R1' repeats row 1"),
+        ("3", "", "record_id must be non-empty"),
+    ]
+    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
+    assert counts["psa_input_rows"] == 3
+    assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
+
+    write_csv(court, COURT_COLUMNS, [court_row("C1"), court_row("C1"), court_row("C2")])
+    assert run(["consistency", "--court", court, "--out", out]) == 3
+    errors = read_rows(out / "input_errors.csv")
+    assert [(e["row"], e["message"]) for e in errors] == [("2", "court_number 'C1' repeats row 1")]
+
+
+def test_reader_does_not_turn_program_errors_into_row_errors(tmp_path, monkeypatch):
+    def broken(text, where):
+        raise TypeError("bug")
+
+    psa = tmp_path / "psa.csv"
+    write_csv(psa, PSA_COLUMNS, [psa_row("R1")])
+    monkeypatch.setattr("psa_audit.io.parse_date", broken)
+    with pytest.raises(TypeError):
+        read_psa_records(psa)
+
+
+def test_utf8_bom_input_gives_the_same_outputs(sim_dir, tmp_path):
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for name in ("psa_records.csv", "court_cases.csv"):
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (sim_dir / name).read_bytes())
+    outs = []
+    for src in (sim_dir, bom):
+        out = tmp_path / f"audit-{src.name}"
+        assert run(["audit", "--psa", src / "psa_records.csv", "--court", src / "court_cases.csv",
+                    "--out", out, "--sensitivity"]) == 0
+        outs.append(_tree_bytes(out, skip=("run_manifest.json",)))
+    assert outs[0] == outs[1]
 
 
 def test_audit_on_simulated_data(sim_dir, tmp_path):

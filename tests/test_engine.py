@@ -1,8 +1,9 @@
 import random
 
 import pytest
+import yaml
 
-from psa_audit.charges import parse_charge_code
+from psa_audit.charges import data_path, parse_charge_code
 from psa_audit.engine import (
     DmfConfig,
     RiskFactors,
@@ -11,7 +12,6 @@ from psa_audit.engine import (
     assess,
     check_bumpup,
     check_exclusion,
-    compute_subscores,
     initial_recommendation,
     load_dmf_config,
     load_weight_config,
@@ -31,11 +31,8 @@ def q(text):
 # sub-scores
 
 
-def test_zero_weights_map_to_lowest_bins(tmp_path, config):
-    cfg = config.weights
-    f = RiskFactors()
-    subs = compute_subscores(f, cfg)
-    assert subs.fta == 1 and subs.nca == 1 and subs.nvca_flag is False
+def test_nvca_flag_value_default_factors_is_false(config):
+    assert nvca_flag_value(RiskFactors(), config.weights) is False
 
 
 def test_nvca_raw_monotone_in_violent_priors(config):
@@ -45,44 +42,21 @@ def test_nvca_raw_monotone_in_violent_priors(config):
     assert raw_score(w, hi) > raw_score(w, lo)
 
 
-def test_compute_subscores_matches_straight_line_sum(config):
-    # independent re-summation of the linear form, then bin lookup by scan
+def test_nvca_flag_value_matches_straight_line_sum(config):
+    # independent re-summation of the linear form against the threshold
     rng = random.Random(11)
     cfg = config.weights
     for _ in range(500):
         f = RiskFactors(
             age_at_arrest=rng.randrange(18, 70),
-            pending_charge=rng.random() < 0.5,
-            prior_misdemeanor_conviction=(m := rng.random() < 0.5),
-            prior_felony_conviction=(fe := rng.random() < 0.5),
-            prior_conviction=m or fe or rng.random() < 0.2,
+            prior_conviction=rng.random() < 0.5,
             prior_violent_convictions=rng.randrange(0, 3),
-            ftas_past_two_years=rng.randrange(0, 4),
-            fta_older_than_two_years=rng.random() < 0.5,
-            prior_incarceration=rng.random() < 0.5,
             current_offense_violent=rng.random() < 0.3,
         )
-        subs = compute_subscores(f, cfg)
-        for spec, got in ((cfg.fta, subs.fta), (cfg.nca, subs.nca)):
-            total = 0
-            for name, w in spec.weights.items():
-                value = getattr(f, name)
-                total += w * (int(value) if isinstance(value, bool) else value)
-            expected = None
-            for b in spec.bins:
-                if b.lo <= total <= b.hi:
-                    expected = b.score
-            assert got == expected
         nv_total = sum(
             w * int(getattr(f, name)) for name, w in cfg.nvca.weights.items()
         )
-        assert subs.nvca_flag == (nv_total >= cfg.nvca.threshold)
-
-
-def test_raw_score_outside_bins_is_config_error(config):
-    f = RiskFactors(ftas_past_two_years=100)
-    with pytest.raises(ConfigError):
-        compute_subscores(f, config.weights)
+        assert nvca_flag_value(f, cfg) == (nv_total >= cfg.nvca.threshold)
 
 
 def test_risk_factor_invariants():
@@ -90,8 +64,6 @@ def test_risk_factor_invariants():
         RiskFactors(age_at_arrest=-1)
     with pytest.raises(ValueError):
         RiskFactors(prior_violent_convictions=-2)
-    with pytest.raises(ValueError):
-        RiskFactors(prior_felony_conviction=True, prior_conviction=False)
 
 
 def test_subscores_range_validated():
@@ -216,20 +188,29 @@ def test_dmf_loader_rejects_bad_shapes(tmp_path):
 
 def test_weights_loader_rejects_bad_config(tmp_path):
     p = tmp_path / "weights.yaml"
+    for doc in (
+        # a factor that no assessment record carries would silently add 0
+        "nvca:\n  weights: {pending_charge: 1}\n  threshold: 1\n",
+        "nvca:\n  weights: {bogus_factor: 1}\n  threshold: 1\n",
+        "nvca:\n  weights: {prior_conviction: 1}\n  threshold: true\n",
+        "nvca:\n  weights: {prior_conviction: 1}\n",
+        "fta: {}\n",
+        "nvca:\n  weights: {prior_conviction: 1}\n  threshold: 1\nbogus: {}\n",
+    ):
+        p.write_text(doc)
+        with pytest.raises(ConfigError):
+            load_weight_config(p)
+
+
+def test_weights_loader_ignores_old_fta_nca_sections(tmp_path):
+    assert set(yaml.safe_load(data_path("weights.yaml").read_text())) == {"nvca"}
+    p = tmp_path / "weights.yaml"
     p.write_text(
-        "fta:\n  weights: {bogus_factor: 1}\n  bins: [{min: 0, max: 9, score: 1}]\n"
-        "nca:\n  weights: {pending_charge: 1}\n  bins: [{min: 0, max: 9, score: 1}]\n"
-        "nvca:\n  weights: {prior_conviction: 1}\n  threshold: 1\n"
+        data_path("weights.yaml").read_text()
+        + "fta:\n  weights: {pending_charge: 1}\n  bins: [{min: 0, max: 9, score: 1}]\n"
+        "nca:\n  weights: {prior_incarceration: 1}\n  bins: [{min: 0, max: 2, score: 2}, {min: 3, max: 4, score: 1}]\n"
     )
-    with pytest.raises(ConfigError):
-        load_weight_config(p)
-    p.write_text(
-        "fta:\n  weights: {pending_charge: 1}\n  bins: [{min: 0, max: 2, score: 2}, {min: 3, max: 4, score: 1}]\n"
-        "nca:\n  weights: {pending_charge: 1}\n  bins: [{min: 0, max: 9, score: 1}]\n"
-        "nvca:\n  weights: {prior_conviction: 1}\n  threshold: 1\n"
-    )
-    with pytest.raises(ConfigError):
-        load_weight_config(p)
+    assert load_weight_config(p) == load_weight_config(data_path("weights.yaml"))
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,9 @@ def test_agreement_length_mismatch():
 
 def test_rate_table_identical_pairs_zero_differences():
     p = [pair(f"R{i}", result(), result()) for i in range(5)]
-    t = rate_table(p)
+    tables = rate_table(p)
+    assert list(tables) == ["all"]
+    t = tables["all"]
     for row in t.rows:
         assert row.difference == 0.0
         if row.component == "recommendation":
@@ -276,7 +278,7 @@ def test_rate_table_hand_counted_fixture():
         pair("R2", result(), result()),
         pair("R3", result(), result()),
     ]
-    t = rate_table(pairs)
+    t = rate_table(pairs)["all"]
     by = {r.component: r for r in t.rows}
     assert by["exclusion"].booking == 0.25
     assert by["exclusion"].conviction == 0.0
@@ -290,7 +292,8 @@ def test_rate_table_grouped():
     pairs = [pair(f"R{i}", result(exclusion=(i < 2)), result()) for i in range(4)]
     groups = {"R0": "B", "R1": "non-B", "R2": "B", "R3": "non-B"}
     tables = rate_table(pairs, groups)
-    assert set(tables) == {"all", "B", "non-B"}
+    assert list(tables) == ["all", "B", "non-B"]
+    assert list(proportion_affected(pairs, groups)) == ["all", "B", "non-B"]
     b = {r.component: r for r in tables["B"].rows}
     assert b["exclusion"].booking == 0.5
 
@@ -303,7 +306,7 @@ def test_rate_table_empty_raises():
 def test_proportion_affected_wrong_direction_not_counted():
     up = pair("R0", result(initial=L.OR_NAS), result(initial=L.OR_MINIMUM, final=L.OR_MINIMUM))
     assert up.recommendation_delta == -1
-    t = proportion_affected([up])
+    t = proportion_affected([up])["all"]
     by = {r.component: r for r in t.rows}
     assert by["recommendation"].fraction == 0.0
 
@@ -315,7 +318,7 @@ def test_proportion_affected_exact_fixture():
             pairs.append(pair(f"R{i}", result(bumpup=True, initial=L.OR_NAS, final=L.OR_MINIMUM), result()))
         else:
             pairs.append(pair(f"R{i}", result(), result()))
-    t = proportion_affected(pairs)
+    t = proportion_affected(pairs)["all"]
     by = {r.component: r for r in t.rows}
     assert by["recommendation"].fraction == 0.27
     assert by["bumpup"].fraction == 0.27
@@ -326,8 +329,8 @@ def test_proportion_affected_zero_delta_pairs_only_scale_the_denominator():
     affected = [pair(f"A{i}", result(bumpup=True, initial=L.OR_NAS, final=L.OR_MINIMUM), result())
                 for i in range(3)]
     inert = [pair(f"I{i}", result(), result()) for i in range(9)]
-    small = {r.component: r for r in proportion_affected(affected).rows}
-    big = {r.component: r for r in proportion_affected(affected + inert).rows}
+    small = {r.component: r for r in proportion_affected(affected)["all"].rows}
+    big = {r.component: r for r in proportion_affected(affected + inert)["all"].rows}
     for component in small:
         assert big[component].count == small[component].count
         assert big[component].fraction == small[component].count / 12
@@ -339,7 +342,7 @@ def test_proportion_affected_saturation_counts_component_not_recommendation():
         result(exclusion=True, initial=L.RELEASE_NOT_RECOMMENDED),
         result(initial=L.RELEASE_NOT_RECOMMENDED),
     )
-    t = proportion_affected([sat])
+    t = proportion_affected([sat])["all"]
     by = {r.component: r for r in t.rows}
     assert by["exclusion"].fraction == 1.0
     assert by["recommendation"].fraction == 0.0
@@ -448,7 +451,7 @@ def test_rate_table_values_in_range():
         c = result(nvca=rng.random() < 0.2, exclusion=rng.random() < 0.1,
                    bumpup=rng.random() < 0.2, initial=rng.choice(levels))
         pairs.append(pair(f"R{i}", b, c))
-    t = rate_table(pairs)
+    t = rate_table(pairs)["all"]
     for row in t.rows:
         if row.component == "recommendation":
             assert 1.0 <= row.booking <= 4.0 and 1.0 <= row.conviction <= 4.0
@@ -456,7 +459,7 @@ def test_rate_table_values_in_range():
         else:
             assert 0.0 <= row.booking <= 1.0 and 0.0 <= row.conviction <= 1.0
             assert -1.0 <= row.difference <= 1.0
-    a = proportion_affected(pairs)
+    a = proportion_affected(pairs)["all"]
     for row in a.rows:
         assert 0.0 <= row.fraction <= 1.0
     hists = initial_distribution(pairs)
