@@ -17,9 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import yaml
 
@@ -71,7 +71,8 @@ class ChargeCode:
 
     ``raw`` keeps the string exactly as ingested (including any tokens the
     parser did not understand) and is excluded from equality, so two codes
-    compare equal whenever their parsed components agree.
+    compare equal whenever their parsed components agree.  The hash is that
+    of ``normalized``, which equal codes share.
     """
 
     statute: str
@@ -86,7 +87,10 @@ class ChargeCode:
         if self.degree is not None and self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
 
-    @property
+    def __hash__(self) -> int:
+        return hash(self.normalized)
+
+    @cached_property
     def normalized(self) -> str:
         """Canonical text form; re-parsing it yields an equal ChargeCode."""
         head = ""
@@ -100,6 +104,14 @@ class ChargeCode:
         if self.degree is not None:
             parts.append(str(self.degree))
         return " ".join(parts)
+
+    @cached_property
+    def text_key(self) -> str:
+        """The raw string uppercased with whitespace collapsed (``normalized``
+        when there is no raw string).  Linkage keys on it rather than on the
+        parsed structure, so parser policy cannot change which records are
+        duplicates or which cases contain a charge."""
+        return normalize_text(self.raw) or self.normalized
 
     @property
     def base(self) -> "ChargeCode":
@@ -226,10 +238,21 @@ class CatalogEntry:
     note: str = ""
 
 
+class ChargeFacts(NamedTuple):
+    """One charge's membership in the catalog's lists."""
+
+    violent: bool
+    exclusion: bool
+    bumpup: bool
+
+
 class ChargeCatalog:
     """Membership oracle over the violent, exclusion, and bump-up lists.
 
-    Immutable after construction; safe for concurrent reads.
+    The lists do not change after construction.  Each distinct charge is
+    classified against them once, on first query, and its facts are
+    memoized in this catalog instance (a copy made by
+    ``with_weapon_policy`` starts with none).
 
     Exclusion and bump-up membership is derivative-blind: an attempt,
     conspiracy, solicitation, or FTA form of a listed offense counts the
@@ -260,6 +283,7 @@ class ChargeCatalog:
             if e.category not in CATEGORIES:
                 raise ConfigError(f"unknown catalog category {e.category!r}")
             self._by_category[e.category].setdefault(e.pattern.statute, []).append(e)
+        self._facts: dict[ChargeCode, ChargeFacts] = {}
 
     def _member(self, category: str, charge: ChargeCode) -> bool:
         for e in self._by_category[category].get(charge.statute, ()):
@@ -267,24 +291,34 @@ class ChargeCatalog:
                 return True
         return False
 
+    def _classify(self, charge: ChargeCode) -> ChargeFacts:
+        base = charge.base
+        violent = self._member("violent", charge) or (
+            self.violent_includes_derivatives
+            and charge.derivative is not Derivative.NONE
+            and self._member("violent", base)
+        )
+        bumpup = self._member("bumpup", base) or any(
+            e.treat_as_bumpup and matches(base, e.pattern)
+            for e in self._by_category["weapon_ambiguous"].get(base.statute, ())
+        )
+        return ChargeFacts(violent=violent, exclusion=self._member("exclusion", base), bumpup=bumpup)
+
+    def facts(self, charge: ChargeCode) -> ChargeFacts:
+        """The charge's violent, exclusion and bump-up membership."""
+        found = self._facts.get(charge)
+        if found is None:
+            found = self._facts[charge] = self._classify(charge)
+        return found
+
     def is_violent(self, charge: ChargeCode) -> bool:
-        if self._member("violent", charge):
-            return True
-        if self.violent_includes_derivatives and charge.derivative is not Derivative.NONE:
-            return self._member("violent", charge.base)
-        return False
+        return self.facts(charge).violent
 
     def is_exclusion_charge(self, charge: ChargeCode) -> bool:
-        return self._member("exclusion", charge.base)
+        return self.facts(charge).exclusion
 
     def is_bumpup_charge(self, charge: ChargeCode) -> bool:
-        base = charge.base
-        if self._member("bumpup", base):
-            return True
-        for e in self._by_category["weapon_ambiguous"].get(base.statute, ()):
-            if e.treat_as_bumpup and matches(base, e.pattern):
-                return True
-        return False
+        return self.facts(charge).bumpup
 
     def with_weapon_policy(self, pattern_text: str, treat_as_bumpup: bool) -> "ChargeCatalog":
         """A copy with one weapon-ambiguous pattern's policy flipped."""

@@ -1,8 +1,9 @@
 """Assessment engine: sub-scores, charge-based exclusion, decision matrix
 lookup, and bump-up, producing initial and final supervision recommendations.
 
-Every operation here is a pure function over immutable inputs, so records
-can be scored in parallel with no coordination.  The four-step shape:
+Every operation here is a pure function, so records can be scored in
+parallel with no coordination; the catalog memoizes each charge's list
+membership, but its answers never change.  The four-step shape:
 
   1. sub-scores (two 1..6 scales plus a binary violence flag): the scales
      are taken from the form, and the violence flag is derived from risk
@@ -153,12 +154,6 @@ class PsaResult:
     final: SupervisionLevel
 
 
-def ordered_charges(charges: Sequence[ChargeCode]) -> list[ChargeCode]:
-    """Deterministic charge order for reason reporting: lexicographic on
-    the canonical normalized string."""
-    return sorted(charges, key=lambda c: c.normalized)
-
-
 def check_exclusion(
     charges: Sequence[ChargeCode],
     extradited: bool,
@@ -169,17 +164,18 @@ def check_exclusion(
 
     Fires on extradition, on any listed exclusion offense (including
     derivative forms), or on any violent charge combined with the violence
-    flag.  The reason names the first clause and charge that fired.
+    flag.  The reason names the first clause that fired and, of the
+    charges that fired it, the first in canonical (normalized-text) order.
     """
     if extradited:
         return True, "extradited"
-    for c in ordered_charges(charges):
-        if catalog.is_exclusion_charge(c):
-            return True, f"exclusion-list:{c.normalized}"
+    listed = [c.normalized for c in charges if catalog.facts(c).exclusion]
+    if listed:
+        return True, f"exclusion-list:{min(listed)}"
     if nvca_flag:
-        for c in ordered_charges(charges):
-            if catalog.is_violent(c):
-                return True, f"violent+nvca:{c.normalized}"
+        violent = [c.normalized for c in charges if catalog.facts(c).violent]
+        if violent:
+            return True, f"violent+nvca:{min(violent)}"
     return False, ""
 
 
@@ -192,12 +188,13 @@ def check_bumpup(
 
     Fires on any listed bump-up offense (including derivative forms, and
     honoring the weapon-use grey-zone policy), or when the violence flag
-    is set while no booked charge is violent.
+    is set while no booked charge is violent.  A listed offense is named
+    as in ``check_exclusion``.
     """
-    for c in ordered_charges(charges):
-        if catalog.is_bumpup_charge(c):
-            return True, f"bumpup-list:{c.normalized}"
-    if nvca_flag and not any(catalog.is_violent(c) for c in charges):
+    listed = [c.normalized for c in charges if catalog.facts(c).bumpup]
+    if listed:
+        return True, f"bumpup-list:{min(listed)}"
+    if nvca_flag and not any(catalog.facts(c).violent for c in charges):
         return True, "nvca-no-violent"
     return False, ""
 
@@ -214,7 +211,7 @@ def initial_recommendation(
     value = dmf.cell(subscores.fta, subscores.nca)
     if value == _SPLIT:
         for c in charges:
-            if c.is_felony() or (c.is_misdemeanor() and catalog.is_violent(c)):
+            if c.is_felony() or (c.is_misdemeanor() and catalog.facts(c).violent):
                 return SupervisionLevel.RELEASE_NOT_RECOMMENDED
         return SupervisionLevel.SFPDP_ACM
     return value

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .charges import ChargeCode, Derivative, parse_charge_code
 from .engine import SupervisionLevel
@@ -117,11 +117,30 @@ def join_charges(charges: Iterable[ChargeCode]) -> str:
     return ";".join(c.raw or c.normalized for c in charges)
 
 
-def split_charges(
-    cell: str, prefixes: Mapping[str, Derivative] | None = None
-) -> tuple[ChargeCode, ...]:
-    parts = [p.strip() for p in cell.split(";") if p.strip()]
-    return tuple(parse_charge_code(p, prefixes) for p in parts)
+def _charge_splitter(
+    prefixes: Mapping[str, Derivative] | None = None,
+) -> Callable[[str], tuple[ChargeCode, ...]]:
+    """A parser of ';'-joined charge cells for one file.
+
+    Each distinct stripped charge text is parsed once and its ChargeCode is
+    shared by every cell that carries it.  A text that fails to parse is
+    not remembered, so every row carrying it raises its own ParseError.
+    """
+    parsed: dict[str, ChargeCode] = {}
+
+    def split(cell: str) -> tuple[ChargeCode, ...]:
+        charges = []
+        for part in cell.split(";"):
+            text = part.strip()
+            if not text:
+                continue
+            charge = parsed.get(text)
+            if charge is None:
+                charge = parsed[text] = parse_charge_code(text, prefixes)
+            charges.append(charge)
+        return tuple(charges)
+
+    return split
 
 
 def _read_rows(path: str | Path, required: Sequence[str]) -> list[dict]:
@@ -148,6 +167,7 @@ def read_psa_records(
     arrest date) keep the row but add a warning issue.
     """
     rows = _read_rows(path, PSA_COLUMNS)
+    split_charges = _charge_splitter(prefixes)
     records, issues = [], []
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
@@ -164,7 +184,7 @@ def read_psa_records(
                 fta=_parse_score(row.get("fta") or "", "fta"),
                 nca=_parse_score(row.get("nca") or "", "nca"),
                 nvca_flag=parse_bool(row.get("nvca_flag") or "", "nvca_flag"),
-                booking_charges=split_charges(row.get("booking_charges") or "", prefixes),
+                booking_charges=split_charges(row.get("booking_charges") or ""),
                 age_at_arrest=parse_int(row.get("age_at_arrest") or "", "age_at_arrest"),
                 prior_conviction=parse_bool(row.get("prior_conviction") or "", "prior_conviction"),
                 prior_violent_convictions=parse_int(
@@ -210,6 +230,7 @@ def read_court_cases(
     path: str | Path, prefixes: Mapping[str, Derivative] | None = None
 ) -> tuple[list[CourtCase], list[RowIssue]]:
     rows = _read_rows(path, COURT_COLUMNS)
+    split_charges = _charge_splitter(prefixes)
     cases, issues = [], []
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
@@ -219,7 +240,7 @@ def read_court_cases(
             race = (row.get("race") or "").strip().upper()
             if race not in RACE_VALUES:
                 raise ValueError(f"race: unknown designation {race!r}")
-            filed = split_charges(row.get("filed_charges") or "", prefixes)
+            filed = split_charges(row.get("filed_charges") or "")
             disp_cell = (row.get("dispositions") or "").strip()
             if disp_cell:
                 dispositions = tuple(parse_int(part, "dispositions") for part in disp_cell.split(";"))
@@ -238,7 +259,7 @@ def read_court_cases(
                     dob=parse_date(row.get("dob") or "", "dob"),
                     arrest_date=parse_date(row.get("arrest_date") or "", "arrest_date"),
                     race=race,
-                    booking_charges=split_charges(row.get("booking_charges") or "", prefixes),
+                    booking_charges=split_charges(row.get("booking_charges") or ""),
                     filed_charges=filed,
                     dispositions=dispositions,
                 )
@@ -261,17 +282,29 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Mapping])
 
 
 def _render(value) -> str:
+    render = _RENDERERS.get(type(value))
+    if render is None:
+        render = _RENDERERS[type(value)] = _renderer_for(value)
+    return render(value)
+
+
+def _renderer_for(value) -> Callable[[object], str]:
+    """How to render a cell of ``value``'s type; every answer here depends
+    only on the type, so ``_render`` asks once per type."""
     if value is None:
-        return ""
+        return lambda _: ""
     if isinstance(value, bool):
-        return render_bool(value)
+        return render_bool
     if isinstance(value, float):
-        return format(value, ".10g")
+        return lambda v: format(v, ".10g")
     if isinstance(value, SupervisionLevel):
-        return value.label
+        return lambda v: v.label
     if isinstance(value, date):
-        return value.isoformat()
-    return str(value)
+        return lambda v: v.isoformat()
+    return str
+
+
+_RENDERERS: dict[type, Callable[[object], str]] = {}
 
 
 SCHEMA_DOC = """\

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .charges import ChargeCode, normalize_text
+from .charges import ChargeCode
 from .engine import SubScores, SupervisionLevel
 
 WINDOW_BEFORE = timedelta(days=1)
@@ -83,11 +84,9 @@ class CourtCase:
         if len(self.dispositions) != len(self.filed_charges):
             raise ValueError("each filed charge needs exactly one disposition slot")
 
-    @property
+    @cached_property
     def charge_strings(self) -> frozenset[str]:
-        return frozenset(
-            normalize_text(c.raw) or c.normalized for c in self.booking_charges + self.filed_charges
-        )
+        return frozenset(c.text_key for c in self.booking_charges + self.filed_charges)
 
 
 class MatchStatus(Enum):
@@ -132,9 +131,7 @@ def filter_complete(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list
 
 
 def _charge_key(record: PsaRecord) -> tuple[str, ...]:
-    # normalized raw strings, not parsed structure, so parser policy
-    # cannot affect duplicate detection
-    return tuple(sorted(normalize_text(c.raw) or c.normalized for c in record.booking_charges))
+    return tuple(sorted(c.text_key for c in record.booking_charges))
 
 
 def _dedup_key(record: PsaRecord):
@@ -192,7 +189,7 @@ def find_candidates(psa: PsaRecord, cases: Iterable[CourtCase]) -> list[CourtCas
 
 
 def _contains_charge(case: CourtCase, charge: ChargeCode) -> bool:
-    return (normalize_text(charge.raw) or charge.normalized) in case.charge_strings
+    return charge.text_key in case.charge_strings
 
 
 def resolve_match(psa: PsaRecord, candidates: Sequence[CourtCase]) -> MatchResult:

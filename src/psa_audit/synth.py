@@ -205,6 +205,7 @@ class _Generator:
         self.base_row_ids: list[int] = []  # indexes into psa_rows
         self._record_seq = 0
         self._case_seq = 0
+        self._charges: dict[str, ChargeCode] = {}
         self._low_cells, self._top_cells = self._classify_cells()
 
     def _classify_cells(self):
@@ -225,7 +226,11 @@ class _Generator:
     # -- small draw helpers ------------------------------------------------
 
     def _charge(self, text: str) -> ChargeCode:
-        return parse_charge_code(text, self.engine.catalog.derivative_prefixes)
+        """The parsed pool string, one shared ChargeCode per distinct text."""
+        charge = self._charges.get(text)
+        if charge is None:
+            charge = self._charges[text] = parse_charge_code(text, self.engine.catalog.derivative_prefixes)
+        return charge
 
     def _next_record_id(self) -> str:
         self._record_seq += 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psa_audit.charges import (
+    ChargeCatalog,
     ChargeClass,
     ChargeCode,
     Derivative,
@@ -11,6 +12,7 @@ from psa_audit.charges import (
     parse_charge_code,
 )
 from psa_audit.errors import ConfigError, ParseError
+from psa_audit.synth import DEFAULT_CHARGE_POOLS
 
 
 def test_parse_full_form():
@@ -124,6 +126,7 @@ def test_normalized_roundtrip_property(statute, subdivs, body, cls, degree, deri
         derivative=derivative,
     )
     assert parse_charge_code(c.normalized) == c
+    assert hash(parse_charge_code(c.normalized)) == hash(c)
 
 
 def test_raw_excluded_from_equality():
@@ -132,6 +135,15 @@ def test_raw_excluded_from_equality():
     assert a == b
     assert a.raw != b.raw
     assert hash(a) == hash(b)
+
+
+def test_spellings_of_one_charge_are_equal_and_hash_equal_but_keep_their_raw_text():
+    a = parse_charge_code("187(a)  pc f 1")
+    b = parse_charge_code("187(A) PC F 1")
+    assert a == b and hash(a) == hash(b)
+    assert (a.raw, b.raw) == ("187(a)  pc f 1", "187(A) PC F 1")
+    assert len({a, b}) == 1
+    assert a.text_key == b.text_key == "187(A) PC F 1"
 
 
 def test_degree_must_be_positive():
@@ -201,6 +213,49 @@ class TestMembership:
     def test_membership_is_pure(self):
         c = self.q("187(A) PC F")
         assert [self.cat.is_exclusion_charge(c) for _ in range(3)] == [True] * 3
+
+
+def _scan(catalog, charge):
+    """Membership by the documented rules, scanning every catalog entry."""
+
+    def listed(category, c):
+        return [e for e in catalog.entries if e.category == category and matches(c, e.pattern)]
+
+    base = charge.base
+    violent = bool(listed("violent", charge)) or (
+        catalog.violent_includes_derivatives
+        and charge.derivative is not Derivative.NONE
+        and bool(listed("violent", base))
+    )
+    bumpup = bool(listed("bumpup", base)) or any(e.treat_as_bumpup for e in listed("weapon_ambiguous", base))
+    return violent, bool(listed("exclusion", base)), bumpup
+
+
+def test_catalog_facts_agree_with_a_scan_of_every_entry():
+    cat = default_catalog()
+    texts = [e.pattern.normalized for e in cat.entries]
+    texts += [f"{prefix}/{e.pattern.base.normalized}" for e in cat.entries
+              for prefix in ("664", "182", "653F", "1320")]
+    texts += [t for pool in DEFAULT_CHARGE_POOLS.values() for t in pool]
+    inclusive = ChargeCatalog(cat.entries, violent_includes_derivatives=True,
+                              derivative_prefixes=cat.derivative_prefixes)
+    for catalog in (cat, inclusive):
+        for text in texts:
+            c = parse_charge_code(text, catalog.derivative_prefixes)
+            asked = (catalog.is_violent(c), catalog.is_exclusion_charge(c), catalog.is_bumpup_charge(c))
+            assert asked == _scan(catalog, c), text
+    # the flag changes some answer, so both branches of the violent rule ran
+    attempt = parse_charge_code("664/187(A) PC F", cat.derivative_prefixes)
+    assert not cat.is_violent(attempt) and inclusive.is_violent(attempt)
+
+
+def test_catalog_copies_do_not_share_memoized_facts():
+    cat = default_catalog()
+    grey = parse_charge_code("417.4 PC", cat.derivative_prefixes)
+    assert not cat.is_bumpup_charge(grey)  # memoized in the default catalog
+    permissive = cat.with_weapon_policy("417.4 PC", True)
+    assert permissive.is_bumpup_charge(grey)
+    assert not cat.is_bumpup_charge(grey)
 
 
 def test_pattern_subdivision_prefix_semantics():

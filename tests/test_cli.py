@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from psa_audit.cli import main
-from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_psa_records, write_csv
+from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, write_csv
 
 
 def run(args):
@@ -124,6 +124,42 @@ def test_empty_and_repeated_ids_are_row_errors(tmp_path):
     assert run(["consistency", "--court", court, "--out", out]) == 3
     errors = read_rows(out / "input_errors.csv")
     assert [(e["row"], e["message"]) for e in errors] == [("2", "court_number 'C1' repeats row 1")]
+
+
+def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
+    court = tmp_path / "court.csv"
+    write_csv(court, COURT_COLUMNS, [
+        court_row("C1", charges="459 PC F;484 PC M", dispositions="160;160"),
+        court_row("C2", charges=" 484 PC M ;459 PC F", dispositions="160;160"),
+        court_row("C3", charges="PC F"),
+        court_row("C4", charges="PC F"),
+    ])
+    cases, issues = read_court_cases(court)
+    c1, c2 = cases
+    assert c1.booking_charges[0] is c1.filed_charges[0] is c2.booking_charges[1]
+    assert c1.booking_charges[1] is c2.filed_charges[0]
+    assert [(i.row, i.record_id, i.message) for i in issues] == [
+        (3, "C3", "no leading statute number in 'PC F'"),
+        (4, "C4", "no leading statute number in 'PC F'"),
+    ]
+
+    psa = tmp_path / "psa.csv"
+    write_csv(psa, PSA_COLUMNS, [
+        psa_row("R1"),
+        psa_row("R2", "S2", booking_charges="459 PC F;PC F"),
+        psa_row("R3", "S3", booking_charges="PC F"),
+    ])
+    write_csv(court, COURT_COLUMNS, [court_row("C1")])
+    out = tmp_path / "audit"
+    assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 3
+    errors = read_rows(out / "input_errors.csv")
+    assert [(e["row"], e["record_id"], e["message"]) for e in errors] == [
+        ("2", "R2", "no leading statute number in 'PC F'"),
+        ("3", "R3", "no leading statute number in 'PC F'"),
+    ]
+    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
+    assert counts["psa_input_rows"] == 3
+    assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
 
 
 def test_reader_does_not_turn_program_errors_into_row_errors(tmp_path, monkeypatch):
