@@ -341,37 +341,28 @@ class ChargeCatalog:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChargeCatalog":
-        if not isinstance(doc, dict):
-            raise ConfigError("catalog file must contain a mapping")
-        allowed = {"violent_includes_derivatives", "derivative_prefixes", "patterns"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ConfigError(f"unknown catalog keys: {sorted(unknown)}")
+        _require_keys(doc, {"violent_includes_derivatives", "derivative_prefixes", "patterns"},
+                      {"patterns"}, "catalog")
         prefixes = dict(DEFAULT_DERIVATIVE_PREFIXES)
         for key, name in (doc.get("derivative_prefixes") or {}).items():
             try:
                 prefixes[str(key).upper()] = Derivative(name)
             except ValueError:
                 raise ConfigError(f"unknown derivative kind {name!r} for prefix {key!r}") from None
-        raw_patterns = doc.get("patterns")
+        raw_patterns = doc["patterns"]
         if not isinstance(raw_patterns, list) or not raw_patterns:
             raise ConfigError("catalog needs a non-empty 'patterns' list")
         entries = []
         for i, item in enumerate(raw_patterns):
-            if not isinstance(item, dict):
-                raise ConfigError(f"patterns[{i}] must be a mapping")
-            bad = set(item) - {"pattern", "category", "note", "treat_as_bumpup"}
-            if bad:
-                raise ConfigError(f"patterns[{i}] has unknown keys: {sorted(bad)}")
-            category = item.get("category")
+            _require_keys(item, {"pattern", "category", "note", "treat_as_bumpup"}, {"pattern", "category"},
+                          f"patterns[{i}]")
+            category = item["category"]
             if category not in CATEGORIES:
                 raise ConfigError(f"patterns[{i}] has invalid category {category!r}")
             if "treat_as_bumpup" in item and category != "weapon_ambiguous":
                 raise ConfigError(f"patterns[{i}]: treat_as_bumpup only applies to weapon_ambiguous")
             try:
                 pattern = parse_charge_code(str(item["pattern"]), prefixes)
-            except KeyError:
-                raise ConfigError(f"patterns[{i}] is missing 'pattern'") from None
             except ParseError as exc:
                 raise ConfigError(f"patterns[{i}]: {exc}") from None
             entries.append(
@@ -390,10 +381,7 @@ class ChargeCatalog:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ChargeCatalog":
-        try:
-            doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+        doc = read_config(path)
         try:
             return cls.from_dict(doc)
         except ConfigError as exc:
@@ -403,6 +391,37 @@ class ChargeCatalog:
 def data_path(name: str) -> Path:
     """Path to a packaged default config file."""
     return Path(__file__).parent / "data" / name
+
+
+def read_config(path: str | Path) -> dict:
+    """The top-level mapping of a YAML config file.  A file that cannot be
+    read, is not valid YAML or holds anything but a mapping is a
+    ConfigError naming the file."""
+    try:
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        detail = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"{path}: not valid YAML{where}: {detail}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: must contain a mapping")
+    return doc
+
+
+def _require_keys(doc, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(doc)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
 @lru_cache(maxsize=None)

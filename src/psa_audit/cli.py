@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import yaml
-
 from . import __version__
+from .charges import read_config
 from .counterfactual import (
     AuditPair,
     DispositionPolicy,
@@ -37,7 +37,9 @@ from .io import (
 from .linkage import MatchResult, deduplicate, filter_complete, link_records
 from .stats import (
     DEFAULT_ALPHA,
+    AffectedRow,
     AffectedTable,
+    RateRow,
     RateTable,
     agreement_rate,
     initial_distribution,
@@ -109,21 +111,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensitivity", action="store_true",
                    help="also emit tables excluding records whose only plea points outside the case")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--conviction-threshold", type=int, default=159)
-    p.add_argument("--plea-to-other-code", type=int, default=72)
+    p.add_argument("--conviction-threshold", type=int, default=DispositionPolicy.conviction_threshold)
+    p.add_argument("--plea-to-other-code", type=int, default=DispositionPolicy.plea_to_other_code)
     p.add_argument("--no-companion-zero", action="store_true")
     add_common(p)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with planted ground truth")
-    p.add_argument("--n", type=int, default=2450)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--overbooking-rate", type=float)
-    p.add_argument("--saturation-share", type=float)
-    p.add_argument("--duplicate-rate", type=float)
-    p.add_argument("--incomplete-rate", type=float)
-    p.add_argument("--disposed-rate", type=float)
-    p.add_argument("--plea-other-rate", type=float)
-    p.add_argument("--unmatched-rate", type=float)
+    p.add_argument("--n", type=int, help=f"number of records (default {GeneratorConfig.n_records})")
+    p.add_argument("--seed", type=int, help=f"random seed (default {GeneratorConfig.seed})")
+    for flag in _SIMULATE_RATE_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=float)
     p.add_argument("--gen-config", help="YAML file of generator settings (flags override it)")
     add_common(p)
 
@@ -198,11 +195,11 @@ def _engine_config(opts: dict) -> EngineConfig:
 
 
 def _policy(opts: dict) -> DispositionPolicy:
-    return DispositionPolicy(
-        conviction_threshold=opts.get("conviction_threshold", 159),
-        plea_to_other_code=opts.get("plea_to_other_code", 72),
-        companion_zero_rule=not opts.get("no_companion_zero", False),
-    )
+    codes = {k: opts[k] for k in ("conviction_threshold", "plea_to_other_code") if k in opts}
+    try:
+        return DispositionPolicy(**codes, companion_zero_rule=not opts.get("no_companion_zero", False))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_issues(path: Path, issues) -> None:
@@ -274,27 +271,12 @@ def _group_labels(matches: list[MatchResult], cases, group_by: str) -> dict[str,
     }
 
 
-def _write_rate_tables(path: Path, tables: dict[str, RateTable]) -> None:
-    rows = []
-    for scope, t in tables.items():
-        for r in t.rows:
-            rows.append({
-                "scope": scope, "n": t.n, "component": r.component,
-                "booking": r.booking, "conviction": r.conviction, "difference": r.difference,
-                "statistic": r.statistic, "p_value": r.p_value,
-                "significant": "" if r.significant is None else r.significant,
-            })
-    write_csv(path, ("scope", "n", "component", "booking", "conviction",
-                     "difference", "statistic", "p_value", "significant"), rows)
-
-
-def _write_affected_tables(path: Path, tables: dict[str, AffectedTable]) -> None:
-    rows = []
-    for scope, t in tables.items():
-        for r in t.rows:
-            rows.append({"scope": scope, "n": t.n, "component": r.component,
-                         "count": r.count, "fraction": r.fraction})
-    write_csv(path, ("scope", "n", "component", "count", "fraction"), rows)
+def _write_scoped_tables(path: Path, tables: dict[str, RateTable | AffectedTable], row_type: type) -> None:
+    """One line per table row: its scope and n, then the row's fields."""
+    names = tuple(f.name for f in fields(row_type))
+    rows = [{"scope": scope, "n": t.n, **{k: getattr(r, k) for k in names}}
+            for scope, t in tables.items() for r in t.rows]
+    write_csv(path, ("scope", "n") + names, rows)
 
 
 def _write_summary(
@@ -448,20 +430,20 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
         tables = rate_table(pairs, groups, alpha=alpha)
         affected = proportion_affected(pairs, groups)
         hists = initial_distribution(pairs, groups, expected_groups=("B", "non-B") if groups else ())
-        _write_rate_tables(out_dir / "rate_table.csv", tables)
-        _write_affected_tables(out_dir / "affected_table.csv", affected)
+        _write_scoped_tables(out_dir / "rate_table.csv", tables, RateRow)
+        _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
         _write_distribution(out_dir / "initial_distribution.csv", hists)
         _write_summary(out_dir / "test_summary.txt", counts, tables, affected, alpha)
         if opts.get("sensitivity"):
             keep = [p for p in pairs if not p.excluded_by_sensitivity]
             if keep:
-                _write_rate_tables(out_dir / "rate_table_sensitivity.csv",
-                                   rate_table(keep, groups, alpha=alpha))
-                _write_affected_tables(out_dir / "affected_table_sensitivity.csv",
-                                       proportion_affected(keep, groups))
+                _write_scoped_tables(out_dir / "rate_table_sensitivity.csv",
+                                     rate_table(keep, groups, alpha=alpha), RateRow)
+                _write_scoped_tables(out_dir / "affected_table_sensitivity.csv",
+                                     proportion_affected(keep, groups), AffectedRow)
     else:
-        _write_rate_tables(out_dir / "rate_table.csv", {})
-        _write_affected_tables(out_dir / "affected_table.csv", {})
+        _write_scoped_tables(out_dir / "rate_table.csv", {}, RateRow)
+        _write_scoped_tables(out_dir / "affected_table.csv", {}, AffectedRow)
         _write_distribution(out_dir / "initial_distribution.csv", {})
         _write_summary(out_dir / "test_summary.txt", counts, {}, {}, alpha)
     return _exit_code(bool(pairs), issues)
@@ -486,23 +468,22 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
     if "resolved_generator" in opts:
         gen_config = GeneratorConfig.from_dict(opts["resolved_generator"])
     else:
-        doc = {}
-        if opts.get("gen_config"):
-            loaded = yaml.safe_load(Path(opts["gen_config"]).read_text(encoding="utf-8"))
-            if not isinstance(loaded, dict):
-                raise ConfigError(f"{opts['gen_config']}: must contain a mapping")
-            doc.update(loaded)
-        doc["n_records"] = opts.get("n", doc.get("n_records", 2450))
-        doc["seed"] = opts.get("seed", doc.get("seed", 0))
-        for flag in _SIMULATE_RATE_FLAGS:
-            if flag in opts:
-                doc[flag] = opts[flag]
-        gen_config = GeneratorConfig.from_dict(doc)
+        # a flag beats the --gen-config file, which beats the default
+        gen_config = GeneratorConfig()
+        path = opts.get("gen_config")
+        if path:
+            doc = read_config(path)
+            try:
+                gen_config = GeneratorConfig.from_dict(doc)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+        flags = {"n": "n_records", "seed": "seed", **{f: f for f in _SIMULATE_RATE_FLAGS}}
+        gen_config = replace(gen_config, **{key: opts[flag] for flag, key in flags.items() if flag in opts})
         # freeze the fully resolved generator settings into the manifest
         # options so a rerun reproduces this dataset even if defaults change
-        for flag in ("n", "seed", "gen_config") + _SIMULATE_RATE_FLAGS:
+        for flag in ("gen_config", *flags):
             opts.pop(flag, None)
-        opts["resolved_generator"] = gen_config.to_dict()
+        opts["resolved_generator"] = asdict(gen_config)
     config = _engine_config(opts)
     dataset = generate(gen_config, config)
     write_dataset(dataset, out_dir)

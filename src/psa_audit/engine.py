@@ -28,9 +28,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import yaml
-
-from .charges import ChargeCatalog, ChargeCode, data_path, default_catalog
+from .charges import ChargeCatalog, ChargeCode, _require_keys, data_path, default_catalog, read_config
 from .errors import ConfigError
 
 
@@ -249,17 +247,6 @@ def assess(
 # config loading
 
 
-def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
 def _load_weights_map(doc, where: str) -> dict[str, int]:
     if not isinstance(doc, dict) or not doc:
         raise ConfigError(f"{where}: weights must be a non-empty mapping")
@@ -279,7 +266,7 @@ def load_weight_config(path: str | Path) -> WeightConfig:
     Older files also carry ``fta``/``nca`` scale sections; the audit takes
     those scales from the form, so the sections are accepted and ignored.
     """
-    doc = _read_yaml(path)
+    doc = read_config(path)
     _require_keys(doc, {"fta", "nca", "nvca"}, {"nvca"}, str(path))
     nvca = doc["nvca"]
     _require_keys(nvca, {"weights", "threshold"}, {"weights", "threshold"}, f"{path}:nvca")
@@ -291,7 +278,7 @@ def load_weight_config(path: str | Path) -> WeightConfig:
 
 
 def load_dmf_config(path: str | Path) -> DmfConfig:
-    doc = _read_yaml(path)
+    doc = read_config(path)
     _require_keys(doc, {"rows"}, {"rows"}, str(path))
     rows = doc["rows"]
     if not isinstance(rows, list) or len(rows) != 6:
@@ -317,16 +304,6 @@ def load_dmf_config(path: str | Path) -> DmfConfig:
                 raise ConfigError(f"{path}: cell ({i + 1}, {j + 1}): {exc}") from None
         cells.append(tuple(parsed_row))
     return DmfConfig(cells=tuple(cells), split_cell=split_cell)
-
-
-def _read_yaml(path: str | Path) -> dict:
-    try:
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: must contain a mapping")
-    return doc
 
 
 @dataclass(frozen=True)

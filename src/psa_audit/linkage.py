@@ -159,16 +159,15 @@ def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[Psa
     so the outcome does not depend on input order.  Returns (unique,
     dropped duplicates).
     """
-    groups: dict[tuple, list[PsaRecord]] = {}
-    for r in records:
-        groups.setdefault(_dedup_key(r), []).append(r)
+    seen: set[tuple] = set()
     unique, dropped = [], []
-    for group in groups.values():
-        group.sort(key=_content_order)
-        unique.append(group[0])
-        dropped.extend(group[1:])
-    unique.sort(key=_content_order)
-    dropped.sort(key=_content_order)
+    for r in sorted(records, key=_content_order):
+        key = _dedup_key(r)
+        if key in seen:
+            dropped.append(r)
+        else:
+            seen.add(key)
+            unique.append(r)
     return unique, dropped
 
 

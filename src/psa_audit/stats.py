@@ -25,11 +25,10 @@ def _normal_two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def two_proportion_test(x1: int, n1: int, x2: int, n2: int, *, pooled: bool = True) -> tuple[float, float]:
+def two_proportion_test(x1: int, n1: int, x2: int, n2: int) -> tuple[float, float]:
     """Two-sample z-test for a difference of proportions.
 
-    Returns (z, two-sided p).  Uses the pooled-variance form by default;
-    the unpooled form is available for sensitivity checks.  Raises
+    Returns (z, two-sided p) from the pooled-variance form.  Raises
     DegenerateInput when the pooled proportion is 0 or 1, where the
     statistic is undefined.
     """
@@ -41,12 +40,7 @@ def two_proportion_test(x1: int, n1: int, x2: int, n2: int, *, pooled: bool = Tr
     pool = (x1 + x2) / (n1 + n2)
     if pool in (0.0, 1.0):
         raise DegenerateInput("pooled proportion is 0 or 1; p-value undefined")
-    if pooled:
-        se = math.sqrt(pool * (1.0 - pool) * (1.0 / n1 + 1.0 / n2))
-    else:
-        se = math.sqrt(p1 * (1.0 - p1) / n1 + p2 * (1.0 - p2) / n2)
-        if se == 0.0:
-            raise DegenerateInput("unpooled standard error is zero")
+    se = math.sqrt(pool * (1.0 - pool) * (1.0 / n1 + 1.0 / n2))
     z = (p1 - p2) / se
     return z, _normal_two_sided_p(z)
 
@@ -113,20 +107,13 @@ def bonferroni(pvalues: Sequence[float], alpha: float) -> list[bool]:
     return [p <= alpha / m for p in pvalues]
 
 
-def agreement_rate(reproduced: Sequence, recorded: Sequence, mask: Sequence[bool] | None = None) -> float:
-    """Fraction of positions where the two columns agree, over the masked
-    subset when a mask is given."""
+def agreement_rate(reproduced: Sequence, recorded: Sequence) -> float:
+    """Fraction of positions where the two columns agree."""
     if len(reproduced) != len(recorded):
         raise LengthMismatch(f"columns differ in length: {len(reproduced)} vs {len(recorded)}")
-    if mask is None:
-        mask = [True] * len(reproduced)
-    elif len(mask) != len(reproduced):
-        raise LengthMismatch("mask length does not match columns")
-    total = sum(1 for m in mask if m)
-    if total == 0:
-        raise EmptyInput("mask selects no rows")
-    agree = sum(1 for r, c, m in zip(reproduced, recorded, mask) if m and r == c)
-    return agree / total
+    if not reproduced:
+        raise EmptyInput("no rows to compare")
+    return sum(1 for r, c in zip(reproduced, recorded) if r == c) / len(reproduced)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,10 @@ NONB_RACES = ("W", "H", "C", "O", "U")
 NONB_RACE_WEIGHTS = (55, 20, 10, 8, 7)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for one synthetic dataset.
@@ -110,8 +114,15 @@ class GeneratorConfig:
     })
 
     def __post_init__(self):
+        for name in ("n_records", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_records < 0:
             raise ConfigError("n_records must be >= 0")
+        for name in ("group_mix", "score_distributions", "charge_pools"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a mapping")
         missing = set(DEFAULT_CHARGE_POOLS) - set(self.charge_pools)
         if missing:
             raise ConfigError(f"charge_pools missing {sorted(missing)}")
@@ -124,35 +135,14 @@ class GeneratorConfig:
             "twin_rate", "companion_zero_share", "person_reuse_rate",
         ):
             value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if abs(sum(self.group_mix.values()) - 1.0) > 1e-9:
-            raise ConfigError("group_mix must sum to 1")
+            if not _is_number(value) or not (0.0 <= value <= 1.0):
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+        mix = list(self.group_mix.values())
+        if not all(map(_is_number, mix)) or abs(sum(mix) - 1.0) > 1e-9:
+            raise ConfigError("group_mix must map each group to a number, summing to 1")
         for group in self.group_mix:
             if group not in self.score_distributions:
                 raise ConfigError(f"score_distributions missing group {group!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "seed": self.seed,
-            "overbooking_rate": self.overbooking_rate,
-            "saturation_share": self.saturation_share,
-            "duplicate_rate": self.duplicate_rate,
-            "incomplete_rate": self.incomplete_rate,
-            "disposed_rate": self.disposed_rate,
-            "plea_other_rate": self.plea_other_rate,
-            "unmatched_rate": self.unmatched_rate,
-            "decoy_rate": self.decoy_rate,
-            "twin_rate": self.twin_rate,
-            "companion_zero_share": self.companion_zero_share,
-            "person_reuse_rate": self.person_reuse_rate,
-            "group_mix": dict(self.group_mix),
-            "score_distributions": {
-                g: {k: list(v) for k, v in d.items()} for g, d in self.score_distributions.items()
-            },
-            "charge_pools": {k: list(v) for k, v in self.charge_pools.items()},
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
@@ -476,20 +466,8 @@ class _Generator:
     def _emit_decoy(self, person: _Person, psa_arrest: date, booked):
         booked_strings = {c.raw for c in booked}
         decoys = [self._charge(t) for t in self.pools["neutral_misdemeanors"] if t not in booked_strings][:2]
-        if not decoys:
-            return
-        offset = self.rng.choices((-1, 0, 1, 2), weights=(5, 80, 10, 5))[0]
-        self.court_rows.append({
-            "court_number": self._next_court_number(),
-            "sfid": person.sfid,
-            "name": person.name,
-            "dob": person.dob,
-            "arrest_date": psa_arrest + timedelta(days=offset),
-            "race": self._draw_race(person),
-            "booking_charges": join_charges(decoys),
-            "filed_charges": join_charges(decoys),
-            "dispositions": ";".join("30" for _ in decoys),
-        })
+        if decoys:
+            self._emit_case(person, psa_arrest, decoys, [30] * len(decoys))
 
     def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca, charges, prior_conviction, pv) -> dict:
         age = (arrest - person.dob).days // 365

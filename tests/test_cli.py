@@ -351,3 +351,94 @@ def test_rerun_rejects_bad_manifest(tmp_path):
     bad.write_text("{}")
     assert run(["rerun", bad, "--out", tmp_path / "out"]) == 2
     assert run(["rerun", tmp_path / "missing.json", "--out", tmp_path / "out"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# settings: config files and generator settings
+
+
+CONFIG_FILES = ("charge_catalog.yaml", "dmf.yaml", "weights.yaml")
+
+
+def _copy_packaged_config(directory: Path) -> Path:
+    from psa_audit.charges import data_path
+
+    directory.mkdir()
+    for name in CONFIG_FILES:
+        (directory / name).write_bytes(data_path(name).read_bytes())
+    return directory
+
+
+def _assert_one_config_error(capsys, path):
+    """The run reported exactly one error line, and it names ``path``."""
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}"), err
+
+
+@pytest.mark.parametrize("flag", ["--catalog", "--dmf", "--weights"])
+def test_missing_config_file_is_a_config_error(sim_dir, tmp_path, capsys, flag):
+    missing = tmp_path / "missing.yaml"
+    rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
+              flag, missing, "--out", tmp_path / "out"])
+    assert rc == 2
+    _assert_one_config_error(capsys, missing)
+
+
+@pytest.mark.parametrize("name", CONFIG_FILES)
+def test_config_dir_lacking_a_file_is_a_config_error(sim_dir, tmp_path, capsys, name):
+    config_dir = _copy_packaged_config(tmp_path / "cfg")
+    (config_dir / name).unlink()
+    rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
+              "--config-dir", config_dir, "--out", tmp_path / "out"])
+    assert rc == 2
+    _assert_one_config_error(capsys, config_dir / name)
+
+
+@pytest.mark.parametrize("text", [
+    None,  # no file at all
+    "n_records: [50\n",  # not valid YAML
+    "- 50\n",  # not a mapping
+    "bogus_rate: 0.5\n",  # unknown key
+    'overbooking_rate: "0.5"\n',
+    "n_records: abc\n",
+    "group_mix: 0.5\n",
+])
+def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):
+    gen = tmp_path / "gen.yaml"
+    if text is not None:
+        gen.write_text(text, encoding="utf-8")
+    assert run(["simulate", "--gen-config", gen, "--out", tmp_path / "out"]) == 2
+    _assert_one_config_error(capsys, gen)
+
+
+def test_gen_config_settings_reach_the_generator_and_flags_beat_them(tmp_path):
+    gen = tmp_path / "gen.yaml"
+    gen.write_text("n_records: 50\nseed: 5\n", encoding="utf-8")
+    assert run(["simulate", "--gen-config", gen, "--out", tmp_path / "file"]) == 0
+    assert run(["simulate", "--n", 50, "--seed", 5, "--out", tmp_path / "flags"]) == 0
+    assert _tree_bytes(tmp_path / "file") == _tree_bytes(tmp_path / "flags")
+
+    assert run(["simulate", "--gen-config", gen, "--n", 60, "--out", tmp_path / "both"]) == 0
+    assert run(["simulate", "--n", 60, "--seed", 5, "--out", tmp_path / "flags60"]) == 0
+    assert _tree_bytes(tmp_path / "both") == _tree_bytes(tmp_path / "flags60")
+    planted = {r["quantity"]: r["count"] for r in read_rows(tmp_path / "both" / "planted_counts.csv")}
+    assert planted["records"] == "60"
+
+
+def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
+    assert run(["simulate", "--n", 10, "--overbooking-rate", 1.5, "--out", tmp_path / "sim"]) == 2
+    assert "overbooking_rate" in capsys.readouterr().err
+    rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
+              "--conviction-threshold", 0, "--out", tmp_path / "audit"])
+    assert rc == 2
+    assert "conviction_threshold" in capsys.readouterr().err
+
+
+def test_config_dir_with_packaged_copies_matches_the_defaults(sim_dir, tmp_path):
+    config_dir = _copy_packaged_config(tmp_path / "cfg")
+    inputs = ["--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv", "--sensitivity"]
+    assert run(["audit", *inputs, "--out", tmp_path / "default"]) == 0
+    assert run(["audit", *inputs, "--config-dir", config_dir, "--out", tmp_path / "copies"]) == 0
+    skip = ("run_manifest.json",)
+    assert _tree_bytes(tmp_path / "default", skip) == _tree_bytes(tmp_path / "copies", skip)

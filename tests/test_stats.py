@@ -239,20 +239,11 @@ def test_agreement_one_in_thousand():
     assert agreement_rate(a, b) == 0.999
 
 
-def test_agreement_mask_changes_denominator():
-    rep = [True, False, True, True]
-    rec = [True, True, True, False]
-    mask = [True, False, True, True]  # drop the second row
-    assert agreement_rate(rep, rec, mask) == 2 / 3
-
-
 def test_agreement_length_mismatch():
     with pytest.raises(LengthMismatch):
         agreement_rate([1], [1, 2])
-    with pytest.raises(LengthMismatch):
-        agreement_rate([1, 2], [1, 2], mask=[True])
     with pytest.raises(EmptyInput):
-        agreement_rate([1], [1], mask=[False])
+        agreement_rate([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -53,7 +54,7 @@ def test_config_validation():
 
 def test_config_roundtrips_through_dict():
     cfg = GeneratorConfig(n_records=50, seed=9, overbooking_rate=0.4)
-    again = GeneratorConfig.from_dict(cfg.to_dict())
+    again = GeneratorConfig.from_dict(asdict(cfg))
     assert generate(again).psa_rows == generate(cfg).psa_rows
 
 
