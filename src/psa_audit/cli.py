@@ -9,6 +9,7 @@ its outputs with everything needed to re-execute it byte-identically.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -64,6 +65,14 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return EXIT_SCHEMA
+    # A command builds one large graph of records, cases, matches and pairs
+    # that holds no reference cycles: reference counting frees it, and the
+    # cyclic collector would only rescan it again and again, reclaiming
+    # nothing.  So pause the collector for the command and restore the
+    # caller's setting.  tests/test_cli.py checks that the garbage a command
+    # leaves for the collector does not grow with its input.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "rerun":
             return _cmd_rerun(args)
@@ -73,6 +82,9 @@ def main(argv=None) -> int:
     except PsaAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
@@ -390,7 +402,7 @@ def _write_distribution(path: Path, hists) -> None:
 def cmd_audit(opts: dict, out_dir: Path) -> int:
     config = _engine_config(opts)
     policy = _policy(opts)
-    alpha = opts.get("alpha", DEFAULT_ALPHA)
+    alpha = opts["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
 
@@ -404,7 +416,7 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
     _write_review(out_dir / "review_unresolved.csv", report.unresolved)
 
     pairs, skipped = build_audit_pairs(report.matched, policy, config)
-    groups = _group_labels(report.matched, cases, opts.get("group_by", "race-b"))
+    groups = _group_labels(report.matched, cases, opts["group_by"])
 
     counts = {
         "psa_input_rows": len(records) + len(_hard_issues(psa_issues)),

@@ -137,7 +137,7 @@ def counterfactual_assess(
     return assess(subs, charges, False, config.dmf, config.catalog)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditPair:
     """Booking-based vs conviction-based result for one linked record."""
 

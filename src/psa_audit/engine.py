@@ -61,7 +61,7 @@ _LEVEL_LABELS = {
 _LABEL_LEVELS = {v: k for k, v in _LEVEL_LABELS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskFactors:
     """The violence-flag inputs an assessment record carries."""
 
@@ -86,7 +86,7 @@ FACTOR_VALUES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubScores:
     fta: int
     nca: int
@@ -141,7 +141,7 @@ class DmfConfig:
         return self.cell(fta, nca) == _SPLIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PsaResult:
     subscores: SubScores
     exclusion: bool

@@ -1,7 +1,8 @@
 """Tabular file schemas and readers/writers.
 
 All files are comma-separated UTF-8 with a header row; readers also accept
-a leading byte-order mark.  Multi-valued cells (charge lists, disposition
+a leading byte-order mark, and report a row whose cell count differs from
+the header's as a row issue.  Multi-valued cells (charge lists, disposition
 lists) join their elements with ";".  Dates are ISO 8601, booleans are
 "true"/"false", missing values are empty cells.  Writers emit "\n"
 newlines and fixed column orders so repeated runs are byte-identical.
@@ -143,17 +144,28 @@ def _charge_splitter(
     return split
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> list[dict]:
+def _read_rows(path: str | Path, required: Sequence[str]) -> tuple[list[dict], dict[int, str]]:
+    """The file's data rows as dicts keyed by its header, and the 1-based
+    numbers of the rows whose cell count differs from the header's, each
+    with the message of its row issue.  Blank lines are skipped and not
+    numbered."""
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"{path}: file not found")
     with p.open(encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns {missing}")
-        return list(reader)
+        rows, ragged = [], {}
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                ragged[len(rows) + 1] = f"row has {len(cells)} cells, header has {len(header)}"
+            rows.append(dict(zip(header, cells)))
+        return rows, ragged
 
 
 def read_psa_records(
@@ -166,33 +178,33 @@ def read_psa_records(
     invariant violations (e.g. a form date more than a day before the
     arrest date) keep the row but add a warning issue.
     """
-    rows = _read_rows(path, PSA_COLUMNS)
+    rows, ragged = _read_rows(path, PSA_COLUMNS)
     split_charges = _charge_splitter(prefixes)
     records, issues = [], []
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
-        rid = (row.get("record_id") or "").strip()
+        rid = row.get("record_id", "").strip()
         try:
+            if i in ragged:
+                raise ValueError(ragged[i])
             _check_id("record_id", rid, first_row)
             rec = PsaRecord(
                 record_id=rid,
-                sfid=(row.get("sfid") or "").strip(),
-                name=(row.get("name") or "").strip(),
-                dob=parse_date(row.get("dob") or "", "dob"),
-                arrest_date=parse_date(row.get("arrest_date") or "", "arrest_date"),
-                psa_date=parse_date(row.get("psa_date") or "", "psa_date"),
-                fta=_parse_score(row.get("fta") or "", "fta"),
-                nca=_parse_score(row.get("nca") or "", "nca"),
-                nvca_flag=parse_bool(row.get("nvca_flag") or "", "nvca_flag"),
-                booking_charges=split_charges(row.get("booking_charges") or ""),
-                age_at_arrest=parse_int(row.get("age_at_arrest") or "", "age_at_arrest"),
-                prior_conviction=parse_bool(row.get("prior_conviction") or "", "prior_conviction"),
-                prior_violent_convictions=parse_int(
-                    row.get("prior_violent_convictions") or "", "prior_violent_convictions"
-                ),
-                recorded_exclusion=parse_bool(row.get("recorded_exclusion") or "", "recorded_exclusion"),
-                recorded_bumpup=parse_bool(row.get("recorded_bumpup") or "", "recorded_bumpup"),
-                recorded_recommendation=_parse_level(row.get("recorded_recommendation") or ""),
+                sfid=row["sfid"].strip(),
+                name=row["name"].strip(),
+                dob=parse_date(row["dob"], "dob"),
+                arrest_date=parse_date(row["arrest_date"], "arrest_date"),
+                psa_date=parse_date(row["psa_date"], "psa_date"),
+                fta=_parse_score(row["fta"], "fta"),
+                nca=_parse_score(row["nca"], "nca"),
+                nvca_flag=parse_bool(row["nvca_flag"], "nvca_flag"),
+                booking_charges=split_charges(row["booking_charges"]),
+                age_at_arrest=parse_int(row["age_at_arrest"], "age_at_arrest"),
+                prior_conviction=parse_bool(row["prior_conviction"], "prior_conviction"),
+                prior_violent_convictions=parse_int(row["prior_violent_convictions"], "prior_violent_convictions"),
+                recorded_exclusion=parse_bool(row["recorded_exclusion"], "recorded_exclusion"),
+                recorded_bumpup=parse_bool(row["recorded_bumpup"], "recorded_bumpup"),
+                recorded_recommendation=_parse_level(row["recorded_recommendation"]),
             )
         except (ValueError, ParseError) as exc:
             issues.append(RowIssue(row=i, record_id=rid, message=str(exc)))
@@ -229,19 +241,21 @@ def _parse_level(text: str) -> SupervisionLevel | None:
 def read_court_cases(
     path: str | Path, prefixes: Mapping[str, Derivative] | None = None
 ) -> tuple[list[CourtCase], list[RowIssue]]:
-    rows = _read_rows(path, COURT_COLUMNS)
+    rows, ragged = _read_rows(path, COURT_COLUMNS)
     split_charges = _charge_splitter(prefixes)
     cases, issues = [], []
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
-        cn = (row.get("court_number") or "").strip()
+        cn = row.get("court_number", "").strip()
         try:
+            if i in ragged:
+                raise ValueError(ragged[i])
             _check_id("court_number", cn, first_row)
-            race = (row.get("race") or "").strip().upper()
+            race = row["race"].strip().upper()
             if race not in RACE_VALUES:
                 raise ValueError(f"race: unknown designation {race!r}")
-            filed = split_charges(row.get("filed_charges") or "")
-            disp_cell = (row.get("dispositions") or "").strip()
+            filed = split_charges(row["filed_charges"])
+            disp_cell = row["dispositions"].strip()
             if disp_cell:
                 dispositions = tuple(parse_int(part, "dispositions") for part in disp_cell.split(";"))
             else:
@@ -254,12 +268,12 @@ def read_court_cases(
             cases.append(
                 CourtCase(
                     court_number=cn,
-                    sfid=(row.get("sfid") or "").strip(),
-                    name=(row.get("name") or "").strip(),
-                    dob=parse_date(row.get("dob") or "", "dob"),
-                    arrest_date=parse_date(row.get("arrest_date") or "", "arrest_date"),
+                    sfid=row["sfid"].strip(),
+                    name=row["name"].strip(),
+                    dob=parse_date(row["dob"], "dob"),
+                    arrest_date=parse_date(row["arrest_date"], "arrest_date"),
                     race=race,
-                    booking_charges=split_charges(row.get("booking_charges") or ""),
+                    booking_charges=split_charges(row["booking_charges"]),
                     filed_charges=filed,
                     dispositions=dispositions,
                 )
@@ -309,7 +323,8 @@ _RENDERERS: dict[type, Callable[[object], str]] = {}
 
 SCHEMA_DOC = """\
 File schemas (all comma-separated UTF-8 with a header row; lists join
-elements with ';'; dates ISO 8601; booleans true/false; missing = empty)
+elements with ';'; dates ISO 8601; booleans true/false; missing = empty;
+a row with more or fewer cells than the header is a row error)
 
 psa_records.csv (input to score/audit/validate/dedupe/link)
   record_id     unique, non-empty row id; an empty or repeated id makes

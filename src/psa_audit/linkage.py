@@ -30,7 +30,7 @@ WINDOW_BEFORE = timedelta(days=1)
 WINDOW_AFTER = timedelta(days=2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PsaRecord:
     record_id: str
     sfid: str
@@ -96,7 +96,7 @@ class MatchStatus(Enum):
     DROPPED_DUPLICATE = "DroppedDuplicate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     psa: PsaRecord
     matched_cases: tuple[CourtCase, ...]

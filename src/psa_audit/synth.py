@@ -28,6 +28,7 @@ itself, which is what lets a validation run against this data close at
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -143,6 +144,20 @@ class GeneratorConfig:
         for group in self.group_mix:
             if group not in self.score_distributions:
                 raise ConfigError(f"score_distributions missing group {group!r}")
+        for group, dist in self.score_distributions.items():
+            if not isinstance(dist, dict) or set(dist) != {"fta", "nca"}:
+                raise ConfigError(f"score_distributions[{group!r}] must map exactly fta and nca, got {dist!r}")
+            for scale, weights in dist.items():
+                if not (
+                    isinstance(weights, (list, tuple))
+                    and len(weights) == 6
+                    and all(_is_number(w) and math.isfinite(w) and w >= 0 for w in weights)
+                    and sum(weights) > 0
+                ):
+                    raise ConfigError(
+                        f"score_distributions[{group!r}][{scale!r}] must be six finite non-negative "
+                        f"numbers with a positive sum, got {weights!r}"
+                    )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":

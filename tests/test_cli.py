@@ -1,10 +1,11 @@
 import csv
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from psa_audit.cli import main
+from psa_audit.cli import _HANDLERS, main
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, write_csv
 
 
@@ -160,6 +161,72 @@ def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
     counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
     assert counts["psa_input_rows"] == 3
     assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
+
+
+def _ragged_copy(src: Path, dst: Path, drop_rows: bool = False) -> list[list[str]]:
+    """Copy ``src`` with data row 5 three cells short and data row 9 one
+    cell long, or with both rows left out; returns the source's rows."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    ragged = list(lines)
+    if drop_rows:
+        del ragged[9], ragged[5]
+    else:
+        ragged[5] = ragged[5][:-3]
+        ragged[9] = ragged[9] + ["extra"]
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(ragged)
+    return lines
+
+
+@pytest.mark.parametrize("name, columns, input_rows", [
+    ("psa_records.csv", PSA_COLUMNS, "psa_input_rows"),
+    ("court_cases.csv", COURT_COLUMNS, "court_input_rows"),
+])
+def test_ragged_rows_are_row_errors(sim_dir, tmp_path, name, columns, input_rows):
+    outs = {}
+    for variant in ("ragged", "dropped"):
+        inputs = tmp_path / variant
+        inputs.mkdir()
+        for other in ("psa_records.csv", "court_cases.csv"):
+            (inputs / other).write_bytes((sim_dir / other).read_bytes())
+        lines = _ragged_copy(sim_dir / name, inputs / name, drop_rows=variant == "dropped")
+        outs[variant] = out = tmp_path / f"audit-{variant}"
+        rc = run(["audit", "--psa", inputs / "psa_records.csv", "--court", inputs / "court_cases.csv",
+                  "--out", out, "--sensitivity"])
+        assert rc == (3 if variant == "ragged" else 0)
+
+    width = len(columns)
+    errors = read_rows(outs["ragged"] / "input_errors.csv")
+    assert [(e["row"], e["record_id"], e["message"]) for e in errors] == [
+        ("5", lines[5][0], f"row has {width - 3} cells, header has {width}"),
+        ("9", lines[9][0], f"row has {width + 1} cells, header has {width}"),
+    ]
+    counts = {r["stage"]: int(r["count"]) for r in read_rows(outs["ragged"] / "counts_summary.csv")}
+    assert counts[input_rows] == len(lines) - 1
+    assert counts["row_errors"] == 2
+    if name == "psa_records.csv":
+        assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
+    # every other row gives the same outputs as when the two rows are absent
+    skip = ("input_errors.csv", "counts_summary.csv", "test_summary.txt", "run_manifest.json")
+    assert _tree_bytes(outs["ragged"], skip) == _tree_bytes(outs["dropped"], skip)
+
+
+def test_ragged_rows_are_score_errors(sim_dir, tmp_path):
+    lines = _ragged_copy(sim_dir / "psa_records.csv", tmp_path / "psa.csv")
+    ragged_ids = {lines[5][0], lines[9][0]}
+    # the corpus's incomplete records are score errors already
+    assert run(["score", "--psa", sim_dir / "psa_records.csv", "--out", tmp_path / "whole"]) == 3
+    assert run(["score", "--psa", tmp_path / "psa.csv", "--out", tmp_path / "ragged"]) == 3
+    whole = {name: [r for r in read_rows(tmp_path / "whole" / name) if r["record_id"] not in ragged_ids]
+             for name in ("score_results.csv", "score_errors.csv")}
+    errors = read_rows(tmp_path / "ragged" / "score_errors.csv")
+    assert [(e["row"], e["record_id"], e["message"]) for e in errors[:2]] == [
+        ("5", lines[5][0], "row has 13 cells, header has 16"),
+        ("9", lines[9][0], "row has 17 cells, header has 16"),
+    ]
+    assert errors[2:] == whole["score_errors.csv"]
+    assert read_rows(tmp_path / "ragged" / "score_results.csv") == whole["score_results.csv"]
 
 
 def test_reader_does_not_turn_program_errors_into_row_errors(tmp_path, monkeypatch):
@@ -395,6 +462,9 @@ def test_config_dir_lacking_a_file_is_a_config_error(sim_dir, tmp_path, capsys, 
     _assert_one_config_error(capsys, config_dir / name)
 
 
+_SIX = "[1, 1, 1, 1, 1, 1]"
+
+
 @pytest.mark.parametrize("text", [
     None,  # no file at all
     "n_records: [50\n",  # not valid YAML
@@ -403,6 +473,17 @@ def test_config_dir_lacking_a_file_is_a_config_error(sim_dir, tmp_path, capsys, 
     'overbooking_rate: "0.5"\n',
     "n_records: abc\n",
     "group_mix: 0.5\n",
+    *(f"score_distributions: {{B: {b_entry}, non-B: {{fta: {_SIX}, nca: {_SIX}}}}}\n" for b_entry in (
+        f"{{fta: {_SIX}}}",  # no nca
+        f"{{fta: {_SIX}, nca: {_SIX}, nvca: {_SIX}}}",  # a third scale
+        f"[{_SIX}, {_SIX}]",  # not a mapping
+        f"{{fta: 6, nca: {_SIX}}}",  # not a list
+        f"{{fta: [1, 1, 1, 1, 1], nca: {_SIX}}}",  # five weights
+        f"{{fta: [1, 1, 1, 1, 1, -1], nca: {_SIX}}}",
+        f"{{fta: [0, 0, 0, 0, 0, 0], nca: {_SIX}}}",
+        f"{{fta: [1, 1, 1, 1, 1, .inf], nca: {_SIX}}}",
+        f"{{fta: [1, 1, 1, 1, 1, a], nca: {_SIX}}}",
+    )),
 ])
 def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):
     gen = tmp_path / "gen.yaml"
@@ -426,6 +507,13 @@ def test_gen_config_settings_reach_the_generator_and_flags_beat_them(tmp_path):
     assert planted["records"] == "60"
 
 
+def test_gen_config_score_distributions_may_zero_some_scores(tmp_path):
+    gen = tmp_path / "gen.yaml"
+    gen.write_text(f"score_distributions: {{B: {{fta: [0, 0, 1, 1, 0, 0], nca: {_SIX}}}, "
+                   f"non-B: {{fta: {_SIX}, nca: [2, 0, 0, 0, 0, 0]}}}}\n", encoding="utf-8")
+    assert run(["simulate", "--gen-config", gen, "--n", 200, "--out", tmp_path / "sim"]) == 0
+
+
 def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
     assert run(["simulate", "--n", 10, "--overbooking-rate", 1.5, "--out", tmp_path / "sim"]) == 2
     assert "overbooking_rate" in capsys.readouterr().err
@@ -442,3 +530,77 @@ def test_config_dir_with_packaged_copies_matches_the_defaults(sim_dir, tmp_path)
     assert run(["audit", *inputs, "--config-dir", config_dir, "--out", tmp_path / "copies"]) == 0
     skip = ("run_manifest.json",)
     assert _tree_bytes(tmp_path / "default", skip) == _tree_bytes(tmp_path / "copies", skip)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused while a command runs
+
+
+def _corrupt_copy(sim: Path, out: Path) -> Path:
+    """Copies of a simulated corpus with every third assessment row's dob
+    and every fourth court row's race invalid, so each reader's row-error
+    path runs."""
+    out.mkdir()
+    for name, columns, every, column, bad in (
+        ("psa_records.csv", PSA_COLUMNS, 3, "dob", "not-a-date"),
+        ("court_cases.csv", COURT_COLUMNS, 4, "race", "Z"),
+    ):
+        rows = read_rows(sim / name)
+        for row in rows[every - 1::every]:
+            row[column] = bad
+        write_csv(out / name, columns, rows)
+    return out
+
+
+def _garbage_per_command(tmp_path: Path, n: int) -> dict[str, int]:
+    """What ``gc.collect()`` finds after each command, run at ``n`` records
+    with the collector off."""
+    sim = tmp_path / f"sim-{n}"
+    found = {}
+    gc.disable()
+    try:
+        gc.collect()
+        assert run(["simulate", "--n", n, "--seed", 5, "--out", sim]) == 0
+        found["simulate"] = gc.collect()
+        bad = _corrupt_copy(sim, tmp_path / f"corrupt-{n}")
+        psa, court = ["--psa", bad / "psa_records.csv"], ["--court", bad / "court_cases.csv"]
+        for command, args in (
+            ("audit", ["audit", "--sensitivity", *psa, *court]),
+            ("validate", ["validate", *psa, *court]),
+            ("score", ["score", *psa]),
+        ):
+            gc.collect()
+            assert run([*args, "--out", tmp_path / f"{command}-{n}"]) == 3
+            found[command] = gc.collect()
+    finally:
+        gc.enable()
+    return found
+
+
+def test_commands_leave_no_garbage_that_grows_with_the_input(tmp_path):
+    """The pause is safe only while reference counting frees what a
+    command builds: garbage left for the collector must not scale with
+    the record count."""
+    small = _garbage_per_command(tmp_path, 300)
+    large = _garbage_per_command(tmp_path, 3000)
+    assert small.keys() == large.keys() == {"simulate", "audit", "validate", "score"}
+    for command in small:
+        assert large[command] <= small[command] + 50, (command, small, large)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(tmp_path, monkeypatch, collecting):
+    seen = []
+    monkeypatch.setitem(_HANDLERS, "score", lambda opts, out: seen.append(gc.isenabled()) or 0)
+    psa = tmp_path / "psa.csv"
+    write_csv(psa, PSA_COLUMNS, [psa_row()])
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(["score", "--psa", psa, "--out", tmp_path / "ok"]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+        # a command that ends in a config error restores it too
+        assert run(["audit", "--psa", tmp_path / "missing.csv", "--court", psa, "--out", tmp_path / "bad"]) == 2
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
