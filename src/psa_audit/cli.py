@@ -214,6 +214,35 @@ def _policy(opts: dict) -> DispositionPolicy:
         raise ConfigError(str(exc)) from None
 
 
+def _read_inputs(opts: dict, out_dir: Path):
+    """Load the engine config and read whichever of ``--psa`` and
+    ``--court`` the command takes, parsing charges with the catalog's
+    derivative prefixes, and list every row issue in ``input_errors.csv``.
+
+    Returns (config, records, cases, issues, counts); counts are the
+    intake stages of ``counts_summary.csv``.
+    """
+    config = _engine_config(opts)
+    prefixes = config.catalog.derivative_prefixes
+    records, psa_issues = read_psa_records(opts["psa"], prefixes) if "psa" in opts else ([], [])
+    cases, court_issues = read_court_cases(opts["court"], prefixes) if "court" in opts else ([], [])
+    issues = psa_issues + court_issues
+    _write_issues(out_dir / "input_errors.csv", issues)
+    counts = {
+        "psa_input_rows": len(records) + len(_hard_issues(psa_issues)),
+        "court_input_rows": len(cases) + len(_hard_issues(court_issues)),
+        "row_errors": len(_hard_issues(issues)),
+        "records_parsed": len(records),
+    }
+    return config, records, cases, issues, counts
+
+
+def _write_counts(path: Path, key: str, counts: dict) -> None:
+    write_csv(path, (key, "count"), [{key: k, "count": v} for k, v in counts.items()])
+    for k, v in counts.items():
+        print(f"{k}: {v}")
+
+
 def _write_issues(path: Path, issues) -> None:
     write_csv(path, ("row", "record_id", "message"),
               [{"row": i.row, "record_id": i.record_id, "message": i.message} for i in issues])
@@ -400,16 +429,11 @@ def _write_distribution(path: Path, hists) -> None:
 
 
 def cmd_audit(opts: dict, out_dir: Path) -> int:
-    config = _engine_config(opts)
     policy = _policy(opts)
     alpha = opts["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
-
-    records, psa_issues = read_psa_records(opts["psa"], config.catalog.derivative_prefixes)
-    cases, court_issues = read_court_cases(opts["court"], config.catalog.derivative_prefixes)
-    issues = list(psa_issues) + list(court_issues)
-    _write_issues(out_dir / "input_errors.csv", issues)
+    config, records, cases, issues, intake = _read_inputs(opts, out_dir)
 
     report = link_records(records, cases)
     _write_matches(out_dir / "matches.csv", report)
@@ -419,10 +443,7 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
     groups = _group_labels(report.matched, cases, opts["group_by"])
 
     counts = {
-        "psa_input_rows": len(records) + len(_hard_issues(psa_issues)),
-        "court_input_rows": len(cases) + len(_hard_issues(court_issues)),
-        "row_errors": len(_hard_issues(issues)),
-        "records_parsed": len(records),
+        **intake,
         "dropped_incomplete": len(report.dropped_incomplete),
         "dropped_duplicates": len(report.dropped_duplicates),
         "unresolved": len(report.unresolved),
@@ -431,33 +452,25 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
         "analyzed_pairs": len(pairs),
         "sensitivity_excluded": sum(p.excluded_by_sensitivity for p in pairs),
     }
-    write_csv(out_dir / "counts_summary.csv", ("stage", "count"),
-              [{"stage": k, "count": v} for k, v in counts.items()])
-    for key, value in counts.items():
-        print(f"{key}: {value}")
+    _write_counts(out_dir / "counts_summary.csv", "stage", counts)
 
     _write_pairs(out_dir / "audit_pairs.csv", pairs, groups)
 
+    tables = affected = hists = {}
     if pairs:
         tables = rate_table(pairs, groups, alpha=alpha)
         affected = proportion_affected(pairs, groups)
         hists = initial_distribution(pairs, groups, expected_groups=("B", "non-B") if groups else ())
-        _write_scoped_tables(out_dir / "rate_table.csv", tables, RateRow)
-        _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
-        _write_distribution(out_dir / "initial_distribution.csv", hists)
-        _write_summary(out_dir / "test_summary.txt", counts, tables, affected, alpha)
-        if opts.get("sensitivity"):
-            keep = [p for p in pairs if not p.excluded_by_sensitivity]
-            if keep:
-                _write_scoped_tables(out_dir / "rate_table_sensitivity.csv",
-                                     rate_table(keep, groups, alpha=alpha), RateRow)
-                _write_scoped_tables(out_dir / "affected_table_sensitivity.csv",
-                                     proportion_affected(keep, groups), AffectedRow)
-    else:
-        _write_scoped_tables(out_dir / "rate_table.csv", {}, RateRow)
-        _write_scoped_tables(out_dir / "affected_table.csv", {}, AffectedRow)
-        _write_distribution(out_dir / "initial_distribution.csv", {})
-        _write_summary(out_dir / "test_summary.txt", counts, {}, {}, alpha)
+    _write_scoped_tables(out_dir / "rate_table.csv", tables, RateRow)
+    _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
+    _write_distribution(out_dir / "initial_distribution.csv", hists)
+    _write_summary(out_dir / "test_summary.txt", counts, tables, affected, alpha)
+    keep = [p for p in pairs if not p.excluded_by_sensitivity] if opts.get("sensitivity") else []
+    if keep:
+        _write_scoped_tables(out_dir / "rate_table_sensitivity.csv",
+                             rate_table(keep, groups, alpha=alpha), RateRow)
+        _write_scoped_tables(out_dir / "affected_table_sensitivity.csv",
+                             proportion_affected(keep, groups), AffectedRow)
     return _exit_code(bool(pairs), issues)
 
 
@@ -499,11 +512,7 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
     config = _engine_config(opts)
     dataset = generate(gen_config, config)
     write_dataset(dataset, out_dir)
-    counts = dataset.planted_counts()
-    write_csv(out_dir / "planted_counts.csv", ("quantity", "count"),
-              [{"quantity": k, "count": v} for k, v in counts.items()])
-    for key, value in counts.items():
-        print(f"{key}: {value}")
+    _write_counts(out_dir / "planted_counts.csv", "quantity", dataset.planted_counts())
     return EXIT_OK
 
 
@@ -512,8 +521,7 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
 
 
 def cmd_consistency(opts: dict, out_dir: Path) -> int:
-    cases, issues = read_court_cases(opts["court"])
-    _write_issues(out_dir / "input_errors.csv", issues)
+    _, _, cases, issues, _ = _read_inputs(opts, out_dir)
     matrix = race_consistency(cases)
     rows = []
     for cat in matrix.rows:
@@ -527,12 +535,7 @@ def cmd_consistency(opts: dict, out_dir: Path) -> int:
 
 
 def cmd_validate(opts: dict, out_dir: Path) -> int:
-    config = _engine_config(opts)
-    records, psa_issues = read_psa_records(opts["psa"], config.catalog.derivative_prefixes)
-    cases, court_issues = read_court_cases(opts["court"], config.catalog.derivative_prefixes)
-    issues = list(psa_issues) + list(court_issues)
-    _write_issues(out_dir / "input_errors.csv", issues)
-
+    config, records, cases, issues, _ = _read_inputs(opts, out_dir)
     report = link_records(records, cases)
     comparisons = {"nvca_flag": [], "exclusion": [], "bumpup": [], "recommendation": []}
     mismatches = []
@@ -581,33 +584,13 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
     return _exit_code(any(r["n"] for r in rows), issues)
 
 
-def _psa_record_row(rec) -> dict:
-    return {
-        "record_id": rec.record_id,
-        "sfid": rec.sfid,
-        "name": rec.name,
-        "dob": rec.dob,
-        "arrest_date": rec.arrest_date,
-        "psa_date": rec.psa_date,
-        "fta": rec.fta,
-        "nca": rec.nca,
-        "nvca_flag": rec.nvca_flag,
-        "booking_charges": join_charges(rec.booking_charges),
-        "age_at_arrest": rec.age_at_arrest,
-        "prior_conviction": rec.prior_conviction,
-        "prior_violent_convictions": rec.prior_violent_convictions,
-        "recorded_exclusion": rec.recorded_exclusion,
-        "recorded_bumpup": rec.recorded_bumpup,
-        "recorded_recommendation": rec.recorded_recommendation,
-    }
-
-
 def cmd_dedupe(opts: dict, out_dir: Path) -> int:
-    records, issues = read_psa_records(opts["psa"])
-    _write_issues(out_dir / "input_errors.csv", issues)
+    _, records, _, issues, _ = _read_inputs(opts, out_dir)
     complete, incomplete = filter_complete(records)
     unique, duplicates = deduplicate(complete)
-    write_csv(out_dir / "deduped_records.csv", PSA_COLUMNS, [_psa_record_row(r) for r in unique])
+    rows = [{**{c: getattr(r, c) for c in PSA_COLUMNS}, "booking_charges": join_charges(r.booking_charges)}
+            for r in unique]
+    write_csv(out_dir / "deduped_records.csv", PSA_COLUMNS, rows)
     dropped = [{"record_id": r.record_id, "reason": "incomplete"} for r in incomplete]
     dropped += [{"record_id": r.record_id, "reason": "duplicate"} for r in duplicates]
     write_csv(out_dir / "dedupe_dropped.csv", ("record_id", "reason"), dropped)
@@ -616,18 +599,11 @@ def cmd_dedupe(opts: dict, out_dir: Path) -> int:
 
 
 def cmd_link(opts: dict, out_dir: Path) -> int:
-    records, psa_issues = read_psa_records(opts["psa"])
-    cases, court_issues = read_court_cases(opts["court"])
-    issues = list(psa_issues) + list(court_issues)
-    _write_issues(out_dir / "input_errors.csv", issues)
+    _, records, cases, issues, _ = _read_inputs(opts, out_dir)
     report = link_records(records, cases)
     _write_matches(out_dir / "matches.csv", report)
     _write_review(out_dir / "review_unresolved.csv", report.unresolved)
-    counts = report.counts()
-    write_csv(out_dir / "counts_summary.csv", ("stage", "count"),
-              [{"stage": k, "count": v} for k, v in counts.items()])
-    for key, value in counts.items():
-        print(f"{key}: {value}")
+    _write_counts(out_dir / "counts_summary.csv", "stage", report.counts())
     return _exit_code(bool(report.matched), issues)
 
 

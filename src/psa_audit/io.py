@@ -14,12 +14,12 @@ import csv
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .charges import ChargeCode, Derivative, parse_charge_code
 from .engine import SupervisionLevel
 from .errors import ParseError, SchemaError
-from .linkage import CourtCase, PsaRecord
+from .linkage import RACE_CATEGORIES, CourtCase, PsaRecord
 
 PSA_COLUMNS = (
     "record_id",
@@ -63,9 +63,6 @@ GROUND_TRUTH_COLUMNS = (
     "affected",
     "duplicate_of",
 )
-
-RACE_VALUES = {"B", "C", "F", "H", "I", "J", "O", "U", "W", ""}
-
 
 @dataclass(frozen=True)
 class RowIssue:
@@ -144,11 +141,11 @@ def _charge_splitter(
     return split
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> tuple[list[dict], dict[int, str]]:
-    """The file's data rows as dicts keyed by its header, and the 1-based
-    numbers of the rows whose cell count differs from the header's, each
-    with the message of its row issue.  Blank lines are skipped and not
-    numbered."""
+def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict, str | None]]:
+    """The file's data rows, one at a time: each row's 1-based number, its
+    cells as a dict keyed by the header, and the message of its row issue
+    when its cell count differs from the header's, else None.  Blank lines
+    are skipped and not numbered."""
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"{path}: file not found")
@@ -158,14 +155,11 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> tuple[list[dict], d
         missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns {missing}")
-        rows, ragged = [], {}
-        for cells in reader:
-            if not cells:
-                continue
+        for number, cells in enumerate(filter(None, reader), start=1):
+            ragged = None
             if len(cells) != len(header):
-                ragged[len(rows) + 1] = f"row has {len(cells)} cells, header has {len(header)}"
-            rows.append(dict(zip(header, cells)))
-        return rows, ragged
+                ragged = f"row has {len(cells)} cells, header has {len(header)}"
+            yield number, dict(zip(header, cells)), ragged
 
 
 def read_psa_records(
@@ -178,15 +172,14 @@ def read_psa_records(
     invariant violations (e.g. a form date more than a day before the
     arrest date) keep the row but add a warning issue.
     """
-    rows, ragged = _read_rows(path, PSA_COLUMNS)
     split_charges = _charge_splitter(prefixes)
     records, issues = [], []
     first_row: dict[str, int] = {}
-    for i, row in enumerate(rows, start=1):
+    for i, row, ragged in _read_rows(path, PSA_COLUMNS):
         rid = row.get("record_id", "").strip()
         try:
-            if i in ragged:
-                raise ValueError(ragged[i])
+            if ragged:
+                raise ValueError(ragged)
             _check_id("record_id", rid, first_row)
             rec = PsaRecord(
                 record_id=rid,
@@ -241,18 +234,17 @@ def _parse_level(text: str) -> SupervisionLevel | None:
 def read_court_cases(
     path: str | Path, prefixes: Mapping[str, Derivative] | None = None
 ) -> tuple[list[CourtCase], list[RowIssue]]:
-    rows, ragged = _read_rows(path, COURT_COLUMNS)
     split_charges = _charge_splitter(prefixes)
     cases, issues = [], []
     first_row: dict[str, int] = {}
-    for i, row in enumerate(rows, start=1):
+    for i, row, ragged in _read_rows(path, COURT_COLUMNS):
         cn = row.get("court_number", "").strip()
         try:
-            if i in ragged:
-                raise ValueError(ragged[i])
+            if ragged:
+                raise ValueError(ragged)
             _check_id("court_number", cn, first_row)
             race = row["race"].strip().upper()
-            if race not in RACE_VALUES:
+            if race and race not in RACE_CATEGORIES:
                 raise ValueError(f"race: unknown designation {race!r}")
             filed = split_charges(row["filed_charges"])
             disp_cell = row["dispositions"].strip()

@@ -68,6 +68,10 @@ class PsaRecord:
         return issues
 
 
+#: Court race designations, in the column order of race_consistency.csv.
+RACE_CATEGORIES = ("B", "C", "F", "H", "I", "J", "O", "U", "W")
+
+
 @dataclass(frozen=True)
 class CourtCase:
     court_number: str
@@ -75,7 +79,7 @@ class CourtCase:
     name: str = ""
     dob: date | None = None
     arrest_date: date | None = None
-    race: str = ""  # one of B C F H I J O U W, or "" when missing
+    race: str = ""  # one of RACE_CATEGORIES, or "" when missing
     booking_charges: tuple[ChargeCode, ...] = ()
     filed_charges: tuple[ChargeCode, ...] = ()
     dispositions: tuple[int | None, ...] = ()

@@ -12,9 +12,7 @@ from typing import Mapping, Sequence
 
 from .counterfactual import AuditPair
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
-from .linkage import CourtCase
-
-RACE_CATEGORIES = ("B", "C", "F", "H", "I", "J", "O", "U", "W")
+from .linkage import RACE_CATEGORIES, CourtCase
 
 #: Significance level used for table markers; differences are starred when
 #: significant after a Bonferroni correction across the table's tests.

@@ -229,6 +229,49 @@ def test_ragged_rows_are_score_errors(sim_dir, tmp_path):
     assert read_rows(tmp_path / "ragged" / "score_results.csv") == whole["score_results.csv"]
 
 
+@pytest.mark.parametrize("columns, make_row, read", [
+    (PSA_COLUMNS, psa_row, read_psa_records),
+    (COURT_COLUMNS, court_row, read_court_cases),
+])
+def test_blank_lines_are_skipped_and_not_numbered(tmp_path, columns, make_row, read):
+    lines = [",".join(make_row(f"X{k}", f"S{k}")[c] for c in columns) for k in range(1, 5)]
+    ragged = lines[2].rsplit(",", 1)[0]  # the third data row, one cell short
+    path = tmp_path / "in.csv"
+    # blank lines after the header, between rows and at the end
+    text = "\n".join([",".join(columns), "", lines[0], lines[1], "", "", ragged, "", lines[3], "", ""])
+    path.write_text(text, encoding="utf-8")
+    items, issues = read(path)
+    assert [getattr(x, columns[0]) for x in items] == ["X1", "X2", "X4"]
+    width = len(columns)
+    assert [(i.row, i.record_id, i.message) for i in issues] == [
+        (3, "X3", f"row has {width - 1} cells, header has {width}"),
+    ]
+
+
+def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
+    bad = _corrupt_copy(sim_dir, tmp_path / "corrupt")
+    psa, court = ["--psa", bad / "psa_records.csv"], ["--court", bad / "court_cases.csv"]
+    errors = {}
+    for command, inputs in (
+        ("audit", [*psa, *court]),
+        ("validate", [*psa, *court]),
+        ("link", [*psa, *court]),
+        ("dedupe", psa),
+        ("consistency", court),
+        ("score", psa),
+    ):
+        out = tmp_path / command
+        assert run([command, *inputs, "--out", out]) == 3
+        errors[command] = out / ("score_errors.csv" if command == "score" else "input_errors.csv")
+    both = errors["audit"].read_bytes()
+    assert errors["validate"].read_bytes() == both
+    assert errors["link"].read_bytes() == both
+    psa_rows, court_rows = read_rows(errors["dedupe"]), read_rows(errors["consistency"])
+    assert psa_rows and court_rows
+    assert read_rows(errors["audit"]) == psa_rows + court_rows
+    assert read_rows(errors["score"])[:len(psa_rows)] == psa_rows
+
+
 def test_reader_does_not_turn_program_errors_into_row_errors(tmp_path, monkeypatch):
     def broken(text, where):
         raise TypeError("bug")
