@@ -235,7 +235,6 @@ class CatalogEntry:
     pattern: ChargeCode
     category: str
     treat_as_bumpup: bool = False  # only meaningful for weapon_ambiguous
-    note: str = ""
 
 
 class ChargeFacts(NamedTuple):
@@ -370,7 +369,6 @@ class ChargeCatalog:
                     pattern=pattern,
                     category=category,
                     treat_as_bumpup=bool(item.get("treat_as_bumpup", False)),
-                    note=str(item.get("note", "")),
                 )
             )
         return cls(

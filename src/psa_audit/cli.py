@@ -12,7 +12,7 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -238,14 +238,13 @@ def _read_inputs(opts: dict, out_dir: Path):
 
 
 def _write_counts(path: Path, key: str, counts: dict) -> None:
-    write_csv(path, (key, "count"), [{key: k, "count": v} for k, v in counts.items()])
+    write_csv(path, (key, "count"), list(counts.items()))
     for k, v in counts.items():
         print(f"{k}: {v}")
 
 
 def _write_issues(path: Path, issues) -> None:
-    write_csv(path, ("row", "record_id", "message"),
-              [{"row": i.row, "record_id": i.record_id, "message": i.message} for i in issues])
+    write_csv(path, ("row", "record_id", "message"), [(i.row, i.record_id, i.message) for i in issues])
 
 
 def _hard_issues(issues):
@@ -266,6 +265,15 @@ def _exit_code(produced: bool, issues) -> int:
 # score
 
 
+#: The columns of one engine result after its sub-scores, in
+#: score_results.csv and on each side of audit_pairs.csv.
+_RESULT_COLUMNS = ("exclusion", "exclusion_reason", "bumpup", "bumpup_reason", "initial", "final")
+
+
+def _result_cells(res) -> tuple:
+    return (res.exclusion, res.exclusion_reason, res.bumpup, res.bumpup_reason, res.initial, res.final)
+
+
 def cmd_score(opts: dict, out_dir: Path) -> int:
     config = _engine_config(opts)
     records, issues = read_psa_records(opts["psa"], config.catalog.derivative_prefixes)
@@ -276,21 +284,8 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
             row_errors.append(RowIssue(row=0, record_id=rec.record_id, message="missing sub-scores"))
             continue
         res = assess(subs, rec.booking_charges, False, config.dmf, config.catalog)
-        rows.append({
-            "record_id": rec.record_id,
-            "fta": subs.fta,
-            "nca": subs.nca,
-            "nvca_flag": subs.nvca_flag,
-            "exclusion": res.exclusion,
-            "exclusion_reason": res.exclusion_reason,
-            "bumpup": res.bumpup,
-            "bumpup_reason": res.bumpup_reason,
-            "initial": res.initial,
-            "final": res.final,
-        })
-    write_csv(out_dir / "score_results.csv", (
-        "record_id", "fta", "nca", "nvca_flag", "exclusion", "exclusion_reason",
-        "bumpup", "bumpup_reason", "initial", "final"), rows)
+        rows.append((rec.record_id, subs.fta, subs.nca, subs.nvca_flag, *_result_cells(res)))
+    write_csv(out_dir / "score_results.csv", ("record_id", "fta", "nca", "nvca_flag", *_RESULT_COLUMNS), rows)
     _write_issues(out_dir / "score_errors.csv", row_errors)
     print(f"scored {len(rows)} records, {len(_hard_issues(row_errors))} row errors")
     return _exit_code(bool(rows), row_errors)
@@ -314,10 +309,8 @@ def _group_labels(matches: list[MatchResult], cases, group_by: str) -> dict[str,
 
 def _write_scoped_tables(path: Path, tables: dict[str, RateTable | AffectedTable], row_type: type) -> None:
     """One line per table row: its scope and n, then the row's fields."""
-    names = tuple(f.name for f in fields(row_type))
-    rows = [{"scope": scope, "n": t.n, **{k: getattr(r, k) for k in names}}
-            for scope, t in tables.items() for r in t.rows]
-    write_csv(path, ("scope", "n") + names, rows)
+    rows = [(scope, t.n, *astuple(r)) for scope, t in tables.items() for r in t.rows]
+    write_csv(path, ("scope", "n", *(f.name for f in fields(row_type))), rows)
 
 
 def _write_summary(
@@ -346,85 +339,34 @@ def _write_summary(
 
 
 def _write_matches(path: Path, report) -> None:
-    rows = []
-    for m in report.all_results:
-        rows.append({
-            "record_id": m.psa.record_id,
-            "sfid": m.psa.sfid,
-            "status": m.status.value,
-            "court_numbers": ";".join(c.court_number for c in m.matched_cases),
-        })
+    rows = [(m.psa.record_id, m.psa.sfid, m.status.value, ";".join(c.court_number for c in m.matched_cases))
+            for m in report.all_results]
     write_csv(path, ("record_id", "sfid", "status", "court_numbers"), rows)
 
 
 def _write_review(path: Path, unresolved) -> None:
-    rows = []
-    for m in unresolved:
-        r = m.psa
-        rows.append({
-            "record_id": r.record_id,
-            "sfid": r.sfid,
-            "name": r.name,
-            "arrest_date": r.arrest_date,
-            "psa_date": r.psa_date,
-            "booking_charges": join_charges(r.booking_charges),
-            "reason": m.note or "no-candidates",
-        })
-    write_csv(path, ("record_id", "sfid", "name", "arrest_date", "psa_date",
-                     "booking_charges", "reason"), rows)
+    rows = [(m.psa.record_id, m.psa.sfid, m.psa.name, m.psa.arrest_date, m.psa.psa_date,
+             join_charges(m.psa.booking_charges), m.note or "no-candidates")
+            for m in unresolved]
+    write_csv(path, ("record_id", "sfid", "name", "arrest_date", "psa_date", "booking_charges", "reason"), rows)
 
 
 def _write_pairs(path: Path, pairs: list[AuditPair], groups) -> None:
-    rows = []
-    for p in pairs:
-        b, c = p.booking_result, p.conviction_result
-        rows.append({
-            "record_id": p.record_id,
-            "group": (groups or {}).get(p.record_id, ""),
-            "booking_nvca": b.subscores.nvca_flag,
-            "booking_exclusion": b.exclusion,
-            "booking_exclusion_reason": b.exclusion_reason,
-            "booking_bumpup": b.bumpup,
-            "booking_bumpup_reason": b.bumpup_reason,
-            "booking_initial": b.initial,
-            "booking_final": b.final,
-            "conviction_nvca": c.subscores.nvca_flag,
-            "conviction_exclusion": c.exclusion,
-            "conviction_exclusion_reason": c.exclusion_reason,
-            "conviction_bumpup": c.bumpup,
-            "conviction_bumpup_reason": c.bumpup_reason,
-            "conviction_initial": c.initial,
-            "conviction_final": c.final,
-            "exclusion_lost": p.exclusion_lost,
-            "bumpup_lost": p.bumpup_lost,
-            "nvca_lost": p.nvca_lost,
-            "recommendation_delta": p.recommendation_delta,
-            "excluded_by_sensitivity": p.excluded_by_sensitivity,
-        })
+    groups = groups or {}
+    rows = [(p.record_id, groups.get(p.record_id, ""),
+             p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
+             p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result),
+             p.exclusion_lost, p.bumpup_lost, p.nvca_lost, p.recommendation_delta, p.excluded_by_sensitivity)
+            for p in pairs]
     write_csv(path, (
         "record_id", "group",
-        "booking_nvca", "booking_exclusion", "booking_exclusion_reason",
-        "booking_bumpup", "booking_bumpup_reason", "booking_initial", "booking_final",
-        "conviction_nvca", "conviction_exclusion", "conviction_exclusion_reason",
-        "conviction_bumpup", "conviction_bumpup_reason", "conviction_initial", "conviction_final",
-        "exclusion_lost", "bumpup_lost", "nvca_lost", "recommendation_delta",
-        "excluded_by_sensitivity"), rows)
+        *(f"{side}_{c}" for side in ("booking", "conviction") for c in ("nvca", *_RESULT_COLUMNS)),
+        "exclusion_lost", "bumpup_lost", "nvca_lost", "recommendation_delta", "excluded_by_sensitivity"), rows)
 
 
 def _write_distribution(path: Path, hists) -> None:
-    rows = []
-    for scope in hists:
-        h = hists[scope]
-        for level in SupervisionLevel:
-            rows.append({
-                "scope": scope,
-                "n": h.n,
-                "level_rank": int(level),
-                "level": level.label,
-                "count": h.counts[int(level) - 1],
-                "fraction": h.fractions[int(level) - 1],
-                "empty_group": h.empty,
-            })
+    rows = [(scope, h.n, int(level), level, h.counts[level - 1], h.fractions[level - 1], h.empty)
+            for scope, h in hists.items() for level in SupervisionLevel]
     write_csv(path, ("scope", "n", "level_rank", "level", "count", "fraction", "empty_group"), rows)
 
 
@@ -523,11 +465,7 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
 def cmd_consistency(opts: dict, out_dir: Path) -> int:
     _, _, cases, issues, _ = _read_inputs(opts, out_dir)
     matrix = race_consistency(cases)
-    rows = []
-    for cat in matrix.rows:
-        row = {"designation": cat, "n_individuals": matrix.individuals[cat]}
-        row.update({c: matrix.rows[cat][j] for j, c in enumerate(matrix.categories)})
-        rows.append(row)
+    rows = [(cat, matrix.individuals[cat], *percents) for cat, percents in matrix.rows.items()]
     write_csv(out_dir / "race_consistency.csv",
               ("designation", "n_individuals") + matrix.categories, rows)
     print(f"consistency rows: {len(rows)} (multi-record individuals only)")
@@ -557,42 +495,30 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
                 continue
             comparisons[component].append((engine_value, recorded))
             if engine_value != recorded:
-                mismatches.append({
-                    "record_id": rec.record_id,
-                    "component": component,
-                    "engine": engine_value,
-                    "recorded": recorded,
-                })
+                mismatches.append((rec.record_id, component, engine_value, recorded))
 
     rows = []
     for component, pairs in comparisons.items():
-        engine_values = [e for e, _ in pairs]
-        recorded_values = [r for _, r in pairs]
-        rows.append({
-            "component": component,
-            "n": len(pairs),
-            "agree": sum(e == r for e, r in pairs),
-            "agreement_rate": agreement_rate(engine_values, recorded_values) if pairs else "",
-        })
+        agree = sum(e == r for e, r in pairs)
+        rate = agreement_rate(*zip(*pairs)) if pairs else None
+        rows.append((component, len(pairs), agree, rate))
+        print(f"{component}: {agree}/{len(pairs)}"
+              + (" (no comparable rows)" if rate is None else f" = {rate:.6g}"))
     write_csv(out_dir / "validation_report.csv", ("component", "n", "agree", "agreement_rate"), rows)
     write_csv(out_dir / "validation_mismatches.csv", ("record_id", "component", "engine", "recorded"),
               mismatches)
-    for r in rows:
-        rate = r["agreement_rate"]
-        print(f"{r['component']}: {r['agree']}/{r['n']}"
-              + (f" = {rate:.6g}" if rate != "" else " (no comparable rows)"))
-    return _exit_code(any(r["n"] for r in rows), issues)
+    return _exit_code(any(comparisons.values()), issues)
 
 
 def cmd_dedupe(opts: dict, out_dir: Path) -> int:
     _, records, _, issues, _ = _read_inputs(opts, out_dir)
     complete, incomplete = filter_complete(records)
     unique, duplicates = deduplicate(complete)
-    rows = [{**{c: getattr(r, c) for c in PSA_COLUMNS}, "booking_charges": join_charges(r.booking_charges)}
+    rows = [[join_charges(r.booking_charges) if c == "booking_charges" else getattr(r, c) for c in PSA_COLUMNS]
             for r in unique]
     write_csv(out_dir / "deduped_records.csv", PSA_COLUMNS, rows)
-    dropped = [{"record_id": r.record_id, "reason": "incomplete"} for r in incomplete]
-    dropped += [{"record_id": r.record_id, "reason": "duplicate"} for r in duplicates]
+    dropped = [(r.record_id, "incomplete") for r in incomplete]
+    dropped += [(r.record_id, "duplicate") for r in duplicates]
     write_csv(out_dir / "dedupe_dropped.csv", ("record_id", "reason"), dropped)
     print(f"kept {len(unique)}, dropped {len(incomplete)} incomplete, {len(duplicates)} duplicates")
     return _exit_code(bool(unique), issues)

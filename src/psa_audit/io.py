@@ -4,8 +4,9 @@ All files are comma-separated UTF-8 with a header row; readers also accept
 a leading byte-order mark, and report a row whose cell count differs from
 the header's as a row issue.  Multi-valued cells (charge lists, disposition
 lists) join their elements with ";".  Dates are ISO 8601, booleans are
-"true"/"false", missing values are empty cells.  Writers emit "\n"
-newlines and fixed column orders so repeated runs are byte-identical.
+"true"/"false", missing values are empty cells.  Writers take each row as a
+sequence of cells in column order and emit "\n" newlines, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ class RowIssue:
         return f"row {self.row} ({self.record_id or '?'}): {self.message}"
 
 
-def render_bool(value: bool | None) -> str:
-    if value is None:
-        return ""
-    return "true" if value else "false"
-
-
 def parse_bool(text: str, where: str) -> bool | None:
     t = text.strip().lower()
     if t == "":
@@ -144,8 +139,10 @@ def _charge_splitter(
 def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict, str | None]]:
     """The file's data rows, one at a time: each row's 1-based number, its
     cells as a dict keyed by the header, and the message of its row issue
-    when its cell count differs from the header's, else None.  Blank lines
-    are skipped and not numbered."""
+    when its cell count differs from the header's, else None.  A ragged
+    row's cells are cut or padded with empty cells to the header's width,
+    so every dict has every column.  Blank lines are skipped and not
+    numbered."""
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"{path}: file not found")
@@ -159,6 +156,7 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int,
             ragged = None
             if len(cells) != len(header):
                 ragged = f"row has {len(cells)} cells, header has {len(header)}"
+                cells = (cells + [""] * len(header))[:len(header)]
             yield number, dict(zip(header, cells)), ragged
 
 
@@ -176,7 +174,7 @@ def read_psa_records(
     records, issues = [], []
     first_row: dict[str, int] = {}
     for i, row, ragged in _read_rows(path, PSA_COLUMNS):
-        rid = row.get("record_id", "").strip()
+        rid = row["record_id"].strip()
         try:
             if ragged:
                 raise ValueError(ragged)
@@ -192,9 +190,9 @@ def read_psa_records(
                 nca=_parse_score(row["nca"], "nca"),
                 nvca_flag=parse_bool(row["nvca_flag"], "nvca_flag"),
                 booking_charges=split_charges(row["booking_charges"]),
-                age_at_arrest=parse_int(row["age_at_arrest"], "age_at_arrest"),
+                age_at_arrest=_parse_count(row["age_at_arrest"], "age_at_arrest"),
                 prior_conviction=parse_bool(row["prior_conviction"], "prior_conviction"),
-                prior_violent_convictions=parse_int(row["prior_violent_convictions"], "prior_violent_convictions"),
+                prior_violent_convictions=_parse_count(row["prior_violent_convictions"], "prior_violent_convictions"),
                 recorded_exclusion=parse_bool(row["recorded_exclusion"], "recorded_exclusion"),
                 recorded_bumpup=parse_bool(row["recorded_bumpup"], "recorded_bumpup"),
                 recorded_recommendation=_parse_level(row["recorded_recommendation"]),
@@ -224,6 +222,13 @@ def _parse_score(text: str, where: str) -> int | None:
     return v
 
 
+def _parse_count(text: str, where: str) -> int | None:
+    v = parse_int(text, where)
+    if v is not None and v < 0:
+        raise ValueError(f"{where}: must be >= 0, got {v}")
+    return v
+
+
 def _parse_level(text: str) -> SupervisionLevel | None:
     t = text.strip()
     if t == "":
@@ -238,7 +243,7 @@ def read_court_cases(
     cases, issues = [], []
     first_row: dict[str, int] = {}
     for i, row, ragged in _read_rows(path, COURT_COLUMNS):
-        cn = row.get("court_number", "").strip()
+        cn = row["court_number"].strip()
         try:
             if ragged:
                 raise ValueError(ragged)
@@ -277,40 +282,32 @@ def read_court_cases(
     return cases, issues
 
 
-def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Mapping]) -> None:
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header of ``columns``, then each row: its cells in column order."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_render(row.get(c, "")) for c in columns])
+        writer.writerows(map(_cell, row) for row in rows)
 
 
-def _render(value) -> str:
-    render = _RENDERERS.get(type(value))
-    if render is None:
-        render = _RENDERERS[type(value)] = _renderer_for(value)
-    return render(value)
+def _cell(value):
+    """``value`` as the schema writes it, where csv's own rendering differs.
 
-
-def _renderer_for(value) -> Callable[[object], str]:
-    """How to render a cell of ``value``'s type; every answer here depends
-    only on the type, so ``_render`` asks once per type."""
-    if value is None:
-        return lambda _: ""
-    if isinstance(value, bool):
-        return render_bool
-    if isinstance(value, float):
-        return lambda v: format(v, ".10g")
-    if isinstance(value, SupervisionLevel):
-        return lambda v: v.label
-    if isinstance(value, date):
-        return lambda v: v.isoformat()
-    return str
-
-
-_RENDERERS: dict[type, Callable[[object], str]] = {}
+    csv already writes None as an empty cell and str, int and date through
+    ``str``, which is the schema's form for each of them.  The writers pass
+    plain bools, floats and levels, so exact type tests suffice, and they
+    are the cheapest per cell.
+    """
+    kind = type(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        return format(value, ".10g")
+    if kind is SupervisionLevel:
+        return value.label
+    return value
 
 
 SCHEMA_DOC = """\
@@ -328,9 +325,9 @@ psa_records.csv (input to score/audit/validate/dedupe/link)
   fta, nca      1..6 scaled predictions
   nvca_flag     recorded violence flag (true/false)
   booking_charges            ';'-joined charge codes, first = top charge
-  age_at_arrest              years
+  age_at_arrest              years, >= 0
   prior_conviction           true/false
-  prior_violent_convictions  count
+  prior_violent_convictions  count, >= 0
   recorded_exclusion, recorded_bumpup   as recorded on the form
   recorded_recommendation    OR-NAS | OR-Minimum | SFPDP-ACM |
                              Release-Not-Recommended (or rank 1..4)

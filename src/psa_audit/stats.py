@@ -131,7 +131,6 @@ class RateRow:
 
 @dataclass(frozen=True)
 class RateTable:
-    scope: str
     n: int
     rows: tuple[RateRow, ...]
 
@@ -150,7 +149,7 @@ def _scopes(
     return scopes
 
 
-def _rate_table_one(pairs: Sequence[AuditPair], scope: str, alpha: float) -> RateTable:
+def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
     n = len(pairs)
     booking = [p.booking_result for p in pairs]
     conviction = [p.conviction_result for p in pairs]
@@ -188,7 +187,7 @@ def _rate_table_one(pairs: Sequence[AuditPair], scope: str, alpha: float) -> Rat
             out.append(RateRow(name, b_val, c_val, b_val - c_val, None, None, None))
         else:
             out.append(RateRow(name, b_val, c_val, b_val - c_val, t[0], t[1], next(flag_iter)))
-    return RateTable(scope=scope, n=n, rows=tuple(out))
+    return RateTable(n=n, rows=tuple(out))
 
 
 def rate_table(
@@ -205,7 +204,7 @@ def rate_table(
     if not pairs:
         raise EmptyInput("no audit pairs")
     return {
-        scope: _rate_table_one(subset, scope, alpha)
+        scope: _rate_table_one(subset, alpha)
         for scope, subset in _scopes(pairs, group).items()
         if subset
     }
@@ -220,12 +219,11 @@ class AffectedRow:
 
 @dataclass(frozen=True)
 class AffectedTable:
-    scope: str
     n: int
     rows: tuple[AffectedRow, ...]
 
 
-def _affected_one(pairs: Sequence[AuditPair], scope: str) -> AffectedTable:
+def _affected_one(pairs: Sequence[AuditPair]) -> AffectedTable:
     n = len(pairs)
     counts = {
         "exclusion": sum(p.exclusion_lost for p in pairs),
@@ -234,7 +232,7 @@ def _affected_one(pairs: Sequence[AuditPair], scope: str) -> AffectedTable:
         "recommendation": sum(p.recommendation_delta > 0 for p in pairs),
     }
     rows = tuple(AffectedRow(k, v, v / n) for k, v in counts.items())
-    return AffectedTable(scope=scope, n=n, rows=rows)
+    return AffectedTable(n=n, rows=rows)
 
 
 def proportion_affected(
@@ -249,12 +247,11 @@ def proportion_affected(
     """
     if not pairs:
         raise EmptyInput("no audit pairs")
-    return {scope: _affected_one(subset, scope) for scope, subset in _scopes(pairs, group).items() if subset}
+    return {scope: _affected_one(subset) for scope, subset in _scopes(pairs, group).items() if subset}
 
 
 @dataclass(frozen=True)
 class Histogram:
-    scope: str
     n: int
     counts: tuple[int, int, int, int]  # levels 1..4
 
@@ -285,7 +282,7 @@ def initial_distribution(
         counts = [0, 0, 0, 0]
         for p in subset:
             counts[int(p.booking_result.initial) - 1] += 1
-        out[label] = Histogram(scope=label, n=len(subset), counts=tuple(counts))
+        out[label] = Histogram(n=len(subset), counts=tuple(counts))
     return out
 
 

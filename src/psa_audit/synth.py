@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import itemgetter
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -177,11 +178,18 @@ class _Person:
     base_race: str
     last_arrest: date | None = None
 
+    def age_at(self, day: date) -> int:
+        return (day - self.dob).days // 365
+
 
 @dataclass
 class SynthDataset:
-    psa_rows: list[dict]
-    court_rows: list[dict]
+    """The generated files' rows: assessment and court rows as cells in
+    ``PSA_COLUMNS`` and ``COURT_COLUMNS`` order, ground-truth rows as dicts
+    keyed by ``GROUND_TRUTH_COLUMNS``."""
+
+    psa_rows: list[list]
+    court_rows: list[tuple]
     truth_rows: list[dict]
 
     def planted_counts(self) -> dict[str, int]:
@@ -204,8 +212,8 @@ class _Generator:
         self.pools = {k: tuple(v) for k, v in config.charge_pools.items()}
         self.rng = random.Random(config.seed)
         self.persons: list[_Person] = []
-        self.psa_rows: list[dict] = []
-        self.court_rows: list[dict] = []
+        self.psa_rows: list[list] = []
+        self.court_rows: list[tuple] = []
         self.truth_rows: list[dict] = []
         self.base_row_ids: list[int] = []  # indexes into psa_rows
         self._record_seq = 0
@@ -312,42 +320,22 @@ class _Generator:
 
     def _emit_duplicate(self):
         source = self.psa_rows[self.rng.choice(self.base_row_ids)]
-        row = dict(source)
-        row["record_id"] = self._next_record_id()
+        # record_id leads PSA_COLUMNS; every other cell is copied
+        row = [self._next_record_id(), *source[1:]]
         self.psa_rows.append(row)
-        self.truth_rows.append({
-            "record_id": row["record_id"],
-            "kind": "duplicate",
-            "scenario": "",
-            "group": "",
-            "true_match": "",
-            "disposed": "",
-            "conviction_charges": "",
-            "affected": "",
-            "duplicate_of": source["record_id"],
-        })
+        self.truth_rows.append(_truth(row[0], "duplicate", duplicate_of=source[0]))
 
     def _emit_incomplete(self):
         person = self._draw_person()
         arrest = self._draw_arrest_date(person)
         fta, nca = self._draw_scores(person.group, None)
-        row = self._psa_row(person, arrest, fta, nca, nvca=False,
-                            charges=[self._charge(self.rng.choice(self.pools["neutral_misdemeanors"]))],
+        row = self._psa_row(person, arrest, fta, nca, False,
+                            [self._charge(self.rng.choice(self.pools["neutral_misdemeanors"]))],
                             prior_conviction=False, pv=0)
         blank = self.rng.choice(("arrest_date", "fta", "nca", "nvca_flag"))
-        row[blank] = ""
+        row[PSA_COLUMNS.index(blank)] = None
         self.psa_rows.append(row)
-        self.truth_rows.append({
-            "record_id": row["record_id"],
-            "kind": "incomplete",
-            "scenario": f"missing:{blank}",
-            "group": person.group,
-            "true_match": "",
-            "disposed": "",
-            "conviction_charges": "",
-            "affected": "",
-            "duplicate_of": "",
-        })
+        self.truth_rows.append(_truth(row[0], "incomplete", scenario=f"missing:{blank}", group=person.group))
 
     def _emit_base(self):
         cfg = self.cfg
@@ -376,15 +364,14 @@ class _Generator:
         cell_kind = {"overbooked_affected": "low", "overbooked_saturated": "top"}.get(scenario)
         fta, nca = self._draw_scores(person.group, cell_kind)
 
-        # the flag is derived from the row exactly as the audit re-derives it
-        row = self._psa_row(person, arrest, fta, nca, None, charges, prior_conviction, pv)
+        # the flag is derived from the row exactly as the audit re-derives it;
+        # scoring draws no random numbers, so it may come before the row
         violent = any(self.engine.catalog.is_violent(c) for c in charges)
-        factors = record_factors(row["age_at_arrest"], prior_conviction, pv, violent)
-        row["nvca_flag"] = nvca = nvca_flag_value(factors, self.engine.weights)
+        factors = record_factors(person.age_at(arrest), prior_conviction, pv, violent)
+        nvca = nvca_flag_value(factors, self.engine.weights)
         result = assess(SubScores(fta, nca, nvca), charges, False, self.engine.dmf, self.engine.catalog)
-        row["recorded_exclusion"] = result.exclusion
-        row["recorded_bumpup"] = result.bumpup
-        row["recorded_recommendation"] = result.final
+        row = self._psa_row(person, arrest, fta, nca, nvca, charges, prior_conviction, pv,
+                            (result.exclusion, result.bumpup, result.final))
         self.psa_rows.append(row)
         self.base_row_ids.append(len(self.psa_rows) - 1)
 
@@ -397,17 +384,15 @@ class _Generator:
                 self._emit_decoy(person, arrest, charges)
 
         convicted = [c for i, c in enumerate(charges) if i in conviction_idx] if disposed else []
-        self.truth_rows.append({
-            "record_id": row["record_id"],
-            "kind": "base",
-            "scenario": "unmatched" if unmatched else scenario,
-            "group": person.group,
-            "true_match": ";".join(matched_numbers),
-            "disposed": disposed,
-            "conviction_charges": join_charges(convicted),
-            "affected": bool(scenario == "overbooked_affected" and disposed and not unmatched),
-            "duplicate_of": "",
-        })
+        self.truth_rows.append(_truth(
+            row[0], "base",
+            scenario="unmatched" if unmatched else scenario,
+            group=person.group,
+            true_match=";".join(matched_numbers),
+            disposed=disposed,
+            conviction_charges=join_charges(convicted),
+            affected=scenario == "overbooked_affected" and disposed and not unmatched,
+        ))
 
     def _plan_charges(self, scenario: str, disposed: bool):
         """Charge list, dispositions, and the set of convicted indexes.
@@ -465,17 +450,12 @@ class _Generator:
     def _emit_case(self, person: _Person, psa_arrest: date, charges, dispositions) -> str:
         offset = self.rng.choices((-1, 0, 1, 2), weights=(5, 80, 10, 5))[0]
         number = self._next_court_number()
-        self.court_rows.append({
-            "court_number": number,
-            "sfid": person.sfid,
-            "name": person.name,
-            "dob": person.dob,
-            "arrest_date": psa_arrest + timedelta(days=offset),
-            "race": self._draw_race(person),
-            "booking_charges": join_charges(charges),
-            "filed_charges": join_charges(charges),
-            "dispositions": ";".join("" if d is None else str(d) for d in dispositions),
-        })
+        booked = join_charges(charges)
+        self.court_rows.append((
+            number, person.sfid, person.name, person.dob, psa_arrest + timedelta(days=offset),
+            self._draw_race(person), booked, booked,
+            ";".join("" if d is None else str(d) for d in dispositions),
+        ))
         return number
 
     def _emit_decoy(self, person: _Person, psa_arrest: date, booked):
@@ -484,26 +464,27 @@ class _Generator:
         if decoys:
             self._emit_case(person, psa_arrest, decoys, [30] * len(decoys))
 
-    def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca, charges, prior_conviction, pv) -> dict:
-        age = (arrest - person.dob).days // 365
-        return {
-            "record_id": self._next_record_id(),
-            "sfid": person.sfid,
-            "name": person.name,
-            "dob": person.dob,
-            "arrest_date": arrest,
-            "psa_date": arrest + timedelta(days=self.rng.choices((0, 1), weights=(85, 15))[0]),
-            "fta": fta,
-            "nca": nca,
-            "nvca_flag": nvca,
-            "booking_charges": join_charges(charges),
-            "age_at_arrest": age,
-            "prior_conviction": prior_conviction,
-            "prior_violent_convictions": pv,
-            "recorded_exclusion": "",
-            "recorded_bumpup": "",
-            "recorded_recommendation": "",
-        }
+    def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca, charges, prior_conviction, pv,
+                 recorded=(None, None, None)) -> list:
+        """One assessment row in PSA_COLUMNS order; ``recorded`` holds the
+        form's exclusion, bump-up and recommendation."""
+        return [
+            self._next_record_id(), person.sfid, person.name, person.dob, arrest,
+            arrest + timedelta(days=self.rng.choices((0, 1), weights=(85, 15))[0]),
+            fta, nca, nvca, join_charges(charges), person.age_at(arrest), prior_conviction, pv, *recorded,
+        ]
+
+
+_NO_TRUTH = dict.fromkeys(GROUND_TRUTH_COLUMNS, "")
+
+
+def _truth(record_id: str, kind: str, **planted) -> dict:
+    """A ground-truth row: ``planted`` sets columns, and the rest are empty."""
+    row = _NO_TRUTH.copy()
+    row["record_id"] = record_id
+    row["kind"] = kind
+    row.update(planted)
+    return row
 
 
 def generate(config: GeneratorConfig, engine: EngineConfig | None = None) -> SynthDataset:
@@ -520,5 +501,6 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
     }
     write_csv(paths["psa_records"], PSA_COLUMNS, dataset.psa_rows)
     write_csv(paths["court_cases"], COURT_COLUMNS, dataset.court_rows)
-    write_csv(paths["ground_truth"], GROUND_TRUTH_COLUMNS, dataset.truth_rows)
+    write_csv(paths["ground_truth"], GROUND_TRUTH_COLUMNS,
+              list(map(itemgetter(*GROUND_TRUTH_COLUMNS), dataset.truth_rows)))
     return paths

@@ -1,11 +1,13 @@
 import csv
 import gc
 import json
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 from psa_audit.cli import _HANDLERS, main
+from psa_audit.engine import SupervisionLevel
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, write_csv
 
 
@@ -23,6 +25,11 @@ def sim_dir(tmp_path_factory):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_table(path, columns, rows):
+    """Write dict rows, such as the fixtures below, with their cells in column order."""
+    write_csv(path, columns, [[row[c] for c in columns] for row in rows])
 
 
 def psa_row(record_id="R1", sfid="S1", **kw):
@@ -66,7 +73,7 @@ def test_score_fixture(tmp_path):
     psa = tmp_path / "psa.csv"
     rows = [psa_row(f"R{i}", f"S{i}") for i in range(3)]
     rows[0]["booking_charges"] = ""  # fta=2, nca=3, no charges
-    write_csv(psa, PSA_COLUMNS, rows)
+    write_table(psa, PSA_COLUMNS, rows)
     out = tmp_path / "out"
     assert run(["score", "--psa", psa, "--out", out]) == 0
     results = read_rows(out / "score_results.csv")
@@ -76,7 +83,7 @@ def test_score_fixture(tmp_path):
 
 def test_score_partial_failure_exit_code(tmp_path):
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, [
+    write_table(psa, PSA_COLUMNS, [
         psa_row("R1"),
         psa_row("R2", "S2", fta=""),   # missing prediction
         psa_row("R3", "S3", nca="9"),  # outside the decision matrix
@@ -90,7 +97,7 @@ def test_score_partial_failure_exit_code(tmp_path):
 
 def test_score_empty_result_exit_code(tmp_path):
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, [])
+    write_table(psa, PSA_COLUMNS, [])
     out = tmp_path / "out"
     assert run(["score", "--psa", psa, "--out", out]) == 4
 
@@ -107,9 +114,9 @@ def test_missing_file_is_schema_failure(tmp_path):
 
 def test_empty_and_repeated_ids_are_row_errors(tmp_path):
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, [psa_row("R1"), psa_row("R1"), psa_row("")])
+    write_table(psa, PSA_COLUMNS, [psa_row("R1"), psa_row("R1"), psa_row("")])
     court = tmp_path / "court.csv"
-    write_csv(court, COURT_COLUMNS, [court_row("C1")])
+    write_table(court, COURT_COLUMNS, [court_row("C1")])
     out = tmp_path / "audit"
     assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 3
     errors = read_rows(out / "input_errors.csv")
@@ -121,7 +128,7 @@ def test_empty_and_repeated_ids_are_row_errors(tmp_path):
     assert counts["psa_input_rows"] == 3
     assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
 
-    write_csv(court, COURT_COLUMNS, [court_row("C1"), court_row("C1"), court_row("C2")])
+    write_table(court, COURT_COLUMNS, [court_row("C1"), court_row("C1"), court_row("C2")])
     assert run(["consistency", "--court", court, "--out", out]) == 3
     errors = read_rows(out / "input_errors.csv")
     assert [(e["row"], e["message"]) for e in errors] == [("2", "court_number 'C1' repeats row 1")]
@@ -129,7 +136,7 @@ def test_empty_and_repeated_ids_are_row_errors(tmp_path):
 
 def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
     court = tmp_path / "court.csv"
-    write_csv(court, COURT_COLUMNS, [
+    write_table(court, COURT_COLUMNS, [
         court_row("C1", charges="459 PC F;484 PC M", dispositions="160;160"),
         court_row("C2", charges=" 484 PC M ;459 PC F", dispositions="160;160"),
         court_row("C3", charges="PC F"),
@@ -145,12 +152,12 @@ def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
     ]
 
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, [
+    write_table(psa, PSA_COLUMNS, [
         psa_row("R1"),
         psa_row("R2", "S2", booking_charges="459 PC F;PC F"),
         psa_row("R3", "S3", booking_charges="PC F"),
     ])
-    write_csv(court, COURT_COLUMNS, [court_row("C1")])
+    write_table(court, COURT_COLUMNS, [court_row("C1")])
     out = tmp_path / "audit"
     assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 3
     errors = read_rows(out / "input_errors.csv")
@@ -272,12 +279,42 @@ def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
     assert read_rows(errors["score"])[:len(psa_rows)] == psa_rows
 
 
+@pytest.mark.parametrize("column, value", [("age_at_arrest", "-4"), ("prior_violent_convictions", "-1")])
+def test_negative_counts_are_row_errors(tmp_path, capsys, column, value):
+    psa, court = tmp_path / "psa.csv", tmp_path / "court.csv"
+    write_table(psa, PSA_COLUMNS, [psa_row("R1", "S1"), psa_row("R2", "S2", **{column: value})])
+    write_table(court, COURT_COLUMNS, [court_row("C1", "S1"), court_row("C2", "S2")])
+    for command, inputs, errors in (
+        ("audit", ["--psa", psa, "--court", court], "input_errors.csv"),
+        ("validate", ["--psa", psa, "--court", court], "input_errors.csv"),
+        ("score", ["--psa", psa], "score_errors.csv"),
+    ):
+        out = tmp_path / command
+        assert run([command, *inputs, "--out", out]) == 3
+        assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / errors)] == [
+            ("2", "R2", f"{column}: must be >= 0, got {value}"),
+        ]
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_write_csv_writes_each_cell_as_the_schema_says(tmp_path):
+    columns = ("none", "empty", "yes", "no", "sum", "tiny", "level", "day", "zero", "text")
+    header = b"none,empty,yes,no,sum,tiny,level,day,zero,text\n"
+    path = tmp_path / "cells.csv"
+    write_csv(path, columns, [
+        [None, "", True, False, 0.1 + 0.2, 1e-12, SupervisionLevel.SFPDP_ACM, date(2016, 9, 1), 0, 'a, "b"'],
+    ])
+    assert path.read_bytes() == header + b',,true,false,0.3,1e-12,SFPDP-ACM,2016-09-01,0,"a, ""b"""\n'
+    write_csv(path, columns, [])
+    assert path.read_bytes() == header
+
+
 def test_reader_does_not_turn_program_errors_into_row_errors(tmp_path, monkeypatch):
     def broken(text, where):
         raise TypeError("bug")
 
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, [psa_row("R1")])
+    write_table(psa, PSA_COLUMNS, [psa_row("R1")])
     monkeypatch.setattr("psa_audit.io.parse_date", broken)
     with pytest.raises(TypeError):
         read_psa_records(psa)
@@ -344,7 +381,7 @@ def test_audit_group_by_none(sim_dir, tmp_path):
 
 def test_audit_empty_court_file(sim_dir, tmp_path):
     court = tmp_path / "court.csv"
-    write_csv(court, COURT_COLUMNS, [])
+    write_table(court, COURT_COLUMNS, [])
     out = tmp_path / "audit"
     rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", court, "--out", out])
     assert rc == 4
@@ -375,9 +412,9 @@ def test_validate_planted_discrepancy(tmp_path):
             for i in range(1000)]
     rows[7]["recorded_recommendation"] = "SFPDP-ACM"
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, rows)
+    write_table(psa, PSA_COLUMNS, rows)
     court = tmp_path / "court.csv"
-    write_csv(court, COURT_COLUMNS, [court_row(f"C{i:04d}", f"S{i:04d}") for i in range(1000)])
+    write_table(court, COURT_COLUMNS, [court_row(f"C{i:04d}", f"S{i:04d}") for i in range(1000)])
     out = tmp_path / "val"
     assert run(["validate", "--psa", psa, "--court", court, "--out", out]) == 0
     report = {r["component"]: r for r in read_rows(out / "validation_report.csv")}
@@ -389,7 +426,7 @@ def test_validate_planted_discrepancy(tmp_path):
 
 def test_consistency_command(tmp_path):
     court = tmp_path / "court.csv"
-    write_csv(court, COURT_COLUMNS, [
+    write_table(court, COURT_COLUMNS, [
         court_row("C1", "S1", race="B"), court_row("C2", "S1", race="B"),
         court_row("C3", "S1", race="W"), court_row("C4", "S2", race="B"),
         court_row("C5", "S2", race="B"), court_row("C6", "S3", race="H"),
@@ -403,7 +440,7 @@ def test_consistency_command(tmp_path):
 
 def test_dedupe_command(tmp_path):
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, [psa_row("R1"), psa_row("R2"), psa_row("R3", fta="")])
+    write_table(psa, PSA_COLUMNS, [psa_row("R1"), psa_row("R2"), psa_row("R3", fta="")])
     out = tmp_path / "dedupe"
     assert run(["dedupe", "--psa", psa, "--out", out]) == 0
     assert len(read_rows(out / "deduped_records.csv")) == 1
@@ -591,7 +628,7 @@ def _corrupt_copy(sim: Path, out: Path) -> Path:
         rows = read_rows(sim / name)
         for row in rows[every - 1::every]:
             row[column] = bad
-        write_csv(out / name, columns, rows)
+        write_table(out / name, columns, rows)
     return out
 
 
@@ -636,7 +673,7 @@ def test_main_pauses_the_collector_and_restores_the_callers_setting(tmp_path, mo
     seen = []
     monkeypatch.setitem(_HANDLERS, "score", lambda opts, out: seen.append(gc.isenabled()) or 0)
     psa = tmp_path / "psa.csv"
-    write_csv(psa, PSA_COLUMNS, [psa_row()])
+    write_table(psa, PSA_COLUMNS, [psa_row()])
     (gc.enable if collecting else gc.disable)()
     try:
         assert run(["score", "--psa", psa, "--out", tmp_path / "ok"]) == 0
