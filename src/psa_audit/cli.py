@@ -13,6 +13,8 @@ import gc
 import json
 import sys
 from dataclasses import asdict, astuple, fields, replace
+from itertools import count
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -277,16 +279,20 @@ def _result_cells(res) -> tuple:
 def cmd_score(opts: dict, out_dir: Path) -> int:
     config = _engine_config(opts)
     records, issues = read_psa_records(opts["psa"], config.catalog.derivative_prefixes)
+    # every input row is a record or a hard issue, so the records, in order,
+    # hold the row numbers the hard issues leave free
+    skipped = {i.row for i in _hard_issues(issues)}
+    record_rows = (n for n in count(1) if n not in skipped)
     rows, row_errors = [], list(issues)
-    for rec in records:
+    for row, rec in zip(record_rows, records):
         subs = rec.subscores
         if subs is None:
-            row_errors.append(RowIssue(row=0, record_id=rec.record_id, message="missing sub-scores"))
+            row_errors.append(RowIssue(row=row, record_id=rec.record_id, message="missing sub-scores"))
             continue
         res = assess(subs, rec.booking_charges, False, config.dmf, config.catalog)
         rows.append((rec.record_id, subs.fta, subs.nca, subs.nvca_flag, *_result_cells(res)))
     write_csv(out_dir / "score_results.csv", ("record_id", "fta", "nca", "nvca_flag", *_RESULT_COLUMNS), rows)
-    _write_issues(out_dir / "score_errors.csv", row_errors)
+    _write_issues(out_dir / "score_errors.csv", sorted(row_errors, key=attrgetter("row")))
     print(f"scored {len(rows)} records, {len(_hard_issues(row_errors))} row errors")
     return _exit_code(bool(rows), row_errors)
 

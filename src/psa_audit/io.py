@@ -7,6 +7,12 @@ lists) join their elements with ";".  Dates are ISO 8601, booleans are
 "true"/"false", missing values are empty cells.  Writers take each row as a
 sequence of cells in column order and emit "\n" newlines, so repeated runs
 are byte-identical.
+
+A reader finds each required column's position in the header once and
+gives each column one parser for the file.  That parser is a memo: each
+distinct cell text is parsed once per file, and every row carrying it
+shares the resulting immutable value (a date, a charge tuple, a level, ...).
+Only the row ids, which are unique, are not memoized.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
+from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -110,39 +117,44 @@ def join_charges(charges: Iterable[ChargeCode]) -> str:
     return ";".join(c.raw or c.normalized for c in charges)
 
 
-def _charge_splitter(
-    prefixes: Mapping[str, Derivative] | None = None,
-) -> Callable[[str], tuple[ChargeCode, ...]]:
-    """A parser of ';'-joined charge cells for one file.
+class _Memo(dict):
+    """One column's parser for one file: maps each distinct cell text to
+    its parsed value, calling ``parse(text, *args)`` the first time a text is
+    looked up, so every row carrying that text shares one immutable value.
+    A text whose parse raises is not stored, so each row carrying it raises
+    its own error."""
 
-    Each distinct stripped charge text is parsed once and its ChargeCode is
-    shared by every cell that carries it.  A text that fails to parse is
-    not remembered, so every row carrying it raises its own ParseError.
-    """
-    parsed: dict[str, ChargeCode] = {}
+    __slots__ = ("parse", "args")
 
-    def split(cell: str) -> tuple[ChargeCode, ...]:
-        charges = []
-        for part in cell.split(";"):
-            text = part.strip()
-            if not text:
-                continue
-            charge = parsed.get(text)
-            if charge is None:
-                charge = parsed[text] = parse_charge_code(text, prefixes)
-            charges.append(charge)
-        return tuple(charges)
+    def __init__(self, parse: Callable, *args):
+        super().__init__()
+        self.parse = parse
+        self.args = args
 
-    return split
+    def __missing__(self, text):
+        value = self[text] = self.parse(text, *self.args)
+        return value
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict, str | None]]:
-    """The file's data rows, one at a time: each row's 1-based number, its
-    cells as a dict keyed by the header, and the message of its row issue
-    when its cell count differs from the header's, else None.  A ragged
-    row's cells are cut or padded with empty cells to the header's width,
-    so every dict has every column.  Blank lines are skipped and not
-    numbered."""
+def _charge_cells(prefixes: Mapping[str, Derivative] | None) -> _Memo:
+    """The file's memo of ';'-joined charge cells.  Each distinct stripped
+    charge text is parsed once, and its ChargeCode is shared by every cell
+    that carries it."""
+    return _Memo(_split_charges, _Memo(parse_charge_code, prefixes))
+
+
+def _split_charges(cell: str, charges: _Memo) -> tuple[ChargeCode, ...]:
+    return tuple(charges[text] for part in cell.split(";") if (text := part.strip()))
+
+
+def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...], str | None]]:
+    """The file's data rows, one at a time: each row's 1-based number, the
+    cells of the ``required`` columns in that order, and the message of its
+    row issue when its cell count differs from the header's, else None.
+    Each column's position is found once, from the header, which must name
+    each required column exactly once.  A ragged row's cells are cut or
+    padded with empty cells to the header's width, so every row has every
+    column.  Blank lines are skipped and not numbered."""
     p = Path(path)
     if not p.exists():
         raise SchemaError(f"{path}: file not found")
@@ -152,12 +164,17 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int,
         missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns {missing}")
+        repeated = [c for c in required if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: repeated columns {repeated}")
+        pick = itemgetter(*map(header.index, required))
+        width = len(header)
         for number, cells in enumerate(filter(None, reader), start=1):
             ragged = None
-            if len(cells) != len(header):
-                ragged = f"row has {len(cells)} cells, header has {len(header)}"
-                cells = (cells + [""] * len(header))[:len(header)]
-            yield number, dict(zip(header, cells)), ragged
+            if len(cells) != width:
+                ragged = f"row has {len(cells)} cells, header has {width}"
+                cells = (cells + [""] * width)[:width]
+            yield number, pick(cells), ragged
 
 
 def read_psa_records(
@@ -170,33 +187,33 @@ def read_psa_records(
     invariant violations (e.g. a form date more than a day before the
     arrest date) keep the row but add a warning issue.
     """
-    split_charges = _charge_splitter(prefixes)
+    # one parser per column after record_id, in PSA_COLUMNS order
+    parsers = (
+        _Memo(str.strip),  # sfid
+        _Memo(str.strip),  # name
+        _Memo(parse_date, "dob"),
+        _Memo(parse_date, "arrest_date"),
+        _Memo(parse_date, "psa_date"),
+        _Memo(_parse_score, "fta"),
+        _Memo(_parse_score, "nca"),
+        _Memo(parse_bool, "nvca_flag"),
+        _charge_cells(prefixes),  # booking_charges
+        _Memo(_parse_count, "age_at_arrest"),
+        _Memo(parse_bool, "prior_conviction"),
+        _Memo(_parse_count, "prior_violent_convictions"),
+        _Memo(parse_bool, "recorded_exclusion"),
+        _Memo(parse_bool, "recorded_bumpup"),
+        _Memo(_parse_level),  # recorded_recommendation
+    )
     records, issues = [], []
     first_row: dict[str, int] = {}
-    for i, row, ragged in _read_rows(path, PSA_COLUMNS):
-        rid = row["record_id"].strip()
+    for i, cells, ragged in _read_rows(path, PSA_COLUMNS):
+        rid = cells[0].strip()
         try:
             if ragged:
                 raise ValueError(ragged)
             _check_id("record_id", rid, first_row)
-            rec = PsaRecord(
-                record_id=rid,
-                sfid=row["sfid"].strip(),
-                name=row["name"].strip(),
-                dob=parse_date(row["dob"], "dob"),
-                arrest_date=parse_date(row["arrest_date"], "arrest_date"),
-                psa_date=parse_date(row["psa_date"], "psa_date"),
-                fta=_parse_score(row["fta"], "fta"),
-                nca=_parse_score(row["nca"], "nca"),
-                nvca_flag=parse_bool(row["nvca_flag"], "nvca_flag"),
-                booking_charges=split_charges(row["booking_charges"]),
-                age_at_arrest=_parse_count(row["age_at_arrest"], "age_at_arrest"),
-                prior_conviction=parse_bool(row["prior_conviction"], "prior_conviction"),
-                prior_violent_convictions=_parse_count(row["prior_violent_convictions"], "prior_violent_convictions"),
-                recorded_exclusion=parse_bool(row["recorded_exclusion"], "recorded_exclusion"),
-                recorded_bumpup=parse_bool(row["recorded_bumpup"], "recorded_bumpup"),
-                recorded_recommendation=_parse_level(row["recorded_recommendation"]),
-            )
+            rec = PsaRecord(rid, *map(getitem, parsers, cells[1:]))
         except (ValueError, ParseError) as exc:
             issues.append(RowIssue(row=i, record_id=rid, message=str(exc)))
             continue
@@ -236,43 +253,54 @@ def _parse_level(text: str) -> SupervisionLevel | None:
     return SupervisionLevel.from_label(t)
 
 
+def _parse_race(text: str) -> str:
+    race = text.strip().upper()
+    if race and race not in RACE_CATEGORIES:
+        raise ValueError(f"race: unknown designation {race!r}")
+    return race
+
+
+def _parse_dispositions(text: str) -> tuple[int | None, ...]:
+    """A dispositions cell's codes, or () for an entirely empty cell."""
+    t = text.strip()
+    return tuple(parse_int(part, "dispositions") for part in t.split(";")) if t else ()
+
+
 def read_court_cases(
     path: str | Path, prefixes: Mapping[str, Derivative] | None = None
 ) -> tuple[list[CourtCase], list[RowIssue]]:
-    split_charges = _charge_splitter(prefixes)
+    sfids, names, races = _Memo(str.strip), _Memo(str.strip), _Memo(_parse_race)
+    dobs, arrest_dates = _Memo(parse_date, "dob"), _Memo(parse_date, "arrest_date")
+    charges, dispositions = _charge_cells(prefixes), _Memo(_parse_dispositions)
+    pending = _Memo((None,).__mul__)  # n -> (None,) * n
     cases, issues = [], []
     first_row: dict[str, int] = {}
-    for i, row, ragged in _read_rows(path, COURT_COLUMNS):
-        cn = row["court_number"].strip()
+    for i, cells, ragged in _read_rows(path, COURT_COLUMNS):
+        cn, sfid, name, dob, arrest_date, race, booked, filed, disposed = cells
+        cn = cn.strip()
         try:
             if ragged:
                 raise ValueError(ragged)
             _check_id("court_number", cn, first_row)
-            race = row["race"].strip().upper()
-            if race and race not in RACE_CATEGORIES:
-                raise ValueError(f"race: unknown designation {race!r}")
-            filed = split_charges(row["filed_charges"])
-            disp_cell = row["dispositions"].strip()
-            if disp_cell:
-                dispositions = tuple(parse_int(part, "dispositions") for part in disp_cell.split(";"))
-            else:
-                # an entirely empty cell means every filed charge is pending
-                dispositions = (None,) * len(filed)
-            if len(dispositions) != len(filed):
+            race = races[race]
+            filed = charges[filed]
+            # an entirely empty cell means every filed charge is pending
+            disposed = dispositions[disposed] or pending[len(filed)]
+            if len(disposed) != len(filed):
                 raise ValueError(
-                    f"dispositions: {len(dispositions)} codes for {len(filed)} filed charges"
+                    f"dispositions: {len(disposed)} codes for {len(filed)} filed charges"
                 )
             cases.append(
                 CourtCase(
                     court_number=cn,
-                    sfid=row["sfid"].strip(),
-                    name=row["name"].strip(),
-                    dob=parse_date(row["dob"], "dob"),
-                    arrest_date=parse_date(row["arrest_date"], "arrest_date"),
+                    sfid=sfids[sfid],
+                    name=names[name],
+                    dob=dobs[dob],
+                    arrest_date=arrest_dates[arrest_date],
                     race=race,
-                    booking_charges=split_charges(row["booking_charges"]),
+                    booking_charges=charges[booked],
                     filed_charges=filed,
-                    dispositions=dispositions,
+                    dispositions=disposed,
                 )
             )
         except (ValueError, ParseError) as exc:
@@ -313,7 +341,9 @@ def _cell(value):
 SCHEMA_DOC = """\
 File schemas (all comma-separated UTF-8 with a header row; lists join
 elements with ';'; dates ISO 8601; booleans true/false; missing = empty;
-a row with more or fewer cells than the header is a row error)
+a row with more or fewer cells than the header is a row error; columns
+may come in any order, and other columns are ignored, but a header that
+names a required column twice is a schema error)
 
 psa_records.csv (input to score/audit/validate/dedupe/link)
   record_id     unique, non-empty row id; an empty or repeated id makes

@@ -276,7 +276,21 @@ def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
     psa_rows, court_rows = read_rows(errors["dedupe"]), read_rows(errors["consistency"])
     assert psa_rows and court_rows
     assert read_rows(errors["audit"]) == psa_rows + court_rows
-    assert read_rows(errors["score"])[:len(psa_rows)] == psa_rows
+    assert [r for r in read_rows(errors["score"]) if r["message"] != "missing sub-scores"] == psa_rows
+
+
+def test_score_errors_name_each_input_row_in_row_order(sim_dir, tmp_path):
+    bad = _corrupt_copy(sim_dir, tmp_path / "corrupt")
+    out = tmp_path / "score"
+    assert run(["score", "--psa", bad / "psa_records.csv", "--out", out]) == 3
+    rows = read_rows(bad / "psa_records.csv")
+    errors = [(int(e["row"]), e["record_id"], e["message"]) for e in read_rows(out / "score_errors.csv")]
+    assert [e[0] for e in errors] == sorted(e[0] for e in errors)
+    assert all(rows[n - 1]["record_id"] == record_id for n, record_id, _ in errors)
+    incomplete = [n for n, row in enumerate(rows, start=1)
+                  if row["dob"] != "not-a-date" and "" in (row["fta"], row["nca"], row["nvca_flag"])]
+    assert incomplete and len(incomplete) < len(errors)
+    assert [n for n, _, message in errors if message == "missing sub-scores"] == incomplete
 
 
 @pytest.mark.parametrize("column, value", [("age_at_arrest", "-4"), ("prior_violent_convictions", "-1")])

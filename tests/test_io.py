@@ -1,0 +1,180 @@
+"""The readers parse each distinct cell once per file and share its value.
+
+Every check runs on a seeded simulated corpus or on small fixtures; the
+reference for each value is a fresh parse of its cell with the public
+parse functions, one cell at a time.
+"""
+
+import csv
+import random
+
+import pytest
+
+from psa_audit.charges import parse_charge_code
+from psa_audit.cli import main
+from psa_audit.engine import SupervisionLevel
+from psa_audit.io import (
+    COURT_COLUMNS,
+    PSA_COLUMNS,
+    parse_bool,
+    parse_date,
+    parse_int,
+    read_court_cases,
+    read_psa_records,
+    write_csv,
+)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    assert main(["simulate", "--n", "2000", "--seed", "2026", "--out", str(out)]) == 0
+    return out
+
+
+def _cells(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _write(path, columns, rows):
+    write_csv(path, columns, [[row[c] for c in columns] for row in rows])
+
+
+def _charges(cell):
+    return tuple(parse_charge_code(t.strip()) for t in cell.split(";") if t.strip())
+
+
+def _raw(charges):
+    return tuple(c.raw for c in charges)
+
+
+def _fresh_psa(row):
+    """The record fields of one PSA row, each parsed from its own cell."""
+    level = row["recorded_recommendation"].strip()
+    return {
+        "record_id": row["record_id"].strip(),
+        "sfid": row["sfid"].strip(),
+        "name": row["name"].strip(),
+        **{c: parse_date(row[c], c) for c in ("dob", "arrest_date", "psa_date")},
+        **{c: parse_int(row[c], c) for c in ("fta", "nca", "age_at_arrest", "prior_violent_convictions")},
+        **{c: parse_bool(row[c], c)
+           for c in ("nvca_flag", "prior_conviction", "recorded_exclusion", "recorded_bumpup")},
+        "booking_charges": _charges(row["booking_charges"]),
+        "recorded_recommendation": SupervisionLevel.from_label(level) if level else None,
+    }
+
+
+def _fresh_court(row):
+    """The case fields of one court row, each parsed from its own cell."""
+    filed = _charges(row["filed_charges"])
+    disposed = row["dispositions"].strip()
+    return {
+        "court_number": row["court_number"].strip(),
+        "sfid": row["sfid"].strip(),
+        "name": row["name"].strip(),
+        "dob": parse_date(row["dob"], "dob"),
+        "arrest_date": parse_date(row["arrest_date"], "arrest_date"),
+        "race": row["race"].strip().upper(),
+        "booking_charges": _charges(row["booking_charges"]),
+        "filed_charges": filed,
+        "dispositions": (tuple(parse_int(p, "dispositions") for p in disposed.split(";"))
+                         if disposed else (None,) * len(filed)),
+    }
+
+
+def _value_key(value):
+    # charge codes compare equal across spellings; a shared tuple also
+    # shares its spellings
+    if isinstance(value, tuple) and value and hasattr(value[0], "raw"):
+        return value, _raw(value)
+    return value
+
+
+@pytest.mark.parametrize("name, read, fields", [
+    ("psa_records.csv", read_psa_records, ("dob", "arrest_date", "name", "booking_charges")),
+    ("court_cases.csv", read_court_cases,
+     ("dob", "arrest_date", "name", "booking_charges", "filed_charges", "dispositions")),
+])
+def test_repeated_cells_share_one_value(corpus, name, read, fields):
+    items, issues = read(corpus / name)
+    assert len(items) > 1000 and not [i for i in issues if not i.message.startswith("warning:")]
+    for field in fields:
+        values = [getattr(x, field) for x in items]
+        distinct = {_value_key(v) for v in values}
+        assert len(distinct) < len(values), field  # the corpus repeats some cells of each column
+        assert len({id(v) for v in values}) == len(distinct), field
+
+
+@pytest.mark.parametrize("name, read, fresh", [
+    ("psa_records.csv", read_psa_records, _fresh_psa),
+    ("court_cases.csv", read_court_cases, _fresh_court),
+])
+def test_each_value_equals_a_fresh_parse_of_its_cell(corpus, name, read, fresh):
+    items, _ = read(corpus / name)
+    rows = _cells(corpus / name)
+    assert len(items) == len(rows)
+    for item, row in zip(items, rows):
+        expected = fresh(row)
+        assert {f: getattr(item, f) for f in expected} == expected
+        for f in ("booking_charges", "filed_charges"):
+            if f in expected:
+                assert _raw(getattr(item, f)) == _raw(expected[f])
+
+
+@pytest.mark.parametrize("name, columns, read, key", [
+    ("psa_records.csv", PSA_COLUMNS, read_psa_records, "record_id"),
+    ("court_cases.csv", COURT_COLUMNS, read_court_cases, "court_number"),
+])
+def test_a_bad_cell_on_two_rows_gives_two_row_issues(corpus, tmp_path, name, columns, read, key):
+    rows = _cells(corpus / name)[:4]
+    for row in rows[0], rows[2]:
+        row["dob"] = "2016-13-01"
+    path = tmp_path / name
+    _write(path, columns, rows)
+    items, issues = read(path)
+    message = "dob: expected ISO date, got '2016-13-01'"
+    assert [(i.row, i.record_id, i.message) for i in issues if not i.message.startswith("warning:")] == [
+        (1, rows[0][key], message),
+        (3, rows[2][key], message),
+    ]
+    assert [getattr(x, key) for x in items] == [rows[1][key], rows[3][key]]
+
+
+def _plant_bad_cells(rows, column, bad, every):
+    for row in rows[every - 1::every]:
+        row[column] = bad
+
+
+@pytest.mark.parametrize("name, columns, read, column, bad", [
+    ("psa_records.csv", PSA_COLUMNS, read_psa_records, "fta", "9"),
+    ("court_cases.csv", COURT_COLUMNS, read_court_cases, "race", "Z"),
+])
+def test_column_order_and_unknown_columns_do_not_change_what_is_read(corpus, tmp_path, name, columns, read,
+                                                                     column, bad):
+    rows = _cells(corpus / name)
+    _plant_bad_cells(rows, column, bad, every=37)
+    _write(tmp_path / "plain.csv", columns, rows)
+    shuffled = list(columns) + ["note"]
+    random.Random(2026).shuffle(shuffled)
+    for k, row in enumerate(rows):
+        row["note"] = f"free text {k % 7}"
+    _write(tmp_path / "shuffled.csv", shuffled, rows)
+    plain, plain_issues = read(tmp_path / "plain.csv")
+    items, issues = read(tmp_path / "shuffled.csv")
+    assert plain_issues and issues == plain_issues
+    assert items == plain
+    assert [_raw(x.booking_charges) for x in items] == [_raw(x.booking_charges) for x in plain]
+
+
+@pytest.mark.parametrize("command, flag, columns, column", [
+    ("score", "--psa", PSA_COLUMNS, "fta"),
+    ("consistency", "--court", COURT_COLUMNS, "race"),
+])
+def test_a_repeated_required_column_is_a_schema_error(tmp_path, capsys, command, flag, columns, column):
+    path = tmp_path / "in.csv"
+    header = ",".join([*columns, column])
+    path.write_text(header + "\n" + ",".join(["x"] * (len(columns) + 1)) + "\n", encoding="utf-8")
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"repeated columns ['{column}']" in err and "Traceback" not in err
