@@ -42,7 +42,7 @@ GOLDEN = {
         'run_manifest.json': '4bef1b2c29c2483661086267d807d2dc5f61fe009d3acd6fce0740c58919cbc6',
     }),
     'score': (3, {
-        'score_errors.csv': 'd63309a97061fbb837f805f51900d10168765035cc93e09150459bb209fe7e46',
+        'score_errors.csv': '7101d4851ada6e5fcd0ee4945bbd4fff9927706f949f8a3eb29fca6ba7cf3003',
         'score_results.csv': '35491351cd0871343ecc1d3770b100f90e67844f51bd6da68aa99e00261c069a',
     }),
     'audit': (0, {
