@@ -376,11 +376,14 @@ def _write_distribution(path: Path, hists) -> None:
     write_csv(path, ("scope", "n", "level_rank", "level", "count", "fraction", "empty_group"), rows)
 
 
-def cmd_audit(opts: dict, out_dir: Path) -> int:
-    policy = _policy(opts)
-    alpha = opts["alpha"]
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
+def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
+    """Read, link and pair: write ``input_errors.csv``, ``matches.csv`` and
+    ``review_unresolved.csv``, and return (pairs, groups, counts, issues).
+
+    The records, cases and matches stay in here, so they are freed on
+    return, before the pair tables are built; a pair keeps only its record
+    id and its two results.
+    """
     config, records, cases, issues, intake = _read_inputs(opts, out_dir)
 
     report = link_records(records, cases)
@@ -400,6 +403,15 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
         "analyzed_pairs": len(pairs),
         "sensitivity_excluded": sum(p.excluded_by_sensitivity for p in pairs),
     }
+    return pairs, groups, counts, issues
+
+
+def cmd_audit(opts: dict, out_dir: Path) -> int:
+    policy = _policy(opts)
+    alpha = opts["alpha"]
+    if not (0.0 < alpha < 1.0):
+        raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
+    pairs, groups, counts, issues = _audit_intake(opts, out_dir, policy)
     _write_counts(out_dir / "counts_summary.csv", "stage", counts)
 
     _write_pairs(out_dir / "audit_pairs.csv", pairs, groups)

@@ -19,14 +19,23 @@ membership, but its answers never change.  The four-step shape:
 
 The initial recommendation is always computed, even under an exclusion,
 so that audits can compare like with like.
+
+``assess`` walks each charge set once, into the few facts steps 2..4 read
+of it (the least violent, exclusion-listed and bump-up-listed charge, and
+whether any charge is a felony or a violent misdemeanor).  Equal decisions
+then share one immutable ``PsaResult``, reason strings included, from a
+memo keyed on what the decision reads: sub-scores, extradition, those
+charge facts and the initial level.  The memo is bounded by the distinct
+decisions, not by the distinct charge sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .charges import ChargeCatalog, ChargeCode, _require_keys, data_path, default_catalog, read_config
 from .errors import ConfigError
@@ -152,6 +161,65 @@ class PsaResult:
     final: SupervisionLevel
 
 
+class _ChargeSummary(NamedTuple):
+    """What steps 2..4 read of a charge set, from one walk over it: the
+    least (normalized) violent, exclusion-listed and bump-up-listed
+    charges, or None, and whether any charge is a felony or a violent
+    misdemeanor."""
+
+    violent: str | None
+    exclusion: str | None
+    bumpup: str | None
+    felony_or_violent_misdemeanor: bool
+
+
+def _least(current: str | None, text: str) -> str:
+    return text if current is None or text < current else current
+
+
+def _summarize(charges: Sequence[ChargeCode], catalog: ChargeCatalog) -> _ChargeSummary:
+    violent = exclusion = bumpup = None
+    top = False
+    for c in charges:
+        facts = catalog.facts(c)
+        if facts.violent:
+            violent = _least(violent, c.normalized)
+            top = top or c.is_misdemeanor()
+        if facts.exclusion:
+            exclusion = _least(exclusion, c.normalized)
+        if facts.bumpup:
+            bumpup = _least(bumpup, c.normalized)
+        top = top or c.is_felony()
+    return _ChargeSummary(violent, exclusion, bumpup, top)
+
+
+def _exclusion(summary: _ChargeSummary, extradited: bool, nvca_flag: bool) -> tuple[bool, str]:
+    if extradited:
+        return True, "extradited"
+    if summary.exclusion is not None:
+        return True, f"exclusion-list:{summary.exclusion}"
+    if nvca_flag and summary.violent is not None:
+        return True, f"violent+nvca:{summary.violent}"
+    return False, ""
+
+
+def _bumpup(summary: _ChargeSummary, nvca_flag: bool) -> tuple[bool, str]:
+    if summary.bumpup is not None:
+        return True, f"bumpup-list:{summary.bumpup}"
+    if nvca_flag and summary.violent is None:
+        return True, "nvca-no-violent"
+    return False, ""
+
+
+def _initial(subscores: SubScores, summary: _ChargeSummary, dmf: DmfConfig) -> SupervisionLevel:
+    value = dmf.cell(subscores.fta, subscores.nca)
+    if value == _SPLIT:
+        if summary.felony_or_violent_misdemeanor:
+            return SupervisionLevel.RELEASE_NOT_RECOMMENDED
+        return SupervisionLevel.SFPDP_ACM
+    return value
+
+
 def check_exclusion(
     charges: Sequence[ChargeCode],
     extradited: bool,
@@ -165,16 +233,7 @@ def check_exclusion(
     flag.  The reason names the first clause that fired and, of the
     charges that fired it, the first in canonical (normalized-text) order.
     """
-    if extradited:
-        return True, "extradited"
-    listed = [c.normalized for c in charges if catalog.facts(c).exclusion]
-    if listed:
-        return True, f"exclusion-list:{min(listed)}"
-    if nvca_flag:
-        violent = [c.normalized for c in charges if catalog.facts(c).violent]
-        if violent:
-            return True, f"violent+nvca:{min(violent)}"
-    return False, ""
+    return _exclusion(_summarize(charges, catalog), extradited, nvca_flag)
 
 
 def check_bumpup(
@@ -189,12 +248,7 @@ def check_bumpup(
     is set while no booked charge is violent.  A listed offense is named
     as in ``check_exclusion``.
     """
-    listed = [c.normalized for c in charges if catalog.facts(c).bumpup]
-    if listed:
-        return True, f"bumpup-list:{min(listed)}"
-    if nvca_flag and not any(catalog.facts(c).violent for c in charges):
-        return True, "nvca-no-violent"
-    return False, ""
+    return _bumpup(_summarize(charges, catalog), nvca_flag)
 
 
 def initial_recommendation(
@@ -206,13 +260,7 @@ def initial_recommendation(
     """Decision matrix lookup.  At the split cell the outcome is the top
     level if any charge is a felony or a violent misdemeanor, otherwise
     the second-highest level."""
-    value = dmf.cell(subscores.fta, subscores.nca)
-    if value == _SPLIT:
-        for c in charges:
-            if c.is_felony() or (c.is_misdemeanor() and catalog.facts(c).violent):
-                return SupervisionLevel.RELEASE_NOT_RECOMMENDED
-        return SupervisionLevel.SFPDP_ACM
-    return value
+    return _initial(subscores, _summarize(charges, catalog), dmf)
 
 
 def assess(
@@ -222,10 +270,21 @@ def assess(
     dmf: DmfConfig,
     catalog: ChargeCatalog,
 ) -> PsaResult:
-    """Run steps 2..4 over given sub-scores and booked charges."""
-    exclusion, exclusion_reason = check_exclusion(charges, extradited, subscores.nvca_flag, catalog)
-    initial = initial_recommendation(subscores, charges, dmf, catalog)
-    bumpup, bumpup_reason = check_bumpup(charges, subscores.nvca_flag, catalog)
+    """Run steps 2..4 over given sub-scores and booked charges.  Equal
+    decisions return one shared result."""
+    summary = _summarize(charges, catalog)
+    return _decide(subscores, extradited, summary, _initial(subscores, summary, dmf))
+
+
+@lru_cache(maxsize=None)
+def _decide(
+    subscores: SubScores, extradited: bool, summary: _ChargeSummary, initial: SupervisionLevel
+) -> PsaResult:
+    """The result of one decision.  The key holds only what the decision
+    reads of a charge set, never the set itself, so the memo grows with
+    the distinct decisions, not the distinct charge sets."""
+    exclusion, exclusion_reason = _exclusion(summary, extradited, subscores.nvca_flag)
+    bumpup, bumpup_reason = _bumpup(summary, subscores.nvca_flag)
     if exclusion:
         final = SupervisionLevel.RELEASE_NOT_RECOMMENDED
     elif bumpup:

@@ -7,6 +7,7 @@ over the same pairs produce bit-identical tables.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -44,18 +45,15 @@ def two_proportion_test(x1: int, n1: int, x2: int, n2: int) -> tuple[float, floa
 
 
 def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    """Each value's rank among ``values``, tied values sharing the mean of
+    the ranks they span.  Ranks are counted per distinct value, so every
+    copy of a value shares one rank object."""
+    rank = {}
+    below = 0
+    for v, t in sorted(Counter(values).items()):
+        rank[v] = below + (t + 1) / 2.0
+        below += t
+    return [rank[v] for v in values]
 
 
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float], *, continuity: bool = True) -> tuple[float, float]:
@@ -79,8 +77,9 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float], *, continuity: boo
     mean = n1 * (n + 1) / 2.0
 
     tie_term = 0.0
+    counts = Counter(pooled)
     for v in set(pooled):
-        t = pooled.count(v)
+        t = counts[v]
         tie_term += t**3 - t
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     sd = math.sqrt(variance)

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import psa_audit.cli as cli
 from psa_audit.cli import _HANDLERS, main
 from psa_audit.engine import SupervisionLevel
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, write_csv
+from psa_audit.linkage import CourtCase, PsaRecord
 
 
 def run(args):
@@ -680,6 +682,30 @@ def test_commands_leave_no_garbage_that_grows_with_the_input(tmp_path):
     assert small.keys() == large.keys() == {"simulate", "audit", "validate", "score"}
     for command in small:
         assert large[command] <= small[command] + 50, (command, small, large)
+
+
+def _live(cls) -> int:
+    return sum(type(o) is cls for o in gc.get_objects())
+
+
+def test_audit_frees_the_intake_before_writing_the_pairs(tmp_path, monkeypatch):
+    """Once the pairs are built, no record or court case is left alive, so
+    the audit_pairs.csv rows do not add to the intake's memory."""
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--n", 2000, "--seed", 2026, "--out", sim]) == 0
+    gc.collect()
+    before = {cls: _live(cls) for cls in (CourtCase, PsaRecord)}
+    alive = {}
+    write_pairs = cli._write_pairs
+
+    def counting(*args):
+        alive.update({cls.__name__: _live(cls) - n for cls, n in before.items()})
+        return write_pairs(*args)
+
+    monkeypatch.setattr(cli, "_write_pairs", counting)
+    assert run(["audit", "--sensitivity", "--psa", sim / "psa_records.csv", "--court", sim / "court_cases.csv",
+                "--out", tmp_path / "audit"]) == 0
+    assert alive == {"CourtCase": 0, "PsaRecord": 0}
 
 
 @pytest.mark.parametrize("collecting", [True, False])

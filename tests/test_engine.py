@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 import yaml
 
-from psa_audit.charges import data_path, parse_charge_code
+from psa_audit.charges import ChargeCatalog, data_path, parse_charge_code
 from psa_audit.engine import (
     DmfConfig,
+    PsaResult,
     RiskFactors,
     SubScores,
     SupervisionLevel,
@@ -19,6 +21,7 @@ from psa_audit.engine import (
     raw_score,
 )
 from psa_audit.errors import ConfigError
+from psa_audit.synth import DEFAULT_CHARGE_POOLS
 
 L = SupervisionLevel
 
@@ -268,3 +271,124 @@ def test_charge_subset_monotonicity(config):
             return assess(SubScores(fta, nca, flag), charges, False, config.dmf, config.catalog)
 
         assert result(subset).final <= result(full).final
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-clause engine that walked each charge set once per
+# clause; kept here verbatim as the reference for the single-walk engine
+
+
+def ref_check_exclusion(charges, extradited, nvca_flag, catalog):
+    if extradited:
+        return True, "extradited"
+    listed = [c.normalized for c in charges if catalog.facts(c).exclusion]
+    if listed:
+        return True, f"exclusion-list:{min(listed)}"
+    if nvca_flag:
+        violent = [c.normalized for c in charges if catalog.facts(c).violent]
+        if violent:
+            return True, f"violent+nvca:{min(violent)}"
+    return False, ""
+
+
+def ref_check_bumpup(charges, nvca_flag, catalog):
+    listed = [c.normalized for c in charges if catalog.facts(c).bumpup]
+    if listed:
+        return True, f"bumpup-list:{min(listed)}"
+    if nvca_flag and not any(catalog.facts(c).violent for c in charges):
+        return True, "nvca-no-violent"
+    return False, ""
+
+
+def ref_initial_recommendation(subscores, charges, dmf, catalog):
+    value = dmf.cell(subscores.fta, subscores.nca)
+    if value == "SPLIT":
+        for c in charges:
+            if c.is_felony() or (c.is_misdemeanor() and catalog.facts(c).violent):
+                return L.RELEASE_NOT_RECOMMENDED
+        return L.SFPDP_ACM
+    return value
+
+
+def ref_assess(subscores, charges, extradited, dmf, catalog):
+    exclusion, exclusion_reason = ref_check_exclusion(charges, extradited, subscores.nvca_flag, catalog)
+    initial = ref_initial_recommendation(subscores, charges, dmf, catalog)
+    bumpup, bumpup_reason = ref_check_bumpup(charges, subscores.nvca_flag, catalog)
+    if exclusion:
+        final = L.RELEASE_NOT_RECOMMENDED
+    elif bumpup:
+        final = L(min(initial + 1, L.RELEASE_NOT_RECOMMENDED))
+    else:
+        final = initial
+    return PsaResult(subscores, exclusion, exclusion_reason, bumpup, bumpup_reason, initial, final)
+
+
+def _catalogs(config):
+    cat = config.catalog
+    derivatives = ChargeCatalog(
+        cat.entries, violent_includes_derivatives=True, derivative_prefixes=cat.derivative_prefixes
+    )
+    return {"default": cat, "violent_includes_derivatives": derivatives}
+
+
+POOL_CHARGES = [q(t) for pool in DEFAULT_CHARGE_POOLS.values() for t in pool]
+
+
+@pytest.mark.parametrize("catalog_name", ["default", "violent_includes_derivatives"])
+def test_single_walk_engine_equals_the_per_clause_engine(config, catalog_name):
+    """Every set of at most 3 of the 19 pool charges, in both orders, at every
+    (fta, nca) cell, with and without the violence flag and extradition."""
+    catalog, dmf = _catalogs(config)[catalog_name], config.dmf
+    assert len(POOL_CHARGES) == 19
+    flags = (False, True)
+    grid = [SubScores(fta, nca, nvca) for fta in range(1, 7) for nca in range(1, 7) for nvca in flags]
+    sets = [charges for size in range(4) for subset in itertools.combinations(POOL_CHARGES, size)
+            for charges in (list(subset), list(reversed(subset)))]
+    assert len(sets) == 2 * (1 + 19 + 171 + 969)
+    wrong = []
+    for charges in sets:
+        for nvca in flags:
+            got, want = check_bumpup(charges, nvca, catalog), ref_check_bumpup(charges, nvca, catalog)
+            if got != want:
+                wrong.append(("bumpup", charges, nvca, got, want))
+            for extradited in flags:
+                got = check_exclusion(charges, extradited, nvca, catalog)
+                want = ref_check_exclusion(charges, extradited, nvca, catalog)
+                if got != want:
+                    wrong.append(("exclusion", charges, extradited, nvca, got, want))
+        for subs in grid:
+            got = initial_recommendation(subs, charges, dmf, catalog)
+            want = ref_initial_recommendation(subs, charges, dmf, catalog)
+            if got is not want:
+                wrong.append(("initial", charges, subs, got, want))
+            for extradited in flags:
+                got = assess(subs, charges, extradited, dmf, catalog)
+                want = ref_assess(subs, charges, extradited, dmf, catalog)
+                if got != want:
+                    wrong.append(("assess", charges, subs, extradited, got, want))
+    assert wrong == []
+
+
+def test_the_derivative_catalog_changes_some_decision(config):
+    # guards the test above: its second catalog must score some pool charge differently
+    cats = _catalogs(config)
+    assert any(cats["default"].facts(c) != cats["violent_includes_derivatives"].facts(c) for c in POOL_CHARGES)
+
+
+def test_equal_decisions_share_one_result(config):
+    first = assess(SubScores(5, 4, True), [q("240 PC M"), q("459 PC F")], False, config.dmf, config.catalog)
+    again = assess(SubScores(5, 4, True), (q("459 PC F"), q("240 PC M")), False, config.dmf, config.catalog)
+    assert again is first
+    assert first.exclusion_reason == "violent+nvca:240 PC M"
+
+
+def test_the_result_memo_does_not_grow_with_the_charge_sets(config):
+    # off-catalog misdemeanors: every set below is a distinct charge set
+    # that makes the same decision
+    results = [
+        assess(SubScores(3, 2, False), [q(f"{90000 + i} PC M"), q(f"{95000 + i // 2} PC M")],
+               False, config.dmf, config.catalog)
+        for i in range(1000)
+    ]
+    assert all(r is results[0] for r in results)
+    assert results[0] == ref_assess(SubScores(3, 2, False), [q("90000 PC M")], False, config.dmf, config.catalog)

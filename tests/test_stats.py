@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from psa_audit.counterfactual import AuditPair
 from psa_audit.engine import PsaResult, SubScores, SupervisionLevel
@@ -194,6 +194,80 @@ def test_wilcoxon_symmetry(a, b):
     z_swapped, p_swapped = wilcoxon_rank_sum(b, a)
     assert math.isclose(z_swapped, -z, abs_tol=1e-12)
     assert math.isclose(p_swapped, p, abs_tol=1e-12)
+
+
+def sorting_midranks(values):
+    """The sort-based midranks that the counting ``_midranks`` replaced."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = avg
+        i = j + 1
+    return ranks
+
+
+def sorting_wilcoxon(a, b, continuity=True):
+    """``wilcoxon_rank_sum`` as it was over the sort-based midranks."""
+    n1, n2 = len(a), len(b)
+    pooled = list(a) + list(b)
+    if all(v == pooled[0] for v in pooled):
+        raise DegenerateInput("all values identical across both samples")
+    n = n1 + n2
+    ranks = sorting_midranks(pooled)
+    w = sum(ranks[:n1])
+    mean = n1 * (n + 1) / 2.0
+    tie_term = 0.0
+    for v in set(pooled):
+        t = pooled.count(v)
+        tie_term += t**3 - t
+    sd = math.sqrt(n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1))))
+    d = w - mean
+    if continuity:
+        d = math.copysign(max(abs(d) - 0.5, 0.0), d) if d != 0.0 else 0.0
+    z = d / sd
+    return z, min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
+
+
+def _bits(test, a, b, continuity):
+    try:
+        return [x.hex() for x in test(a, b, continuity=continuity)]
+    except DegenerateInput:
+        return "degenerate"
+
+
+def assert_ranks_match_the_sorting_code(a, b, continuity):
+    pooled = a + b
+    assert [r.hex() for r in _midranks(pooled)] == [r.hex() for r in sorting_midranks(pooled)]
+    assert _bits(wilcoxon_rank_sum, a, b, continuity) == _bits(sorting_wilcoxon, a, b, continuity)
+
+
+#: Samples with many ties: integers 1..4, or draws from a few finite floats.
+tied_samples = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=60),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+    ),
+)
+
+
+@given(tied_samples, tied_samples, st.booleans())
+def test_counted_ranks_equal_the_sorting_code_bit_for_bit(a, b, continuity):
+    assert_ranks_match_the_sorting_code(a, b, continuity)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3000), st.integers(1, 3000), st.integers(1, 8), st.booleans(), st.randoms(use_true_random=False))
+def test_counted_ranks_equal_the_sorting_code_on_thousands_of_values(n1, n2, distinct, integers, rng):
+    pool = list(range(1, 5)) if integers else [rng.uniform(-1e6, 1e6) for _ in range(distinct)]
+    a = [rng.choice(pool) for _ in range(n1)]
+    b = [rng.choice(pool) for _ in range(n2)]
+    assert_ranks_match_the_sorting_code(a, b, continuity=True)
 
 
 # ---------------------------------------------------------------------------
