@@ -20,10 +20,12 @@ from pathlib import Path
 from . import __version__
 from .charges import read_config
 from .counterfactual import (
+    COMPONENTS,
     AuditPair,
     DispositionPolicy,
     booking_charges,
     build_audit_pairs,
+    changes,
     counterfactual_assess,
 )
 from .engine import EngineConfig, SupervisionLevel, assess, load_engine_config
@@ -362,12 +364,12 @@ def _write_pairs(path: Path, pairs: list[AuditPair], groups) -> None:
     rows = [(p.record_id, groups.get(p.record_id, ""),
              p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
              p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result),
-             p.exclusion_lost, p.bumpup_lost, p.nvca_lost, p.recommendation_delta, p.excluded_by_sensitivity)
-            for p in pairs]
+             *change, p.excluded_by_sensitivity)
+            for p, change in zip(pairs, changes(pairs))]
     write_csv(path, (
         "record_id", "group",
         *(f"{side}_{c}" for side in ("booking", "conviction") for c in ("nvca", *_RESULT_COLUMNS)),
-        "exclusion_lost", "bumpup_lost", "nvca_lost", "recommendation_delta", "excluded_by_sensitivity"), rows)
+        *(c.column for c in COMPONENTS), "excluded_by_sensitivity"), rows)
 
 
 def _write_distribution(path: Path, hists) -> None:

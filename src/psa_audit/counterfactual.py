@@ -11,7 +11,8 @@ input does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter, gt, sub
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .charges import ChargeCode
 from .engine import EngineConfig, PsaResult, RiskFactors, SubScores, assess, nvca_flag_value
@@ -137,6 +138,42 @@ def counterfactual_assess(
     return assess(subs, charges, False, config.dmf, config.catalog)
 
 
+class Component(NamedTuple):
+    """One audited component of a result.
+
+    name: its row in the rate, affected and validation tables;
+    read: its value in a PsaResult;
+    recorded: its value recorded on the assessment form, read from a
+        PsaRecord, or None where the form gives none to compare;
+    column: its audit_pairs.csv column;
+    change: that column's value from the booking and the conviction value:
+        ``gt`` for a flag (held under booking only, i.e. lost), ``sub``
+        for the recommendation (the signed level difference).
+    """
+
+    name: str
+    read: Callable[[PsaResult], Any]
+    recorded: Callable[[PsaRecord], Any]
+    column: str
+    change: Callable[[Any, Any], Any]
+
+
+#: The audited components, in report order.  One rule covers all four:
+#: booking charges raised a component when its booking value is greater
+#: than its conviction value (``True > False`` for a flag, a strictly
+#: higher level for the recommendation), i.e. when its change is positive.
+COMPONENTS = (
+    Component("exclusion", attrgetter("exclusion"), attrgetter("recorded_exclusion"), "exclusion_lost", gt),
+    # the form skips the bump-up determination once an exclusion is
+    # recorded, so only non-excluded records have one to compare
+    Component("bumpup", attrgetter("bumpup"),
+              lambda rec: rec.recorded_bumpup if rec.recorded_exclusion is False else None, "bumpup_lost", gt),
+    Component("nvca_flag", attrgetter("subscores.nvca_flag"), attrgetter("nvca_flag"), "nvca_lost", gt),
+    Component("recommendation", attrgetter("final"), attrgetter("recorded_recommendation"),
+              "recommendation_delta", sub),
+)
+
+
 @dataclass(frozen=True, slots=True)
 class AuditPair:
     """Booking-based vs conviction-based result for one linked record."""
@@ -144,11 +181,16 @@ class AuditPair:
     record_id: str
     booking_result: PsaResult
     conviction_result: PsaResult
-    exclusion_lost: bool
-    bumpup_lost: bool
-    nvca_lost: bool
-    recommendation_delta: int  # booking final minus conviction final
     excluded_by_sensitivity: bool
+
+
+def changes(pairs: Sequence[AuditPair]) -> Iterator[tuple]:
+    """Each pair's component changes from conviction to booking charges,
+    in ``COMPONENTS`` order: whether each flag was lost, then the signed
+    recommendation level difference."""
+    booking = [p.booking_result for p in pairs]
+    conviction = [p.conviction_result for p in pairs]
+    return zip(*[map(c.change, map(c.read, booking), map(c.read, conviction)) for c in COMPONENTS])
 
 
 def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: EngineConfig) -> AuditPair:
@@ -157,16 +199,10 @@ def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: Engi
     plea_entered = any(
         d == policy.plea_to_other_code for case in match.matched_cases for d in case.dispositions
     )
-    booking_result = counterfactual_assess(match.psa, booked, config)
-    conviction_result = counterfactual_assess(match.psa, convicted, config)
     return AuditPair(
         record_id=match.psa.record_id,
-        booking_result=booking_result,
-        conviction_result=conviction_result,
-        exclusion_lost=booking_result.exclusion and not conviction_result.exclusion,
-        bumpup_lost=booking_result.bumpup and not conviction_result.bumpup,
-        nvca_lost=booking_result.subscores.nvca_flag and not conviction_result.subscores.nvca_flag,
-        recommendation_delta=int(booking_result.final) - int(conviction_result.final),
+        booking_result=counterfactual_assess(match.psa, booked, config),
+        conviction_result=counterfactual_assess(match.psa, convicted, config),
         excluded_by_sensitivity=plea_entered and not convicted,
     )
 

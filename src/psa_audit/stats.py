@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import gt
 from typing import Mapping, Sequence
 
-from .counterfactual import AuditPair
+from .counterfactual import COMPONENTS, AuditPair
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
 from .linkage import RACE_CATEGORIES, CourtCase
 
@@ -148,34 +149,32 @@ def _scopes(
     return scopes
 
 
-def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
-    n = len(pairs)
+def _component_values(pairs: Sequence[AuditPair]):
+    """Each component with iterators over its booking and its conviction
+    values in ``pairs``, in ``COMPONENTS`` order."""
     booking = [p.booking_result for p in pairs]
     conviction = [p.conviction_result for p in pairs]
-    components = [
-        ("exclusion", [r.exclusion for r in booking], [r.exclusion for r in conviction]),
-        ("bumpup", [r.bumpup for r in booking], [r.bumpup for r in conviction]),
-        ("nvca_flag", [r.subscores.nvca_flag for r in booking], [r.subscores.nvca_flag for r in conviction]),
-    ]
+    for c in COMPONENTS:
+        yield c, map(c.read, booking), map(c.read, conviction)
+
+
+def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
+    """A flag (a component whose change is ``gt``) is tested with the
+    two-proportion z-test, the recommendation level with the rank-sum test."""
+    n = len(pairs)
     rows = []
     tests: list[tuple[float, float] | None] = []
-    for name, b_vals, c_vals in components:
-        b_rate = sum(b_vals) / n
-        c_rate = sum(c_vals) / n
+    for c, b_vals, c_vals in _component_values(pairs):
+        b_vals, c_vals = list(b_vals), list(c_vals)
+        b_sum, c_sum = sum(b_vals), sum(c_vals)
         try:
-            z, p = two_proportion_test(sum(b_vals), n, sum(c_vals), n)
-            tests.append((z, p))
+            if c.change is gt:
+                tests.append(two_proportion_test(b_sum, n, c_sum, n))
+            else:
+                tests.append(wilcoxon_rank_sum(b_vals, c_vals))
         except DegenerateInput:
             tests.append(None)
-        rows.append((name, b_rate, c_rate))
-    b_recs = [int(r.final) for r in booking]
-    c_recs = [int(r.final) for r in conviction]
-    try:
-        z, p = wilcoxon_rank_sum(b_recs, c_recs)
-        tests.append((z, p))
-    except DegenerateInput:
-        tests.append(None)
-    rows.append(("recommendation", sum(b_recs) / n, sum(c_recs) / n))
+        rows.append((c.name, b_sum / n, c_sum / n))
 
     usable = [t[1] for t in tests if t is not None]
     flags = bonferroni(usable, alpha) if usable else []
@@ -224,14 +223,8 @@ class AffectedTable:
 
 def _affected_one(pairs: Sequence[AuditPair]) -> AffectedTable:
     n = len(pairs)
-    counts = {
-        "exclusion": sum(p.exclusion_lost for p in pairs),
-        "bumpup": sum(p.bumpup_lost for p in pairs),
-        "nvca_flag": sum(p.nvca_lost for p in pairs),
-        "recommendation": sum(p.recommendation_delta > 0 for p in pairs),
-    }
-    rows = tuple(AffectedRow(k, v, v / n) for k, v in counts.items())
-    return AffectedTable(n=n, rows=rows)
+    counts = [(c.name, sum(map(gt, b_vals, c_vals))) for c, b_vals, c_vals in _component_values(pairs)]
+    return AffectedTable(n=n, rows=tuple(AffectedRow(name, k, k / n) for name, k in counts))
 
 
 def proportion_affected(

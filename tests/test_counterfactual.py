@@ -10,6 +10,7 @@ from psa_audit.counterfactual import (
     booking_charges,
     build_audit_pair,
     build_audit_pairs,
+    changes,
     conviction_charges,
     counterfactual_assess,
     fully_disposed,
@@ -171,11 +172,12 @@ def test_exclusion_lost_at_top_initial_keeps_final(config):
     r = rec(fta=6, nca=6)
     m = matched(case(["187(A) PC F", "459 PC F"], [30, 160]), record=r)
     pair = build_audit_pair(m, POLICY, config)
+    [(exclusion_lost, _, _, delta)] = changes([pair])
     assert pair.booking_result.exclusion and not pair.conviction_result.exclusion
-    assert pair.exclusion_lost
+    assert exclusion_lost
     assert pair.booking_result.final is L.RELEASE_NOT_RECOMMENDED
     assert pair.conviction_result.final is L.RELEASE_NOT_RECOMMENDED
-    assert pair.recommendation_delta == 0
+    assert delta == 0
 
 
 def test_exclusion_downgraded_to_bumpup_saturates(config):
@@ -189,15 +191,17 @@ def test_exclusion_downgraded_to_bumpup_saturates(config):
     assert pair.conviction_result.bumpup and not pair.conviction_result.exclusion
     assert pair.booking_result.final is L.RELEASE_NOT_RECOMMENDED
     assert pair.conviction_result.final is L.RELEASE_NOT_RECOMMENDED
-    assert pair.exclusion_lost and pair.recommendation_delta == 0
+    [(exclusion_lost, _, _, delta)] = changes([pair])
+    assert exclusion_lost and delta == 0
 
 
 def test_bumpup_lost_lowers_final(config):
     r = rec(fta=2, nca=3)
     m = matched(case(["646.9 PC M", "459 PC F"], [30, 160]), record=r)
     pair = build_audit_pair(m, POLICY, config)
-    assert pair.bumpup_lost
-    assert pair.recommendation_delta == 1
+    [(_, bumpup_lost, _, delta)] = changes([pair])
+    assert bumpup_lost
+    assert delta == 1
     assert pair.booking_result.final is L.OR_MINIMUM
     assert pair.conviction_result.final is L.OR_NAS
 
@@ -241,15 +245,16 @@ def test_subset_monotonicity_and_delta_implication(config):
         )
         m = matched(case(booked, dispositions), record=r)
         pair = build_audit_pair(m, POLICY, config)
+        [(exclusion_lost, bumpup_lost, nvca_lost, delta)] = changes([pair])
         assert pair.conviction_result.final <= pair.booking_result.final
-        if pair.recommendation_delta > 0:
+        if delta > 0:
             # the split cell adds a fourth mechanism: losing the only felony
             # (or violent misdemeanor) flips the split determination without
             # any exclusion/bump-up/flag being lost
             split_flip = config.dmf.is_split(r.fta, r.nca) and (
                 pair.booking_result.initial != pair.conviction_result.initial
             )
-            assert pair.exclusion_lost or pair.bumpup_lost or pair.nvca_lost or split_flip
+            assert exclusion_lost or bumpup_lost or nvca_lost or split_flip
         if all(keep):
-            assert pair.recommendation_delta == 0
-            assert not (pair.exclusion_lost or pair.bumpup_lost or pair.nvca_lost)
+            assert delta == 0
+            assert not (exclusion_lost or bumpup_lost or nvca_lost)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psa_audit.counterfactual import AuditPair
+from psa_audit.counterfactual import AuditPair, changes
 from psa_audit.engine import PsaResult, SubScores, SupervisionLevel
 from psa_audit.errors import DegenerateInput, EmptyInput, LengthMismatch
 from psa_audit.linkage import CourtCase
@@ -42,10 +42,6 @@ def pair(record_id, booking, conviction):
         record_id=record_id,
         booking_result=booking,
         conviction_result=conviction,
-        exclusion_lost=booking.exclusion and not conviction.exclusion,
-        bumpup_lost=booking.bumpup and not conviction.bumpup,
-        nvca_lost=booking.subscores.nvca_flag and not conviction.subscores.nvca_flag,
-        recommendation_delta=int(booking.final) - int(conviction.final),
         excluded_by_sensitivity=False,
     )
 
@@ -370,7 +366,8 @@ def test_rate_table_empty_raises():
 
 def test_proportion_affected_wrong_direction_not_counted():
     up = pair("R0", result(initial=L.OR_NAS), result(initial=L.OR_MINIMUM, final=L.OR_MINIMUM))
-    assert up.recommendation_delta == -1
+    [(*_, delta)] = changes([up])
+    assert delta == -1
     t = proportion_affected([up])["all"]
     by = {r.component: r for r in t.rows}
     assert by["recommendation"].fraction == 0.0
@@ -399,6 +396,43 @@ def test_proportion_affected_zero_delta_pairs_only_scale_the_denominator():
     for component in small:
         assert big[component].count == small[component].count
         assert big[component].fraction == small[component].count / 12
+
+
+results = st.builds(
+    result,
+    nvca=st.booleans(),
+    exclusion=st.booleans(),
+    bumpup=st.booleans(),
+    initial=st.sampled_from(L),
+    final=st.none() | st.sampled_from(L),
+)
+
+
+@given(st.lists(st.tuples(results, results), min_size=1, max_size=12))
+def test_each_pair_change_is_the_papers_definition(sides):
+    pairs = [pair(f"R{i}", booking, conviction) for i, (booking, conviction) in enumerate(sides)]
+    # a component is lost when booking holds it and conviction does not;
+    # the recommendation moves by the difference of the two final levels
+    definitions = [
+        (
+            booking.exclusion and not conviction.exclusion,
+            booking.bumpup and not conviction.bumpup,
+            booking.subscores.nvca_flag and not conviction.subscores.nvca_flag,
+            int(booking.final) - int(conviction.final),
+        )
+        for booking, conviction in sides
+    ]
+    derived = list(changes(pairs))
+    assert derived == definitions
+    # audit_pairs.csv prints a flag as true/false and the delta as a number
+    assert all([type(v) for v in d] == [bool, bool, bool, int] for d in derived)
+    counts = {r.component: r.count for r in proportion_affected(pairs)["all"].rows}
+    assert counts == {
+        "exclusion": sum(d[0] for d in definitions),
+        "bumpup": sum(d[1] for d in definitions),
+        "nvca_flag": sum(d[2] for d in definitions),
+        "recommendation": sum(d[3] > 0 for d in definitions),
+    }
 
 
 def test_proportion_affected_saturation_counts_component_not_recommendation():

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from psa_audit.counterfactual import DispositionPolicy, build_audit_pairs
+from psa_audit.counterfactual import DispositionPolicy, build_audit_pairs, changes
 from psa_audit.errors import ConfigError
 from psa_audit.io import read_court_cases, read_psa_records
 from psa_audit.linkage import link_records
@@ -76,9 +76,7 @@ def test_overbooking_zero_means_no_deltas(config):
     report = link_records(*paths_records)
     pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config)
     assert pairs
-    for p in pairs:
-        assert p.recommendation_delta == 0
-        assert not (p.exclusion_lost or p.bumpup_lost or p.nvca_lost)
+    assert set(changes(pairs)) == {(False, False, False, 0)}
 
 
 def _parse(ds, config):
@@ -121,13 +119,13 @@ def test_planted_scenarios_verified_by_pipeline(config):
 
     by_id = {m.psa.record_id: m for m in report.matched}
     assert pairs
-    for p in pairs:
+    for p, (*_, delta) in zip(pairs, changes(pairs)):
         t = truth[p.record_id]
         assert t["disposed"] is True
         convicted = conviction_charges(by_id[p.record_id], DispositionPolicy())
         planted = {normalize_text(s) for s in t["conviction_charges"].split(";") if s}
         assert {normalize_text(c.raw) for c in convicted} == planted
-        assert (p.recommendation_delta > 0) == (t["affected"] is True)
+        assert (delta > 0) == (t["affected"] is True)
         if t["scenario"] == "plea_other_case":
             assert p.excluded_by_sensitivity
 
@@ -138,7 +136,7 @@ def test_affected_rate_recovery_small(config):
     records, cases = _parse(ds, config)
     report = link_records(records, cases)
     pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config)
-    affected = sum(p.recommendation_delta > 0 for p in pairs) / len(pairs)
+    affected = sum(delta > 0 for *_, delta in changes(pairs)) / len(pairs)
     assert abs(affected - 0.27) < 0.03
 
 
