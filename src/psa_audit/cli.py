@@ -495,27 +495,21 @@ def cmd_consistency(opts: dict, out_dir: Path) -> int:
 def cmd_validate(opts: dict, out_dir: Path) -> int:
     config, records, cases, issues, _ = _read_inputs(opts, out_dir)
     report = link_records(records, cases)
-    comparisons = {"nvca_flag": [], "exclusion": [], "bumpup": [], "recommendation": []}
+    comparisons = {c.name: [] for c in COMPONENTS}
     mismatches = []
     for m in report.matched:
         rec = m.psa
         if rec.fta is None or rec.nca is None:
             continue
         res = counterfactual_assess(rec, booking_charges(m), config)
-        checks = [
-            ("nvca_flag", res.subscores.nvca_flag, rec.nvca_flag, True),
-            ("exclusion", res.exclusion, rec.recorded_exclusion, True),
-            # the form skips the bump-up determination once an exclusion is
-            # recorded, so compare only non-excluded rows
-            ("bumpup", res.bumpup, rec.recorded_bumpup, rec.recorded_exclusion is False),
-            ("recommendation", res.final, rec.recorded_recommendation, True),
-        ]
-        for component, engine_value, recorded, in_mask in checks:
-            if recorded is None or not in_mask:
+        for c in COMPONENTS:
+            recorded = c.recorded(rec)
+            if recorded is None:
                 continue
-            comparisons[component].append((engine_value, recorded))
+            engine_value = c.read(res)
+            comparisons[c.name].append((engine_value, recorded))
             if engine_value != recorded:
-                mismatches.append((rec.record_id, component, engine_value, recorded))
+                mismatches.append((rec.record_id, c.name, engine_value, recorded))
 
     rows = []
     for component, pairs in comparisons.items():

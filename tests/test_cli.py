@@ -8,6 +8,7 @@ import pytest
 
 import psa_audit.cli as cli
 from psa_audit.cli import _HANDLERS, main
+from psa_audit.counterfactual import COMPONENTS
 from psa_audit.engine import SupervisionLevel
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, write_csv
 from psa_audit.linkage import CourtCase, PsaRecord
@@ -414,6 +415,7 @@ def test_validate_self_consistency(sim_dir, tmp_path):
               "--court", sim_dir / "court_cases.csv", "--out", out])
     assert rc == 0
     report = {r["component"]: r for r in read_rows(out / "validation_report.csv")}
+    assert list(report) == [c.name for c in COMPONENTS]
     for component in ("nvca_flag", "exclusion", "bumpup", "recommendation"):
         assert report[component]["agreement_rate"] == "1"
     # the bump-up comparison is masked to non-excluded rows

@@ -65,7 +65,7 @@ GOLDEN = {
     'validate': (0, {
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
         'validation_mismatches.csv': 'fe573def3be3bc4e92b2218e4825ca2c3614e7e35ab4ac84f4fc09bb3215f0f5',
-        'validation_report.csv': '7ab5a9a313c5ba707c45a8ec948dcb5ff8eaafa35ed8aa8db19b40ddd7e4f069',
+        'validation_report.csv': 'f449eb63ec5fd6a72a06a29c6df4d712892ac513d03c5c7265ef69c4e6958665',
     }),
     'dedupe': (0, {
         'dedupe_dropped.csv': 'cfdbe3a9ecc9fad3b63f2cfa80347a0f90142602ed5710f5b80a723ed3c2cf71',
