@@ -220,49 +220,6 @@ def _initial(subscores: SubScores, summary: _ChargeSummary, dmf: DmfConfig) -> S
     return value
 
 
-def check_exclusion(
-    charges: Sequence[ChargeCode],
-    extradited: bool,
-    nvca_flag: bool,
-    catalog: ChargeCatalog,
-) -> tuple[bool, str]:
-    """Charge-based exclusion test.
-
-    Fires on extradition, on any listed exclusion offense (including
-    derivative forms), or on any violent charge combined with the violence
-    flag.  The reason names the first clause that fired and, of the
-    charges that fired it, the first in canonical (normalized-text) order.
-    """
-    return _exclusion(_summarize(charges, catalog), extradited, nvca_flag)
-
-
-def check_bumpup(
-    charges: Sequence[ChargeCode],
-    nvca_flag: bool,
-    catalog: ChargeCatalog,
-) -> tuple[bool, str]:
-    """Charge-based bump-up test.
-
-    Fires on any listed bump-up offense (including derivative forms, and
-    honoring the weapon-use grey-zone policy), or when the violence flag
-    is set while no booked charge is violent.  A listed offense is named
-    as in ``check_exclusion``.
-    """
-    return _bumpup(_summarize(charges, catalog), nvca_flag)
-
-
-def initial_recommendation(
-    subscores: SubScores,
-    charges: Sequence[ChargeCode],
-    dmf: DmfConfig,
-    catalog: ChargeCatalog,
-) -> SupervisionLevel:
-    """Decision matrix lookup.  At the split cell the outcome is the top
-    level if any charge is a felony or a violent misdemeanor, otherwise
-    the second-highest level."""
-    return _initial(subscores, _summarize(charges, catalog), dmf)
-
-
 def assess(
     subscores: SubScores,
     charges: Sequence[ChargeCode],
@@ -270,8 +227,21 @@ def assess(
     dmf: DmfConfig,
     catalog: ChargeCatalog,
 ) -> PsaResult:
-    """Run steps 2..4 over given sub-scores and booked charges.  Equal
-    decisions return one shared result."""
+    """Run steps 2..4 over given sub-scores and booked charges.
+
+    Exclusion fires on extradition, then on any listed exclusion offense
+    (including derivative forms), then on any violent charge combined with
+    the violence flag.  Bump-up fires on any listed bump-up offense
+    (including derivative forms, and honoring the weapon-use grey-zone
+    policy), or when the violence flag is set while no charge is violent.
+    Each reason names the first clause that fired and, of the charges that
+    fired it, the least in normalized-text order, so it does not depend on
+    the order of ``charges``.  At the split cell of the decision matrix
+    the initial level is the top one if any charge is a felony or a
+    violent misdemeanor, otherwise the second-highest.
+
+    Equal decisions return one shared result.
+    """
     summary = _summarize(charges, catalog)
     return _decide(subscores, extradited, summary, _initial(subscores, summary, dmf))
 

@@ -12,9 +12,6 @@ from psa_audit.engine import (
     SubScores,
     SupervisionLevel,
     assess,
-    check_bumpup,
-    check_exclusion,
-    initial_recommendation,
     load_dmf_config,
     load_weight_config,
     nvca_flag_value,
@@ -80,65 +77,71 @@ def test_subscores_range_validated():
 # exclusion / bump-up / matrix
 
 
+def scored(config, charges, *, extradited=False, nvca=False, fta=2, nca=3):
+    return assess(SubScores(fta, nca, nvca), charges, extradited, config.dmf, config.catalog)
+
+
 def test_exclusion_listed_charge(config):
-    ok, reason = check_exclusion([q("187(A) PC F")], False, False, config.catalog)
-    assert ok and reason == "exclusion-list:187(A) PC F"
+    res = scored(config, [q("187(A) PC F")])
+    assert res.exclusion and res.exclusion_reason == "exclusion-list:187(A) PC F"
 
 
 def test_exclusion_flag_without_violent_charge(config):
-    ok, reason = check_exclusion([], False, True, config.catalog)
-    assert not ok and reason == ""
+    res = scored(config, [], nvca=True)
+    assert not res.exclusion and res.exclusion_reason == ""
 
 
 def test_exclusion_violent_plus_flag(config):
-    ok, reason = check_exclusion([q("240 PC M")], False, True, config.catalog)
-    assert ok and reason == "violent+nvca:240 PC M"
+    res = scored(config, [q("240 PC M")], nvca=True)
+    assert res.exclusion and res.exclusion_reason == "violent+nvca:240 PC M"
 
 
 def test_exclusion_extradition_dominates(config):
-    ok, reason = check_exclusion([q("187(A) PC F")], True, False, config.catalog)
-    assert ok and reason == "extradited"
+    res = scored(config, [q("187(A) PC F")], extradited=True)
+    assert res.exclusion and res.exclusion_reason == "extradited"
 
 
 def test_exclusion_reason_charge_order_is_input_order_independent(config):
     charges = [q("211 PC F"), q("187(A) PC F")]
-    a = check_exclusion(charges, False, False, config.catalog)
-    b = check_exclusion(list(reversed(charges)), False, False, config.catalog)
-    assert a == b == (True, "exclusion-list:187(A) PC F")
+    a = scored(config, charges)
+    b = scored(config, list(reversed(charges)))
+    assert (a.exclusion, a.exclusion_reason) == (b.exclusion, b.exclusion_reason) == (
+        True, "exclusion-list:187(A) PC F")
 
 
 def test_bumpup_listed_charge(config):
-    ok, reason = check_bumpup([q("273.5(A) PC M")], False, config.catalog)
-    assert ok and reason == "bumpup-list:273.5(A) PC M"
+    res = scored(config, [q("273.5(A) PC M")])
+    assert res.bumpup and res.bumpup_reason == "bumpup-list:273.5(A) PC M"
 
 
 def test_bumpup_empty(config):
-    assert check_bumpup([], False, config.catalog) == (False, "")
+    res = scored(config, [])
+    assert (res.bumpup, res.bumpup_reason) == (False, "")
 
 
 def test_bumpup_flag_without_violent(config):
-    ok, reason = check_bumpup([q("484 PC M")], True, config.catalog)
-    assert ok and reason == "nvca-no-violent"
+    res = scored(config, [q("484 PC M")], nvca=True)
+    assert res.bumpup and res.bumpup_reason == "nvca-no-violent"
 
 
 def test_bumpup_flag_with_violent_charge_does_not_fire(config):
-    ok, _ = check_bumpup([q("240 PC M")], True, config.catalog)
-    assert not ok
+    assert not scored(config, [q("240 PC M")], nvca=True).bumpup
 
 
 def test_dmf_anchor(config):
-    subs = SubScores(fta=2, nca=3, nvca_flag=False)
-    assert initial_recommendation(subs, [], config.dmf, config.catalog) is L.OR_NAS
+    assert scored(config, [], fta=2, nca=3).initial is L.OR_NAS
 
 
 def test_split_cell(config):
-    subs = SubScores(fta=5, nca=4, nvca_flag=False)
-    assert initial_recommendation(subs, [q("459 PC F")], config.dmf, config.catalog) is L.RELEASE_NOT_RECOMMENDED
-    assert initial_recommendation(subs, [q("484 PC M")], config.dmf, config.catalog) is L.SFPDP_ACM
+    def initial(charges):
+        return scored(config, charges, fta=5, nca=4).initial
+
+    assert initial([q("459 PC F")]) is L.RELEASE_NOT_RECOMMENDED
+    assert initial([q("484 PC M")]) is L.SFPDP_ACM
     # violent misdemeanor also forces the top level
-    assert initial_recommendation(subs, [q("240 PC M")], config.dmf, config.catalog) is L.RELEASE_NOT_RECOMMENDED
+    assert initial([q("240 PC M")]) is L.RELEASE_NOT_RECOMMENDED
     # unspecified class is neither a felony nor a violent misdemeanor
-    assert initial_recommendation(subs, [q("484 PC")], config.dmf, config.catalog) is L.SFPDP_ACM
+    assert initial([q("484 PC")]) is L.SFPDP_ACM
 
 
 def test_shipped_dmf_is_monotone(config):
@@ -347,25 +350,12 @@ def test_single_walk_engine_equals_the_per_clause_engine(config, catalog_name):
     assert len(sets) == 2 * (1 + 19 + 171 + 969)
     wrong = []
     for charges in sets:
-        for nvca in flags:
-            got, want = check_bumpup(charges, nvca, catalog), ref_check_bumpup(charges, nvca, catalog)
-            if got != want:
-                wrong.append(("bumpup", charges, nvca, got, want))
-            for extradited in flags:
-                got = check_exclusion(charges, extradited, nvca, catalog)
-                want = ref_check_exclusion(charges, extradited, nvca, catalog)
-                if got != want:
-                    wrong.append(("exclusion", charges, extradited, nvca, got, want))
         for subs in grid:
-            got = initial_recommendation(subs, charges, dmf, catalog)
-            want = ref_initial_recommendation(subs, charges, dmf, catalog)
-            if got is not want:
-                wrong.append(("initial", charges, subs, got, want))
             for extradited in flags:
                 got = assess(subs, charges, extradited, dmf, catalog)
                 want = ref_assess(subs, charges, extradited, dmf, catalog)
                 if got != want:
-                    wrong.append(("assess", charges, subs, extradited, got, want))
+                    wrong.append((charges, subs, extradited, got, want))
     assert wrong == []
 
 
