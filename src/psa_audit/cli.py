@@ -224,7 +224,10 @@ def _read_inputs(opts: dict, out_dir: Path):
     derivative prefixes, and list every row issue in ``input_errors.csv``.
 
     Returns (config, records, cases, issues, counts); counts are the
-    intake stages of ``counts_summary.csv``.
+    intake stages of ``counts_summary.csv``, where ``row_errors`` and
+    ``court_row_errors`` count the rows of the record and of the case
+    file that were skipped, so each file's input rows are its parsed rows
+    plus its row errors.
     """
     config = _engine_config(opts)
     prefixes = config.catalog.derivative_prefixes
@@ -232,10 +235,12 @@ def _read_inputs(opts: dict, out_dir: Path):
     cases, court_issues = read_court_cases(opts["court"], prefixes) if "court" in opts else ([], [])
     issues = psa_issues + court_issues
     _write_issues(out_dir / "input_errors.csv", issues)
+    psa_errors, court_errors = len(_hard_issues(psa_issues)), len(_hard_issues(court_issues))
     counts = {
-        "psa_input_rows": len(records) + len(_hard_issues(psa_issues)),
-        "court_input_rows": len(cases) + len(_hard_issues(court_issues)),
-        "row_errors": len(_hard_issues(issues)),
+        "psa_input_rows": len(records) + psa_errors,
+        "court_input_rows": len(cases) + court_errors,
+        "row_errors": psa_errors,
+        "court_row_errors": court_errors,
         "records_parsed": len(records),
     }
     return config, records, cases, issues, counts

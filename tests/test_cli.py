@@ -205,6 +205,11 @@ def test_ragged_rows_are_row_errors(sim_dir, tmp_path, name, columns, input_rows
         rc = run(["audit", "--psa", inputs / "psa_records.csv", "--court", inputs / "court_cases.csv",
                   "--out", out, "--sensitivity"])
         assert rc == (3 if variant == "ragged" else 0)
+        # each file's rows are its parsed rows plus its own row errors
+        counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
+        cases, _ = read_court_cases(inputs / "court_cases.csv")
+        assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
+        assert counts["court_input_rows"] == len(cases) + counts["court_row_errors"]
 
     width = len(columns)
     errors = read_rows(outs["ragged"] / "input_errors.csv")
@@ -214,9 +219,8 @@ def test_ragged_rows_are_row_errors(sim_dir, tmp_path, name, columns, input_rows
     ]
     counts = {r["stage"]: int(r["count"]) for r in read_rows(outs["ragged"] / "counts_summary.csv")}
     assert counts[input_rows] == len(lines) - 1
-    assert counts["row_errors"] == 2
-    if name == "psa_records.csv":
-        assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
+    for rows, row_errors in (("psa_input_rows", "row_errors"), ("court_input_rows", "court_row_errors")):
+        assert counts[row_errors] == (2 if rows == input_rows else 0)
     # every other row gives the same outputs as when the two rows are absent
     skip = ("input_errors.csv", "counts_summary.csv", "test_summary.txt", "run_manifest.json")
     assert _tree_bytes(outs["ragged"], skip) == _tree_bytes(outs["dropped"], skip)

@@ -49,14 +49,14 @@ GOLDEN = {
         'affected_table.csv': '8ba321a95131f4b6471a522164939661c93aa9e089d48755e2baa9c9e5f4b133',
         'affected_table_sensitivity.csv': '9bf2d1c1e48676915e1eb2a0348e79fae0c56990944872a37d5368afe11fef95',
         'audit_pairs.csv': '6b057a65fa38ad232bd67b88d80e91148c8ed9ad852f4a7a3afc845956ad4ed1',
-        'counts_summary.csv': '76db9e2e8724d957ab510bb207791415d09818db5b98ec726da8caf480b271b5',
+        'counts_summary.csv': '479f2f208ab821a39b70cc18ed219564e289d84820c8c1cda3358bf5492e73dd',
         'initial_distribution.csv': '91d82af58853060a1a724aaea7571569f3dcb3eb13fd1291201a938f7647d9ad',
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
         'matches.csv': '7a903b9a6b071d406fc6d9f9dfd19a42e5ce626a866fd1b2112c5950420bd2ff',
         'rate_table.csv': 'ae9dd4094c30b1996e1cdeeb5652526f8aaf92418bf48ef7c191e95784975973',
         'rate_table_sensitivity.csv': '8429f849dca65c51db5d09995ab61ed059d01e3b29d52cef9aac755e799f70f8',
         'review_unresolved.csv': '861802d8f9b0a206cbab345b432a54db00a89a3bab7255e155b0f2408399730b',
-        'test_summary.txt': '9f4a91494bc2bb03e04ff5ee2eb73c9f9dec8debbbcc03d4b5ea2ad9d41b3d30',
+        'test_summary.txt': 'eeb8885d6affd9e1e5f315f09c8d45fd50f8d77a244c55ea7ad49432c1a0be48',
     }),
     'consistency': (0, {
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
