@@ -150,12 +150,12 @@ def _scopes(
 
 
 def _component_values(pairs: Sequence[AuditPair]):
-    """Each component with iterators over its booking and its conviction
-    values in ``pairs``, in ``COMPONENTS`` order."""
+    """Each component with its booking and its conviction values in
+    ``pairs``, in ``COMPONENTS`` order."""
     booking = [p.booking_result for p in pairs]
     conviction = [p.conviction_result for p in pairs]
     for c in COMPONENTS:
-        yield c, map(c.read, booking), map(c.read, conviction)
+        yield c, list(map(c.read, booking)), list(map(c.read, conviction))
 
 
 def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
@@ -165,7 +165,6 @@ def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
     rows = []
     tests: list[tuple[float, float] | None] = []
     for c, b_vals, c_vals in _component_values(pairs):
-        b_vals, c_vals = list(b_vals), list(c_vals)
         b_sum, c_sum = sum(b_vals), sum(c_vals)
         try:
             if c.change is gt:
