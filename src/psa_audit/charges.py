@@ -250,8 +250,7 @@ class ChargeCatalog:
 
     The lists do not change after construction.  Each distinct charge is
     classified against them once, on first query, and its facts are
-    memoized in this catalog instance (a copy made by
-    ``with_weapon_policy`` starts with none).
+    memoized in this catalog instance.
 
     Exclusion and bump-up membership is derivative-blind: an attempt,
     conspiracy, solicitation, or FTA form of a listed offense counts the
@@ -318,25 +317,6 @@ class ChargeCatalog:
 
     def is_bumpup_charge(self, charge: ChargeCode) -> bool:
         return self.facts(charge).bumpup
-
-    def with_weapon_policy(self, pattern_text: str, treat_as_bumpup: bool) -> "ChargeCatalog":
-        """A copy with one weapon-ambiguous pattern's policy flipped."""
-        target = parse_charge_code(pattern_text, self.derivative_prefixes)
-        entries = []
-        found = False
-        for e in self.entries:
-            if e.category == "weapon_ambiguous" and e.pattern == target:
-                entries.append(replace(e, treat_as_bumpup=treat_as_bumpup))
-                found = True
-            else:
-                entries.append(e)
-        if not found:
-            raise ConfigError(f"no weapon_ambiguous entry for {pattern_text!r}")
-        return ChargeCatalog(
-            entries,
-            violent_includes_derivatives=self.violent_includes_derivatives,
-            derivative_prefixes=self.derivative_prefixes,
-        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ChargeCatalog":

@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
+from contextlib import redirect_stdout
 from dataclasses import asdict, astuple, fields, replace
+from io import StringIO
 from itertools import count
 from operator import attrgetter
 from pathlib import Path
@@ -64,7 +67,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.schema:
-        print(SCHEMA_DOC, end="")
+        _emit(SCHEMA_DOC)
         return EXIT_OK
     if not getattr(args, "command", None):
         parser.print_help()
@@ -92,10 +95,26 @@ def main(argv=None) -> int:
 
 
 def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
+    """Run one command, holding back what it prints until its outputs and
+    its manifest are written, so a closed stdout cannot cut the run short."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    code = _HANDLERS[command](opts, out_dir)
+    with redirect_stdout(StringIO()) as report:
+        code = _HANDLERS[command](opts, out_dir)
     _write_manifest(out_dir, command, opts)
+    _emit(report.getvalue())
     return code
+
+
+def _emit(text: str) -> None:
+    """Print ``text``.  A reader that closed the pipe early
+    (``psa-audit ... | head -1``) changes neither the run nor its exit code:
+    stdout then points at devnull, so the interpreter's own last flush of
+    the unwritten text cannot fail either."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="full booking-vs-conviction audit pipeline")
     p.add_argument("--psa", required=True)
     p.add_argument("--court", required=True)
-    p.add_argument("--group-by", choices=["race-b", "none"], default="race-b")
     p.add_argument("--sensitivity", action="store_true",
                    help="also emit tables excluding records whose only plea points outside the case")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
@@ -279,8 +297,7 @@ def _exit_code(produced: bool, issues) -> int:
 _RESULT_COLUMNS = ("exclusion", "exclusion_reason", "bumpup", "bumpup_reason", "initial", "final")
 
 
-def _result_cells(res) -> tuple:
-    return (res.exclusion, res.exclusion_reason, res.bumpup, res.bumpup_reason, res.initial, res.final)
+_result_cells = attrgetter(*_RESULT_COLUMNS)
 
 
 def cmd_score(opts: dict, out_dir: Path) -> int:
@@ -308,16 +325,12 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
 # audit
 
 
-def _group_labels(matches: list[MatchResult], cases, group_by: str) -> dict[str, str] | None:
-    """Race partition for disaggregation, resolved per individual: a person
-    designated B on any of their court cases is group B for all of their
-    records; everything else (missing designations included) is non-B."""
-    if group_by == "none":
-        return None
+def _group_labels(matches: list[MatchResult], cases) -> dict[str, str]:
+    """Each matched person's (sfid's) group, resolved per individual: a
+    person designated B on any of their court cases is group B for all of
+    their records; everyone else (missing designations included) is non-B."""
     b_people = {c.sfid for c in cases if c.race == "B"}
-    return {
-        m.psa.record_id: ("B" if m.psa.sfid in b_people else "non-B") for m in matches
-    }
+    return {m.psa.sfid: ("B" if m.psa.sfid in b_people else "non-B") for m in matches}
 
 
 def _write_scoped_tables(path: Path, tables: dict[str, RateTable | AffectedTable], row_type: type) -> None:
@@ -364,9 +377,8 @@ def _write_review(path: Path, unresolved) -> None:
     write_csv(path, ("record_id", "sfid", "name", "arrest_date", "psa_date", "booking_charges", "reason"), rows)
 
 
-def _write_pairs(path: Path, pairs: list[AuditPair], groups) -> None:
-    groups = groups or {}
-    rows = [(p.record_id, groups.get(p.record_id, ""),
+def _write_pairs(path: Path, pairs: list[AuditPair]) -> None:
+    rows = [(p.record_id, p.group,
              p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
              p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result),
              *change, p.excluded_by_sensitivity)
@@ -385,11 +397,11 @@ def _write_distribution(path: Path, hists) -> None:
 
 def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
     """Read, link and pair: write ``input_errors.csv``, ``matches.csv`` and
-    ``review_unresolved.csv``, and return (pairs, groups, counts, issues).
+    ``review_unresolved.csv``, and return (pairs, counts, issues).
 
     The records, cases and matches stay in here, so they are freed on
     return, before the pair tables are built; a pair keeps only its record
-    id and its two results.
+    id, its group and its two results.
     """
     config, records, cases, issues, intake = _read_inputs(opts, out_dir)
 
@@ -397,8 +409,7 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
     _write_matches(out_dir / "matches.csv", report)
     _write_review(out_dir / "review_unresolved.csv", report.unresolved)
 
-    pairs, skipped = build_audit_pairs(report.matched, policy, config)
-    groups = _group_labels(report.matched, cases, opts["group_by"])
+    pairs, skipped = build_audit_pairs(report.matched, policy, config, _group_labels(report.matched, cases))
 
     counts = {
         **intake,
@@ -410,7 +421,7 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
         "analyzed_pairs": len(pairs),
         "sensitivity_excluded": sum(p.excluded_by_sensitivity for p in pairs),
     }
-    return pairs, groups, counts, issues
+    return pairs, counts, issues
 
 
 def cmd_audit(opts: dict, out_dir: Path) -> int:
@@ -418,16 +429,16 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
     alpha = opts["alpha"]
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
-    pairs, groups, counts, issues = _audit_intake(opts, out_dir, policy)
+    pairs, counts, issues = _audit_intake(opts, out_dir, policy)
     _write_counts(out_dir / "counts_summary.csv", "stage", counts)
 
-    _write_pairs(out_dir / "audit_pairs.csv", pairs, groups)
+    _write_pairs(out_dir / "audit_pairs.csv", pairs)
 
     tables = affected = hists = {}
     if pairs:
-        tables = rate_table(pairs, groups, alpha=alpha)
-        affected = proportion_affected(pairs, groups)
-        hists = initial_distribution(pairs, groups, expected_groups=("B", "non-B") if groups else ())
+        tables = rate_table(pairs, alpha=alpha)
+        affected = proportion_affected(pairs)
+        hists = initial_distribution(pairs)
     _write_scoped_tables(out_dir / "rate_table.csv", tables, RateRow)
     _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
     _write_distribution(out_dir / "initial_distribution.csv", hists)
@@ -435,9 +446,9 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
     keep = [p for p in pairs if not p.excluded_by_sensitivity] if opts.get("sensitivity") else []
     if keep:
         _write_scoped_tables(out_dir / "rate_table_sensitivity.csv",
-                             rate_table(keep, groups, alpha=alpha), RateRow)
+                             rate_table(keep, alpha=alpha), RateRow)
         _write_scoped_tables(out_dir / "affected_table_sensitivity.csv",
-                             proportion_affected(keep, groups), AffectedRow)
+                             proportion_affected(keep), AffectedRow)
     return _exit_code(bool(pairs), issues)
 
 

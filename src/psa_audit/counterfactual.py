@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, gt, sub
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .charges import ChargeCode
 from .engine import EngineConfig, PsaResult, RiskFactors, SubScores, assess, nvca_flag_value
@@ -173,15 +173,20 @@ COMPONENTS = (
               "recommendation_delta", sub),
 )
 
+#: The person groups each audit table reports beside "all", in report order.
+GROUPS = ("B", "non-B")
+
 
 @dataclass(frozen=True, slots=True)
 class AuditPair:
-    """Booking-based vs conviction-based result for one linked record."""
+    """Booking-based vs conviction-based result for one linked record,
+    and its person's group: one of ``GROUPS``, or "" when ungrouped."""
 
     record_id: str
     booking_result: PsaResult
     conviction_result: PsaResult
     excluded_by_sensitivity: bool
+    group: str = ""
 
 
 def changes(pairs: Sequence[AuditPair]) -> Iterator[tuple]:
@@ -193,7 +198,7 @@ def changes(pairs: Sequence[AuditPair]) -> Iterator[tuple]:
     return zip(*[map(c.change, map(c.read, booking), map(c.read, conviction)) for c in COMPONENTS])
 
 
-def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: EngineConfig) -> AuditPair:
+def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: EngineConfig, group: str) -> AuditPair:
     booked = booking_charges(match)
     convicted = conviction_charges(match, policy)
     plea_entered = any(
@@ -204,6 +209,7 @@ def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: Engi
         booking_result=counterfactual_assess(match.psa, booked, config),
         conviction_result=counterfactual_assess(match.psa, convicted, config),
         excluded_by_sensitivity=plea_entered and not convicted,
+        group=group,
     )
 
 
@@ -211,8 +217,10 @@ def build_audit_pairs(
     matches: Sequence[MatchResult],
     policy: DispositionPolicy,
     config: EngineConfig,
+    groups: Mapping[str, str],
 ) -> tuple[list[AuditPair], list[MatchResult]]:
-    """One AuditPair per matched, fully disposed record.
+    """One AuditPair per matched, fully disposed record, in the group
+    ``groups`` gives its person (sfid), or "" for a person it omits.
 
     Returns (pairs, skipped-not-disposed).  Pairs flagged
     ``excluded_by_sensitivity`` stay in the main set; the sensitivity
@@ -225,5 +233,5 @@ def build_audit_pairs(
         if not all(fully_disposed(c) for c in m.matched_cases):
             skipped.append(m)
             continue
-        pairs.append(build_audit_pair(m, policy, config))
+        pairs.append(build_audit_pair(m, policy, config, groups.get(m.psa.sfid, "")))
     return pairs, skipped

@@ -136,7 +136,6 @@ class DmfConfig:
     or the split-cell marker."""
 
     cells: tuple[tuple[SupervisionLevel | str, ...], ...]
-    split_cell: tuple[int, int] | None
 
     def cell(self, fta: int, nca: int) -> SupervisionLevel | str:
         if not (1 <= fta <= len(self.cells) and 1 <= nca <= len(self.cells[0])):
@@ -145,9 +144,6 @@ class DmfConfig:
         if value is None:
             raise ConfigError(f"decision matrix cell ({fta}, {nca}) is missing")
         return value
-
-    def is_split(self, fta: int, nca: int) -> bool:
-        return self.cell(fta, nca) == _SPLIT
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,6 +281,9 @@ def _load_weights_map(doc, where: str) -> dict[str, int]:
             raise ConfigError(f"{where}: unknown factor {name!r}")
         if not isinstance(w, int) or isinstance(w, bool):
             raise ConfigError(f"{where}: weight for {name!r} must be an integer")
+        if w < 0:
+            # the audit relies on it: fewer charges never set the violence flag
+            raise ConfigError(f"{where}: weight for {name!r} must not be negative, got {w}")
         out[name] = w
     return out
 
@@ -313,7 +312,6 @@ def load_dmf_config(path: str | Path) -> DmfConfig:
     if not isinstance(rows, list) or len(rows) != 6:
         raise ConfigError(f"{path}: decision matrix needs exactly 6 rows (fta 1..6)")
     cells = []
-    split_cell = None
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 6:
             raise ConfigError(f"{path}: row {i + 1} needs exactly 6 entries (nca 1..6)")
@@ -322,9 +320,6 @@ def load_dmf_config(path: str | Path) -> DmfConfig:
             if token is None or str(token).strip() == "":
                 raise ConfigError(f"{path}: cell ({i + 1}, {j + 1}) is missing")
             if str(token).strip() == _SPLIT:
-                if split_cell is not None:
-                    raise ConfigError(f"{path}: more than one SPLIT cell")
-                split_cell = (i + 1, j + 1)
                 parsed_row.append(_SPLIT)
                 continue
             try:
@@ -332,7 +327,9 @@ def load_dmf_config(path: str | Path) -> DmfConfig:
             except ValueError as exc:
                 raise ConfigError(f"{path}: cell ({i + 1}, {j + 1}): {exc}") from None
         cells.append(tuple(parsed_row))
-    return DmfConfig(cells=tuple(cells), split_cell=split_cell)
+    if sum(row.count(_SPLIT) for row in cells) > 1:
+        raise ConfigError(f"{path}: more than one SPLIT cell")
+    return DmfConfig(cells=tuple(cells))
 
 
 @dataclass(frozen=True)

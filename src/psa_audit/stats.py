@@ -10,9 +10,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import gt
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .counterfactual import COMPONENTS, AuditPair
+from .counterfactual import COMPONENTS, GROUPS, AuditPair
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
 from .linkage import RACE_CATEGORIES, CourtCase
 
@@ -135,17 +135,13 @@ class RateTable:
     rows: tuple[RateRow, ...]
 
 
-def _scopes(
-    pairs: Sequence[AuditPair],
-    group: Mapping[str, str] | None,
-    expected_groups: Sequence[str] = (),
-) -> dict[str, list[AuditPair]]:
-    """Split pairs by scope: "all" first, then each group label (record id
-    to label) and each expected label in sorted order, possibly empty."""
-    scopes = {"all": list(pairs)}
-    if group is not None:
-        for label in sorted(set(group.values()) | set(expected_groups)):
-            scopes[label] = [p for p in pairs if group.get(p.record_id) == label]
+def _scopes(pairs: Sequence[AuditPair]) -> dict[str, list[AuditPair]]:
+    """Split pairs by scope in one pass: "all" first, then each of
+    ``GROUPS``, possibly empty."""
+    scopes = {"all": list(pairs), **{g: [] for g in GROUPS}}
+    for p in pairs:
+        if p.group:
+            scopes[p.group].append(p)
     return scopes
 
 
@@ -187,24 +183,15 @@ def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
     return RateTable(n=n, rows=tuple(out))
 
 
-def rate_table(
-    pairs: Sequence[AuditPair],
-    group: Mapping[str, str] | None = None,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-) -> dict[str, RateTable]:
+def rate_table(pairs: Sequence[AuditPair], *, alpha: float = DEFAULT_ALPHA) -> dict[str, RateTable]:
     """Component rates and mean recommendation per charge source.
 
-    Returns tables keyed by scope: "all" first, then, with ``group``
-    (record id to label), one per label that has pairs.
+    Returns tables keyed by scope: "all" first, then one per group that
+    has pairs.
     """
     if not pairs:
         raise EmptyInput("no audit pairs")
-    return {
-        scope: _rate_table_one(subset, alpha)
-        for scope, subset in _scopes(pairs, group).items()
-        if subset
-    }
+    return {scope: _rate_table_one(subset, alpha) for scope, subset in _scopes(pairs).items() if subset}
 
 
 @dataclass(frozen=True)
@@ -226,10 +213,7 @@ def _affected_one(pairs: Sequence[AuditPair]) -> AffectedTable:
     return AffectedTable(n=n, rows=tuple(AffectedRow(name, k, k / n) for name, k in counts))
 
 
-def proportion_affected(
-    pairs: Sequence[AuditPair],
-    group: Mapping[str, str] | None = None,
-) -> dict[str, AffectedTable]:
+def proportion_affected(pairs: Sequence[AuditPair]) -> dict[str, AffectedTable]:
     """Strictly one-sided change rates: a component held under booking but
     not under conviction charges, and a final recommendation strictly
     higher under booking.  Cases moving the other way do not offset.
@@ -238,7 +222,7 @@ def proportion_affected(
     """
     if not pairs:
         raise EmptyInput("no audit pairs")
-    return {scope: _affected_one(subset) for scope, subset in _scopes(pairs, group).items() if subset}
+    return {scope: _affected_one(subset) for scope, subset in _scopes(pairs).items() if subset}
 
 
 @dataclass(frozen=True)
@@ -257,19 +241,14 @@ class Histogram:
         return self.n == 0
 
 
-def initial_distribution(
-    pairs: Sequence[AuditPair],
-    group: Mapping[str, str] | None = None,
-    *,
-    expected_groups: Sequence[str] = (),
-) -> dict[str, Histogram]:
-    """Histogram of the booking-side initial recommendation, per group.
+def initial_distribution(pairs: Sequence[AuditPair]) -> dict[str, Histogram]:
+    """Histogram of the booking-side initial recommendation, per scope.
 
-    ``expected_groups`` labels with no pairs still get a row, flagged
-    empty, so a missing group is visible rather than silent.
+    A group with no pairs still gets a row, flagged empty, so a missing
+    group is visible rather than silent.
     """
     out = {}
-    for label, subset in _scopes(pairs, group, expected_groups).items():
+    for label, subset in _scopes(pairs).items():
         counts = [0, 0, 0, 0]
         for p in subset:
             counts[int(p.booking_result.initial) - 1] += 1

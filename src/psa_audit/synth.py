@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .charges import ChargeCode, parse_charge_code
 from .counterfactual import record_factors
-from .engine import EngineConfig, SubScores, assess, load_engine_config, nvca_flag_value
+from .engine import EngineConfig, SubScores, SupervisionLevel, assess, load_engine_config, nvca_flag_value
 from .errors import ConfigError
 from .io import (
     COURT_COLUMNS,
@@ -226,9 +226,9 @@ class _Generator:
         for fta in range(1, 7):
             for nca in range(1, 7):
                 value = self.engine.dmf.cells[fta - 1][nca - 1]
-                if value == "SPLIT":
+                if not isinstance(value, SupervisionLevel):  # the split cell
                     continue
-                if int(value) <= 3:
+                if value <= 3:
                     low.append((fta, nca))
                 else:
                     top.append((fta, nca))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psa_audit.charges import (
+    CatalogEntry,
     ChargeCatalog,
     ChargeClass,
     ChargeCode,
@@ -13,6 +14,20 @@ from psa_audit.charges import (
 )
 from psa_audit.errors import ConfigError, ParseError
 from psa_audit.synth import DEFAULT_CHARGE_POOLS
+
+
+def with_weapon_bumpup(cat, pattern_text):
+    """A catalog of ``cat``'s entries in which the weapon-ambiguous
+    ``pattern_text`` counts as a bump-up."""
+    target = parse_charge_code(pattern_text, cat.derivative_prefixes)
+    entries = [
+        CatalogEntry(e.pattern, e.category, treat_as_bumpup=True)
+        if e.category == "weapon_ambiguous" and e.pattern == target else e
+        for e in cat.entries
+    ]
+    assert entries != list(cat.entries)
+    return ChargeCatalog(entries, violent_includes_derivatives=cat.violent_includes_derivatives,
+                         derivative_prefixes=cat.derivative_prefixes)
 
 
 def test_parse_full_form():
@@ -186,7 +201,7 @@ class TestMembership:
         assert not self.cat.is_bumpup_charge(self.q("25850(A) PC"))
 
     def test_weapon_ambiguous_policy_flip(self):
-        permissive = self.cat.with_weapon_policy("417.4 PC", True)
+        permissive = with_weapon_bumpup(self.cat, "417.4 PC")
         assert permissive.is_bumpup_charge(self.q("417.4 PC"))
         # the other grey-zone entry is untouched
         assert not permissive.is_bumpup_charge(self.q("25850(A) PC"))
@@ -253,7 +268,7 @@ def test_catalog_copies_do_not_share_memoized_facts():
     cat = default_catalog()
     grey = parse_charge_code("417.4 PC", cat.derivative_prefixes)
     assert not cat.is_bumpup_charge(grey)  # memoized in the default catalog
-    permissive = cat.with_weapon_policy("417.4 PC", True)
+    permissive = with_weapon_bumpup(cat, "417.4 PC")
     assert permissive.is_bumpup_charge(grey)
     assert not cat.is_bumpup_charge(grey)
 

@@ -1,11 +1,15 @@
 import csv
 import gc
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+import psa_audit
 import psa_audit.cli as cli
 from psa_audit.cli import _HANDLERS, main
 from psa_audit.counterfactual import COMPONENTS
@@ -389,15 +393,38 @@ def test_audit_rejects_bad_alpha(sim_dir, tmp_path):
     assert rc == 2
 
 
-def test_audit_group_by_none(sim_dir, tmp_path):
-    out = tmp_path / "audit"
-    rc = run([
-        "audit", "--psa", sim_dir / "psa_records.csv",
-        "--court", sim_dir / "court_cases.csv",
-        "--out", out, "--group-by", "none",
+def test_audit_groups_each_person_by_any_of_their_cases(tmp_path):
+    psa, court = tmp_path / "psa.csv", tmp_path / "court.csv"
+    write_table(psa, PSA_COLUMNS, [
+        # P1: one record on a W case, one on a B case
+        psa_row("R1", "P1"),
+        psa_row("R2", "P1", arrest_date="2017-03-01", psa_date="2017-03-01"),
+        psa_row("R3", "P2"),
+        # P3: the B case matches none of P3's records
+        psa_row("R4", "P3"),
+        # P4: no race designation
+        psa_row("R5", "P4"),
     ])
-    assert rc == 0
-    assert {r["scope"] for r in read_rows(out / "rate_table.csv")} == {"all"}
+    write_table(court, COURT_COLUMNS, [
+        court_row("C1", "P1"),
+        court_row("C2", "P1", arrest_date="2017-03-01", race="B"),
+        court_row("C3", "P2"),
+        court_row("C4", "P3"),
+        court_row("C5", "P3", arrest_date="2018-01-01", race="B"),
+        court_row("C6", "P4", race=""),
+    ])
+    out = tmp_path / "audit"
+    assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 0
+    groups = {r["record_id"]: r["group"] for r in read_rows(out / "audit_pairs.csv")}
+    assert groups == {"R1": "B", "R2": "B", "R3": "non-B", "R4": "B", "R5": "non-B"}
+    assert {r["scope"]: int(r["n"]) for r in read_rows(out / "rate_table.csv")} == {"all": 5, "B": 3, "non-B": 2}
+
+
+def test_audit_has_no_group_by_option(sim_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
+             "--out", tmp_path / "audit", "--group-by", "none"])
+    assert exc.value.code == 2
 
 
 def test_audit_empty_court_file(sim_dir, tmp_path):
@@ -513,6 +540,22 @@ def test_rerun_audit_byte_identical(sim_dir, tmp_path):
     second = tmp_path / "second"
     assert run(["rerun", first / "run_manifest.json", "--out", second]) == 0
     assert _tree_bytes(first) == _tree_bytes(second)
+
+
+def test_a_closed_stdout_changes_neither_the_outputs_nor_the_exit_code(sim_dir, tmp_path):
+    args = ["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv", "--sensitivity"]
+    assert run([*args, "--out", tmp_path / "normal"]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        env = {**os.environ, "PYTHONPATH": str(Path(psa_audit.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "psa_audit.cli", *map(str, args), "--out", tmp_path / "piped"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert _tree_bytes(tmp_path / "piped") == _tree_bytes(tmp_path / "normal")
 
 
 def test_rerun_rejects_bad_manifest(tmp_path):

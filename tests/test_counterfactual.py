@@ -171,7 +171,7 @@ def test_exclusion_lost_at_top_initial_keeps_final(config):
     # cannot lower the final recommendation
     r = rec(fta=6, nca=6)
     m = matched(case(["187(A) PC F", "459 PC F"], [30, 160]), record=r)
-    pair = build_audit_pair(m, POLICY, config)
+    pair = build_audit_pair(m, POLICY, config, "")
     [(exclusion_lost, _, _, delta)] = changes([pair])
     assert pair.booking_result.exclusion and not pair.conviction_result.exclusion
     assert exclusion_lost
@@ -185,7 +185,7 @@ def test_exclusion_downgraded_to_bumpup_saturates(config):
     # both route to the top level; the exclusion is still counted as lost.
     r = rec(fta=4, nca=4)
     m = matched(case(["273.5(A) PC F", "273.5(A) PC M"], [30, 160]), record=r)
-    pair = build_audit_pair(m, POLICY, config)
+    pair = build_audit_pair(m, POLICY, config, "")
     assert pair.booking_result.initial is L.SFPDP_ACM
     assert pair.booking_result.exclusion
     assert pair.conviction_result.bumpup and not pair.conviction_result.exclusion
@@ -198,7 +198,7 @@ def test_exclusion_downgraded_to_bumpup_saturates(config):
 def test_bumpup_lost_lowers_final(config):
     r = rec(fta=2, nca=3)
     m = matched(case(["646.9 PC M", "459 PC F"], [30, 160]), record=r)
-    pair = build_audit_pair(m, POLICY, config)
+    pair = build_audit_pair(m, POLICY, config, "")
     [(_, bumpup_lost, _, delta)] = changes([pair])
     assert bumpup_lost
     assert delta == 1
@@ -208,22 +208,22 @@ def test_bumpup_lost_lowers_final(config):
 
 def test_sensitivity_flag_marks_plea_to_other_case_only(config):
     m = matched(case(["459 PC F"], [72]))
-    pair = build_audit_pair(m, POLICY, config)
+    pair = build_audit_pair(m, POLICY, config, "")
     assert pair.excluded_by_sensitivity
     # a plea with an in-case companion conviction is not flagged
     m2 = matched(case(["459 PC F", "484 PC M"], [72, 0]))
-    assert not build_audit_pair(m2, POLICY, config).excluded_by_sensitivity
+    assert not build_audit_pair(m2, POLICY, config, "").excluded_by_sensitivity
 
 
 def test_build_audit_pairs_empty_input(config):
-    pairs, skipped = build_audit_pairs([], POLICY, config)
+    pairs, skipped = build_audit_pairs([], POLICY, config, {})
     assert pairs == [] and skipped == []
 
 
 def test_build_audit_pairs_skips_undisposed(config):
     pending = matched(case(["459 PC F"], [None]))
     done = matched(case(["459 PC F"], [160]), record=rec(record_id="R2"))
-    pairs, skipped = build_audit_pairs([pending, done], POLICY, config)
+    pairs, skipped = build_audit_pairs([pending, done], POLICY, config, {})
     assert [p.record_id for p in pairs] == ["R2"]
     assert [m.psa.record_id for m in skipped] == ["R1"]
 
@@ -244,14 +244,14 @@ def test_subset_monotonicity_and_delta_implication(config):
             pv=rng.randint(0, 2),
         )
         m = matched(case(booked, dispositions), record=r)
-        pair = build_audit_pair(m, POLICY, config)
+        pair = build_audit_pair(m, POLICY, config, "")
         [(exclusion_lost, bumpup_lost, nvca_lost, delta)] = changes([pair])
         assert pair.conviction_result.final <= pair.booking_result.final
         if delta > 0:
             # the split cell adds a fourth mechanism: losing the only felony
             # (or violent misdemeanor) flips the split determination without
             # any exclusion/bump-up/flag being lost
-            split_flip = config.dmf.is_split(r.fta, r.nca) and (
+            split_flip = config.dmf.cell(r.fta, r.nca) == "SPLIT" and (
                 pair.booking_result.initial != pair.conviction_result.initial
             )
             assert exclusion_lost or bumpup_lost or nvca_lost or split_flip

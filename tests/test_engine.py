@@ -156,7 +156,7 @@ def test_shipped_dmf_is_monotone(config):
                     assert grid[i][j] <= grid[i + 1][j]
                 if j + 1 < 6:
                     assert grid[i][j] <= grid[i][j + 1]
-    assert config.dmf.split_cell == (5, 4)
+    assert [(f, n) for f in range(1, 7) for n in range(1, 7) if config.dmf.cell(f, n) == "SPLIT"] == [(5, 4)]
 
 
 def test_assess_trivial_composition(config):
@@ -199,6 +199,8 @@ def test_weights_loader_rejects_bad_config(tmp_path):
         "nvca:\n  weights: {pending_charge: 1}\n  threshold: 1\n",
         "nvca:\n  weights: {bogus_factor: 1}\n  threshold: 1\n",
         "nvca:\n  weights: {prior_conviction: 1}\n  threshold: true\n",
+        # the audit's monotonicity relies on non-negative weights
+        "nvca:\n  weights: {current_offense_violent: -2}\n  threshold: 1\n",
         "nvca:\n  weights: {prior_conviction: 1}\n",
         "fta: {}\n",
         "nvca:\n  weights: {prior_conviction: 1}\n  threshold: 1\nbogus: {}\n",

@@ -1,8 +1,11 @@
 """Every public symbol has a caller in the package.
 
-A name exported in ``psa_audit.__all__`` must be referenced by some package
-module other than ``__init__.py``, outside the ``def`` or ``class`` that
-defines it.  A name only the tests call is test-only code in the package.
+A name exported in ``psa_audit.__all__``, and every public function and
+method a package module defines, must be referenced by some package module
+other than ``__init__.py``, outside the ``def`` or ``class`` that defines
+it.  A name only the tests call is test-only code in the package.
+``oracle.py`` is the one documented exception: its definitions exist for
+the tests, so they are not checked.
 """
 
 import ast
@@ -11,31 +14,56 @@ from pathlib import Path
 import psa_audit
 
 PACKAGE = Path(psa_audit.__file__).parent
+MODULES = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+           for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
 def _references(tree: ast.Module) -> set[str]:
-    """Names a module loads or reads as attributes, skipping each top-level
-    definition's references to its own name."""
+    """Names a module loads or reads as attributes, skipping each
+    definition's references to its own name and to the names of the
+    definitions around it."""
     found = set()
 
-    def visit(node: ast.AST, own: str | None) -> None:
-        if isinstance(node, ast.Name) and node.id != own:
+    def visit(node: ast.AST, own: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and node.id not in own:
             found.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr != own:
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
             found.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, own)
 
-    for node in tree.body:
-        own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
-        visit(node, own)
+    visit(tree, frozenset())
     return found
 
 
+def _public_functions(module: str, tree: ast.Module):
+    """(qualified name, name) of each public top-level function and each
+    public method of a top-level class; dunders are not public."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, functions) and not method.name.startswith("_"):
+                    yield f"{module}.{node.name}.{method.name}", method.name
+
+
+REFERENCED = set().union(*map(_references, MODULES.values()))
+
+
 def test_every_public_symbol_has_a_caller_in_the_package():
-    referenced = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            referenced |= _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-    uncalled = sorted(set(psa_audit.__all__) - referenced)
+    uncalled = sorted(set(psa_audit.__all__) - REFERENCED)
     assert uncalled == [], f"public symbols with no caller in the package: {', '.join(uncalled)}"
+
+
+def test_every_public_function_and_method_has_a_caller_in_the_package():
+    uncalled = sorted(
+        qualified
+        for path, tree in MODULES.items() if path.name != "oracle.py"
+        for qualified, name in _public_functions(path.stem, tree)
+        if name not in REFERENCED
+    )
+    assert uncalled == [], f"public functions and methods with no caller in the package: {', '.join(uncalled)}"

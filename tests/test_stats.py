@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psa_audit.counterfactual import AuditPair, changes
+from psa_audit.counterfactual import GROUPS, AuditPair, changes
 from psa_audit.engine import PsaResult, SubScores, SupervisionLevel
 from psa_audit.errors import DegenerateInput, EmptyInput, LengthMismatch
 from psa_audit.linkage import CourtCase
@@ -37,12 +37,13 @@ def result(nvca=False, exclusion=False, bumpup=False, initial=L.OR_NAS, final=No
     )
 
 
-def pair(record_id, booking, conviction):
+def pair(record_id, booking, conviction, group=""):
     return AuditPair(
         record_id=record_id,
         booking_result=booking,
         conviction_result=conviction,
         excluded_by_sensitivity=False,
+        group=group,
     )
 
 
@@ -350,11 +351,10 @@ def test_rate_table_hand_counted_fixture():
 
 
 def test_rate_table_grouped():
-    pairs = [pair(f"R{i}", result(exclusion=(i < 2)), result()) for i in range(4)]
-    groups = {"R0": "B", "R1": "non-B", "R2": "B", "R3": "non-B"}
-    tables = rate_table(pairs, groups)
+    pairs = [pair(f"R{i}", result(exclusion=(i < 2)), result(), group=GROUPS[i % 2]) for i in range(4)]
+    tables = rate_table(pairs)
     assert list(tables) == ["all", "B", "non-B"]
-    assert list(proportion_affected(pairs, groups)) == ["all", "B", "non-B"]
+    assert list(proportion_affected(pairs)) == ["all", "B", "non-B"]
     b = {r.component: r for r in tables["B"].rows}
     assert b["exclusion"].booking == 0.5
 
@@ -450,26 +450,26 @@ def test_proportion_affected_saturation_counts_component_not_recommendation():
 def test_initial_distribution_single_group_sums_to_one():
     pairs = [pair(f"R{i}", result(initial=L(1 + i % 3)), result()) for i in range(9)]
     hists = initial_distribution(pairs)
-    assert set(hists) == {"all"}
+    # ungrouped pairs leave each group's row empty
+    assert list(hists) == ["all", "B", "non-B"]
+    assert hists["B"].empty and hists["non-B"].empty
     assert sum(hists["all"].fractions) == pytest.approx(1.0)
     assert sum(hists["all"].counts) == 9
 
 
 def test_initial_distribution_planted_group_shift_recovered():
-    pairs, groups = [], {}
+    pairs = []
     for i in range(200):
         initial = L.SFPDP_ACM if i % 2 else L.OR_NAS
-        rid = f"R{i}"
-        pairs.append(pair(rid, result(initial=initial), result()))
-        groups[rid] = "B" if i % 2 else "non-B"
-    hists = initial_distribution(pairs, groups)
+        pairs.append(pair(f"R{i}", result(initial=initial), result(), group="B" if i % 2 else "non-B"))
+    hists = initial_distribution(pairs)
     assert hists["B"].fractions[2] == 1.0
     assert hists["non-B"].fractions[0] == 1.0
 
 
 def test_initial_distribution_empty_group_flagged():
-    pairs = [pair("R0", result(), result())]
-    hists = initial_distribution(pairs, {"R0": "B"}, expected_groups=["B", "non-B"])
+    pairs = [pair("R0", result(), result(), group="B")]
+    hists = initial_distribution(pairs)
     assert hists["non-B"].empty
     assert hists["non-B"].counts == (0, 0, 0, 0)
 
