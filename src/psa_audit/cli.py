@@ -413,10 +413,7 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
 
     counts = {
         **intake,
-        "dropped_incomplete": len(report.dropped_incomplete),
-        "dropped_duplicates": len(report.dropped_duplicates),
-        "unresolved": len(report.unresolved),
-        "matched": len(report.matched),
+        **report.counts(),
         "not_fully_disposed": len(skipped),
         "analyzed_pairs": len(pairs),
         "sensitivity_excluded": sum(p.excluded_by_sensitivity for p in pairs),

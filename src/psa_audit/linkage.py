@@ -231,11 +231,12 @@ class LinkReport:
         return self.matched + self.unresolved + self.dropped_incomplete + self.dropped_duplicates
 
     def counts(self) -> dict[str, int]:
+        """Each partition's size, in pipeline order."""
         return {
-            "matched": len(self.matched),
-            "unresolved": len(self.unresolved),
             "dropped_incomplete": len(self.dropped_incomplete),
             "dropped_duplicates": len(self.dropped_duplicates),
+            "unresolved": len(self.unresolved),
+            "matched": len(self.matched),
         }
 
 

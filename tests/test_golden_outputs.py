@@ -73,7 +73,7 @@ GOLDEN = {
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
     }),
     'link': (0, {
-        'counts_summary.csv': '4d6bee76d35d517e937ff260531680e562e9692bcafd3b490c944756dc97d350',
+        'counts_summary.csv': '6ae9c9711b7a404ba5c2bd12b4738436542f7a1a6e25b86dc697c76296665527',
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
         'matches.csv': '7a903b9a6b071d406fc6d9f9dfd19a42e5ce626a866fd1b2112c5950420bd2ff',
         'review_unresolved.csv': '861802d8f9b0a206cbab345b432a54db00a89a3bab7255e155b0f2408399730b',
