@@ -558,6 +558,20 @@ def test_a_closed_stdout_changes_neither_the_outputs_nor_the_exit_code(sim_dir, 
     assert _tree_bytes(tmp_path / "piped") == _tree_bytes(tmp_path / "normal")
 
 
+def test_rerun_ignores_the_group_by_key_of_an_older_manifest(sim_dir, tmp_path):
+    first = tmp_path / "first"
+    assert run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
+                "--out", first]) == 0
+    manifest = json.loads((first / "run_manifest.json").read_text())
+    manifest["options"]["group_by"] = "none"
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(manifest))
+    second = tmp_path / "second"
+    assert run(["rerun", older, "--out", second]) == 0
+    skip = ("run_manifest.json",)
+    assert _tree_bytes(second, skip) == _tree_bytes(first, skip)
+
+
 def test_rerun_rejects_bad_manifest(tmp_path):
     bad = tmp_path / "m.json"
     bad.write_text("{}")
