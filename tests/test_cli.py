@@ -550,7 +550,7 @@ def test_a_closed_stdout_changes_neither_the_outputs_nor_the_exit_code(sim_dir, 
     try:
         env = {**os.environ, "PYTHONPATH": str(Path(psa_audit.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-m", "psa_audit.cli", *map(str, args), "--out", tmp_path / "piped"],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 0, proc.stderr
