@@ -19,6 +19,7 @@ from io import StringIO
 from itertools import count
 from operator import attrgetter
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import __version__
 from .charges import read_config
@@ -216,7 +217,16 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
         raise SchemaError(f"{path}: not a valid run manifest: {exc}") from None
     if command not in _HANDLERS:
         raise SchemaError(f"{path}: unknown subcommand {command!r}")
-    return _dispatch(command, opts, Path(args.out))
+    # an older manifest may carry options no command reads any more; drop
+    # them, so the new manifest names only what shaped the outputs
+    known = _option_keys(command) | ({"resolved_generator"} if command == "simulate" else set())
+    return _dispatch(command, {k: v for k, v in opts.items() if k in known}, Path(args.out))
+
+
+def _option_keys(command: str) -> set[str]:
+    """The option keys the parser of ``command`` defines."""
+    [commands] = [a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in commands[command]._actions}
 
 
 def _engine_config(opts: dict) -> EngineConfig:
@@ -364,10 +374,32 @@ def _write_summary(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class _SizedRows:
+    """``count`` table rows that ``rows()`` makes one at a time while
+    ``write_csv`` writes them, so a large table is never held whole.  It
+    is sized, not a bare generator, because a caller of ``write_csv`` may
+    count the rows it is given (perfbench's write hook does)."""
+
+    __slots__ = ("_count", "_rows")
+
+    def __init__(self, count: int, rows: Callable[[], Iterator[tuple]]):
+        self._count, self._rows = count, rows
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._rows()
+
+
 def _write_matches(path: Path, report) -> None:
-    rows = [(m.psa.record_id, m.psa.sfid, m.status.value, ";".join(c.court_number for c in m.matched_cases))
-            for m in report.all_results]
-    write_csv(path, ("record_id", "sfid", "status", "court_numbers"), rows)
+    results = report.all_results
+
+    def rows():
+        for m in results:
+            yield m.psa.record_id, m.psa.sfid, m.status.value, ";".join(c.court_number for c in m.matched_cases)
+
+    write_csv(path, ("record_id", "sfid", "status", "court_numbers"), _SizedRows(len(results), rows))
 
 
 def _write_review(path: Path, unresolved) -> None:
@@ -378,15 +410,17 @@ def _write_review(path: Path, unresolved) -> None:
 
 
 def _write_pairs(path: Path, pairs: list[AuditPair]) -> None:
-    rows = [(p.record_id, p.group,
-             p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
-             p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result),
-             *change, p.excluded_by_sensitivity)
-            for p, change in zip(pairs, changes(pairs))]
+    def rows():
+        for p, change in zip(pairs, changes(pairs)):
+            yield (p.record_id, p.group,
+                   p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
+                   p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result),
+                   *change, p.excluded_by_sensitivity)
+
     write_csv(path, (
         "record_id", "group",
         *(f"{side}_{c}" for side in ("booking", "conviction") for c in ("nvca", *_RESULT_COLUMNS)),
-        *(c.column for c in COMPONENTS), "excluded_by_sensitivity"), rows)
+        *(c.column for c in COMPONENTS), "excluded_by_sensitivity"), _SizedRows(len(pairs), rows))
 
 
 def _write_distribution(path: Path, hists) -> None:

@@ -126,15 +126,22 @@ def counterfactual_assess(
     from ``charges``.  Extradition is treated as false: the counterfactual
     concerns charges only, and the source data carries no extradition
     field.
+
+    The flag is computed once per distinct (age at arrest, prior
+    conviction, prior violent convictions, current offense violent) and
+    each SubScores built once per distinct (fta, nca, flag) under a config.
     """
     if record.fta is None or record.nca is None:
         raise ValueError(f"record {record.record_id} has no sub-scores")
     violent = any(config.catalog.is_violent(c) for c in charges)
-    factors = record_factors(
-        record.age_at_arrest, record.prior_conviction, record.prior_violent_convictions, violent
-    )
-    nvca = nvca_flag_value(factors, config.weights)
-    subs = SubScores(fta=record.fta, nca=record.nca, nvca_flag=nvca)
+    key = (record.age_at_arrest, record.prior_conviction, record.prior_violent_convictions, violent)
+    nvca = config.flag_memo.get(key)
+    if nvca is None:
+        nvca = config.flag_memo[key] = nvca_flag_value(record_factors(*key), config.weights)
+    key = (record.fta, record.nca, nvca)
+    subs = config.subscore_memo.get(key)
+    if subs is None:
+        subs = config.subscore_memo[key] = SubScores(*key)
     return assess(subs, charges, False, config.dmf, config.catalog)
 
 

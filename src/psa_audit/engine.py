@@ -31,7 +31,7 @@ decisions, not by the distinct charge sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from pathlib import Path
@@ -337,6 +337,10 @@ class EngineConfig:
     catalog: ChargeCatalog
     dmf: DmfConfig
     weights: WeightConfig
+    # counterfactual_assess's memos of the violence flag and of SubScores,
+    # kept here so that they live exactly as long as the weights behind them
+    flag_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    subscore_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 CONFIG_FILENAMES = {"catalog": "charge_catalog.yaml", "dmf": "dmf.yaml", "weights": "weights.yaml"}

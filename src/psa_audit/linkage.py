@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .charges import ChargeCode
@@ -72,7 +71,7 @@ class PsaRecord:
 RACE_CATEGORIES = ("B", "C", "F", "H", "I", "J", "O", "U", "W")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CourtCase:
     court_number: str
     sfid: str
@@ -87,10 +86,6 @@ class CourtCase:
     def __post_init__(self):
         if len(self.dispositions) != len(self.filed_charges):
             raise ValueError("each filed charge needs exactly one disposition slot")
-
-    @cached_property
-    def charge_strings(self) -> frozenset[str]:
-        return frozenset(c.text_key for c in self.booking_charges + self.filed_charges)
 
 
 class MatchStatus(Enum):
@@ -143,8 +138,12 @@ def _dedup_key(record: PsaRecord):
 
 
 def _content_order(record: PsaRecord):
+    """The records' content-only order.  Its first four fields order them
+    by ``_dedup_key``, a missing form date before every date, so records
+    with equal keys sort next to each other."""
     return (
         record.sfid,
+        record.psa_date is not None,
         record.psa_date or date.min,
         _charge_key(record),
         record.arrest_date or date.min,
@@ -163,14 +162,14 @@ def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[Psa
     so the outcome does not depend on input order.  Returns (unique,
     dropped duplicates).
     """
-    seen: set[tuple] = set()
     unique, dropped = [], []
+    kept = None  # the key of the last representative; equal keys are adjacent
     for r in sorted(records, key=_content_order):
         key = _dedup_key(r)
-        if key in seen:
+        if key == kept:
             dropped.append(r)
         else:
-            seen.add(key)
+            kept = key
             unique.append(r)
     return unique, dropped
 
@@ -191,10 +190,6 @@ def find_candidates(psa: PsaRecord, cases: Iterable[CourtCase]) -> list[CourtCas
     return out
 
 
-def _contains_charge(case: CourtCase, charge: ChargeCode) -> bool:
-    return charge.text_key in case.charge_strings
-
-
 def resolve_match(psa: PsaRecord, candidates: Sequence[CourtCase]) -> MatchResult:
     """Narrow multiple candidates by top charge, then by second charge.
 
@@ -208,13 +203,16 @@ def resolve_match(psa: PsaRecord, candidates: Sequence[CourtCase]) -> MatchResul
         return MatchResult(psa=psa, matched_cases=(), status=MatchStatus.UNRESOLVED, note="no-candidates")
     if len(pool) == 1:
         return MatchResult(psa=psa, matched_cases=tuple(pool), status=MatchStatus.MATCHED)
+    # each candidate with the texts of its booked and filed charges, built
+    # for this call only
+    pool = [(c, frozenset(ch.text_key for ch in c.booking_charges + c.filed_charges)) for c in pool]
     for listed in psa.booking_charges[:2]:
-        narrowed = [c for c in pool if _contains_charge(c, listed)]
+        narrowed = [(c, texts) for c, texts in pool if listed.text_key in texts]
         if narrowed:
             pool = narrowed
         if len(pool) == 1:
             break
-    return MatchResult(psa=psa, matched_cases=tuple(pool), status=MatchStatus.MATCHED)
+    return MatchResult(psa=psa, matched_cases=tuple(c for c, _ in pool), status=MatchStatus.MATCHED)
 
 
 @dataclass

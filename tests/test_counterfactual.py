@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -16,7 +17,7 @@ from psa_audit.counterfactual import (
     fully_disposed,
     is_conviction,
 )
-from psa_audit.engine import SupervisionLevel
+from psa_audit.engine import FlagSpec, SupervisionLevel, WeightConfig
 from psa_audit.errors import NotDisposed
 from psa_audit.linkage import CourtCase, MatchResult, MatchStatus, PsaRecord
 
@@ -166,6 +167,24 @@ def test_nvca_recomputed_from_charges(config):
     assert not without.subscores.nvca_flag
 
 
+def test_violence_flag_memo_belongs_to_its_config(config):
+    # the default weights set the flag; a copy with an unreachable threshold
+    # must not be answered from the default config's memo
+    r = rec(prior_conviction=True, pv=1)
+    assert counterfactual_assess(r, [q("240 PC M")], config).subscores.nvca_flag
+    strict = replace(config, weights=WeightConfig(nvca=FlagSpec(
+        weights=config.weights.nvca.weights, threshold=100)))
+    assert not strict.flag_memo and not strict.subscore_memo
+    assert not counterfactual_assess(r, [q("240 PC M")], strict).subscores.nvca_flag
+    assert counterfactual_assess(r, [q("240 PC M")], config).subscores.nvca_flag
+
+
+def test_equal_inputs_share_one_subscores(config):
+    a, b = rec(record_id="R1", fta=4, nca=5), rec(record_id="R2", fta=4, nca=5)
+    assert counterfactual_assess(a, [q("459 PC F")], config).subscores is \
+        counterfactual_assess(b, [q("484 PC M")], config).subscores
+
+
 def test_exclusion_lost_at_top_initial_keeps_final(config):
     # initial is already the top level, so losing the exclusion charge
     # cannot lower the final recommendation
@@ -258,3 +277,14 @@ def test_subset_monotonicity_and_delta_implication(config):
         if all(keep):
             assert delta == 0
             assert not (exclusion_lost or bumpup_lost or nvca_lost)
+
+
+def test_per_record_types_stay_slotted(config):
+    # one __dict__ per record, case, match, pair or result costs megabytes
+    # at 100k records; a cached_property would silently bring it back
+    m = matched(case(["459 PC F", "484 PC M"], [160, 30]))
+    pair = build_audit_pair(m, POLICY, config, "B")
+    instances = (m.psa, m.matched_cases[0], m, pair, pair.booking_result, pair.booking_result.subscores)
+    assert [type(x).__name__ for x in instances] == [
+        "PsaRecord", "CourtCase", "MatchResult", "AuditPair", "PsaResult", "SubScores"]
+    assert [type(x).__name__ for x in instances if hasattr(x, "__dict__")] == []

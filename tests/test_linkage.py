@@ -2,12 +2,15 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psa_audit.charges import parse_charge_code
 from psa_audit.linkage import (
     CourtCase,
     MatchStatus,
     PsaRecord,
+    _content_order,
+    _dedup_key,
     deduplicate,
     filter_complete,
     find_candidates,
@@ -105,6 +108,31 @@ def test_dedup_idempotent_and_order_independent():
     rng.shuffle(shuffled)
     again, _ = deduplicate(shuffled)
     assert again == once
+
+
+_RECORD_FIELDS = st.tuples(
+    st.sampled_from(("S1", "S2")),
+    st.sampled_from((None, "0001-01-01", "2016-09-01")),  # psa_date, date.min included
+    # one charge spelled two ways; lists repeat charges in any order
+    st.lists(st.sampled_from(("459 PC F", "484 PC M", "484  PC M", "245(A)(1) PC F")), max_size=3),
+    st.sampled_from((None, "0001-01-01", "2016-09-02")),  # arrest_date
+    st.sampled_from((None, 1, 2)),  # fta
+    st.sampled_from((None, False, True)),  # nvca_flag
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_adjacency_dedupe_equals_the_set_based_rule(data):
+    drawn = data.draw(st.lists(_RECORD_FIELDS, max_size=12))
+    records = [rec(record_id=f"R{i}", sfid=sfid, psa=psa, charges=charges, arrest=arrest, fta=fta, nvca=nvca)
+               for i, (sfid, psa, charges, arrest, fta, nvca) in enumerate(drawn)]
+    seen, unique, dropped = set(), [], []
+    for r in sorted(records, key=_content_order):
+        key = _dedup_key(r)
+        (dropped if key in seen else unique).append(r)
+        seen.add(key)
+    assert deduplicate(data.draw(st.permutations(records))) == (unique, dropped)
 
 
 def test_candidate_window_offsets():
