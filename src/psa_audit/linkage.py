@@ -203,8 +203,8 @@ def resolve_match(psa: PsaRecord, candidates: Sequence[CourtCase]) -> MatchResul
         return MatchResult(psa=psa, matched_cases=(), status=MatchStatus.UNRESOLVED, note="no-candidates")
     if len(pool) == 1:
         return MatchResult(psa=psa, matched_cases=tuple(pool), status=MatchStatus.MATCHED)
-    # each candidate with the texts of its booked and filed charges, built
-    # for this call only
+    # each candidate with the texts of its booked and filed charges; built
+    # per call rather than cached on the case, so the sets die with the call
     pool = [(c, frozenset(ch.text_key for ch in c.booking_charges + c.filed_charges)) for c in pool]
     for listed in psa.booking_charges[:2]:
         narrowed = [(c, texts) for c, texts in pool if listed.text_key in texts]

@@ -179,10 +179,13 @@ def test_violence_flag_memo_belongs_to_its_config(config):
     assert counterfactual_assess(r, [q("240 PC M")], config).subscores.nvca_flag
 
 
-def test_equal_inputs_share_one_subscores(config):
-    a, b = rec(record_id="R1", fta=4, nca=5), rec(record_id="R2", fta=4, nca=5)
-    assert counterfactual_assess(a, [q("459 PC F")], config).subscores is \
-        counterfactual_assess(b, [q("484 PC M")], config).subscores
+def test_each_distinct_input_is_memoized_once(config):
+    fresh = replace(config)  # a copy starts with empty memos
+    for record_id, charge in (("R1", "459 PC F"), ("R2", "484 PC M")):
+        counterfactual_assess(rec(record_id=record_id, fta=4, nca=5), [q(charge)], fresh)
+    assert len(fresh.flag_memo) == len(fresh.subscore_memo) == 1
+    counterfactual_assess(rec(fta=4, nca=5, prior_conviction=True, pv=1), [q("240 PC M")], fresh)
+    assert len(fresh.flag_memo) == len(fresh.subscore_memo) == 2
 
 
 def test_exclusion_lost_at_top_initial_keeps_final(config):
