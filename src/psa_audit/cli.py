@@ -98,7 +98,10 @@ def main(argv=None) -> int:
 def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
     """Run one command, holding back what it prints until its outputs and
     its manifest are written, so a closed stdout cannot cut the run short."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path, or above it
+        raise SchemaError(f"{out_dir}: cannot make the output directory: {exc.strerror or exc}") from None
     with redirect_stdout(StringIO()) as report:
         code = _HANDLERS[command](opts, out_dir)
     _write_manifest(out_dir, command, opts)
@@ -207,26 +210,45 @@ def _write_manifest(out_dir: Path, command: str, opts: dict) -> None:
 
 def _cmd_rerun(args: argparse.Namespace) -> int:
     path = Path(args.manifest)
-    if not path.exists():
-        raise SchemaError(f"{path}: manifest not found")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        command = manifest["subcommand"]
-        opts = manifest["options"]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read the manifest: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise SchemaError(f"{path}: not a valid run manifest: {exc}") from None
-    if command not in _HANDLERS:
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("options"), dict)):
+        raise SchemaError(f"{path}: not a valid run manifest: needs a mapping with an 'options' mapping")
+    command = manifest.get("subcommand")
+    if not isinstance(command, str) or command not in _HANDLERS:
         raise SchemaError(f"{path}: unknown subcommand {command!r}")
-    # an older manifest may carry options no command reads any more; drop
-    # them, so the new manifest names only what shaped the outputs
-    known = _option_keys(command) | ({"resolved_generator"} if command == "simulate" else set())
-    return _dispatch(command, {k: v for k, v in opts.items() if k in known}, Path(args.out))
+    return _dispatch(command, _manifest_options(path, command, manifest["options"]), Path(args.out))
 
 
-def _option_keys(command: str) -> set[str]:
-    """The option keys the parser of ``command`` defines."""
+def _manifest_options(path: Path, command: str, opts: dict) -> dict:
+    """The options of a manifest for ``command``, checked as its parser
+    would give them: every option that the parser requires or defaults
+    must be present, and each value must have the type the parser gives it
+    (a number where it gives a float, taken as a float).  An older
+    manifest may carry options no command reads any more; they are
+    dropped, so the new manifest names only what shaped the outputs."""
     [commands] = [a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest for a in commands[command]._actions}
+    actions = [a for a in commands[command]._actions if a.dest not in ("help", "out")]
+    missing = sorted(a.dest for a in actions if (a.required or a.default is not None) and a.dest not in opts)
+    if missing:
+        raise SchemaError(f"{path}: run manifest lacks options {missing}")
+    types = {a.dest: bool if isinstance(a, argparse._StoreTrueAction) else a.type or str for a in actions}
+    if command == "simulate":
+        types["resolved_generator"] = dict
+    checked = {}
+    for key, value in opts.items():
+        if key not in types:
+            continue
+        if types[key] is float and type(value) is int:
+            value = float(value)
+        if type(value) is not types[key]:
+            raise SchemaError(f"{path}: option {key!r} must be of type {types[key].__name__}, got {value!r}")
+        checked[key] = value
+    return checked
 
 
 def _engine_config(opts: dict) -> EngineConfig:

@@ -15,7 +15,7 @@ from operator import attrgetter, gt, sub
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .charges import ChargeCode
-from .engine import EngineConfig, PsaResult, RiskFactors, SubScores, assess, nvca_flag_value
+from .engine import EngineConfig, PsaResult, assess, derive_subscores
 from .errors import NotDisposed
 from .linkage import CourtCase, MatchResult, MatchStatus, PsaRecord
 
@@ -98,22 +98,6 @@ def booking_charges(match: MatchResult) -> tuple[ChargeCode, ...]:
     return _dedup_sorted(c for case in match.matched_cases for c in case.booking_charges)
 
 
-def record_factors(
-    age_at_arrest: int | None,
-    prior_conviction: bool | None,
-    prior_violent_convictions: int | None,
-    current_offense_violent: bool,
-) -> RiskFactors:
-    """Risk factors from the fields an assessment record carries; absent
-    fields contribute nothing to the violence-flag score."""
-    return RiskFactors(
-        age_at_arrest=age_at_arrest or 0,
-        prior_conviction=bool(prior_conviction),
-        prior_violent_convictions=prior_violent_convictions or 0,
-        current_offense_violent=current_offense_violent,
-    )
-
-
 def counterfactual_assess(
     record: PsaRecord,
     charges: Sequence[ChargeCode],
@@ -126,22 +110,11 @@ def counterfactual_assess(
     from ``charges``.  Extradition is treated as false: the counterfactual
     concerns charges only, and the source data carries no extradition
     field.
-
-    The flag is computed once per distinct (age at arrest, prior
-    conviction, prior violent convictions, current offense violent) and
-    each SubScores built once per distinct (fta, nca, flag) under a config.
     """
     if record.fta is None or record.nca is None:
         raise ValueError(f"record {record.record_id} has no sub-scores")
-    violent = any(config.catalog.is_violent(c) for c in charges)
-    key = (record.age_at_arrest, record.prior_conviction, record.prior_violent_convictions, violent)
-    nvca = config.flag_memo.get(key)
-    if nvca is None:
-        nvca = config.flag_memo[key] = nvca_flag_value(record_factors(*key), config.weights)
-    key = (record.fta, record.nca, nvca)
-    subs = config.subscore_memo.get(key)
-    if subs is None:
-        subs = config.subscore_memo[key] = SubScores(*key)
+    subs = derive_subscores(record.fta, record.nca, record.age_at_arrest, record.prior_conviction,
+                            record.prior_violent_convictions, charges, config)
     return assess(subs, charges, False, config.dmf, config.catalog)
 
 

@@ -6,8 +6,8 @@ parallel with no coordination; the catalog memoizes each charge's list
 membership, but its answers never change.  The four-step shape:
 
   1. sub-scores (two 1..6 scales plus a binary violence flag): the scales
-     are taken from the form, and the violence flag is derived from risk
-     factors under the nvca weights;
+     are taken from the form, and ``derive_subscores`` derives the violence
+     flag from the form's inputs and the charges under the nvca weights;
   2. charge-based exclusion (extradition, a listed serious offense, or a
      violent charge combined with the violence flag) forces the most
      restrictive recommendation;
@@ -31,7 +31,7 @@ decisions, not by the distinct charge sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from pathlib import Path
@@ -70,29 +70,8 @@ _LEVEL_LABELS = {
 _LABEL_LEVELS = {v: k for k, v in _LEVEL_LABELS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class RiskFactors:
-    """The violence-flag inputs an assessment record carries."""
-
-    age_at_arrest: int = 0
-    prior_conviction: bool = False
-    prior_violent_convictions: int = 0
-    current_offense_violent: bool = False
-
-    def __post_init__(self):
-        if self.age_at_arrest < 0:
-            raise ValueError("age_at_arrest must be >= 0")
-        if self.prior_violent_convictions < 0:
-            raise ValueError("counts must be >= 0")
-
-
-#: Numeric value each factor contributes per unit of weight.
-FACTOR_VALUES = {
-    "age_at_arrest": lambda f: f.age_at_arrest,
-    "prior_conviction": lambda f: int(f.prior_conviction),
-    "prior_violent_convictions": lambda f: f.prior_violent_convictions,
-    "current_offense_violent": lambda f: int(f.current_offense_violent),
-}
+#: The violence-flag inputs that ``derive_subscores`` weighs.
+_FACTORS = ("age_at_arrest", "prior_conviction", "prior_violent_convictions", "current_offense_violent")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,12 +98,30 @@ class WeightConfig:
     nvca: FlagSpec
 
 
-def raw_score(weights: Mapping[str, int], factors: RiskFactors) -> int:
-    return sum(w * FACTOR_VALUES[name](factors) for name, w in weights.items())
+def derive_subscores(fta: int, nca: int, age_at_arrest: int | None, prior_conviction: bool | None,
+                     prior_violent_convictions: int | None, charges: Sequence[ChargeCode],
+                     config: EngineConfig) -> SubScores:
+    """Step 1: the sub-scores of a form scored over ``charges``.
+
+    FTA and NCA are the form's.  The violence flag is set when the sum of
+    its inputs, weighted by ``config.weights.nvca``, reaches the threshold;
+    of those inputs only "current offense violent" (any charge violent)
+    depends on the charges.  An absent input counts as 0, and a negative
+    count raises ValueError.  Equal sub-scores are one shared value.
+    """
+    age, priors = age_at_arrest or 0, prior_violent_convictions or 0
+    if age < 0 or priors < 0:
+        raise ValueError(f"age_at_arrest and prior_violent_convictions must be >= 0, got {age} and {priors}")
+    violent = any(config.catalog.is_violent(c) for c in charges)
+    nvca = config.weights.nvca
+    w = nvca.weights.get
+    score = (w("age_at_arrest", 0) * age + w("prior_conviction", 0) * bool(prior_conviction)
+             + w("prior_violent_convictions", 0) * priors + w("current_offense_violent", 0) * violent)
+    return _subscores(fta, nca, score >= nvca.threshold)
 
 
-def nvca_flag_value(factors: RiskFactors, config: WeightConfig) -> bool:
-    return raw_score(config.nvca.weights, factors) >= config.nvca.threshold
+#: One shared SubScores per distinct (fta, nca, flag): at most 72, whatever the config.
+_subscores = lru_cache(maxsize=None)(SubScores)
 
 
 _SPLIT = "SPLIT"
@@ -277,7 +274,7 @@ def _load_weights_map(doc, where: str) -> dict[str, int]:
         raise ConfigError(f"{where}: weights must be a non-empty mapping")
     out = {}
     for name, w in doc.items():
-        if name not in FACTOR_VALUES:
+        if name not in _FACTORS:
             raise ConfigError(f"{where}: unknown factor {name!r}")
         if not isinstance(w, int) or isinstance(w, bool):
             raise ConfigError(f"{where}: weight for {name!r} must be an integer")
@@ -337,10 +334,6 @@ class EngineConfig:
     catalog: ChargeCatalog
     dmf: DmfConfig
     weights: WeightConfig
-    # counterfactual_assess's memos of the violence flag and of SubScores,
-    # kept here so that they live exactly as long as the weights behind them
-    flag_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    subscore_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 CONFIG_FILENAMES = {"catalog": "charge_catalog.yaml", "dmf": "dmf.yaml", "weights": "weights.yaml"}

@@ -154,27 +154,30 @@ def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int,
     Each column's position is found once, from the header, which must name
     each required column exactly once.  A ragged row's cells are cut or
     padded with empty cells to the header's width, so every row has every
-    column.  Blank lines are skipped and not numbered."""
-    p = Path(path)
-    if not p.exists():
-        raise SchemaError(f"{path}: file not found")
-    with p.open(encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns {missing}")
-        repeated = [c for c in required if header.count(c) > 1]
-        if repeated:
-            raise SchemaError(f"{path}: repeated columns {repeated}")
-        pick = itemgetter(*map(header.index, required))
-        width = len(header)
-        for number, cells in enumerate(filter(None, reader), start=1):
-            ragged = None
-            if len(cells) != width:
-                ragged = f"row has {len(cells)} cells, header has {width}"
-                cells = (cells + [""] * width)[:width]
-            yield number, pick(cells), ragged
+    column.  Blank lines are skipped and not numbered.  A file that cannot
+    be read, or that is not UTF-8 text, is a SchemaError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required columns {missing}")
+            repeated = [c for c in required if header.count(c) > 1]
+            if repeated:
+                raise SchemaError(f"{path}: repeated columns {repeated}")
+            pick = itemgetter(*map(header.index, required))
+            width = len(header)
+            for number, cells in enumerate(filter(None, reader), start=1):
+                ragged = None
+                if len(cells) != width:
+                    ragged = f"row has {len(cells)} cells, header has {width}"
+                    cells = (cells + [""] * width)[:width]
+                yield number, pick(cells), ragged
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def read_psa_records(

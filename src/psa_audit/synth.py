@@ -36,8 +36,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .charges import ChargeCode, parse_charge_code
-from .counterfactual import record_factors
-from .engine import EngineConfig, SubScores, SupervisionLevel, assess, load_engine_config, nvca_flag_value
+from .engine import EngineConfig, SupervisionLevel, assess, derive_subscores, load_engine_config
 from .errors import ConfigError
 from .io import (
     COURT_COLUMNS,
@@ -279,7 +278,7 @@ class _Generator:
         person.last_arrest = arrest
         return arrest
 
-    def _draw_scores(self, group: str, cell_kind: str | None) -> tuple[int, int]:
+    def _draw_fta_nca(self, group: str, cell_kind: str | None) -> tuple[int, int]:
         # overbooked scenarios pin the cell: "low" guarantees the drop is
         # visible in the final recommendation, "top" guarantees it is not.
         # identity-preserving scenarios may land anywhere, split cell included.
@@ -328,7 +327,7 @@ class _Generator:
     def _emit_incomplete(self):
         person = self._draw_person()
         arrest = self._draw_arrest_date(person)
-        fta, nca = self._draw_scores(person.group, None)
+        fta, nca = self._draw_fta_nca(person.group, None)
         row = self._psa_row(person, arrest, fta, nca, False,
                             [self._charge(self.rng.choice(self.pools["neutral_misdemeanors"]))],
                             prior_conviction=False, pv=0)
@@ -362,15 +361,13 @@ class _Generator:
 
         charges, dispositions, conviction_idx = self._plan_charges(scenario, disposed)
         cell_kind = {"overbooked_affected": "low", "overbooked_saturated": "top"}.get(scenario)
-        fta, nca = self._draw_scores(person.group, cell_kind)
+        fta, nca = self._draw_fta_nca(person.group, cell_kind)
 
-        # the flag is derived from the row exactly as the audit re-derives it;
-        # scoring draws no random numbers, so it may come before the row
-        violent = any(self.engine.catalog.is_violent(c) for c in charges)
-        factors = record_factors(person.age_at(arrest), prior_conviction, pv, violent)
-        nvca = nvca_flag_value(factors, self.engine.weights)
-        result = assess(SubScores(fta, nca, nvca), charges, False, self.engine.dmf, self.engine.catalog)
-        row = self._psa_row(person, arrest, fta, nca, nvca, charges, prior_conviction, pv,
+        # the row is scored exactly as the audit re-scores it; scoring draws
+        # no random numbers, so it may come before the row
+        subs = derive_subscores(fta, nca, person.age_at(arrest), prior_conviction, pv, charges, self.engine)
+        result = assess(subs, charges, False, self.engine.dmf, self.engine.catalog)
+        row = self._psa_row(person, arrest, fta, nca, subs.nvca_flag, charges, prior_conviction, pv,
                             (result.exclusion, result.bumpup, result.final))
         self.psa_rows.append(row)
         self.base_row_ids.append(len(self.psa_rows) - 1)

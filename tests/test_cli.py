@@ -115,8 +115,36 @@ def test_missing_column_is_schema_failure(tmp_path):
     assert run(["score", "--psa", psa, "--out", tmp_path / "out"]) == 2
 
 
-def test_missing_file_is_schema_failure(tmp_path):
-    assert run(["score", "--psa", tmp_path / "nope.csv", "--out", tmp_path / "out"]) == 2
+def _unusable_input(tmp_path, kind):
+    """A --psa/--court path the readers cannot read: no file, a directory,
+    or a file whose rows turn to non-UTF-8 bytes after its good first rows."""
+    path = tmp_path / "bad.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        good = ",".join(COURT_COLUMNS) + "\n" + "C1,S1\n" * 5000
+        path.write_bytes(good.encode() + b"C2,\xff\xfe\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_missing_file_is_schema_failure(tmp_path, capsys, kind):
+    bad = _unusable_input(tmp_path, kind)
+    for args in (["score", "--psa", bad], ["consistency", "--court", bad]):
+        capsys.readouterr()
+        assert run([*args, "--out", tmp_path / "out"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("kind", ["a file", "under a file"])
+def test_an_out_path_that_cannot_be_a_directory_is_a_usage_failure(tmp_path, capsys, kind):
+    (tmp_path / "taken").write_text("not a directory\n")
+    out = tmp_path / "taken" if kind == "a file" else tmp_path / "taken" / "out"
+    assert run(["simulate", "--n", 20, "--seed", 1, "--out", out]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {out}: ")
+    assert (tmp_path / "taken").read_text() == "not a directory\n"
 
 
 def test_empty_and_repeated_ids_are_row_errors(tmp_path):
@@ -571,11 +599,32 @@ def test_rerun_ignores_the_group_by_key_of_an_older_manifest(sim_dir, tmp_path):
     assert _tree_bytes(second) == _tree_bytes(first)
 
 
-def test_rerun_rejects_bad_manifest(tmp_path):
+def test_rerun_rejects_bad_manifest(tmp_path, capsys):
+    audit = {"psa": str(tmp_path / "psa.csv"), "court": str(tmp_path / "court.csv"), "alpha": 0.001,
+             "conviction_threshold": 159, "plea_to_other_code": 72,
+             "sensitivity": False, "no_companion_zero": False}
+    manifests = [
+        {},
+        [],
+        {"subcommand": "audit", "options": []},
+        {"subcommand": ["audit"], "options": {}},
+        {"subcommand": "audit", "options": {k: v for k, v in audit.items() if k != "alpha"}},
+        {"subcommand": "audit", "options": {k: v for k, v in audit.items() if k not in ("psa", "court")}},
+        {"subcommand": "audit", "options": {**audit, "conviction_threshold": "159"}},
+        {"subcommand": "audit", "options": {**audit, "sensitivity": 1}},
+        {"subcommand": "dedupe", "options": {"psa": 5}},
+        {"subcommand": "simulate", "options": {"resolved_generator": [150, 11]}},
+    ]
     bad = tmp_path / "m.json"
-    bad.write_text("{}")
-    assert run(["rerun", bad, "--out", tmp_path / "out"]) == 2
-    assert run(["rerun", tmp_path / "missing.json", "--out", tmp_path / "out"]) == 2
+    for manifest in manifests:
+        bad.write_text(json.dumps(manifest))
+        assert run(["rerun", bad, "--out", tmp_path / "out"]) == 2, manifest
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "out").exists()
+    bad.write_bytes(b"\xff{}")
+    for path in (bad, tmp_path / "missing.json", tmp_path):
+        assert run(["rerun", path, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_every_write_csv_call_gets_sized_rows(sim_dir, tmp_path, monkeypatch):

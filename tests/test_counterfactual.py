@@ -17,7 +17,7 @@ from psa_audit.counterfactual import (
     fully_disposed,
     is_conviction,
 )
-from psa_audit.engine import FlagSpec, SupervisionLevel, WeightConfig
+from psa_audit.engine import FlagSpec, SupervisionLevel, WeightConfig, derive_subscores
 from psa_audit.errors import NotDisposed
 from psa_audit.linkage import CourtCase, MatchResult, MatchStatus, PsaRecord
 
@@ -167,25 +167,28 @@ def test_nvca_recomputed_from_charges(config):
     assert not without.subscores.nvca_flag
 
 
-def test_violence_flag_memo_belongs_to_its_config(config):
+def test_violence_flag_follows_its_config(config):
     # the default weights set the flag; a copy with an unreachable threshold
-    # must not be answered from the default config's memo
+    # must not, and scoring under it leaves the default config's answer as is
     r = rec(prior_conviction=True, pv=1)
     assert counterfactual_assess(r, [q("240 PC M")], config).subscores.nvca_flag
     strict = replace(config, weights=WeightConfig(nvca=FlagSpec(
         weights=config.weights.nvca.weights, threshold=100)))
-    assert not strict.flag_memo and not strict.subscore_memo
     assert not counterfactual_assess(r, [q("240 PC M")], strict).subscores.nvca_flag
     assert counterfactual_assess(r, [q("240 PC M")], config).subscores.nvca_flag
 
 
-def test_each_distinct_input_is_memoized_once(config):
-    fresh = replace(config)  # a copy starts with empty memos
-    for record_id, charge in (("R1", "459 PC F"), ("R2", "484 PC M")):
-        counterfactual_assess(rec(record_id=record_id, fta=4, nca=5), [q(charge)], fresh)
-    assert len(fresh.flag_memo) == len(fresh.subscore_memo) == 1
-    counterfactual_assess(rec(fta=4, nca=5, prior_conviction=True, pv=1), [q("240 PC M")], fresh)
-    assert len(fresh.flag_memo) == len(fresh.subscore_memo) == 2
+def test_equal_inputs_share_one_subscores(config):
+    # equal inputs share one SubScores, and so do inputs that differ only in
+    # what the weights ignore (age) or in which non-violent charges they
+    # carry; a violent charge on a history that reaches the threshold gives
+    # another, under any copy of the config
+    first = derive_subscores(4, 5, 30, False, 0, [q("459 PC F")], config)
+    assert derive_subscores(4, 5, 30, False, 0, [q("459 PC F")], config) is first
+    assert derive_subscores(4, 5, 41, False, 0, [q("484 PC M")], config) is first
+    violent = derive_subscores(4, 5, 30, True, 1, [q("240 PC M")], config)
+    assert violent.nvca_flag and violent is not first
+    assert derive_subscores(4, 5, 30, True, 1, [q("240 PC M")], replace(config)) is violent
 
 
 def test_exclusion_lost_at_top_initial_keeps_final(config):

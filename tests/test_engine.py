@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -7,15 +8,15 @@ import yaml
 from psa_audit.charges import ChargeCatalog, data_path, parse_charge_code
 from psa_audit.engine import (
     DmfConfig,
+    FlagSpec,
     PsaResult,
-    RiskFactors,
     SubScores,
     SupervisionLevel,
+    WeightConfig,
     assess,
+    derive_subscores,
     load_dmf_config,
     load_weight_config,
-    nvca_flag_value,
-    raw_score,
 )
 from psa_audit.errors import ConfigError
 from psa_audit.synth import DEFAULT_CHARGE_POOLS
@@ -31,39 +32,49 @@ def q(text):
 # sub-scores
 
 
+def flag(config, charges=(), *, age=None, prior_conviction=None, pv=None):
+    return derive_subscores(2, 3, age, prior_conviction, pv, [q(c) for c in charges], config).nvca_flag
+
+
 def test_nvca_flag_value_default_factors_is_false(config):
-    assert nvca_flag_value(RiskFactors(), config.weights) is False
+    assert flag(config) is False
+    assert flag(config, age=0, prior_conviction=False, pv=0) is False
 
 
 def test_nvca_raw_monotone_in_violent_priors(config):
-    lo = RiskFactors(prior_violent_convictions=0)
-    hi = RiskFactors(prior_violent_convictions=2)
-    w = config.weights.nvca.weights
-    assert raw_score(w, hi) > raw_score(w, lo)
+    # a prior conviction scores 1 of the 3 threshold points, each violent prior 1 more
+    assert not flag(config, prior_conviction=True, pv=0)
+    assert flag(config, prior_conviction=True, pv=2)
 
 
 def test_nvca_flag_value_matches_straight_line_sum(config):
-    # independent re-summation of the linear form against the threshold
+    # independent re-summation of the linear form against the threshold,
+    # under the default weights and under weights on all four inputs
     rng = random.Random(11)
-    cfg = config.weights
-    for _ in range(500):
-        f = RiskFactors(
-            age_at_arrest=rng.randrange(18, 70),
-            prior_conviction=rng.random() < 0.5,
-            prior_violent_convictions=rng.randrange(0, 3),
-            current_offense_violent=rng.random() < 0.3,
-        )
-        nv_total = sum(
-            w * int(getattr(f, name)) for name, w in cfg.nvca.weights.items()
-        )
-        assert nvca_flag_value(f, cfg) == (nv_total >= cfg.nvca.threshold)
+    every_input = replace(config, weights=WeightConfig(nvca=FlagSpec(weights={
+        "age_at_arrest": 1, "prior_conviction": 9, "prior_violent_convictions": 7,
+        "current_offense_violent": 11}, threshold=45)))
+    for cfg in (config, every_input):
+        nv = cfg.weights.nvca
+        for _ in range(500):
+            inputs = {
+                "age_at_arrest": rng.randrange(18, 70),
+                "prior_conviction": rng.random() < 0.5,
+                "prior_violent_convictions": rng.randrange(0, 3),
+            }
+            charges = ["240 PC M"] if rng.random() < 0.3 else ["459 PC F"]
+            values = {**inputs, "current_offense_violent": charges == ["240 PC M"]}
+            nv_total = sum(w * int(values[name]) for name, w in nv.weights.items())
+            subs = derive_subscores(4, 5, *inputs.values(), [q(c) for c in charges], cfg)
+            assert (subs.fta, subs.nca) == (4, 5)
+            assert subs.nvca_flag == (nv_total >= nv.threshold)
 
 
-def test_risk_factor_invariants():
+def test_risk_factor_invariants(config):
     with pytest.raises(ValueError):
-        RiskFactors(age_at_arrest=-1)
+        flag(config, age=-1)
     with pytest.raises(ValueError):
-        RiskFactors(prior_violent_convictions=-2)
+        flag(config, pv=-2)
 
 
 def test_subscores_range_validated():
