@@ -25,7 +25,8 @@ class DispositionPolicy:
     """Jurisdiction-specific disposition semantics.
 
     conviction_threshold: codes strictly greater are convictions.
-    plea_to_other_code: marks a guilty plea that names other charges.
+    plea_to_other_code: marks a guilty plea that names other charges; in
+        1..conviction_threshold, so that a plea charge never convicts.
     companion_zero_rule: in a fully resolved case containing the plea code,
         the zero-coded companion charges are the convictions.
     """
@@ -37,6 +38,8 @@ class DispositionPolicy:
     def __post_init__(self):
         if self.conviction_threshold <= 0:
             raise ValueError("conviction_threshold must be > 0")
+        if not 1 <= self.plea_to_other_code <= self.conviction_threshold:
+            raise ValueError("plea_to_other_code must be in 1..conviction_threshold")
 
 
 def fully_disposed(case: CourtCase) -> bool:

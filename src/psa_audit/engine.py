@@ -56,7 +56,7 @@ class SupervisionLevel(IntEnum):
         t = text.strip()
         if t in _LABEL_LEVELS:
             return _LABEL_LEVELS[t]
-        if t.isdigit() and 1 <= int(t) <= 4:
+        if t in ("1", "2", "3", "4"):
             return cls(int(t))
         raise ValueError(f"unknown supervision level {text!r}")
 

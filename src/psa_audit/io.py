@@ -1,15 +1,16 @@
 """Tabular file schemas and readers/writers.
 
 All files are comma-separated UTF-8 with a header row; readers also accept
-a leading byte-order mark, and report a row whose cell count differs from
-the header's as a row issue.  Multi-valued cells (charge lists, disposition
-lists) join their elements with ";".  Dates are ISO 8601, booleans are
-"true"/"false", missing values are empty cells.  Writers take each row as a
-sequence of cells in column order and emit "\n" newlines, so repeated runs
-are byte-identical.
+a leading byte-order mark.  Multi-valued cells (charge lists, disposition
+lists) join their elements with ";".  Dates are YYYY-MM-DD, integers are an
+optional sign and ASCII digits, booleans are "true"/"false", missing values
+are empty cells; so a cell reads the same on every Python version.  Writers
+take each row as a sequence of cells in column order and emit "\n"
+newlines, so repeated runs are byte-identical.
 
-A reader finds each required column's position in the header once and
-gives each column one parser for the file.  That parser is a memo: each
+Both input files go through one row loop, ``_read_table``, which numbers
+the rows and files every row issue.  Each reader gives it one ``build``
+and each column one parser for the file.  That parser is a memo: each
 distinct cell text is parsed once per file, and every row carrying it
 shares the resulting immutable value (a date, a charge tuple, a level, ...).
 Only the row ids, which are unique, are not memoized.
@@ -18,11 +19,12 @@ Only the row ids, which are unique, are not memoized.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import date
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .charges import ChargeCode, Derivative, parse_charge_code
 from .engine import SupervisionLevel
@@ -78,9 +80,6 @@ class RowIssue:
     record_id: str
     message: str
 
-    def __str__(self):
-        return f"row {self.row} ({self.record_id or '?'}): {self.message}"
-
 
 def parse_bool(text: str, where: str) -> bool | None:
     t = text.strip().lower()
@@ -97,10 +96,14 @@ def parse_int(text: str, where: str) -> int | None:
     t = text.strip()
     if t == "":
         return None
-    try:
-        return int(t)
-    except ValueError:
-        raise ValueError(f"{where}: expected an integer, got {text!r}") from None
+    digits = t[1:] if t[0] in "+-" else t
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{where}: expected an integer, got {text!r}")
+    return int(t)
+
+
+#: The one date form; from Python 3.11 on, date.fromisoformat takes others too.
+_DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def parse_date(text: str, where: str) -> date | None:
@@ -108,9 +111,11 @@ def parse_date(text: str, where: str) -> date | None:
     if t == "":
         return None
     try:
-        return date.fromisoformat(t)
+        if _DATE_SHAPE.fullmatch(t):
+            return date.fromisoformat(t)
     except ValueError:
-        raise ValueError(f"{where}: expected ISO date, got {text!r}") from None
+        pass
+    raise ValueError(f"{where}: expected ISO date, got {text!r}")
 
 
 def join_charges(charges: Iterable[ChargeCode]) -> str:
@@ -147,37 +152,61 @@ def _split_charges(cell: str, charges: _Memo) -> tuple[ChargeCode, ...]:
     return tuple(charges[text] for part in cell.split(";") if (text := part.strip()))
 
 
-def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...], str | None]]:
-    """The file's data rows, one at a time: each row's 1-based number, the
-    cells of the ``required`` columns in that order, and the message of its
-    row issue when its cell count differs from the header's, else None.
-    Each column's position is found once, from the header, which must name
-    each required column exactly once.  A ragged row's cells are cut or
-    padded with empty cells to the header's width, so every row has every
-    column.  Blank lines are skipped and not numbered.  A file that cannot
-    be read, or that is not UTF-8 text, is a SchemaError naming it."""
+def _read_table(
+    path: str | Path, columns: Sequence[str], build: Callable, warnings: Callable | None
+) -> tuple[list, list[RowIssue]]:
+    """(items, issues) of a table keyed by its first column.  The header
+    must name each of ``columns`` once.  Data rows are numbered from 1, and
+    blank lines are skipped and not numbered.  A row is an issue, in this
+    order, when its cell count is not the header's, when its id (a join
+    key) is empty or repeats an earlier row's, or when ``build(id, other
+    cells)`` raises ValueError or ParseError; else ``build``'s value is an
+    item, and each of ``warnings(item)``, unless None, is a ``warning:``
+    issue.  A file that cannot be read, or is not UTF-8 text, is a
+    SchemaError naming it."""
+    items, issues = [], []
+    first_row: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            missing = [c for c in required if c not in header]
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required columns {missing}")
-            repeated = [c for c in required if header.count(c) > 1]
+            repeated = [c for c in columns if header.count(c) > 1]
             if repeated:
                 raise SchemaError(f"{path}: repeated columns {repeated}")
-            pick = itemgetter(*map(header.index, required))
+            at = header.index(columns[0])
+            pick = itemgetter(*map(header.index, columns[1:]))
             width = len(header)
-            for number, cells in enumerate(filter(None, reader), start=1):
+            pad = [""] * width
+            for number, row in enumerate(filter(None, reader), start=1):
                 ragged = None
-                if len(cells) != width:
-                    ragged = f"row has {len(cells)} cells, header has {width}"
-                    cells = (cells + [""] * width)[:width]
-                yield number, pick(cells), ragged
+                if len(row) != width:
+                    ragged = f"row has {len(row)} cells, header has {width}"
+                    row = (row + pad)[:width]  # so that every column has a cell
+                key = row[at].strip()
+                try:
+                    if ragged:
+                        raise ValueError(ragged)
+                    if not key:
+                        raise ValueError(f"{columns[0]} must be non-empty")
+                    if key in first_row:
+                        raise ValueError(f"{columns[0]} {key!r} repeats row {first_row[key]}")
+                    item = build(key, pick(row))
+                except (ValueError, ParseError) as exc:
+                    issues.append(RowIssue(number, key, str(exc)))
+                    continue
+                first_row[key] = number
+                items.append(item)
+                if warnings is not None:
+                    for soft in warnings(item):
+                        issues.append(RowIssue(number, key, f"warning: {soft}"))
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    return items, issues
 
 
 def read_psa_records(
@@ -208,31 +237,11 @@ def read_psa_records(
         _Memo(parse_bool, "recorded_bumpup"),
         _Memo(_parse_level),  # recorded_recommendation
     )
-    records, issues = [], []
-    first_row: dict[str, int] = {}
-    for i, cells, ragged in _read_rows(path, PSA_COLUMNS):
-        rid = cells[0].strip()
-        try:
-            if ragged:
-                raise ValueError(ragged)
-            _check_id("record_id", rid, first_row)
-            rec = PsaRecord(rid, *map(getitem, parsers, cells[1:]))
-        except (ValueError, ParseError) as exc:
-            issues.append(RowIssue(row=i, record_id=rid, message=str(exc)))
-            continue
-        first_row[rid] = i
-        for soft in rec.validate():
-            issues.append(RowIssue(row=i, record_id=rid, message=f"warning: {soft}"))
-        records.append(rec)
-    return records, issues
 
+    def build(rid, cells):
+        return PsaRecord(rid, *map(getitem, parsers, cells))
 
-def _check_id(column: str, value: str, first_row: Mapping[str, int]) -> None:
-    """Ids key the joins and groupings, so each must be present and unique."""
-    if not value:
-        raise ValueError(f"{column} must be non-empty")
-    if value in first_row:
-        raise ValueError(f"{column} {value!r} repeats row {first_row[value]}")
+    return _read_table(path, PSA_COLUMNS, build, PsaRecord.validate)
 
 
 def _parse_score(text: str, where: str) -> int | None:
@@ -276,41 +285,20 @@ def read_court_cases(
     dobs, arrest_dates = _Memo(parse_date, "dob"), _Memo(parse_date, "arrest_date")
     charges, dispositions = _charge_cells(prefixes), _Memo(_parse_dispositions)
     pending = _Memo((None,).__mul__)  # n -> (None,) * n
-    cases, issues = [], []
-    first_row: dict[str, int] = {}
-    for i, cells, ragged in _read_rows(path, COURT_COLUMNS):
-        cn, sfid, name, dob, arrest_date, race, booked, filed, disposed = cells
-        cn = cn.strip()
-        try:
-            if ragged:
-                raise ValueError(ragged)
-            _check_id("court_number", cn, first_row)
-            race = races[race]
-            filed = charges[filed]
-            # an entirely empty cell means every filed charge is pending
-            disposed = dispositions[disposed] or pending[len(filed)]
-            if len(disposed) != len(filed):
-                raise ValueError(
-                    f"dispositions: {len(disposed)} codes for {len(filed)} filed charges"
-                )
-            cases.append(
-                CourtCase(
-                    court_number=cn,
-                    sfid=sfids[sfid],
-                    name=names[name],
-                    dob=dobs[dob],
-                    arrest_date=arrest_dates[arrest_date],
-                    race=race,
-                    booking_charges=charges[booked],
-                    filed_charges=filed,
-                    dispositions=disposed,
-                )
-            )
-        except (ValueError, ParseError) as exc:
-            issues.append(RowIssue(row=i, record_id=cn, message=str(exc)))
-            continue
-        first_row[cn] = i
-    return cases, issues
+
+    def build(cn, cells):
+        sfid, name, dob, arrest_date, race, booked, filed, disposed = cells
+        race = races[race]
+        filed = charges[filed]
+        # an entirely empty cell means every filed charge is pending
+        disposed = dispositions[disposed] or pending[len(filed)]
+        if len(disposed) != len(filed):
+            raise ValueError(f"dispositions: {len(disposed)} codes for {len(filed)} filed charges")
+        # dob, arrest date and booking charges parse after the count check
+        return CourtCase(cn, sfids[sfid], names[name], dobs[dob], arrest_dates[arrest_date], race,
+                         charges[booked], filed, disposed)
+
+    return _read_table(path, COURT_COLUMNS, build, None)
 
 
 def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -343,10 +331,11 @@ def _cell(value):
 
 SCHEMA_DOC = """\
 File schemas (all comma-separated UTF-8 with a header row; lists join
-elements with ';'; dates ISO 8601; booleans true/false; missing = empty;
-a row with more or fewer cells than the header is a row error; columns
-may come in any order, and other columns are ignored, but a header that
-names a required column twice is a schema error)
+elements with ';'; dates YYYY-MM-DD; integers ASCII digits with an
+optional sign; booleans true/false; missing = empty; a row with more or
+fewer cells than the header is a row error; columns may come in any
+order, and other columns are ignored, but a header that names a required
+column twice is a schema error)
 
 psa_records.csv (input to score/audit/validate/dedupe/link)
   record_id     unique, non-empty row id; an empty or repeated id makes

@@ -294,6 +294,27 @@ def test_blank_lines_are_skipped_and_not_numbered(tmp_path, columns, make_row, r
     ]
 
 
+@pytest.mark.parametrize("columns, make_row, read", [
+    (PSA_COLUMNS, psa_row, read_psa_records),
+    (COURT_COLUMNS, court_row, read_court_cases),
+])
+def test_a_row_issue_names_the_first_rule_the_row_breaks(tmp_path, columns, make_row, read):
+    key, width = columns[0], len(columns)
+    rows = [make_row("X1", "S1"), make_row("X1", "S2"), make_row("", "S3", dob="2016-13-01"),
+            make_row("X1", "S4", dob="2016-13-01")]
+    lines = [",".join(row[c] for c in columns) for row in rows]
+    lines[1] += ",extra"  # ragged, and its id repeats row 1
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([",".join(columns), *lines]) + "\n", encoding="utf-8")
+    items, issues = read(path)
+    assert [getattr(x, key) for x in items] == ["X1"]
+    assert [(i.row, i.record_id, i.message) for i in issues] == [
+        (2, "X1", f"row has {width + 1} cells, header has {width}"),
+        (3, "", f"{key} must be non-empty"),
+        (4, "X1", f"{key} 'X1' repeats row 1"),
+    ]
+
+
 def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
     bad = _corrupt_copy(sim_dir, tmp_path / "corrupt")
     psa, court = ["--psa", bad / "psa_records.csv"], ["--court", bad / "court_cases.csv"]
@@ -756,6 +777,11 @@ def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
               "--conviction-threshold", 0, "--out", tmp_path / "audit"])
     assert rc == 2
     assert "conviction_threshold" in capsys.readouterr().err
+    for code in (0, 160):
+        rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
+                  "--plea-to-other-code", code, "--out", tmp_path / "audit"])
+        assert rc == 2
+        assert "plea_to_other_code must be in 1..conviction_threshold" in capsys.readouterr().err
 
 
 def test_config_dir_with_packaged_copies_matches_the_defaults(sim_dir, tmp_path):

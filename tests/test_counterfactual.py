@@ -101,6 +101,12 @@ def test_fully_disposed():
 def test_policy_validation():
     with pytest.raises(ValueError):
         DispositionPolicy(conviction_threshold=0)
+    # the plea code lies in 1..conviction_threshold, so the plea charge never convicts
+    for bad in ({"plea_to_other_code": 0}, {"plea_to_other_code": 160}, {"conviction_threshold": 50}):
+        with pytest.raises(ValueError, match="plea_to_other_code"):
+            DispositionPolicy(**bad)
+    DispositionPolicy(plea_to_other_code=1)
+    DispositionPolicy(plea_to_other_code=159)
 
 
 # ---------------------------------------------------------------------------

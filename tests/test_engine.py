@@ -201,6 +201,10 @@ def test_dmf_loader_rejects_bad_shapes(tmp_path):
     p.write_text("rows:\n" + "  - [SPLIT, OR-NAS, OR-NAS, OR-NAS, OR-NAS, OR-NAS]\n" * 6)
     with pytest.raises(ConfigError):
         load_dmf_config(p)
+    # a level rank is an ASCII digit, not any Unicode digit
+    p.write_text("rows:\n" + "  - [OR-NAS, OR-NAS, OR-NAS, OR-NAS, OR-NAS, '\u0663']\n" * 6, encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown supervision level"):
+        load_dmf_config(p)
 
 
 def test_weights_loader_rejects_bad_config(tmp_path):

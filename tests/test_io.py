@@ -7,6 +7,7 @@ parse functions, one cell at a time.
 
 import csv
 import random
+from datetime import date
 
 import pytest
 
@@ -122,23 +123,51 @@ def test_each_value_equals_a_fresh_parse_of_its_cell(corpus, name, read, fresh):
                 assert _raw(getattr(item, f)) == _raw(expected[f])
 
 
+# (column, bad cell, its message) for each input file; a date is only
+# YYYY-MM-DD and an integer only ASCII digits, on every Python version
+BAD_CELLS = {
+    "psa_records.csv": [
+        ("dob", "2016-13-01", "dob: expected ISO date, got '2016-13-01'"),
+        ("dob", "20160701", "dob: expected ISO date, got '20160701'"),
+        ("arrest_date", "2016-W27-5", "arrest_date: expected ISO date, got '2016-W27-5'"),
+        ("fta", "\u0663", "fta: expected an integer, got '\u0663'"),
+        ("age_at_arrest", "1_9", "age_at_arrest: expected an integer, got '1_9'"),
+        ("recorded_recommendation", "\u0663", "unknown supervision level '\u0663'"),
+    ],
+    "court_cases.csv": [
+        ("dob", "2016-13-01", "dob: expected ISO date, got '2016-13-01'"),
+        ("arrest_date", "20160701", "arrest_date: expected ISO date, got '20160701'"),
+        ("dispositions", "1_60", "dispositions: expected an integer, got '1_60'"),
+        ("dispositions", "\u0661\u0666\u0660", "dispositions: expected an integer, got '\u0661\u0666\u0660'"),
+    ],
+}
+
+
 @pytest.mark.parametrize("name, columns, read, key", [
     ("psa_records.csv", PSA_COLUMNS, read_psa_records, "record_id"),
     ("court_cases.csv", COURT_COLUMNS, read_court_cases, "court_number"),
 ])
 def test_a_bad_cell_on_two_rows_gives_two_row_issues(corpus, tmp_path, name, columns, read, key):
-    rows = _cells(corpus / name)[:4]
-    for row in rows[0], rows[2]:
-        row["dob"] = "2016-13-01"
-    path = tmp_path / name
-    _write(path, columns, rows)
-    items, issues = read(path)
-    message = "dob: expected ISO date, got '2016-13-01'"
-    assert [(i.row, i.record_id, i.message) for i in issues if not i.message.startswith("warning:")] == [
-        (1, rows[0][key], message),
-        (3, rows[2][key], message),
-    ]
-    assert [getattr(x, key) for x in items] == [rows[1][key], rows[3][key]]
+    for column, bad, message in BAD_CELLS[name]:
+        rows = _cells(corpus / name)[:4]
+        for row in rows[0], rows[2]:
+            row[column] = bad
+        path = tmp_path / name
+        _write(path, columns, rows)
+        items, issues = read(path)
+        assert [(i.row, i.record_id, i.message) for i in issues if not i.message.startswith("warning:")] == [
+            (1, rows[0][key], message),
+            (3, rows[2][key], message),
+        ], column
+        assert [getattr(x, key) for x in items] == [rows[1][key], rows[3][key]]
+
+
+@pytest.mark.parametrize("text", ["20160701", "2016-W27-5", "2016W275", "2016-07-01T00:00", "2016-7-1",
+                                  "\u0662\u0660\u0661\u0666-07-01", "+2016-07-01"])
+def test_a_date_cell_is_only_yyyy_mm_dd(text):
+    assert parse_date(" 2016-07-01 ", "dob") == date(2016, 7, 1)
+    with pytest.raises(ValueError, match="dob: expected ISO date"):
+        parse_date(text, "dob")
 
 
 def _plant_bad_cells(rows, column, bad, every):
