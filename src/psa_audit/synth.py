@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 import random
-from operator import itemgetter
 from dataclasses import dataclass, field
+from itertools import islice
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -57,9 +57,8 @@ LAST_NAMES = (
     "QUINTERO", "ROSS", "SANTOS", "TRAN",
 )
 
-#: Default charge pools.  The scenario guarantees lean on their semantics:
-#: neutral pools must stay off every catalog list, the bump-up pool must be
-#: non-violent, and the violent pool must be violent-only (no exclusions).
+#: Default charge pools.  The scenario guarantees lean on their semantics,
+#: which ``_check_pools`` enforces against the run's catalog.
 DEFAULT_CHARGE_POOLS = {
     "neutral_felonies": ("459 PC F", "10851(A) VC F", "487(A) PC F"),
     "neutral_misdemeanors": ("484 PC M", "11350(A) HS M", "594(B)(1) PC M", "148(A)(1) PC M", "466 PC M", "853.7 PC M"),
@@ -128,8 +127,8 @@ class GeneratorConfig:
         if missing:
             raise ConfigError(f"charge_pools missing {sorted(missing)}")
         for pool, texts in self.charge_pools.items():
-            if not texts:
-                raise ConfigError(f"charge pool {pool!r} must be non-empty")
+            if not (isinstance(texts, (list, tuple)) and texts and all(isinstance(t, str) for t in texts)):
+                raise ConfigError(f"charge pool {pool!r} must be a non-empty list of strings, got {texts!r}")
         for name in (
             "overbooking_rate", "saturation_share", "duplicate_rate", "incomplete_rate",
             "disposed_rate", "plea_other_rate", "unmatched_rate", "decoy_rate",
@@ -139,8 +138,8 @@ class GeneratorConfig:
             if not _is_number(value) or not (0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
         mix = list(self.group_mix.values())
-        if not all(map(_is_number, mix)) or abs(sum(mix) - 1.0) > 1e-9:
-            raise ConfigError("group_mix must map each group to a number, summing to 1")
+        if not all(_is_number(m) and math.isfinite(m) and m >= 0 for m in mix) or abs(sum(mix) - 1.0) > 1e-9:
+            raise ConfigError(f"group_mix must map each group to a finite number >= 0, summing to 1, got {self.group_mix!r}")
         for group in self.group_mix:
             if group not in self.score_distributions:
                 raise ConfigError(f"score_distributions missing group {group!r}")
@@ -168,7 +167,7 @@ class GeneratorConfig:
         return cls(**doc)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Person:
     sfid: str
     name: str
@@ -183,25 +182,42 @@ class _Person:
 
 @dataclass
 class SynthDataset:
-    """The generated files' rows: assessment and court rows as cells in
-    ``PSA_COLUMNS`` and ``COURT_COLUMNS`` order, ground-truth rows as dicts
-    keyed by ``GROUND_TRUTH_COLUMNS``."""
+    """The generated files' rows, each a tuple of cells in its file's
+    column order: ``PSA_COLUMNS``, ``COURT_COLUMNS`` and
+    ``GROUND_TRUTH_COLUMNS``.  Equal charge-list, disposition and name cells
+    are one shared string, and a date that equals the arrest date is the
+    arrest date's object, so the rows hold little beyond their own ids."""
 
-    psa_rows: list[list]
+    psa_rows: list[tuple]
     court_rows: list[tuple]
-    truth_rows: list[dict]
+    truth_rows: list[tuple]
 
     def planted_counts(self) -> dict[str, int]:
-        kinds = [r["kind"] for r in self.truth_rows]
-        scenarios = [r["scenario"] for r in self.truth_rows]
+        kinds = [r[_KIND] for r in self.truth_rows]
+        scenarios = [r[_SCENARIO] for r in self.truth_rows]
         return {
             "records": len(self.truth_rows),
             "duplicates": kinds.count("duplicate"),
             "incomplete": kinds.count("incomplete"),
             "unmatched": scenarios.count("unmatched"),
-            "disposed": sum(1 for r in self.truth_rows if r["disposed"] is True),
-            "affected": sum(1 for r in self.truth_rows if r["affected"] is True),
+            "disposed": sum(1 for r in self.truth_rows if r[_DISPOSED] is True),
+            "affected": sum(1 for r in self.truth_rows if r[_AFFECTED] is True),
         }
+
+
+_KIND, _SCENARIO, _DISPOSED, _AFFECTED = map(GROUND_TRUTH_COLUMNS.index, ("kind", "scenario", "disposed", "affected"))
+
+
+#: What the catalog must say of each pool's charges for the scenarios'
+#: planted outcomes to hold: (fact, required value) pairs.
+_POOL_RULES = {
+    "neutral_felonies": (("violent", False), ("exclusion-listed", False), ("bump-up-listed", False)),
+    "neutral_misdemeanors": (("violent", False), ("exclusion-listed", False), ("bump-up-listed", False),
+                             ("felony", False)),
+    "violent": (("violent", True), ("exclusion-listed", False)),
+    "exclusion": (("exclusion-listed", True),),
+    "bumpup_nonviolent": (("bump-up-listed", True), ("violent", False)),
+}
 
 
 class _Generator:
@@ -209,16 +225,33 @@ class _Generator:
         self.cfg = config
         self.engine = engine
         self.pools = {k: tuple(v) for k, v in config.charge_pools.items()}
+        self._charges: dict[str, ChargeCode] = {}
+        self._check_pools()
+        self.neutrals = self.pools["neutral_misdemeanors"] + self.pools["neutral_felonies"]
+        self.identical_pool = self.neutrals + self.pools["violent"]
         self.rng = random.Random(config.seed)
         self.persons: list[_Person] = []
-        self.psa_rows: list[list] = []
+        self.psa_rows: list[tuple] = []
         self.court_rows: list[tuple] = []
-        self.truth_rows: list[dict] = []
-        self.base_row_ids: list[int] = []  # indexes into psa_rows
+        self.truth_rows: list[tuple] = []
+        self.base_rows: list[tuple] = []  # the psa_rows a duplicate may copy
+        self._shared: dict = {}  # each repeated cell value, str or date
         self._record_seq = 0
         self._case_seq = 0
-        self._charges: dict[str, ChargeCode] = {}
         self._low_cells, self._top_cells = self._classify_cells()
+
+    def _check_pools(self):
+        catalog = self.engine.catalog
+        for pool, rules in _POOL_RULES.items():
+            for text in self.pools[pool]:
+                charge = self._charge(text)
+                facts = catalog.facts(charge)
+                have = {"violent": facts.violent, "exclusion-listed": facts.exclusion,
+                        "bump-up-listed": facts.bumpup, "felony": charge.is_felony()}
+                for fact, required in rules:
+                    if have[fact] is not required:
+                        rule = f"only {fact}" if required else f"no {fact}"
+                        raise ConfigError(f"charge pool {pool!r} takes {rule} charges, got {text!r}")
 
     def _classify_cells(self):
         low, top = [], []
@@ -244,6 +277,10 @@ class _Generator:
             charge = self._charges[text] = parse_charge_code(text, self.engine.catalog.derivative_prefixes)
         return charge
 
+    def _share(self, value):
+        """``value``, or the equal cell value that an earlier row already holds."""
+        return self._shared.setdefault(value, value)
+
     def _next_record_id(self) -> str:
         self._record_seq += 1
         return f"R{self._record_seq:06d}"
@@ -260,7 +297,7 @@ class _Generator:
         base_race = "B" if group == "B" else self.rng.choices(NONB_RACES, weights=NONB_RACE_WEIGHTS)[0]
         person = _Person(
             sfid=f"SF{len(self.persons) + 1:06d}",
-            name=f"{self.rng.choice(LAST_NAMES)}, {self.rng.choice(FIRST_NAMES)}",
+            name=self._share(f"{self.rng.choice(LAST_NAMES)}, {self.rng.choice(FIRST_NAMES)}"),
             dob=date(1955, 1, 1) + timedelta(days=self.rng.randrange(0, 365 * 43)),
             group=group,
             base_race=base_race,
@@ -275,7 +312,7 @@ class _Generator:
             arrest = date(2016, 7, 1) + timedelta(days=self.rng.randrange(0, 330))
         else:
             arrest = person.last_arrest + timedelta(days=5 + self.rng.randrange(0, 60))
-        person.last_arrest = arrest
+        person.last_arrest = arrest = self._share(arrest)
         return arrest
 
     def _draw_fta_nca(self, group: str, cell_kind: str | None) -> tuple[int, int]:
@@ -300,6 +337,11 @@ class _Generator:
     def _conviction_code(self) -> int:
         return 160 + self.rng.randrange(0, 40)
 
+    def _offset_date(self, day: date, offsets, weights) -> date:
+        """``day`` moved by a drawn offset: an offset of 0 gives ``day`` itself."""
+        offset = self.rng.choices(offsets, weights=weights)[0]
+        return self._share(day + timedelta(days=offset)) if offset else day
+
     # -- record assembly ---------------------------------------------------
 
     def run(self) -> SynthDataset:
@@ -307,7 +349,7 @@ class _Generator:
             roll = self.rng.random()
             if roll < self.cfg.duplicate_rate:
                 # until a base record exists there is nothing to copy
-                if self.base_row_ids:
+                if self.base_rows:
                     self._emit_duplicate()
                 else:
                     self._emit_base()
@@ -318,9 +360,9 @@ class _Generator:
         return SynthDataset(self.psa_rows, self.court_rows, self.truth_rows)
 
     def _emit_duplicate(self):
-        source = self.psa_rows[self.rng.choice(self.base_row_ids)]
+        source = self.rng.choice(self.base_rows)
         # record_id leads PSA_COLUMNS; every other cell is copied
-        row = [self._next_record_id(), *source[1:]]
+        row = (self._next_record_id(), *source[1:])
         self.psa_rows.append(row)
         self.truth_rows.append(_truth(row[0], "duplicate", duplicate_of=source[0]))
 
@@ -328,13 +370,15 @@ class _Generator:
         person = self._draw_person()
         arrest = self._draw_arrest_date(person)
         fta, nca = self._draw_fta_nca(person.group, None)
-        row = self._psa_row(person, arrest, fta, nca, False,
-                            [self._charge(self.rng.choice(self.pools["neutral_misdemeanors"]))],
-                            prior_conviction=False, pv=0)
+        # a one-charge list is its pool text
+        booked = self._share(self.rng.choice(self.pools["neutral_misdemeanors"]))
+        row = self._psa_row(person, arrest, fta, nca, False, booked, prior_conviction=False, pv=0)
         blank = self.rng.choice(("arrest_date", "fta", "nca", "nvca_flag"))
-        row[PSA_COLUMNS.index(blank)] = None
+        i = PSA_COLUMNS.index(blank)
+        row = (*row[:i], None, *row[i + 1:])
         self.psa_rows.append(row)
-        self.truth_rows.append(_truth(row[0], "incomplete", scenario=f"missing:{blank}", group=person.group))
+        self.truth_rows.append(_truth(row[0], "incomplete", scenario=self._share(f"missing:{blank}"),
+                                      group=person.group))
 
     def _emit_base(self):
         cfg = self.cfg
@@ -367,16 +411,17 @@ class _Generator:
         # no random numbers, so it may come before the row
         subs = derive_subscores(fta, nca, person.age_at(arrest), prior_conviction, pv, charges, self.engine)
         result = assess(subs, charges, False, self.engine.dmf, self.engine.catalog)
-        row = self._psa_row(person, arrest, fta, nca, subs.nvca_flag, charges, prior_conviction, pv,
+        booked = self._share(join_charges(charges))
+        row = self._psa_row(person, arrest, fta, nca, subs.nvca_flag, booked, prior_conviction, pv,
                             (result.exclusion, result.bumpup, result.final))
         self.psa_rows.append(row)
-        self.base_row_ids.append(len(self.psa_rows) - 1)
+        self.base_rows.append(row)
 
         matched_numbers = []
         if not unmatched:
-            matched_numbers.append(self._emit_case(person, arrest, charges, dispositions))
+            matched_numbers.append(self._emit_case(person, arrest, booked, dispositions))
             if self.rng.random() < cfg.twin_rate:
-                matched_numbers.append(self._emit_case(person, arrest, charges, dispositions))
+                matched_numbers.append(self._emit_case(person, arrest, booked, dispositions))
             if self.rng.random() < cfg.decoy_rate:
                 self._emit_decoy(person, arrest, charges)
 
@@ -387,7 +432,7 @@ class _Generator:
             group=person.group,
             true_match=";".join(matched_numbers),
             disposed=disposed,
-            conviction_charges=join_charges(convicted),
+            conviction_charges=self._share(join_charges(convicted)),
             affected=scenario == "overbooked_affected" and disposed and not unmatched,
         ))
 
@@ -399,7 +444,7 @@ class _Generator:
         """
         rng = self.rng
         pools = self.pools
-        neutrals = pools["neutral_misdemeanors"] + pools["neutral_felonies"]
+        neutrals = self.neutrals
         charges: list[ChargeCode] = []
         dispositions: list[int | None] = []
         convicted: set[int] = set()
@@ -425,9 +470,8 @@ class _Generator:
             for _ in range(rng.randint(0, 1)):
                 add(rng.choice(pools["neutral_misdemeanors"]), 30, False)
         else:  # identical
-            pool = neutrals + pools["violent"]
             k = rng.randint(1, 3)
-            picks = [rng.choice(pool) for _ in range(k)]
+            picks = [rng.choice(self.identical_pool) for _ in range(k)]
             if rng.random() < self.cfg.companion_zero_share:
                 # plea-code encoding: the pleaded charge is an inert
                 # misdemeanor; its zero-coded companions are the convictions
@@ -444,44 +488,42 @@ class _Generator:
             convicted.discard(pending)
         return charges, dispositions, convicted
 
-    def _emit_case(self, person: _Person, psa_arrest: date, charges, dispositions) -> str:
-        offset = self.rng.choices((-1, 0, 1, 2), weights=(5, 80, 10, 5))[0]
+    def _emit_case(self, person: _Person, psa_arrest: date, booked: str, dispositions) -> str:
+        """One court row filing and booking the ``booked`` charge list."""
+        arrest = self._offset_date(psa_arrest, (-1, 0, 1, 2), (5, 80, 10, 5))
         number = self._next_court_number()
-        booked = join_charges(charges)
         self.court_rows.append((
-            number, person.sfid, person.name, person.dob, psa_arrest + timedelta(days=offset),
+            number, person.sfid, person.name, person.dob, arrest,
             self._draw_race(person), booked, booked,
-            ";".join("" if d is None else str(d) for d in dispositions),
+            self._share(";".join("" if d is None else str(d) for d in dispositions)),
         ))
         return number
 
     def _emit_decoy(self, person: _Person, psa_arrest: date, booked):
-        booked_strings = {c.raw for c in booked}
-        decoys = [self._charge(t) for t in self.pools["neutral_misdemeanors"] if t not in booked_strings][:2]
-        if decoys:
-            self._emit_case(person, psa_arrest, decoys, [30] * len(decoys))
+        booked_texts = {c.raw for c in booked}
+        texts = list(islice((t for t in self.pools["neutral_misdemeanors"] if t not in booked_texts), 2))
+        if texts:
+            self._emit_case(person, psa_arrest, self._share(";".join(texts)), [30] * len(texts))
 
-    def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca, charges, prior_conviction, pv,
-                 recorded=(None, None, None)) -> list:
-        """One assessment row in PSA_COLUMNS order; ``recorded`` holds the
-        form's exclusion, bump-up and recommendation."""
-        return [
+    def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca, booked: str, prior_conviction, pv,
+                 recorded=(None, None, None)) -> tuple:
+        """One assessment row in PSA_COLUMNS order; ``booked`` is the joined
+        charge list and ``recorded`` holds the form's exclusion, bump-up and
+        recommendation."""
+        return (
             self._next_record_id(), person.sfid, person.name, person.dob, arrest,
-            arrest + timedelta(days=self.rng.choices((0, 1), weights=(85, 15))[0]),
-            fta, nca, nvca, join_charges(charges), person.age_at(arrest), prior_conviction, pv, *recorded,
-        ]
+            self._offset_date(arrest, (0, 1), (85, 15)),
+            fta, nca, nvca, booked, person.age_at(arrest), prior_conviction, pv, *recorded,
+        )
 
 
-_NO_TRUTH = dict.fromkeys(GROUND_TRUTH_COLUMNS, "")
+_PLANTED = GROUND_TRUTH_COLUMNS[2:]
 
 
-def _truth(record_id: str, kind: str, **planted) -> dict:
-    """A ground-truth row: ``planted`` sets columns, and the rest are empty."""
-    row = _NO_TRUTH.copy()
-    row["record_id"] = record_id
-    row["kind"] = kind
-    row.update(planted)
-    return row
+def _truth(record_id: str, kind: str, **planted) -> tuple:
+    """A ground-truth row in ``GROUND_TRUTH_COLUMNS`` order: ``planted``
+    sets columns, and the rest are empty."""
+    return (record_id, kind, *[planted.get(column, "") for column in _PLANTED])
 
 
 def generate(config: GeneratorConfig, engine: EngineConfig | None = None) -> SynthDataset:
@@ -498,6 +540,5 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
     }
     write_csv(paths["psa_records"], PSA_COLUMNS, dataset.psa_rows)
     write_csv(paths["court_cases"], COURT_COLUMNS, dataset.court_rows)
-    write_csv(paths["ground_truth"], GROUND_TRUTH_COLUMNS,
-              list(map(itemgetter(*GROUND_TRUTH_COLUMNS), dataset.truth_rows)))
+    write_csv(paths["ground_truth"], GROUND_TRUTH_COLUMNS, dataset.truth_rows)
     return paths

@@ -729,6 +729,8 @@ _SIX = "[1, 1, 1, 1, 1, 1]"
     'overbooking_rate: "0.5"\n',
     "n_records: abc\n",
     "group_mix: 0.5\n",
+    "group_mix: {B: 1.5, non-B: -0.5}\n",  # sums to 1 through a negative share
+    "group_mix: {B: .nan, non-B: 0.5}\n",
     *(f"score_distributions: {{B: {b_entry}, non-B: {{fta: {_SIX}, nca: {_SIX}}}}}\n" for b_entry in (
         f"{{fta: {_SIX}}}",  # no nca
         f"{{fta: {_SIX}, nca: {_SIX}, nvca: {_SIX}}}",  # a third scale

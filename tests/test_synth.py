@@ -1,15 +1,23 @@
 import random
+import re
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
 
 from psa_audit.counterfactual import DispositionPolicy, build_audit_pairs, changes
 from psa_audit.errors import ConfigError
-from psa_audit.io import read_court_cases, read_psa_records
+from psa_audit.io import (
+    COURT_COLUMNS,
+    GROUND_TRUTH_COLUMNS,
+    PSA_COLUMNS,
+    read_court_cases,
+    read_psa_records,
+)
 from psa_audit.linkage import link_records
 from psa_audit.oracle import oracle_assess
 from psa_audit.engine import SubScores, assess
-from psa_audit.synth import GeneratorConfig, generate, write_dataset
+from psa_audit.synth import DEFAULT_CHARGE_POOLS, GeneratorConfig, generate, write_dataset
 
 
 def test_zero_records_gives_empty_dataset():
@@ -50,6 +58,55 @@ def test_config_validation():
         GeneratorConfig.from_dict({"bogus": 1})
     with pytest.raises(ConfigError):
         GeneratorConfig(charge_pools={"neutral_felonies": ("459 PC F",)})
+    with pytest.raises(ConfigError, match="non-empty list of strings"):
+        GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent": (246,)})
+
+
+@pytest.mark.parametrize("pool, text, rule", [
+    ("neutral_felonies", "187(A) PC F", "no violent"),
+    ("neutral_misdemeanors", "240 PC M", "no violent"),
+    ("neutral_misdemeanors", "459 PC F", "no felony"),
+    ("violent", "484 PC M", "only violent"),
+    ("violent", "187(A) PC F", "no exclusion-listed"),
+    ("exclusion", "246 PC F", "only exclusion-listed"),
+    ("bumpup_nonviolent", "484 PC M", "only bump-up-listed"),
+])
+def test_a_pool_charge_that_breaks_its_scenario_is_a_config_error(config, pool, text, rule):
+    pools = {k: tuple(v) for k, v in DEFAULT_CHARGE_POOLS.items()}
+    pools[pool] += (text,)
+    with pytest.raises(ConfigError, match=rf"charge pool '{pool}' takes {rule} charges, got '{re.escape(text)}'"):
+        generate(GeneratorConfig(n_records=0, seed=3, charge_pools=pools), config)
+
+
+def test_the_packaged_pools_meet_every_pool_rule(config):
+    generate(GeneratorConfig(n_records=0, charge_pools=dict(DEFAULT_CHARGE_POOLS)), config)
+
+
+def test_rows_are_tuples_and_equal_cells_are_one_object(config):
+    ds = generate(GeneratorConfig(n_records=3000, seed=8), config)
+    for rows, columns in ((ds.psa_rows, PSA_COLUMNS), (ds.court_rows, COURT_COLUMNS),
+                          (ds.truth_rows, GROUND_TRUTH_COLUMNS)):
+        assert rows and all(type(r) is tuple and len(r) == len(columns) for r in rows)
+    cells = [r[PSA_COLUMNS.index("booking_charges")] for r in ds.psa_rows]
+    for column in ("booking_charges", "filed_charges", "dispositions", "name"):
+        cells += [r[COURT_COLUMNS.index(column)] for r in ds.court_rows]
+    cells += [r[GROUND_TRUTH_COLUMNS.index("conviction_charges")] for r in ds.truth_rows]
+    objects = {}
+    for cell in cells:
+        assert objects.setdefault(cell, cell) is cell
+
+
+def test_generate_holds_under_800_bytes_per_record(config):
+    n = 20_000
+    generate(GeneratorConfig(n_records=50, seed=1), config)  # the engine's own memos fill first
+    tracemalloc.start()
+    try:
+        ds = generate(GeneratorConfig(n_records=n, seed=2026), config)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds.truth_rows) == n
+    assert held / n < 800
 
 
 def test_config_roundtrips_through_dict():
@@ -95,7 +152,7 @@ def test_planted_scenarios_verified_by_pipeline(config):
     # computes: matches, conviction sets, and the affected flag
     cfg = GeneratorConfig(n_records=600, seed=99)
     ds = generate(cfg, config)
-    truth = {r["record_id"]: r for r in ds.truth_rows}
+    truth = {r[0]: dict(zip(GROUND_TRUTH_COLUMNS, r)) for r in ds.truth_rows}
     records, cases = _parse(ds, config)
     report = link_records(records, cases)
 
