@@ -115,7 +115,7 @@ def parse_date(text: str, where: str) -> date | None:
             return date.fromisoformat(t)
     except ValueError:
         pass
-    raise ValueError(f"{where}: expected ISO date, got {text!r}")
+    raise ValueError(f"{where}: expected YYYY-MM-DD, got {text!r}")
 
 
 def join_charges(charges: Iterable[ChargeCode]) -> str:

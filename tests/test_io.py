@@ -127,16 +127,16 @@ def test_each_value_equals_a_fresh_parse_of_its_cell(corpus, name, read, fresh):
 # YYYY-MM-DD and an integer only ASCII digits, on every Python version
 BAD_CELLS = {
     "psa_records.csv": [
-        ("dob", "2016-13-01", "dob: expected ISO date, got '2016-13-01'"),
-        ("dob", "20160701", "dob: expected ISO date, got '20160701'"),
-        ("arrest_date", "2016-W27-5", "arrest_date: expected ISO date, got '2016-W27-5'"),
+        ("dob", "2016-13-01", "dob: expected YYYY-MM-DD, got '2016-13-01'"),
+        ("dob", "20160701", "dob: expected YYYY-MM-DD, got '20160701'"),
+        ("arrest_date", "2016-W27-5", "arrest_date: expected YYYY-MM-DD, got '2016-W27-5'"),
         ("fta", "\u0663", "fta: expected an integer, got '\u0663'"),
         ("age_at_arrest", "1_9", "age_at_arrest: expected an integer, got '1_9'"),
         ("recorded_recommendation", "\u0663", "unknown supervision level '\u0663'"),
     ],
     "court_cases.csv": [
-        ("dob", "2016-13-01", "dob: expected ISO date, got '2016-13-01'"),
-        ("arrest_date", "20160701", "arrest_date: expected ISO date, got '20160701'"),
+        ("dob", "2016-13-01", "dob: expected YYYY-MM-DD, got '2016-13-01'"),
+        ("arrest_date", "20160701", "arrest_date: expected YYYY-MM-DD, got '20160701'"),
         ("dispositions", "1_60", "dispositions: expected an integer, got '1_60'"),
         ("dispositions", "\u0661\u0666\u0660", "dispositions: expected an integer, got '\u0661\u0666\u0660'"),
     ],
@@ -166,7 +166,7 @@ def test_a_bad_cell_on_two_rows_gives_two_row_issues(corpus, tmp_path, name, col
                                   "\u0662\u0660\u0661\u0666-07-01", "+2016-07-01"])
 def test_a_date_cell_is_only_yyyy_mm_dd(text):
     assert parse_date(" 2016-07-01 ", "dob") == date(2016, 7, 1)
-    with pytest.raises(ValueError, match="dob: expected ISO date"):
+    with pytest.raises(ValueError, match="dob: expected YYYY-MM-DD"):
         parse_date(text, "dob")
 
 
