@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice
 from datetime import date, timedelta
+from itertools import islice
 from pathlib import Path
 
 from .charges import ChargeCode, parse_charge_code
@@ -139,7 +139,9 @@ class GeneratorConfig:
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
         mix = list(self.group_mix.values())
         if not all(_is_number(m) and math.isfinite(m) and m >= 0 for m in mix) or abs(sum(mix) - 1.0) > 1e-9:
-            raise ConfigError(f"group_mix must map each group to a finite number >= 0, summing to 1, got {self.group_mix!r}")
+            raise ConfigError(
+                f"group_mix must map each group to a finite number >= 0, summing to 1, got {self.group_mix!r}"
+            )
         for group in self.group_mix:
             if group not in self.score_distributions:
                 raise ConfigError(f"score_distributions missing group {group!r}")
@@ -184,9 +186,9 @@ class _Person:
 class SynthDataset:
     """The generated files' rows, each a tuple of cells in its file's
     column order: ``PSA_COLUMNS``, ``COURT_COLUMNS`` and
-    ``GROUND_TRUTH_COLUMNS``.  Equal charge-list, disposition and name cells
-    are one shared string, and a date that equals the arrest date is the
-    arrest date's object, so the rows hold little beyond their own ids."""
+    ``GROUND_TRUTH_COLUMNS``.  Equal charge-list, disposition and name
+    cells are one shared string, and equal arrest, assessment and court
+    dates one shared date, so the rows hold little beyond their own ids."""
 
     psa_rows: list[tuple]
     court_rows: list[tuple]
@@ -205,7 +207,8 @@ class SynthDataset:
         }
 
 
-_KIND, _SCENARIO, _DISPOSED, _AFFECTED = map(GROUND_TRUTH_COLUMNS.index, ("kind", "scenario", "disposed", "affected"))
+_KIND, _SCENARIO, _DISPOSED, _AFFECTED = map(GROUND_TRUTH_COLUMNS.index,
+                                              ("kind", "scenario", "disposed", "affected"))
 
 
 #: What the catalog must say of each pool's charges for the scenarios'
