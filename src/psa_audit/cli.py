@@ -19,7 +19,7 @@ from io import StringIO
 from itertools import count
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
 from .charges import read_config
@@ -84,9 +84,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             return _cmd_rerun(args)
-        opts = _collect_options(args)
-        out_dir = Path(args.out)
-        return _dispatch(args.command, opts, out_dir)
+        return _dispatch(args.command, _collect_options(args.command, args), Path(args.out))
     except PsaAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -121,6 +119,55 @@ def _emit(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+class _Option(NamedTuple):
+    """One option of a command.  Its flag is ``--`` plus its manifest key,
+    with dashes; a ``Path`` is kept resolved and a ``bool`` is a switch."""
+
+    key: str
+    type: type
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+_PSA = _Option("psa", Path, required=True, help="assessment records file")
+_COURT = _Option("court", Path, required=True, help="court cases file")
+_ENGINE_FILES = (
+    _Option("config_dir", Path, help="directory with charge_catalog.yaml, dmf.yaml, weights.yaml"),
+    _Option("catalog", Path, help="charge catalog file (overrides --config-dir)"),
+    _Option("dmf", Path, help="decision matrix file (overrides --config-dir)"),
+    _Option("weights", Path, help="weight config file (overrides --config-dir)"),
+)
+
+#: simulate's generator flags, each with the ``GeneratorConfig`` field it sets.
+_GENERATOR_FLAGS = {"n": "n_records", "seed": "seed", **{f: f for f in (
+    "overbooking_rate", "saturation_share", "duplicate_rate", "incomplete_rate",
+    "disposed_rate", "plea_other_rate", "unmatched_rate")}}
+
+#: Each command's help and options, in the form a handler receives and a
+#: manifest records them; a manifest must hold each option that is required
+#: or has a default.  simulate's command line gives ``resolved_generator``,
+#: a whole ``GeneratorConfig``, as ``--gen-config`` and the generator flags.
+_COMMANDS = {
+    "score": ("score each assessment record over its booked charges", (_PSA, *_ENGINE_FILES)),
+    "audit": ("full booking-vs-conviction audit pipeline", (
+        _PSA, _COURT,
+        _Option("sensitivity", bool, False,
+                help="also emit tables excluding records whose only plea points outside the case"),
+        _Option("alpha", float, DEFAULT_ALPHA),
+        _Option("conviction_threshold", int, DispositionPolicy.conviction_threshold),
+        _Option("plea_to_other_code", int, DispositionPolicy.plea_to_other_code),
+        _Option("no_companion_zero", bool, False),
+        *_ENGINE_FILES)),
+    "simulate": ("generate a synthetic dataset with planted ground truth",
+                 (_Option("resolved_generator", dict, required=True), *_ENGINE_FILES)),
+    "consistency": ("race-designation consistency matrix from court data", (_COURT,)),
+    "validate": ("agreement of engine outputs with recorded form columns", (_PSA, _COURT, *_ENGINE_FILES)),
+    "dedupe": ("completeness filter and de-duplication only", (_PSA,)),
+    "link": ("de-duplicate and link records to court cases", (_PSA, _COURT)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psa-audit",
@@ -130,70 +177,53 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schema", action="store_true", help="print the file schemas and exit")
     parser.add_argument("--version", action="version", version=f"psa-audit {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p, *, needs_config=True):
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for o in options:
+            flag = "--" + o.key.replace("_", "-")
+            if o.type is dict:
+                for key, name in _GENERATOR_FLAGS.items():
+                    default = getattr(GeneratorConfig, name)
+                    p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                                   help=f"{name} (default {default})")
+                p.add_argument("--gen-config", help="YAML file of generator settings (flags override it)")
+            elif o.type is bool:
+                p.add_argument(flag, action="store_true", help=o.help)
+            else:
+                p.add_argument(flag, type=None if o.type is Path else o.type, default=o.default,
+                               required=o.required, help=o.help)
         p.add_argument("--out", required=True, help="output directory")
-        if needs_config:
-            p.add_argument("--config-dir", help="directory with charge_catalog.yaml, dmf.yaml, weights.yaml")
-            p.add_argument("--catalog", help="charge catalog file (overrides --config-dir)")
-            p.add_argument("--dmf", help="decision matrix file (overrides --config-dir)")
-            p.add_argument("--weights", help="weight config file (overrides --config-dir)")
-
-    p = sub.add_parser("score", help="score each assessment record over its booked charges")
-    p.add_argument("--psa", required=True, help="assessment records file")
-    add_common(p)
-
-    p = sub.add_parser("audit", help="full booking-vs-conviction audit pipeline")
-    p.add_argument("--psa", required=True)
-    p.add_argument("--court", required=True)
-    p.add_argument("--sensitivity", action="store_true",
-                   help="also emit tables excluding records whose only plea points outside the case")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--conviction-threshold", type=int, default=DispositionPolicy.conviction_threshold)
-    p.add_argument("--plea-to-other-code", type=int, default=DispositionPolicy.plea_to_other_code)
-    p.add_argument("--no-companion-zero", action="store_true")
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="generate a synthetic dataset with planted ground truth")
-    p.add_argument("--n", type=int, help=f"number of records (default {GeneratorConfig.n_records})")
-    p.add_argument("--seed", type=int, help=f"random seed (default {GeneratorConfig.seed})")
-    for flag in _SIMULATE_RATE_FLAGS:
-        p.add_argument("--" + flag.replace("_", "-"), type=float)
-    p.add_argument("--gen-config", help="YAML file of generator settings (flags override it)")
-    add_common(p)
-
-    p = sub.add_parser("consistency", help="race-designation consistency matrix from court data")
-    p.add_argument("--court", required=True)
-    add_common(p, needs_config=False)
-
-    p = sub.add_parser("validate", help="agreement of engine outputs with recorded form columns")
-    p.add_argument("--psa", required=True)
-    p.add_argument("--court", required=True)
-    add_common(p)
-
-    p = sub.add_parser("dedupe", help="completeness filter and de-duplication only")
-    p.add_argument("--psa", required=True)
-    add_common(p, needs_config=False)
-
-    p = sub.add_parser("link", help="de-duplicate and link records to court cases")
-    p.add_argument("--psa", required=True)
-    p.add_argument("--court", required=True)
-    add_common(p, needs_config=False)
-
     p = sub.add_parser("rerun", help="re-execute a run from its manifest")
     p.add_argument("manifest", help="path to a run_manifest.json")
     p.add_argument("--out", required=True, help="output directory for the re-run")
     return parser
 
 
-def _collect_options(args: argparse.Namespace) -> dict:
-    skip = {"command", "schema", "out"}
+def _collect_options(command: str, args: argparse.Namespace) -> dict:
+    """The given options of a command line in their manifest form: paths
+    resolved, and simulate's generator settings frozen into
+    ``resolved_generator``, so a rerun ignores later changes of defaults."""
     opts = {}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        opts[key] = str(Path(value).resolve()) if key in ("psa", "court", "config_dir", "catalog", "dmf", "weights", "gen_config") else value
+    for o in _COMMANDS[command][1]:
+        if o.type is dict:
+            opts[o.key] = asdict(_generator_config(args))
+        elif (value := getattr(args, o.key)) is not None:
+            opts[o.key] = str(Path(value).resolve()) if o.type is Path else value
     return opts
+
+
+def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
+    """A generator flag beats the ``--gen-config`` file, which beats the default."""
+    gen_config = GeneratorConfig()
+    if args.gen_config is not None:
+        path = str(Path(args.gen_config).resolve())
+        doc = read_config(path)
+        try:
+            gen_config = GeneratorConfig.from_dict(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    flags = {name: getattr(args, key) for key, name in _GENERATOR_FLAGS.items() if getattr(args, key) is not None}
+    return replace(gen_config, **flags)
 
 
 def _write_manifest(out_dir: Path, command: str, opts: dict) -> None:
@@ -225,29 +255,31 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
 
 
 def _manifest_options(path: Path, command: str, opts: dict) -> dict:
-    """The options of a manifest for ``command``, checked as its parser
-    would give them: every option that the parser requires or defaults
-    must be present, and each value must have the type the parser gives it
-    (a number where it gives a float, taken as a float).  An older
-    manifest may carry options no command reads any more; they are
-    dropped, so the new manifest names only what shaped the outputs."""
-    [commands] = [a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = [a for a in commands[command]._actions if a.dest not in ("help", "out")]
-    missing = sorted(a.dest for a in actions if (a.required or a.default is not None) and a.dest not in opts)
+    """The options of a manifest for ``command``, checked against its
+    table: each option that is required or has a default is present, with
+    the option's type (a string for a path; a number where it takes a
+    float, taken as a float), and ``resolved_generator`` is valid.  Keys
+    the table lacks are dropped, so the new manifest names only what
+    shaped the outputs."""
+    options = _COMMANDS[command][1]
+    missing = sorted(o.key for o in options if (o.required or o.default is not None) and o.key not in opts)
     if missing:
         raise SchemaError(f"{path}: run manifest lacks options {missing}")
-    types = {a.dest: bool if isinstance(a, argparse._StoreTrueAction) else a.type or str for a in actions}
-    if command == "simulate":
-        types["resolved_generator"] = dict
     checked = {}
-    for key, value in opts.items():
-        if key not in types:
+    for o in options:
+        if o.key not in opts:
             continue
-        if types[key] is float and type(value) is int:
+        value, kind = opts[o.key], str if o.type is Path else o.type
+        if kind is float and type(value) is int:
             value = float(value)
-        if type(value) is not types[key]:
-            raise SchemaError(f"{path}: option {key!r} must be of type {types[key].__name__}, got {value!r}")
-        checked[key] = value
+        if type(value) is not kind:
+            raise SchemaError(f"{path}: option {o.key!r} must be of type {kind.__name__}, got {value!r}")
+        checked[o.key] = value
+    if "resolved_generator" in checked:
+        try:
+            GeneratorConfig.from_dict(checked["resolved_generator"])
+        except (ConfigError, TypeError) as exc:
+            raise SchemaError(f"{path}: option 'resolved_generator': {exc}") from None
     return checked
 
 
@@ -261,9 +293,9 @@ def _engine_config(opts: dict) -> EngineConfig:
 
 
 def _policy(opts: dict) -> DispositionPolicy:
-    codes = {k: opts[k] for k in ("conviction_threshold", "plea_to_other_code") if k in opts}
     try:
-        return DispositionPolicy(**codes, companion_zero_rule=not opts.get("no_companion_zero", False))
+        return DispositionPolicy(opts["conviction_threshold"], opts["plea_to_other_code"],
+                                 companion_zero_rule=not opts["no_companion_zero"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -496,7 +528,7 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
     _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
     _write_distribution(out_dir / "initial_distribution.csv", hists)
     _write_summary(out_dir / "test_summary.txt", counts, tables, affected, alpha)
-    keep = [p for p in pairs if not p.excluded_by_sensitivity] if opts.get("sensitivity") else []
+    keep = [p for p in pairs if not p.excluded_by_sensitivity] if opts["sensitivity"] else []
     if keep:
         _write_scoped_tables(out_dir / "rate_table_sensitivity.csv",
                              rate_table(keep, alpha=alpha), RateRow)
@@ -509,39 +541,8 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
 # simulate
 
 
-_SIMULATE_RATE_FLAGS = (
-    "overbooking_rate",
-    "saturation_share",
-    "duplicate_rate",
-    "incomplete_rate",
-    "disposed_rate",
-    "plea_other_rate",
-    "unmatched_rate",
-)
-
-
 def cmd_simulate(opts: dict, out_dir: Path) -> int:
-    if "resolved_generator" in opts:
-        gen_config = GeneratorConfig.from_dict(opts["resolved_generator"])
-    else:
-        # a flag beats the --gen-config file, which beats the default
-        gen_config = GeneratorConfig()
-        path = opts.get("gen_config")
-        if path:
-            doc = read_config(path)
-            try:
-                gen_config = GeneratorConfig.from_dict(doc)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-        flags = {"n": "n_records", "seed": "seed", **{f: f for f in _SIMULATE_RATE_FLAGS}}
-        gen_config = replace(gen_config, **{key: opts[flag] for flag, key in flags.items() if flag in opts})
-        # freeze the fully resolved generator settings into the manifest
-        # options so a rerun reproduces this dataset even if defaults change
-        for flag in ("gen_config", *flags):
-            opts.pop(flag, None)
-        opts["resolved_generator"] = asdict(gen_config)
-    config = _engine_config(opts)
-    dataset = generate(gen_config, config)
+    dataset = generate(GeneratorConfig.from_dict(opts["resolved_generator"]), _engine_config(opts))
     write_dataset(dataset, out_dir)
     _write_counts(out_dir / "planted_counts.csv", "quantity", dataset.planted_counts())
     return EXIT_OK

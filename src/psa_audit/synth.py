@@ -126,6 +126,9 @@ class GeneratorConfig:
         missing = set(DEFAULT_CHARGE_POOLS) - set(self.charge_pools)
         if missing:
             raise ConfigError(f"charge_pools missing {sorted(missing)}")
+        unknown = set(self.charge_pools) - set(DEFAULT_CHARGE_POOLS)
+        if unknown:
+            raise ConfigError(f"charge_pools has unknown pools {sorted(unknown)}")
         for pool, texts in self.charge_pools.items():
             if not (isinstance(texts, (list, tuple)) and texts and all(isinstance(t, str) for t in texts)):
                 raise ConfigError(f"charge pool {pool!r} must be a non-empty list of strings, got {texts!r}")

@@ -16,6 +16,7 @@ from psa_audit.counterfactual import COMPONENTS
 from psa_audit.engine import SupervisionLevel
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, write_csv
 from psa_audit.linkage import CourtCase, PsaRecord
+from psa_audit.synth import DEFAULT_CHARGE_POOLS
 
 
 def run(args):
@@ -581,13 +582,23 @@ def test_rerun_simulate_byte_identical(tmp_path):
     assert _tree_bytes(first) == _tree_bytes(second)
 
 
-def test_rerun_audit_byte_identical(sim_dir, tmp_path):
+@pytest.mark.parametrize("command", ["score", "audit", "consistency", "validate", "dedupe", "link"])
+def test_rerun_byte_identical(sim_dir, tmp_path, command):
+    psa, court = ["--psa", sim_dir / "psa_records.csv"], ["--court", sim_dir / "court_cases.csv"]
+    args = {
+        "score": psa,
+        "audit": [*psa, *court, "--sensitivity"],
+        "consistency": court,
+        # a resolved engine-file option round-trips too
+        "validate": [*psa, *court, "--config-dir", _copy_packaged_config(tmp_path / "cfg")],
+        "dedupe": psa,
+        "link": [*psa, *court],
+    }[command]
     first = tmp_path / "first"
-    rc = run(["audit", "--psa", sim_dir / "psa_records.csv",
-              "--court", sim_dir / "court_cases.csv", "--out", first, "--sensitivity"])
-    assert rc == 0
+    rc = run([command, *args, "--out", first])
+    assert rc in (0, 3)
     second = tmp_path / "second"
-    assert run(["rerun", first / "run_manifest.json", "--out", second]) == 0
+    assert run(["rerun", first / "run_manifest.json", "--out", second]) == rc
     assert _tree_bytes(first) == _tree_bytes(second)
 
 
@@ -607,12 +618,19 @@ def test_a_closed_stdout_changes_neither_the_outputs_nor_the_exit_code(sim_dir, 
     assert _tree_bytes(tmp_path / "piped") == _tree_bytes(tmp_path / "normal")
 
 
-def test_rerun_ignores_the_group_by_key_of_an_older_manifest(sim_dir, tmp_path):
+@pytest.mark.parametrize("command, key, value", [("audit", "group_by", "none"), ("simulate", "n", 7)])
+def test_rerun_drops_the_dead_options_of_an_older_manifest(sim_dir, tmp_path, command, key, value):
+    """An option no command reads shapes nothing, so the rerun's manifest
+    leaves it out: an older audit's ``group_by``, or a flag of simulate's
+    beside the ``resolved_generator`` that holds it."""
+    args = {
+        "audit": ["--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv"],
+        "simulate": ["--n", 50, "--seed", 4],
+    }[command]
     first = tmp_path / "first"
-    assert run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
-                "--out", first]) == 0
+    assert run([command, *args, "--out", first]) == 0
     manifest = json.loads((first / "run_manifest.json").read_text())
-    manifest["options"]["group_by"] = "none"
+    manifest["options"][key] = value
     older = tmp_path / "older.json"
     older.write_text(json.dumps(manifest))
     second = tmp_path / "second"
@@ -635,6 +653,9 @@ def test_rerun_rejects_bad_manifest(tmp_path, capsys):
         {"subcommand": "audit", "options": {**audit, "sensitivity": 1}},
         {"subcommand": "dedupe", "options": {"psa": 5}},
         {"subcommand": "simulate", "options": {"resolved_generator": [150, 11]}},
+        {"subcommand": "simulate", "options": {}},
+        {"subcommand": "simulate", "options": {"resolved_generator": {"bogus": 1}}},
+        {"subcommand": "simulate", "options": {"resolved_generator": {"n_records": -1}}},
     ]
     bad = tmp_path / "m.json"
     for manifest in manifests:
@@ -742,6 +763,8 @@ _SIX = "[1, 1, 1, 1, 1, 1]"
         f"{{fta: [1, 1, 1, 1, 1, .inf], nca: {_SIX}}}",
         f"{{fta: [1, 1, 1, 1, 1, a], nca: {_SIX}}}",
     )),
+    # the five pools and one the generator never draws from
+    "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "violent_felonies": ["246 PC F"]}) + "\n",
 ])
 def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):
     gen = tmp_path / "gen.yaml"
@@ -749,6 +772,7 @@ def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):
         gen.write_text(text, encoding="utf-8")
     assert run(["simulate", "--gen-config", gen, "--out", tmp_path / "out"]) == 2
     _assert_one_config_error(capsys, gen)
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_config_settings_reach_the_generator_and_flags_beat_them(tmp_path):
@@ -775,6 +799,7 @@ def test_gen_config_score_distributions_may_zero_some_scores(tmp_path):
 def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
     assert run(["simulate", "--n", 10, "--overbooking-rate", 1.5, "--out", tmp_path / "sim"]) == 2
     assert "overbooking_rate" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
     rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
               "--conviction-threshold", 0, "--out", tmp_path / "audit"])
     assert rc == 2

@@ -60,6 +60,8 @@ def test_config_validation():
         GeneratorConfig(charge_pools={"neutral_felonies": ("459 PC F",)})
     with pytest.raises(ConfigError, match="non-empty list of strings"):
         GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent": (246,)})
+    with pytest.raises(ConfigError, match=r"unknown pools \['violent_felonies'\]"):
+        GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent_felonies": ("246 PC F",)})
 
 
 @pytest.mark.parametrize("pool, text, rule", [
