@@ -95,7 +95,10 @@ def main(argv=None) -> int:
 
 def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
     """Run one command, holding back what it prints until its outputs and
-    its manifest are written, so a closed stdout cannot cut the run short."""
+    its manifest are written, so a closed stdout cannot cut the run short.
+    A setting no run can use fails before ``out_dir`` is made."""
+    if command == "audit":
+        _audit_settings(opts)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at the path, or above it
@@ -292,12 +295,17 @@ def _engine_config(opts: dict) -> EngineConfig:
     )
 
 
-def _policy(opts: dict) -> DispositionPolicy:
+def _audit_settings(opts: dict) -> tuple[DispositionPolicy, float]:
+    """The audit's disposition policy and its alpha, or a ConfigError."""
+    alpha = opts["alpha"]
+    if not (0.0 < alpha < 1.0):
+        raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
     try:
-        return DispositionPolicy(opts["conviction_threshold"], opts["plea_to_other_code"],
-                                 companion_zero_rule=not opts["no_companion_zero"])
+        policy = DispositionPolicy(opts["conviction_threshold"], opts["plea_to_other_code"],
+                                   companion_zero_rule=not opts["no_companion_zero"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return policy, alpha
 
 
 def _read_inputs(opts: dict, out_dir: Path):
@@ -447,13 +455,12 @@ class _SizedRows:
 
 
 def _write_matches(path: Path, report) -> None:
-    results = report.all_results
-
     def rows():
-        for m in results:
+        for m in report.all_results:
             yield m.psa.record_id, m.psa.sfid, m.status.value, ";".join(c.court_number for c in m.matched_cases)
 
-    write_csv(path, ("record_id", "sfid", "status", "court_numbers"), _SizedRows(len(results), rows))
+    write_csv(path, ("record_id", "sfid", "status", "court_numbers"),
+              _SizedRows(sum(report.counts().values()), rows))
 
 
 def _write_review(path: Path, unresolved) -> None:
@@ -483,37 +490,45 @@ def _write_distribution(path: Path, hists) -> None:
     write_csv(path, ("scope", "n", "level_rank", "level", "count", "fraction", "empty_group"), rows)
 
 
+def _popped(items: list) -> Iterator:
+    """The items of ``items`` in order, each taken off the list as it is
+    given, so the list holds only those not given yet."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
     """Read, link and pair: write ``input_errors.csv``, ``matches.csv`` and
     ``review_unresolved.csv``, and return (pairs, counts, issues).
 
-    The records, cases and matches stay in here, so they are freed on
-    return, before the pair tables are built; a pair keeps only its record
-    id, its group and its two results.
+    The records, the cases and the link report are dropped before the
+    pairs are built, and each match is taken off its list as its pair is
+    built, so the intake is freed while the pairs grow; a pair keeps only
+    its record id, its group and its two results.
     """
     config, records, cases, issues, intake = _read_inputs(opts, out_dir)
 
     report = link_records(records, cases)
     _write_matches(out_dir / "matches.csv", report)
     _write_review(out_dir / "review_unresolved.csv", report.unresolved)
+    groups = _group_labels(report.matched, cases)
+    counts = {**intake, **report.counts()}
+    matched = report.matched
+    del records, cases, report
 
-    pairs, skipped = build_audit_pairs(report.matched, policy, config, _group_labels(report.matched, cases))
+    pairs, skipped = build_audit_pairs(_popped(matched), policy, config, groups)
 
-    counts = {
-        **intake,
-        **report.counts(),
-        "not_fully_disposed": len(skipped),
-        "analyzed_pairs": len(pairs),
-        "sensitivity_excluded": sum(p.excluded_by_sensitivity for p in pairs),
-    }
+    counts.update(
+        not_fully_disposed=len(skipped),
+        analyzed_pairs=len(pairs),
+        sensitivity_excluded=sum(p.excluded_by_sensitivity for p in pairs),
+    )
     return pairs, counts, issues
 
 
 def cmd_audit(opts: dict, out_dir: Path) -> int:
-    policy = _policy(opts)
-    alpha = opts["alpha"]
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"--alpha must be in (0, 1), got {alpha}")
+    policy, alpha = _audit_settings(opts)
     pairs, counts, issues = _audit_intake(opts, out_dir, policy)
     _write_counts(out_dir / "counts_summary.csv", "stage", counts)
 

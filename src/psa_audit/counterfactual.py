@@ -197,15 +197,17 @@ def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: Engi
 
 
 def build_audit_pairs(
-    matches: Sequence[MatchResult],
+    matches: Iterable[MatchResult],
     policy: DispositionPolicy,
     config: EngineConfig,
     groups: Mapping[str, str],
-) -> tuple[list[AuditPair], list[MatchResult]]:
+) -> tuple[list[AuditPair], list[str]]:
     """One AuditPair per matched, fully disposed record, in the group
     ``groups`` gives its person (sfid), or "" for a person it omits.
 
-    Returns (pairs, skipped-not-disposed).  Pairs flagged
+    Returns (pairs, the record ids of the matches skipped as not fully
+    disposed).  No match is kept, so a caller that hands the matches over
+    one at a time frees each as its pair is built.  Pairs flagged
     ``excluded_by_sensitivity`` stay in the main set; the sensitivity
     variant of the analysis drops them.
     """
@@ -214,7 +216,7 @@ def build_audit_pairs(
         if m.status is not MatchStatus.MATCHED:
             continue
         if not all(fully_disposed(c) for c in m.matched_cases):
-            skipped.append(m)
+            skipped.append(m.psa.record_id)
             continue
         pairs.append(build_audit_pair(m, policy, config, groups.get(m.psa.sfid, "")))
     return pairs, skipped

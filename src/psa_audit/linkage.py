@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .charges import ChargeCode
 from .engine import SubScores, SupervisionLevel
@@ -133,14 +135,11 @@ def _charge_key(record: PsaRecord) -> tuple[str, ...]:
     return tuple(sorted(c.text_key for c in record.booking_charges))
 
 
-def _dedup_key(record: PsaRecord):
-    return (record.sfid, record.psa_date, _charge_key(record))
-
-
 def _content_order(record: PsaRecord):
     """The records' content-only order.  Its first four fields order them
-    by ``_dedup_key``, a missing form date before every date, so records
-    with equal keys sort next to each other."""
+    by (sfid, form date, charge key), a missing form date before every
+    date, so records with equal de-duplication keys sort next to each
+    other."""
     return (
         record.sfid,
         record.psa_date is not None,
@@ -155,6 +154,18 @@ def _content_order(record: PsaRecord):
     )
 
 
+_sfid = attrgetter("sfid")
+
+
+def _in_content_order(records: Iterable[PsaRecord]) -> Iterator[tuple[tuple, PsaRecord]]:
+    """Each record with its ``_content_order`` key, in that order.  The
+    key leads with the sfid, so the records are sorted by sfid first and
+    then one person at a time by the whole key: only one person's keys
+    are alive at once."""
+    for _, person in groupby(sorted(records, key=_sfid), key=_sfid):
+        yield from sorted(((_content_order(r), r) for r in person), key=itemgetter(0))
+
+
 def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[PsaRecord]]:
     """Keep one representative per (sfid, psa_date, charge multiset).
 
@@ -164,8 +175,8 @@ def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[Psa
     """
     unique, dropped = [], []
     kept = None  # the key of the last representative; equal keys are adjacent
-    for r in sorted(records, key=_content_order):
-        key = _dedup_key(r)
+    for order, r in _in_content_order(records):
+        key = order[:4]
         if key == kept:
             dropped.append(r)
         else:
@@ -225,8 +236,9 @@ class LinkReport:
     dropped_duplicates: list[MatchResult] = field(default_factory=list)
 
     @property
-    def all_results(self) -> list[MatchResult]:
-        return self.matched + self.unresolved + self.dropped_incomplete + self.dropped_duplicates
+    def all_results(self) -> Iterator[MatchResult]:
+        """Every result, partition by partition, without a list of them all."""
+        return chain(self.matched, self.unresolved, self.dropped_incomplete, self.dropped_duplicates)
 
     def counts(self) -> dict[str, int]:
         """Each partition's size, in pipeline order."""
@@ -244,20 +256,29 @@ def link_records(records: Sequence[PsaRecord], cases: Sequence[CourtCase]) -> Li
     in exactly one partition of the report."""
     report = LinkReport()
     complete, incomplete = filter_complete(records)
-    for r in sorted(incomplete, key=_content_order):
+    for _, r in _in_content_order(incomplete):
         report.dropped_incomplete.append(
             MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_INCOMPLETE)
         )
     unique, duplicates = deduplicate(complete)
+    del complete  # ``unique`` and ``duplicates`` now hold its records
     for r in duplicates:
         report.dropped_duplicates.append(
             MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_DUPLICATE)
         )
-    by_sfid: dict[str, list[CourtCase]] = {}
-    for c in cases:
-        by_sfid.setdefault(c.sfid, []).append(c)
+    # ``unique`` is in sfid order, so one walk over the cases in sfid order
+    # finds each person's cases
+    cases = sorted(cases, key=_sfid)
+    person, i, n = None, 0, len(cases)
     for r in unique:
-        result = resolve_match(r, find_candidates(r, by_sfid.get(r.sfid, ())))
+        if r.sfid != person:
+            person = r.sfid
+            while i < n and cases[i].sfid < person:
+                i += 1
+            lo = i
+            while i < n and cases[i].sfid == person:
+                i += 1
+        result = resolve_match(r, find_candidates(r, cases[lo:i]))
         if result.status is MatchStatus.MATCHED:
             report.matched.append(result)
         else:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -800,15 +801,29 @@ def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
     assert run(["simulate", "--n", 10, "--overbooking-rate", 1.5, "--out", tmp_path / "sim"]) == 2
     assert "overbooking_rate" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
-    rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
-              "--conviction-threshold", 0, "--out", tmp_path / "audit"])
+    inputs = ["--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv"]
+    rc = run(["audit", *inputs, "--conviction-threshold", 0, "--out", tmp_path / "audit"])
     assert rc == 2
     assert "conviction_threshold" in capsys.readouterr().err
+    assert not (tmp_path / "audit").exists()
     for code in (0, 160):
-        rc = run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
-                  "--plea-to-other-code", code, "--out", tmp_path / "audit"])
+        rc = run(["audit", *inputs, "--plea-to-other-code", code, "--out", tmp_path / "audit"])
         assert rc == 2
         assert "plea_to_other_code must be in 1..conviction_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "audit").exists()
+    assert run(["audit", *inputs, "--alpha", 2, "--out", tmp_path / "audit"]) == 2
+    assert "--alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
+    assert not (tmp_path / "audit").exists()
+    # a rerun checks the manifest's settings before it makes --out too
+    options = {"psa": str(sim_dir / "psa_records.csv"), "court": str(sim_dir / "court_cases.csv"),
+               "alpha": 0.05, "conviction_threshold": 159, "plea_to_other_code": 72,
+               "sensitivity": False, "no_companion_zero": False}
+    manifest = tmp_path / "run_manifest.json"
+    for bad in ({"alpha": 2.0}, {"plea_to_other_code": 0}):
+        manifest.write_text(json.dumps({"subcommand": "audit", "options": {**options, **bad}}))
+        assert run(["rerun", manifest, "--out", tmp_path / "rerun"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "rerun").exists()
 
 
 def test_config_dir_with_packaged_copies_matches_the_defaults(sim_dir, tmp_path):
@@ -898,6 +913,31 @@ def test_audit_frees_the_intake_before_writing_the_pairs(tmp_path, monkeypatch):
     assert run(["audit", "--sensitivity", "--psa", sim / "psa_records.csv", "--court", sim / "court_cases.csv",
                 "--out", tmp_path / "audit"]) == 0
     assert alive == {"CourtCase": 0, "PsaRecord": 0}
+
+
+def test_audit_pair_stage_frees_more_than_it_builds(tmp_path, monkeypatch):
+    """The records, cases and link report are dropped before the pairs are
+    built, and each match as its pair is built, so the traced memory
+    after the pair stage is below the traced memory before it."""
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--n", 2000, "--seed", 2026, "--out", sim]) == 0
+    traced = {}
+    build_audit_pairs = cli.build_audit_pairs
+
+    def measured(*args):
+        traced["before"] = tracemalloc.get_traced_memory()[0]
+        result = build_audit_pairs(*args)
+        traced["after"] = tracemalloc.get_traced_memory()[0]
+        return result
+
+    monkeypatch.setattr(cli, "build_audit_pairs", measured)
+    tracemalloc.start()
+    try:
+        assert run(["audit", "--sensitivity", "--psa", sim / "psa_records.csv",
+                    "--court", sim / "court_cases.csv", "--out", tmp_path / "audit"]) == 0
+    finally:
+        tracemalloc.stop()
+    assert traced["after"] < traced["before"], traced
 
 
 @pytest.mark.parametrize("collecting", [True, False])

@@ -1,22 +1,27 @@
 import random
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from psa_audit.charges import parse_charge_code
+from psa_audit.io import read_court_cases, read_psa_records
 from psa_audit.linkage import (
     CourtCase,
+    LinkReport,
+    MatchResult,
     MatchStatus,
     PsaRecord,
+    _charge_key,
     _content_order,
-    _dedup_key,
     deduplicate,
     filter_complete,
     find_candidates,
     link_records,
     resolve_match,
 )
+from psa_audit.synth import GeneratorConfig, generate, write_dataset
 
 
 def rec(record_id="R1", sfid="S1", arrest="2016-09-01", psa="2016-09-01",
@@ -110,6 +115,43 @@ def test_dedup_idempotent_and_order_independent():
     assert again == once
 
 
+def _dedup_key(record):
+    return (record.sfid, record.psa_date, _charge_key(record))
+
+
+def _reference_deduplicate(records):
+    """De-duplication by one sort of every record by its whole content key."""
+    unique, dropped = [], []
+    kept = None
+    for r in sorted(records, key=_content_order):
+        key = _dedup_key(r)
+        if key == kept:
+            dropped.append(r)
+        else:
+            kept = key
+            unique.append(r)
+    return unique, dropped
+
+
+def _reference_link_records(records, cases):
+    """Linkage with the global-sort de-duplication and each person's cases
+    looked up in a dict of per-sfid lists."""
+    report = LinkReport()
+    complete, incomplete = filter_complete(records)
+    for r in sorted(incomplete, key=_content_order):
+        report.dropped_incomplete.append(MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_INCOMPLETE))
+    unique, duplicates = _reference_deduplicate(complete)
+    for r in duplicates:
+        report.dropped_duplicates.append(MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_DUPLICATE))
+    by_sfid = {}
+    for c in cases:
+        by_sfid.setdefault(c.sfid, []).append(c)
+    for r in unique:
+        result = resolve_match(r, find_candidates(r, by_sfid.get(r.sfid, ())))
+        (report.matched if result.status is MatchStatus.MATCHED else report.unresolved).append(result)
+    return report
+
+
 _RECORD_FIELDS = st.tuples(
     st.sampled_from(("S1", "S2")),
     st.sampled_from((None, "0001-01-01", "2016-09-01")),  # psa_date, date.min included
@@ -133,6 +175,67 @@ def test_adjacency_dedupe_equals_the_set_based_rule(data):
         (dropped if key in seen else unique).append(r)
         seen.add(key)
     assert deduplicate(data.draw(st.permutations(records))) == (unique, dropped)
+
+
+def _identities(results):
+    """Each result's record and cases by identity, with its status and note."""
+    return [(id(m.psa), tuple(map(id, m.matched_cases)), m.status, m.note) for m in results]
+
+
+_LINK_CHARGES = ("459 PC F", "484 PC M", "245(A)(1) PC F")
+_LINK_RECORD = st.tuples(
+    st.sampled_from(("S1", "S3", "S5")),  # shared by several records
+    st.sampled_from((None, "2016-09-01", "2016-09-02")),  # psa_date
+    st.lists(st.sampled_from(_LINK_CHARGES), max_size=2),
+    st.sampled_from((None, "2016-09-01", "2016-09-03")),  # arrest_date
+    st.sampled_from((None, 1, 2)),  # fta
+    st.sampled_from(("", "A", "B")),  # name: equal dedup keys, other fields differ
+)
+_LINK_CASE = st.tuples(
+    # S0, S2, S4 and S6 have no record; S2 and S4 sort between the records' sfids
+    st.sampled_from(("S0", "S1", "S2", "S3", "S4", "S5", "S6")),
+    st.sampled_from(("2016-08-31", "2016-09-01", "2016-09-02", "2016-09-04", "2016-09-06")),
+    st.lists(st.sampled_from(_LINK_CHARGES), min_size=1, max_size=2),
+    st.sampled_from(("C1", "C2", "C3")),  # court numbers may repeat
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINK_RECORD, max_size=14), st.lists(_LINK_CASE, max_size=10))
+def test_per_person_linkage_equals_the_global_sort_reference(drawn_records, drawn_cases):
+    records = [rec(record_id=f"R{i}", sfid=sfid, psa=psa, charges=charges, arrest=arrest, fta=fta, name=name)
+               for i, (sfid, psa, charges, arrest, fta, name) in enumerate(drawn_records)]
+    cases = [case(court_number=number, sfid=sfid, arrest=arrest, charges=charges)
+             for sfid, arrest, charges, number in drawn_cases]
+    # records with a missing form or arrest date reach deduplicate here too
+    unique, dropped = deduplicate(records)
+    ref_unique, ref_dropped = _reference_deduplicate(records)
+    assert list(map(id, unique)) == list(map(id, ref_unique))
+    assert list(map(id, dropped)) == list(map(id, ref_dropped))
+    report, reference = link_records(records, cases), _reference_link_records(records, cases)
+    for partition in ("matched", "unresolved", "dropped_incomplete", "dropped_duplicates"):
+        assert _identities(getattr(report, partition)) == _identities(getattr(reference, partition)), partition
+    assert _identities(report.all_results) == _identities(reference.all_results)
+
+
+def test_link_peak_stays_near_its_net_growth(tmp_path, config):
+    """Linkage holds one person's sort keys at a time and no per-person
+    case lists, so its traced peak is close to the report it returns."""
+    write_dataset(generate(GeneratorConfig(n_records=5000, seed=2026), config), tmp_path)
+    prefixes = config.catalog.derivative_prefixes
+    records, _ = read_psa_records(tmp_path / "psa_records.csv", prefixes)
+    cases, _ = read_court_cases(tmp_path / "court_cases.csv", prefixes)
+    # a first, untraced run fills each charge's cached text key, so the
+    # traced run counts only what linkage builds, whatever ran before it
+    link_records(records, cases)
+    tracemalloc.start()
+    try:
+        report = link_records(records, cases)
+        growth, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(report.counts().values()) == len(records)
+    assert peak <= 1.25 * growth, (peak, growth, peak / growth)
 
 
 def test_candidate_window_offsets():

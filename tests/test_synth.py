@@ -171,8 +171,8 @@ def test_planted_scenarios_verified_by_pipeline(config):
         assert truth[m.psa.record_id]["kind"] == "duplicate"
 
     pairs, skipped = build_audit_pairs(report.matched, DispositionPolicy(), config, {})
-    for m in skipped:
-        assert truth[m.psa.record_id]["disposed"] is False
+    for record_id in skipped:
+        assert truth[record_id]["disposed"] is False
     from psa_audit.charges import normalize_text
     from psa_audit.counterfactual import conviction_charges
 
