@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, replace
 from io import StringIO
 from itertools import count
 from operator import attrgetter
@@ -32,7 +32,7 @@ from .counterfactual import (
     changes,
     counterfactual_assess,
 )
-from .engine import EngineConfig, SupervisionLevel, assess, load_engine_config
+from .engine import EngineConfig, assess, load_engine_config
 from .errors import ConfigError, PsaAuditError, SchemaError
 from .io import (
     PSA_COLUMNS,
@@ -43,13 +43,13 @@ from .io import (
     read_psa_records,
     write_csv,
 )
-from .linkage import MatchResult, deduplicate, filter_complete, link_records
+from .linkage import deduplicate, filter_complete, link_records
 from .stats import (
     DEFAULT_ALPHA,
     AffectedRow,
-    AffectedTable,
+    LevelRow,
     RateRow,
-    RateTable,
+    Table,
     agreement_rate,
     initial_distribution,
     proportion_affected,
@@ -96,15 +96,20 @@ def main(argv=None) -> int:
 def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
     """Run one command, holding back what it prints until its outputs and
     its manifest are written, so a closed stdout cannot cut the run short.
-    A setting no run can use fails before ``out_dir`` is made."""
-    if command == "audit":
-        _audit_settings(opts)
+    A run that fails before it writes anything leaves no ``out_dir`` that
+    it made."""
+    made = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at the path, or above it
         raise SchemaError(f"{out_dir}: cannot make the output directory: {exc.strerror or exc}") from None
-    with redirect_stdout(StringIO()) as report:
-        code = _HANDLERS[command](opts, out_dir)
+    try:
+        with redirect_stdout(StringIO()) as report:
+            code = _HANDLERS[command](opts, out_dir)
+    except PsaAuditError:
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
     _write_manifest(out_dir, command, opts)
     _emit(report.getvalue())
     return code
@@ -397,23 +402,14 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
 # audit
 
 
-def _group_labels(matches: list[MatchResult], cases) -> dict[str, str]:
-    """Each matched person's (sfid's) group, resolved per individual: a
-    person designated B on any of their court cases is group B for all of
-    their records; everyone else (missing designations included) is non-B."""
-    b_people = {c.sfid for c in cases if c.race == "B"}
-    return {m.psa.sfid: ("B" if m.psa.sfid in b_people else "non-B") for m in matches}
-
-
-def _write_scoped_tables(path: Path, tables: dict[str, RateTable | AffectedTable], row_type: type) -> None:
+def _write_scoped_tables(path: Path, tables: dict[str, Table], row_type: type) -> None:
     """One line per table row: its scope and n, then the row's fields."""
-    rows = [(scope, t.n, *astuple(r)) for scope, t in tables.items() for r in t.rows]
-    write_csv(path, ("scope", "n", *(f.name for f in fields(row_type))), rows)
+    rows = [(scope, t.n, *r) for scope, t in tables.items() for r in t.rows]
+    write_csv(path, ("scope", "n", *row_type._fields), rows)
 
 
-def _write_summary(
-    path: Path, counts: dict, tables: dict[str, RateTable], affected: dict[str, AffectedTable], alpha: float
-) -> None:
+def _write_summary(path: Path, counts: dict, tables: dict[str, Table], affected: dict[str, Table],
+                   alpha: float) -> None:
     lines = ["# audit summary", ""]
     for key, value in counts.items():
         lines.append(f"{key}: {value}")
@@ -465,7 +461,7 @@ def _write_matches(path: Path, report) -> None:
 
 def _write_review(path: Path, unresolved) -> None:
     rows = [(m.psa.record_id, m.psa.sfid, m.psa.name, m.psa.arrest_date, m.psa.psa_date,
-             join_charges(m.psa.booking_charges), m.note or "no-candidates")
+             join_charges(m.psa.booking_charges), m.note)
             for m in unresolved]
     write_csv(path, ("record_id", "sfid", "name", "arrest_date", "psa_date", "booking_charges", "reason"), rows)
 
@@ -482,12 +478,6 @@ def _write_pairs(path: Path, pairs: list[AuditPair]) -> None:
         "record_id", "group",
         *(f"{side}_{c}" for side in ("booking", "conviction") for c in ("nvca", *_RESULT_COLUMNS)),
         *(c.column for c in COMPONENTS), "excluded_by_sensitivity"), _SizedRows(len(pairs), rows))
-
-
-def _write_distribution(path: Path, hists) -> None:
-    rows = [(scope, h.n, int(level), level, h.counts[level - 1], h.fractions[level - 1], h.empty)
-            for scope, h in hists.items() for level in SupervisionLevel]
-    write_csv(path, ("scope", "n", "level_rank", "level", "count", "fraction", "empty_group"), rows)
 
 
 def _popped(items: list) -> Iterator:
@@ -512,12 +502,12 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
     report = link_records(records, cases)
     _write_matches(out_dir / "matches.csv", report)
     _write_review(out_dir / "review_unresolved.csv", report.unresolved)
-    groups = _group_labels(report.matched, cases)
+    b_people = {c.sfid for c in cases if c.race == "B"}
     counts = {**intake, **report.counts()}
     matched = report.matched
     del records, cases, report
 
-    pairs, skipped = build_audit_pairs(_popped(matched), policy, config, groups)
+    pairs, skipped = build_audit_pairs(_popped(matched), policy, config, b_people)
 
     counts.update(
         not_fully_disposed=len(skipped),
@@ -541,7 +531,7 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
         hists = initial_distribution(pairs)
     _write_scoped_tables(out_dir / "rate_table.csv", tables, RateRow)
     _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
-    _write_distribution(out_dir / "initial_distribution.csv", hists)
+    _write_scoped_tables(out_dir / "initial_distribution.csv", hists, LevelRow)
     _write_summary(out_dir / "test_summary.txt", counts, tables, affected, alpha)
     keep = [p for p in pairs if not p.excluded_by_sensitivity] if opts["sensitivity"] else []
     if keep:
@@ -584,8 +574,6 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
     mismatches = []
     for m in report.matched:
         rec = m.psa
-        if rec.fta is None or rec.nca is None:
-            continue
         res = counterfactual_assess(rec, booking_charges(m), config)
         for c in COMPONENTS:
             recorded = c.recorded(rec)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, gt, sub
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .charges import ChargeCode
 from .engine import EngineConfig, PsaResult, assess, derive_subscores
@@ -172,18 +172,29 @@ class AuditPair:
     group: str = ""
 
 
+_booking_result, _conviction_result = attrgetter("booking_result"), attrgetter("conviction_result")
+
+
+def component_values(pairs: Sequence[AuditPair]) -> Iterator[tuple[Component, Iterator, Iterator]]:
+    """Each component with its booking and its conviction values in
+    ``pairs``, in ``COMPONENTS`` order; the values are read as they are
+    iterated, so no list of them is built here."""
+    for c in COMPONENTS:
+        yield c, map(c.read, map(_booking_result, pairs)), map(c.read, map(_conviction_result, pairs))
+
+
 def changes(pairs: Sequence[AuditPair]) -> Iterator[tuple]:
     """Each pair's component changes from conviction to booking charges,
     in ``COMPONENTS`` order: whether each flag was lost, then the signed
     recommendation level difference."""
-    booking = [p.booking_result for p in pairs]
-    conviction = [p.conviction_result for p in pairs]
-    return zip(*[map(c.change, map(c.read, booking), map(c.read, conviction)) for c in COMPONENTS])
+    return zip(*[map(c.change, booking, conviction) for c, booking, conviction in component_values(pairs)])
 
 
 def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: EngineConfig, group: str) -> AuditPair:
-    booked = booking_charges(match)
+    """The pair of one matched record; raises NotDisposed, before any
+    scoring, when a matched case still has pending charges."""
     convicted = conviction_charges(match, policy)
+    booked = booking_charges(match)
     plea_entered = any(
         d == policy.plea_to_other_code for case in match.matched_cases for d in case.dispositions
     )
@@ -200,10 +211,12 @@ def build_audit_pairs(
     matches: Iterable[MatchResult],
     policy: DispositionPolicy,
     config: EngineConfig,
-    groups: Mapping[str, str],
+    b_people: Container[str],
 ) -> tuple[list[AuditPair], list[str]]:
-    """One AuditPair per matched, fully disposed record, in the group
-    ``groups`` gives its person (sfid), or "" for a person it omits.
+    """One AuditPair per Matched, fully disposed match, in its person's group,
+    resolved per individual: a person (sfid) in ``b_people``, those
+    designated B on any of their court cases, is group B for all of their
+    records; everyone else (missing designations included) is non-B.
 
     Returns (pairs, the record ids of the matches skipped as not fully
     disposed).  No match is kept, so a caller that hands the matches over
@@ -213,10 +226,8 @@ def build_audit_pairs(
     """
     pairs, skipped = [], []
     for m in matches:
-        if m.status is not MatchStatus.MATCHED:
-            continue
-        if not all(fully_disposed(c) for c in m.matched_cases):
+        try:
+            pairs.append(build_audit_pair(m, policy, config, "B" if m.psa.sfid in b_people else "non-B"))
+        except NotDisposed:
             skipped.append(m.psa.record_id)
-            continue
-        pairs.append(build_audit_pair(m, policy, config, groups.get(m.psa.sfid, "")))
     return pairs, skipped

@@ -275,7 +275,7 @@ def _parse_race(text: str) -> str:
 def _parse_dispositions(text: str) -> tuple[int | None, ...]:
     """A dispositions cell's codes, or () for an entirely empty cell."""
     t = text.strip()
-    return tuple(parse_int(part, "dispositions") for part in t.split(";")) if t else ()
+    return tuple(_parse_count(part, "dispositions") for part in t.split(";")) if t else ()
 
 
 def read_court_cases(
@@ -362,9 +362,10 @@ court_cases.csv (input to audit/validate/consistency/link)
   race          one of B C F H I J O U W, or empty
   booking_charges  ';'-joined charge codes booked at intake
   filed_charges    ';'-joined charge codes filed by the prosecutor
-  dispositions     ';'-joined integer codes aligned with filed_charges;
-                   an empty element means that charge is still pending,
-                   and an entirely empty cell means all charges are pending
+  dispositions     ';'-joined non-negative integer codes aligned with
+                   filed_charges; an empty element means that charge is
+                   still pending, and an entirely empty cell means all
+                   charges are pending
 
 ground_truth.csv (written by simulate)
   record_id, kind (base|duplicate|incomplete), scenario, group,

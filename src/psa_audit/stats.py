@@ -10,9 +10,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import gt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .counterfactual import COMPONENTS, GROUPS, AuditPair
+from .counterfactual import GROUPS, AuditPair, component_values
+from .engine import SupervisionLevel
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
 from .linkage import RACE_CATEGORIES, CourtCase
 
@@ -118,8 +119,7 @@ def agreement_rate(reproduced: Sequence, recorded: Sequence) -> float:
 # audit tables
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     component: str
     booking: float
     conviction: float
@@ -129,38 +129,46 @@ class RateRow:
     significant: bool | None
 
 
+class AffectedRow(NamedTuple):
+    component: str
+    count: int
+    fraction: float
+
+
+class LevelRow(NamedTuple):
+    level_rank: int
+    level: SupervisionLevel
+    count: int
+    fraction: float
+    empty_group: bool
+
+
 @dataclass(frozen=True)
-class RateTable:
+class Table:
+    """One scope's table: its pair count and its rows."""
+
     n: int
-    rows: tuple[RateRow, ...]
+    rows: tuple
 
 
-def _scopes(pairs: Sequence[AuditPair]) -> dict[str, list[AuditPair]]:
-    """Split pairs by scope in one pass: "all" first, then each of
-    ``GROUPS``, possibly empty."""
-    scopes = {"all": list(pairs), **{g: [] for g in GROUPS}}
+def _scopes(pairs: Sequence[AuditPair]) -> dict[str, Sequence[AuditPair]]:
+    """Split pairs by scope in one pass: "all" (``pairs`` itself) first,
+    then each of ``GROUPS``, possibly empty."""
+    scopes = {"all": pairs, **{g: [] for g in GROUPS}}
     for p in pairs:
         if p.group:
             scopes[p.group].append(p)
     return scopes
 
 
-def _component_values(pairs: Sequence[AuditPair]):
-    """Each component with its booking and its conviction values in
-    ``pairs``, in ``COMPONENTS`` order."""
-    booking = [p.booking_result for p in pairs]
-    conviction = [p.conviction_result for p in pairs]
-    for c in COMPONENTS:
-        yield c, list(map(c.read, booking)), list(map(c.read, conviction))
-
-
-def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
+def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> Table:
     """A flag (a component whose change is ``gt``) is tested with the
     two-proportion z-test, the recommendation level with the rank-sum test."""
     n = len(pairs)
     rows = []
     tests: list[tuple[float, float] | None] = []
-    for c, b_vals, c_vals in _component_values(pairs):
+    for c, b_vals, c_vals in component_values(pairs):
+        b_vals, c_vals = list(b_vals), list(c_vals)
         b_sum, c_sum = sum(b_vals), sum(c_vals)
         try:
             if c.change is gt:
@@ -180,11 +188,12 @@ def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> RateTable:
             out.append(RateRow(name, b_val, c_val, b_val - c_val, None, None, None))
         else:
             out.append(RateRow(name, b_val, c_val, b_val - c_val, t[0], t[1], next(flag_iter)))
-    return RateTable(n=n, rows=tuple(out))
+    return Table(n, tuple(out))
 
 
-def rate_table(pairs: Sequence[AuditPair], *, alpha: float = DEFAULT_ALPHA) -> dict[str, RateTable]:
-    """Component rates and mean recommendation per charge source.
+def rate_table(pairs: Sequence[AuditPair], *, alpha: float = DEFAULT_ALPHA) -> dict[str, Table]:
+    """Component rates and mean recommendation per charge source, in
+    ``RateRow``s.
 
     Returns tables keyed by scope: "all" first, then one per group that
     has pairs.
@@ -194,29 +203,17 @@ def rate_table(pairs: Sequence[AuditPair], *, alpha: float = DEFAULT_ALPHA) -> d
     return {scope: _rate_table_one(subset, alpha) for scope, subset in _scopes(pairs).items() if subset}
 
 
-@dataclass(frozen=True)
-class AffectedRow:
-    component: str
-    count: int
-    fraction: float
-
-
-@dataclass(frozen=True)
-class AffectedTable:
-    n: int
-    rows: tuple[AffectedRow, ...]
-
-
-def _affected_one(pairs: Sequence[AuditPair]) -> AffectedTable:
+def _affected_one(pairs: Sequence[AuditPair]) -> Table:
     n = len(pairs)
-    counts = [(c.name, sum(map(gt, b_vals, c_vals))) for c, b_vals, c_vals in _component_values(pairs)]
-    return AffectedTable(n=n, rows=tuple(AffectedRow(name, k, k / n) for name, k in counts))
+    counts = [(c.name, sum(map(gt, b_vals, c_vals))) for c, b_vals, c_vals in component_values(pairs)]
+    return Table(n, tuple(AffectedRow(name, k, k / n) for name, k in counts))
 
 
-def proportion_affected(pairs: Sequence[AuditPair]) -> dict[str, AffectedTable]:
-    """Strictly one-sided change rates: a component held under booking but
-    not under conviction charges, and a final recommendation strictly
-    higher under booking.  Cases moving the other way do not offset.
+def proportion_affected(pairs: Sequence[AuditPair]) -> dict[str, Table]:
+    """Strictly one-sided change rates, in ``AffectedRow``s: a component
+    held under booking but not under conviction charges, and a final
+    recommendation strictly higher under booking.  Cases moving the other
+    way do not offset.
 
     Returns tables keyed by scope, as ``rate_table`` does.
     """
@@ -225,34 +222,19 @@ def proportion_affected(pairs: Sequence[AuditPair]) -> dict[str, AffectedTable]:
     return {scope: _affected_one(subset) for scope, subset in _scopes(pairs).items() if subset}
 
 
-@dataclass(frozen=True)
-class Histogram:
-    n: int
-    counts: tuple[int, int, int, int]  # levels 1..4
+def initial_distribution(pairs: Sequence[AuditPair]) -> dict[str, Table]:
+    """Counts of the booking-side initial recommendation, per scope:
+    one ``LevelRow`` per level, in rank order.
 
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        if self.n == 0:
-            return (0.0, 0.0, 0.0, 0.0)
-        return tuple(c / self.n for c in self.counts)
-
-    @property
-    def empty(self) -> bool:
-        return self.n == 0
-
-
-def initial_distribution(pairs: Sequence[AuditPair]) -> dict[str, Histogram]:
-    """Histogram of the booking-side initial recommendation, per scope.
-
-    A group with no pairs still gets a row, flagged empty, so a missing
-    group is visible rather than silent.
+    A group with no pairs still gets its rows, flagged ``empty_group``, so
+    a missing group is visible rather than silent.
     """
     out = {}
     for label, subset in _scopes(pairs).items():
-        counts = [0, 0, 0, 0]
-        for p in subset:
-            counts[int(p.booking_result.initial) - 1] += 1
-        out[label] = Histogram(n=len(subset), counts=tuple(counts))
+        n = len(subset)
+        counts = Counter(p.booking_result.initial for p in subset)
+        out[label] = Table(n, tuple(LevelRow(int(level), level, counts[level], counts[level] / n if n else 0.0, n == 0)
+                                    for level in SupervisionLevel))
     return out
 
 

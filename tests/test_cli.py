@@ -137,6 +137,7 @@ def test_missing_file_is_schema_failure(tmp_path, capsys, kind):
         assert run([*args, "--out", tmp_path / "out"]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["a file", "under a file"])
@@ -741,6 +742,9 @@ def test_config_dir_lacking_a_file_is_a_config_error(sim_dir, tmp_path, capsys, 
 
 
 _SIX = "[1, 1, 1, 1, 1, 1]"
+#: A pool charge that breaks its pool's rule; the rule is checked against
+#: the run's catalog, so its error names the pool and the charge, not the file.
+_BAD_POOL = "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "neutral_felonies": ["187(A) PC F"]}) + "\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -766,13 +770,18 @@ _SIX = "[1, 1, 1, 1, 1, 1]"
     )),
     # the five pools and one the generator never draws from
     "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "violent_felonies": ["246 PC F"]}) + "\n",
+    _BAD_POOL,
 ])
 def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):
     gen = tmp_path / "gen.yaml"
     if text is not None:
         gen.write_text(text, encoding="utf-8")
     assert run(["simulate", "--gen-config", gen, "--out", tmp_path / "out"]) == 2
-    _assert_one_config_error(capsys, gen)
+    if text == _BAD_POOL:
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "'neutral_felonies'" in line and "'187(A) PC F'" in line, line
+    else:
+        _assert_one_config_error(capsys, gen)
     assert not (tmp_path / "out").exists()
 
 
@@ -814,7 +823,7 @@ def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
     assert run(["audit", *inputs, "--alpha", 2, "--out", tmp_path / "audit"]) == 2
     assert "--alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
     assert not (tmp_path / "audit").exists()
-    # a rerun checks the manifest's settings before it makes --out too
+    # nor does a rerun with a bad setting
     options = {"psa": str(sim_dir / "psa_records.csv"), "court": str(sim_dir / "court_cases.csv"),
                "alpha": 0.05, "conviction_threshold": 159, "plea_to_other_code": 72,
                "sensitivity": False, "no_companion_zero": False}

@@ -247,16 +247,26 @@ def test_sensitivity_flag_marks_plea_to_other_case_only(config):
 
 
 def test_build_audit_pairs_empty_input(config):
-    pairs, skipped = build_audit_pairs([], POLICY, config, {})
+    pairs, skipped = build_audit_pairs([], POLICY, config, set())
     assert pairs == [] and skipped == []
 
 
 def test_build_audit_pairs_skips_undisposed(config):
     pending = matched(case(["459 PC F"], [None]))
     done = matched(case(["459 PC F"], [160]), record=rec(record_id="R2"))
-    pairs, skipped = build_audit_pairs([pending, done], POLICY, config, {})
+    pairs, skipped = build_audit_pairs([pending, done], POLICY, config, set())
     assert [p.record_id for p in pairs] == ["R2"]
     assert skipped == ["R1"]
+
+
+def test_build_audit_pairs_labels_each_person_from_the_b_set(config):
+    people = ["S1", "S2", "S3", "S1"]
+    ms = [matched(case(["459 PC F"], [160]), record=replace(rec(record_id=f"R{i}"), sfid=sfid))
+          for i, sfid in enumerate(people)]
+    pairs, skipped = build_audit_pairs(ms, POLICY, config, {"S1", "S9"})
+    assert skipped == []
+    # a member of the set is B on every record, anyone else is non-B; no pair is ungrouped
+    assert [(p.record_id, p.group) for p in pairs] == [("R0", "B"), ("R1", "non-B"), ("R2", "non-B"), ("R3", "B")]
 
 
 def test_subset_monotonicity_and_delta_implication(config):

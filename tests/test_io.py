@@ -139,6 +139,7 @@ BAD_CELLS = {
         ("arrest_date", "20160701", "arrest_date: expected YYYY-MM-DD, got '20160701'"),
         ("dispositions", "1_60", "dispositions: expected an integer, got '1_60'"),
         ("dispositions", "\u0661\u0666\u0660", "dispositions: expected an integer, got '\u0661\u0666\u0660'"),
+        ("dispositions", "-170;-170;-170", "dispositions: must be >= 0, got -170"),
     ],
 }
 

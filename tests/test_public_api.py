@@ -1,11 +1,12 @@
-"""Every public symbol has a caller in the package.
+"""Every public symbol has a caller in the package, and every import a use.
 
 A name exported in ``psa_audit.__all__``, and every public function and
 method a package module defines, must be referenced by some package module
 other than ``__init__.py``, outside the ``def`` or ``class`` that defines
 it.  A name only the tests call is test-only code in the package.
 ``oracle.py`` is the one documented exception: its definitions exist for
-the tests, so they are not checked.
+the tests, so they are not checked.  Each name a package module other
+than ``__init__.py`` imports must be read somewhere in that module.
 """
 
 import ast
@@ -67,3 +68,27 @@ def test_every_public_function_and_method_has_a_caller_in_the_package():
         if name not in REFERENCED
     )
     assert uncalled == [], f"public functions and methods with no caller in the package: {', '.join(uncalled)}"
+
+
+def _imported_names(tree: ast.Module):
+    """(line, name) of each name a module's imports bind, ``__future__``
+    features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _unused_imports(tree: ast.Module):
+    """(line, name) of each imported name that the module never reads."""
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for line, name in _imported_names(tree) if name not in loaded]
+
+
+def test_every_imported_name_is_used():
+    unused = sorted(f"{path.name}:{line} {name}" for path, tree in MODULES.items()
+                    for line, name in _unused_imports(tree))
+    assert unused == [], f"imported names no code uses: {', '.join(unused)}"

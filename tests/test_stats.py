@@ -450,11 +450,13 @@ def test_proportion_affected_saturation_counts_component_not_recommendation():
 def test_initial_distribution_single_group_sums_to_one():
     pairs = [pair(f"R{i}", result(initial=L(1 + i % 3)), result()) for i in range(9)]
     hists = initial_distribution(pairs)
-    # ungrouped pairs leave each group's row empty
+    # ungrouped pairs leave each group's rows empty
     assert list(hists) == ["all", "B", "non-B"]
-    assert hists["B"].empty and hists["non-B"].empty
-    assert sum(hists["all"].fractions) == pytest.approx(1.0)
-    assert sum(hists["all"].counts) == 9
+    assert all(r.empty_group for g in GROUPS for r in hists[g].rows)
+    assert not any(r.empty_group for r in hists["all"].rows)
+    assert [r.level_rank for r in hists["all"].rows] == [1, 2, 3, 4]
+    assert sum(r.fraction for r in hists["all"].rows) == pytest.approx(1.0)
+    assert sum(r.count for r in hists["all"].rows) == 9
 
 
 def test_initial_distribution_planted_group_shift_recovered():
@@ -463,15 +465,15 @@ def test_initial_distribution_planted_group_shift_recovered():
         initial = L.SFPDP_ACM if i % 2 else L.OR_NAS
         pairs.append(pair(f"R{i}", result(initial=initial), result(), group="B" if i % 2 else "non-B"))
     hists = initial_distribution(pairs)
-    assert hists["B"].fractions[2] == 1.0
-    assert hists["non-B"].fractions[0] == 1.0
+    assert hists["B"].rows[2].fraction == 1.0
+    assert hists["non-B"].rows[0].fraction == 1.0
 
 
 def test_initial_distribution_empty_group_flagged():
     pairs = [pair("R0", result(), result(), group="B")]
     hists = initial_distribution(pairs)
-    assert hists["non-B"].empty
-    assert hists["non-B"].counts == (0, 0, 0, 0)
+    assert all(r.empty_group for r in hists["non-B"].rows)
+    assert [r.count for r in hists["non-B"].rows] == [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,4 +564,4 @@ def test_rate_table_values_in_range():
     for row in a.rows:
         assert 0.0 <= row.fraction <= 1.0
     hists = initial_distribution(pairs)
-    assert sum(hists["all"].counts) == len(pairs)
+    assert sum(r.count for r in hists["all"].rows) == len(pairs)

@@ -133,7 +133,7 @@ def test_overbooking_zero_means_no_deltas(config):
     ds = generate(cfg, config)
     paths_records = _parse(ds, config)
     report = link_records(*paths_records)
-    pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config, {})
+    pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config, set())
     assert pairs
     assert set(changes(pairs)) == {(False, False, False, 0)}
 
@@ -170,7 +170,7 @@ def test_planted_scenarios_verified_by_pipeline(config):
     for m in report.dropped_duplicates:
         assert truth[m.psa.record_id]["kind"] == "duplicate"
 
-    pairs, skipped = build_audit_pairs(report.matched, DispositionPolicy(), config, {})
+    pairs, skipped = build_audit_pairs(report.matched, DispositionPolicy(), config, set())
     for record_id in skipped:
         assert truth[record_id]["disposed"] is False
     from psa_audit.charges import normalize_text
@@ -194,7 +194,7 @@ def test_affected_rate_recovery_small(config):
     ds = generate(cfg, config)
     records, cases = _parse(ds, config)
     report = link_records(records, cases)
-    pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config, {})
+    pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config, set())
     affected = sum(delta > 0 for *_, delta in changes(pairs)) / len(pairs)
     assert abs(affected - 0.27) < 0.03
 
