@@ -211,23 +211,30 @@ def _collect_options(command: str, args: argparse.Namespace) -> dict:
     """The given options of a command line in their manifest form: paths
     resolved, and simulate's generator settings frozen into
     ``resolved_generator``, so a rerun ignores later changes of defaults."""
+    options = _COMMANDS[command][1]
     opts = {}
-    for o in _COMMANDS[command][1]:
-        if o.type is dict:
-            opts[o.key] = asdict(_generator_config(args))
-        elif (value := getattr(args, o.key)) is not None:
+    for o in options:
+        if o.type is not dict and (value := getattr(args, o.key)) is not None:
             opts[o.key] = str(Path(value).resolve()) if o.type is Path else value
+    # after the engine files, whose catalog checks a --gen-config file's pools
+    for o in options:
+        if o.type is dict:
+            opts[o.key] = asdict(_generator_config(args, opts))
     return opts
 
 
-def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    """A generator flag beats the ``--gen-config`` file, which beats the default."""
+def _generator_config(args: argparse.Namespace, opts: dict) -> GeneratorConfig:
+    """A generator flag beats the ``--gen-config`` file, which beats the
+    default.  Every error in the file, its pools' fit to the run's catalog
+    included, is reported under the file's path."""
     gen_config = GeneratorConfig()
     if args.gen_config is not None:
         path = str(Path(args.gen_config).resolve())
+        catalog = _engine_config(opts).catalog
         doc = read_config(path)
         try:
             gen_config = GeneratorConfig.from_dict(doc)
+            gen_config.check_pools(catalog)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     flags = {name: getattr(args, key) for key, name in _GENERATOR_FLAGS.items() if getattr(args, key) is not None}
@@ -467,12 +474,25 @@ def _write_review(path: Path, unresolved) -> None:
 
 
 def _write_pairs(path: Path, pairs: list[AuditPair]) -> None:
+    """One row per pair.  The 18 cells after its group depend only on its
+    two results, which ``assess`` shares between equal decisions, so they
+    are made once per distinct (booking, conviction) result pair, keyed by
+    the results' identity (the pairs hold the results, so no key is
+    reused while the rows are written)."""
+    tails = {}
+
+    def tail(p: AuditPair) -> tuple:
+        [change] = changes([p])
+        return (p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
+                p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result), *change)
+
     def rows():
-        for p, change in zip(pairs, changes(pairs)):
-            yield (p.record_id, p.group,
-                   p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
-                   p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result),
-                   *change, p.excluded_by_sensitivity)
+        for p in pairs:
+            key = id(p.booking_result), id(p.conviction_result)
+            cells = tails.get(key)
+            if cells is None:
+                cells = tails[key] = tail(p)
+            yield p.record_id, p.group, *cells, p.excluded_by_sensitivity
 
     write_csv(path, (
         "record_id", "group",

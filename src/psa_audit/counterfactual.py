@@ -44,7 +44,7 @@ class DispositionPolicy:
 
 def fully_disposed(case: CourtCase) -> bool:
     """True when every filed charge carries a terminal disposition code."""
-    return all(d is not None for d in case.dispositions)
+    return None not in case.dispositions
 
 
 def is_conviction(code: int | None, case: CourtCase, policy: DispositionPolicy) -> bool:
@@ -62,17 +62,22 @@ def is_conviction(code: int | None, case: CourtCase, policy: DispositionPolicy) 
         policy.companion_zero_rule
         and code == 0
         and fully_disposed(case)
-        and any(d == policy.plea_to_other_code for d in case.dispositions)
+        and policy.plea_to_other_code in case.dispositions
     ):
         return True
     return False
 
 
-def _dedup_sorted(charges: Iterable[ChargeCode]) -> tuple[ChargeCode, ...]:
-    seen = {}
-    for c in charges:
-        seen.setdefault(c.normalized, c)
-    return tuple(seen[k] for k in sorted(seen))
+_normalized = attrgetter("normalized")
+
+
+def _dedup_sorted(charges: Sequence[ChargeCode]) -> tuple[ChargeCode, ...]:
+    """The first of ``charges`` with each normalized text, in normalized-text order."""
+    if len(charges) < 2:
+        return tuple(charges)
+    last_first = charges[::-1]
+    by_text = dict(zip(map(_normalized, last_first), last_first))
+    return tuple(map(by_text.__getitem__, sorted(by_text)))
 
 
 def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[ChargeCode, ...]:
@@ -88,17 +93,14 @@ def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[C
     for case in match.matched_cases:
         if not fully_disposed(case):
             raise NotDisposed(f"case {case.court_number} has pending charges")
-    out = []
-    for case in match.matched_cases:
-        for charge, code in zip(case.filed_charges, case.dispositions):
-            if is_conviction(code, case, policy):
-                out.append(charge)
-    return _dedup_sorted(out)
+    return _dedup_sorted([charge for case in match.matched_cases
+                          for charge, code in zip(case.filed_charges, case.dispositions)
+                          if is_conviction(code, case, policy)])
 
 
 def booking_charges(match: MatchResult) -> tuple[ChargeCode, ...]:
     """Union of booked charges across the matched case(s)."""
-    return _dedup_sorted(c for case in match.matched_cases for c in case.booking_charges)
+    return _dedup_sorted([c for case in match.matched_cases for c in case.booking_charges])
 
 
 def counterfactual_assess(
@@ -160,10 +162,16 @@ COMPONENTS = (
 GROUPS = ("B", "non-B")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AuditPair:
     """Booking-based vs conviction-based result for one linked record,
-    and its person's group: one of ``GROUPS``, or "" when ungrouped."""
+    and its person's group: one of ``GROUPS``, or "" when ungrouped.
+
+    A per-row carrier like ``PsaRecord``, made once per pair and never
+    changed; it is not frozen because a frozen dataclass sets each field
+    through ``object.__setattr__``, which makes building one several times
+    slower.  No code hashes a pair or keys a memo on one: the tables key
+    on the identity of its two shared results."""
 
     record_id: str
     booking_result: PsaResult
@@ -175,19 +183,12 @@ class AuditPair:
 _booking_result, _conviction_result = attrgetter("booking_result"), attrgetter("conviction_result")
 
 
-def component_values(pairs: Sequence[AuditPair]) -> Iterator[tuple[Component, Iterator, Iterator]]:
-    """Each component with its booking and its conviction values in
-    ``pairs``, in ``COMPONENTS`` order; the values are read as they are
-    iterated, so no list of them is built here."""
-    for c in COMPONENTS:
-        yield c, map(c.read, map(_booking_result, pairs)), map(c.read, map(_conviction_result, pairs))
-
-
 def changes(pairs: Sequence[AuditPair]) -> Iterator[tuple]:
     """Each pair's component changes from conviction to booking charges,
     in ``COMPONENTS`` order: whether each flag was lost, then the signed
     recommendation level difference."""
-    return zip(*[map(c.change, booking, conviction) for c, booking, conviction in component_values(pairs)])
+    return zip(*[map(c.change, map(c.read, map(_booking_result, pairs)), map(c.read, map(_conviction_result, pairs)))
+                 for c in COMPONENTS])
 
 
 def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: EngineConfig, group: str) -> AuditPair:
@@ -195,9 +196,7 @@ def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: Engi
     scoring, when a matched case still has pending charges."""
     convicted = conviction_charges(match, policy)
     booked = booking_charges(match)
-    plea_entered = any(
-        d == policy.plea_to_other_code for case in match.matched_cases for d in case.dispositions
-    )
+    plea_entered = any(policy.plea_to_other_code in case.dispositions for case in match.matched_cases)
     return AuditPair(
         record_id=match.psa.record_id,
         booking_result=counterfactual_assess(match.psa, booked, config),

@@ -31,8 +31,14 @@ WINDOW_BEFORE = timedelta(days=1)
 WINDOW_AFTER = timedelta(days=2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PsaRecord:
+    """One assessment record.  Like ``CourtCase`` and ``MatchResult`` it is
+    a per-row carrier, made once per input row and never changed: it is
+    not frozen only because a frozen dataclass sets each field through
+    ``object.__setattr__``, which makes building one several times slower.
+    No code hashes a record or keys a memo on one."""
+
     record_id: str
     sfid: str
     name: str = ""
@@ -73,8 +79,11 @@ class PsaRecord:
 RACE_CATEGORIES = ("B", "C", "F", "H", "I", "J", "O", "U", "W")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CourtCase:
+    """One court case; a per-row carrier, not frozen for the same reason
+    as ``PsaRecord``."""
+
     court_number: str
     sfid: str
     name: str = ""
@@ -97,8 +106,11 @@ class MatchStatus(Enum):
     DROPPED_DUPLICATE = "DroppedDuplicate"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MatchResult:
+    """One record's linkage outcome; a per-row carrier, not frozen for the
+    same reason as ``PsaRecord``."""
+
     psa: PsaRecord
     matched_cases: tuple[CourtCase, ...]
     status: MatchStatus

@@ -10,10 +10,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import gt
-from typing import NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from .counterfactual import GROUPS, AuditPair, component_values
-from .engine import SupervisionLevel
+from .counterfactual import COMPONENTS, GROUPS, AuditPair, Component
+from .engine import PsaResult, SupervisionLevel
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
 from .linkage import RACE_CATEGORIES, CourtCase
 
@@ -46,19 +46,27 @@ def two_proportion_test(x1: int, n1: int, x2: int, n2: int) -> tuple[float, floa
     return z, _normal_two_sided_p(z)
 
 
+def _value_ranks(counts: Mapping[Any, int]) -> dict:
+    """Each distinct value's rank among the values that ``counts`` counts,
+    tied values sharing the mean of the ranks they span."""
+    rank = {}
+    below = 0
+    for v, t in sorted(counts.items()):
+        rank[v] = below + (t + 1) / 2.0
+        below += t
+    return rank
+
+
 def _midranks(values: Sequence[float]) -> list[float]:
     """Each value's rank among ``values``, tied values sharing the mean of
     the ranks they span.  Ranks are counted per distinct value, so every
     copy of a value shares one rank object."""
-    rank = {}
-    below = 0
-    for v, t in sorted(Counter(values).items()):
-        rank[v] = below + (t + 1) / 2.0
-        below += t
+    rank = _value_ranks(Counter(values))
     return [rank[v] for v in values]
 
 
-def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float], *, continuity: bool = True) -> tuple[float, float]:
+def wilcoxon_rank_sum(a: Sequence[float] | Counter, b: Sequence[float] | Counter, *,
+                      continuity: bool = True) -> tuple[float, float]:
     """Rank-sum test with midranks for ties.
 
     Returns (z, two-sided p) from the normal approximation with
@@ -66,23 +74,26 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float], *, continuity: boo
     The standardized statistic is reported so that swapping the samples
     negates it.  Raises DegenerateInput when every value across both
     samples is identical.
+
+    Each sample is a sequence of values or a ``Counter`` of them.  Every
+    rank is a multiple of 0.5, so the rank sum is exact in floating point,
+    and the tie term is summed in integers: the result does not depend on
+    the order of either sample.
     """
-    n1, n2 = len(a), len(b)
+    a, b = Counter(a), Counter(b)
+    n1, n2 = sum(a.values()), sum(b.values())
     if n1 == 0 or n2 == 0:
         raise DegenerateInput("both samples must be non-empty")
-    pooled = list(a) + list(b)
-    if all(v == pooled[0] for v in pooled):
+    counts = Counter(a)
+    counts.update(b)
+    if len(counts) == 1:
         raise DegenerateInput("all values identical across both samples")
     n = n1 + n2
-    ranks = _midranks(pooled)
-    w = sum(ranks[:n1])
+    rank = _value_ranks(counts)
+    w = sum(rank[v] * t for v, t in a.items())
     mean = n1 * (n + 1) / 2.0
 
-    tie_term = 0.0
-    counts = Counter(pooled)
-    for v in set(pooled):
-        t = counts[v]
-        tie_term += t**3 - t
+    tie_term = sum(t**3 - t for t in counts.values())
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     sd = math.sqrt(variance)
 
@@ -151,30 +162,64 @@ class Table:
     rows: tuple
 
 
-def _scopes(pairs: Sequence[AuditPair]) -> dict[str, Sequence[AuditPair]]:
-    """Split pairs by scope in one pass: "all" (``pairs`` itself) first,
-    then each of ``GROUPS``, possibly empty."""
-    scopes = {"all": pairs, **{g: [] for g in GROUPS}}
+#: One scope's distinct (booking, conviction) result pairs, each with the
+#: number of its pairs that hold it.
+_Tally = list[tuple[PsaResult, PsaResult, int]]
+
+
+def _tally(pairs: Sequence[AuditPair]) -> dict[str, _Tally]:
+    """Each scope's tally: "all" first, then each of ``GROUPS``, possibly
+    empty.  Pairs are counted by their group and by the identity of their
+    two results, which ``assess`` shares between equal decisions, so a
+    scope holds about as many entries as distinct decisions, not pairs.
+    Each scope lists its entries in the order they first occur in
+    ``pairs``."""
+    counted: dict[tuple[str, int, int], list] = {}
     for p in pairs:
+        key = p.group, id(p.booking_result), id(p.conviction_result)
+        entry = counted.get(key)
+        if entry is None:
+            counted[key] = [p, 1]
+        else:
+            entry[1] += 1
+    scopes: dict[str, _Tally] = {"all": [], **{g: [] for g in GROUPS}}
+    for p, k in counted.values():
+        entry = (p.booking_result, p.conviction_result, k)
+        scopes["all"].append(entry)
         if p.group:
-            scopes[p.group].append(p)
+            scopes[p.group].append(entry)
     return scopes
 
 
-def _rate_table_one(pairs: Sequence[AuditPair], alpha: float) -> Table:
+def _size(tally: _Tally) -> int:
+    return sum(k for _, _, k in tally)
+
+
+def _value_counts(tally: _Tally, component: Component) -> tuple[Counter, Counter]:
+    """How many pairs of ``tally`` hold each booking and each conviction
+    value of ``component``."""
+    booking, conviction = Counter(), Counter()
+    for b, c, k in tally:
+        booking[component.read(b)] += k
+        conviction[component.read(c)] += k
+    return booking, conviction
+
+
+def _rate_table_one(tally: _Tally, alpha: float) -> Table:
     """A flag (a component whose change is ``gt``) is tested with the
     two-proportion z-test, the recommendation level with the rank-sum test."""
-    n = len(pairs)
+    n = _size(tally)
     rows = []
     tests: list[tuple[float, float] | None] = []
-    for c, b_vals, c_vals in component_values(pairs):
-        b_vals, c_vals = list(b_vals), list(c_vals)
-        b_sum, c_sum = sum(b_vals), sum(c_vals)
+    for c in COMPONENTS:
+        b_counts, c_counts = _value_counts(tally, c)
+        b_sum = sum(v * k for v, k in b_counts.items())
+        c_sum = sum(v * k for v, k in c_counts.items())
         try:
             if c.change is gt:
                 tests.append(two_proportion_test(b_sum, n, c_sum, n))
             else:
-                tests.append(wilcoxon_rank_sum(b_vals, c_vals))
+                tests.append(wilcoxon_rank_sum(b_counts, c_counts))
         except DegenerateInput:
             tests.append(None)
         rows.append((c.name, b_sum / n, c_sum / n))
@@ -200,12 +245,12 @@ def rate_table(pairs: Sequence[AuditPair], *, alpha: float = DEFAULT_ALPHA) -> d
     """
     if not pairs:
         raise EmptyInput("no audit pairs")
-    return {scope: _rate_table_one(subset, alpha) for scope, subset in _scopes(pairs).items() if subset}
+    return {scope: _rate_table_one(tally, alpha) for scope, tally in _tally(pairs).items() if tally}
 
 
-def _affected_one(pairs: Sequence[AuditPair]) -> Table:
-    n = len(pairs)
-    counts = [(c.name, sum(map(gt, b_vals, c_vals))) for c, b_vals, c_vals in component_values(pairs)]
+def _affected_one(tally: _Tally) -> Table:
+    n = _size(tally)
+    counts = [(c.name, sum(k for b, cr, k in tally if c.read(b) > c.read(cr))) for c in COMPONENTS]
     return Table(n, tuple(AffectedRow(name, k, k / n) for name, k in counts))
 
 
@@ -219,7 +264,7 @@ def proportion_affected(pairs: Sequence[AuditPair]) -> dict[str, Table]:
     """
     if not pairs:
         raise EmptyInput("no audit pairs")
-    return {scope: _affected_one(subset) for scope, subset in _scopes(pairs).items() if subset}
+    return {scope: _affected_one(tally) for scope, tally in _tally(pairs).items() if tally}
 
 
 def initial_distribution(pairs: Sequence[AuditPair]) -> dict[str, Table]:
@@ -230,9 +275,11 @@ def initial_distribution(pairs: Sequence[AuditPair]) -> dict[str, Table]:
     a missing group is visible rather than silent.
     """
     out = {}
-    for label, subset in _scopes(pairs).items():
-        n = len(subset)
-        counts = Counter(p.booking_result.initial for p in subset)
+    for label, tally in _tally(pairs).items():
+        n = _size(tally)
+        counts = Counter()
+        for b, _, k in tally:
+            counts[b.initial] += k
         out[label] = Table(n, tuple(LevelRow(int(level), level, counts[level], counts[level] / n if n else 0.0, n == 0)
                                     for level in SupervisionLevel))
     return out

@@ -35,7 +35,7 @@ from datetime import date, timedelta
 from itertools import islice
 from pathlib import Path
 
-from .charges import ChargeCode, parse_charge_code
+from .charges import ChargeCatalog, ChargeCode, parse_charge_code
 from .engine import EngineConfig, SupervisionLevel, assess, derive_subscores, load_engine_config
 from .errors import ConfigError
 from .io import (
@@ -58,7 +58,7 @@ LAST_NAMES = (
 )
 
 #: Default charge pools.  The scenario guarantees lean on their semantics,
-#: which ``_check_pools`` enforces against the run's catalog.
+#: which ``GeneratorConfig.check_pools`` enforces against the run's catalog.
 DEFAULT_CHARGE_POOLS = {
     "neutral_felonies": ("459 PC F", "10851(A) VC F", "487(A) PC F"),
     "neutral_misdemeanors": ("484 PC M", "11350(A) HS M", "594(B)(1) PC M", "148(A)(1) PC M", "466 PC M", "853.7 PC M"),
@@ -171,6 +171,22 @@ class GeneratorConfig:
             raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
         return cls(**doc)
 
+    def check_pools(self, catalog: ChargeCatalog) -> None:
+        """Raise ConfigError unless ``catalog`` says of each pool's charges
+        what the scenarios' planted outcomes need (``_POOL_RULES``).  The
+        rest of the config is checked on construction; this part needs the
+        run's catalog."""
+        for pool, rules in _POOL_RULES.items():
+            for text in self.charge_pools[pool]:
+                charge = parse_charge_code(text, catalog.derivative_prefixes)
+                facts = catalog.facts(charge)
+                have = {"violent": facts.violent, "exclusion-listed": facts.exclusion,
+                        "bump-up-listed": facts.bumpup, "felony": charge.is_felony()}
+                for fact, required in rules:
+                    if have[fact] is not required:
+                        rule = f"only {fact}" if required else f"no {fact}"
+                        raise ConfigError(f"charge pool {pool!r} takes {rule} charges, got {text!r}")
+
 
 @dataclass(slots=True)
 class _Person:
@@ -232,7 +248,7 @@ class _Generator:
         self.engine = engine
         self.pools = {k: tuple(v) for k, v in config.charge_pools.items()}
         self._charges: dict[str, ChargeCode] = {}
-        self._check_pools()
+        config.check_pools(engine.catalog)
         self.neutrals = self.pools["neutral_misdemeanors"] + self.pools["neutral_felonies"]
         self.identical_pool = self.neutrals + self.pools["violent"]
         self.rng = random.Random(config.seed)
@@ -245,19 +261,6 @@ class _Generator:
         self._record_seq = 0
         self._case_seq = 0
         self._low_cells, self._top_cells = self._classify_cells()
-
-    def _check_pools(self):
-        catalog = self.engine.catalog
-        for pool, rules in _POOL_RULES.items():
-            for text in self.pools[pool]:
-                charge = self._charge(text)
-                facts = catalog.facts(charge)
-                have = {"violent": facts.violent, "exclusion-listed": facts.exclusion,
-                        "bump-up-listed": facts.bumpup, "felony": charge.is_felony()}
-                for fact, required in rules:
-                    if have[fact] is not required:
-                        rule = f"only {fact}" if required else f"no {fact}"
-                        raise ConfigError(f"charge pool {pool!r} takes {rule} charges, got {text!r}")
 
     def _classify_cells(self):
         low, top = [], []

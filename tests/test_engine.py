@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 import yaml
 
+from psa_audit import engine
 from psa_audit.charges import ChargeCatalog, data_path, parse_charge_code
 from psa_audit.engine import (
     DmfConfig,
@@ -399,3 +400,68 @@ def test_the_result_memo_does_not_grow_with_the_charge_sets(config):
     ]
     assert all(r is results[0] for r in results)
     assert results[0] == ref_assess(SubScores(3, 2, False), [q("90000 PC M")], False, config.dmf, config.catalog)
+
+
+# ---------------------------------------------------------------------------
+# the charge-set summary memo
+
+
+def test_an_audit_walks_each_distinct_charge_set_once(tmp_path, monkeypatch):
+    """``derive_subscores`` reads the violence flag from the summary that
+    ``assess`` reads, so a seeded audit asks the catalog no ``is_violent``
+    question and walks each distinct charge set once: one ``facts`` call
+    per charge of each distinct set, however often the set is scored."""
+    import psa_audit.counterfactual as counterfactual
+    from psa_audit.cli import main
+
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--n", "5000", "--seed", "2026", "--out", str(sim)]) == 0
+
+    scored = []
+
+    def recording(subscores, charges, *rest):
+        scored.append(tuple(charges))
+        return assess(subscores, charges, *rest)
+
+    violent_questions, facts_calls = [], []
+    facts = ChargeCatalog.facts
+    monkeypatch.setattr(counterfactual, "assess", recording)
+    monkeypatch.setattr(ChargeCatalog, "is_violent", lambda self, c: violent_questions.append(c))
+    monkeypatch.setattr(ChargeCatalog, "facts", lambda self, c: facts_calls.append(c) or facts(self, c))
+    engine._summarize.cache_clear()
+    assert main(["audit", "--sensitivity", "--psa", str(sim / "psa_records.csv"),
+                 "--court", str(sim / "court_cases.csv"), "--out", str(tmp_path / "audit")]) == 0
+
+    distinct = set(scored)
+    assert len(scored) > 5 * len(distinct) > 0
+    assert len(distinct) < engine._SUMMARY_MEMO_SIZE  # so nothing was evicted
+    assert violent_questions == []
+    assert engine._summarize.cache_info().misses == len(distinct)
+    assert len(facts_calls) == sum(map(len, distinct))
+
+
+def test_the_summary_memo_stays_within_its_bound(config):
+    bound = engine._SUMMARY_MEMO_SIZE
+    assert engine._summarize.cache_info().maxsize == bound
+    subs = SubScores(3, 2, False)
+    # off-catalog misdemeanors, one distinct single-charge set each
+    sets = [(q(f"{70000 + i} PC M"),) for i in range(bound + 200)]
+    first = assess(subs, sets[0], False, config.dmf, config.catalog)
+    for s in sets:
+        derive_subscores(3, 2, None, None, None, s, config)
+        assess(subs, s, False, config.dmf, config.catalog)
+    assert engine._summarize.cache_info().currsize <= bound
+    # the first set's summary was evicted: scoring it again walks it anew,
+    # to the same result
+    misses = engine._summarize.cache_info().misses
+    assert assess(subs, sets[0], False, config.dmf, config.catalog) is first
+    assert engine._summarize.cache_info().misses == misses + 1
+
+
+def test_a_list_and_its_tuple_share_one_summary_and_one_result(config):
+    charges = [q("240 PC M"), q("646.9 PC M"), q("459 PC F")]
+    subs = derive_subscores(4, 5, 30, True, 1, charges, config)
+    assert derive_subscores(4, 5, 30, True, 1, tuple(charges), config) is subs
+    result = assess(subs, charges, False, config.dmf, config.catalog)
+    assert assess(subs, tuple(charges), False, config.dmf, config.catalog) is result
+    assert engine._summarize(tuple(charges), config.catalog) is engine._summarize(tuple(charges), config.catalog)

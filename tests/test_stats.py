@@ -1,15 +1,26 @@
+import csv
 import itertools
 import math
+import operator
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psa_audit.counterfactual import GROUPS, AuditPair, changes
+from psa_audit import cli
+from psa_audit.counterfactual import COMPONENTS, GROUPS, AuditPair, changes
 from psa_audit.engine import PsaResult, SubScores, SupervisionLevel
 from psa_audit.errors import DegenerateInput, EmptyInput, LengthMismatch
+from psa_audit.io import write_csv
 from psa_audit.linkage import CourtCase
 from psa_audit.stats import (
+    DEFAULT_ALPHA,
+    AffectedRow,
+    LevelRow,
+    RateRow,
+    Table,
     _midranks,
     agreement_rate,
     bonferroni,
@@ -474,6 +485,143 @@ def test_initial_distribution_empty_group_flagged():
     hists = initial_distribution(pairs)
     assert all(r.empty_group for r in hists["non-B"].rows)
     assert [r.count for r in hists["non-B"].rows] == [0, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the per-pair tables that the tallies replaced
+#
+# The tables and audit_pairs.csv are made from one tally per call, or one
+# rendering per distinct result pair, keyed by the identity of the two
+# results.  The code below is the per-pair code they replaced, kept as the
+# reference they must equal.
+
+
+def _reference_scopes(pairs):
+    scopes = {"all": pairs, **{g: [] for g in GROUPS}}
+    for p in pairs:
+        if p.group:
+            scopes[p.group].append(p)
+    return scopes
+
+
+def _reference_values(pairs):
+    for c in COMPONENTS:
+        yield c, [c.read(p.booking_result) for p in pairs], [c.read(p.conviction_result) for p in pairs]
+
+
+def _reference_rate_table(pairs, alpha=DEFAULT_ALPHA):
+    tables = {}
+    for scope, subset in _reference_scopes(pairs).items():
+        if not subset:
+            continue
+        n = len(subset)
+        rows, tests = [], []
+        for c, b_vals, c_vals in _reference_values(subset):
+            b_sum, c_sum = sum(b_vals), sum(c_vals)
+            try:
+                if c.change is operator.gt:
+                    tests.append(two_proportion_test(b_sum, n, c_sum, n))
+                else:
+                    tests.append(sorting_wilcoxon(b_vals, c_vals))
+            except DegenerateInput:
+                tests.append(None)
+            rows.append((c.name, b_sum / n, c_sum / n))
+        usable = [t[1] for t in tests if t is not None]
+        flags = iter(bonferroni(usable, alpha) if usable else [])
+        tables[scope] = Table(n, tuple(
+            RateRow(name, b, c, b - c, None, None, None) if t is None
+            else RateRow(name, b, c, b - c, t[0], t[1], next(flags))
+            for (name, b, c), t in zip(rows, tests)))
+    return tables
+
+
+def _reference_affected(pairs):
+    return {scope: Table(len(subset), tuple(
+                AffectedRow(c.name, k, k / len(subset))
+                for c, b_vals, c_vals in _reference_values(subset)
+                for k in [sum(map(operator.gt, b_vals, c_vals))]))
+            for scope, subset in _reference_scopes(pairs).items() if subset}
+
+
+def _reference_distribution(pairs):
+    out = {}
+    for scope, subset in _reference_scopes(pairs).items():
+        n = len(subset)
+        counts = Counter(p.booking_result.initial for p in subset)
+        out[scope] = Table(n, tuple(LevelRow(int(level), level, counts[level], counts[level] / n if n else 0.0, n == 0)
+                                    for level in SupervisionLevel))
+    return out
+
+
+_RESULT_CELLS = ("exclusion", "exclusion_reason", "bumpup", "bumpup_reason", "initial", "final")
+
+
+def _reference_pair_rows(pairs):
+    for p in pairs:
+        b, c = p.booking_result, p.conviction_result
+        yield (p.record_id, p.group,
+               b.subscores.nvca_flag, *(getattr(b, a) for a in _RESULT_CELLS),
+               c.subscores.nvca_flag, *(getattr(c, a) for a in _RESULT_CELLS),
+               *(k.change(k.read(b), k.read(c)) for k in COMPONENTS), p.excluded_by_sensitivity)
+
+
+def assert_tables_equal_the_per_pair_code(pairs, tmp_path):
+    """Every table, to the bit (``repr`` tells -0.0 from 0.0), and the
+    bytes of audit_pairs.csv."""
+    if pairs:
+        assert repr(rate_table(pairs)) == repr(_reference_rate_table(pairs))
+        assert repr(rate_table(pairs, alpha=0.05)) == repr(_reference_rate_table(pairs, alpha=0.05))
+        assert repr(proportion_affected(pairs)) == repr(_reference_affected(pairs))
+    assert repr(initial_distribution(pairs)) == repr(_reference_distribution(pairs))
+
+    written, reference = tmp_path / "audit_pairs.csv", tmp_path / "reference.csv"
+    cli._write_pairs(written, pairs)
+    with open(written, encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    write_csv(reference, header, list(_reference_pair_rows(pairs)))
+    assert written.read_bytes() == reference.read_bytes()
+
+
+def _distinct_copy(r):
+    """An equal result that is another object, as results made by two
+    different configs would be."""
+    return replace(r, subscores=replace(r.subscores))
+
+
+@st.composite
+def audit_pairs(draw):
+    """Up to 16 pairs over a pool of up to 4 results, some of them repeated
+    as equal results that are distinct objects, in random groups."""
+    pool = draw(st.lists(results, min_size=1, max_size=4))
+    pool += [_distinct_copy(r) for r in draw(st.lists(st.sampled_from(pool), max_size=2))]
+    sides = st.sampled_from(pool)
+    drawn = draw(st.lists(st.tuples(sides, sides, st.sampled_from(("", *GROUPS)), st.booleans()), max_size=16))
+    return [AuditPair(f"R{i}", b, c, excluded, group) for i, (b, c, group, excluded) in enumerate(drawn)]
+
+
+@settings(deadline=None)
+@given(audit_pairs())
+def test_tallied_tables_equal_the_per_pair_code(tmp_path_factory, pairs):
+    assert_tables_equal_the_per_pair_code(pairs, tmp_path_factory.mktemp("pairs"))
+
+
+def test_tallied_tables_equal_the_per_pair_code_on_named_cases(tmp_path):
+    up = result(exclusion=True, initial=L.SFPDP_ACM)
+    down = result(initial=L.OR_MINIMUM)
+    cases = {
+        # equal results that are distinct objects, in one scope
+        "equal distinct results": [pair("R0", up, down, "B"), pair("R1", _distinct_copy(up), _distinct_copy(down), "B"),
+                                   pair("R2", up, _distinct_copy(down), "B")],
+        # non-B has no pairs
+        "an empty group": [pair("R0", up, down, "B"), pair("R1", down, down, "B")],
+        # every final level equal: the rank-sum test is degenerate
+        "a degenerate rank sum": [pair("R0", down, down, "non-B"), pair("R1", _distinct_copy(down), down, "")],
+        "no pairs": [],
+    }
+    for name, pairs in cases.items():
+        assert_tables_equal_the_per_pair_code(pairs, tmp_path / name.replace(" ", "_"))
+    t = rate_table(cases["a degenerate rank sum"])["all"]
+    assert t.rows[-1].component == "recommendation" and t.rows[-1].statistic is None
 
 
 # ---------------------------------------------------------------------------
