@@ -84,8 +84,7 @@ def wilcoxon_rank_sum(a: Sequence[float] | Counter, b: Sequence[float] | Counter
     n1, n2 = sum(a.values()), sum(b.values())
     if n1 == 0 or n2 == 0:
         raise DegenerateInput("both samples must be non-empty")
-    counts = Counter(a)
-    counts.update(b)
+    counts = a + b
     if len(counts) == 1:
         raise DegenerateInput("all values identical across both samples")
     n = n1 + n2
