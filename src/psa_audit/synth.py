@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 from .charges import ChargeCatalog, ChargeCode, parse_charge_code
@@ -140,6 +141,12 @@ class GeneratorConfig:
             value = getattr(self, name)
             if not _is_number(value) or not (0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+        # one roll picks each of these records' kinds, so a pair of rates
+        # summing past 1 would plant fewer of the second kind than asked
+        for first, second in (("duplicate_rate", "incomplete_rate"), ("overbooking_rate", "plea_other_rate")):
+            rates = getattr(self, first), getattr(self, second)
+            if sum(rates) > 1.0 + 1e-9:
+                raise ConfigError(f"{first} + {second} must be at most 1, got {rates[0]!r} + {rates[1]!r}")
         mix = list(self.group_mix.values())
         if not all(_is_number(m) and math.isfinite(m) and m >= 0 for m in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ConfigError(
@@ -242,6 +249,27 @@ _POOL_RULES = {
 }
 
 
+def _weighted_draw(rng: random.Random, population, weights):
+    """A no-argument function drawing one of ``population`` by ``weights``.
+
+    Its body is CPython 3.11's ``Random.choices`` for ``k=1`` with the
+    cumulative weights built once rather than on every call: one
+    ``rng.random()`` per draw, scaled by the same float total and bisected
+    over the same sums.  So each draw returns what
+    ``rng.choices(population, weights)[0]`` would and leaves ``rng`` in the
+    same state, and the seeded output bytes are those ``choices`` gave
+    (``tests/test_synth.py`` checks both, so a release that changes
+    ``choices`` fails there).  ``GeneratorConfig`` has already checked that
+    the weights are finite, non-negative and sum above zero.
+    """
+    population = tuple(population)
+    cum_weights = list(accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    hi = len(cum_weights) - 1
+    rand = rng.random
+    return lambda: population[bisect(cum_weights, rand() * total, 0, hi)]
+
+
 class _Generator:
     def __init__(self, config: GeneratorConfig, engine: EngineConfig):
         self.cfg = config
@@ -260,7 +288,23 @@ class _Generator:
         self._shared: dict = {}  # each repeated cell value, str or date
         self._record_seq = 0
         self._case_seq = 0
-        self._low_cells, self._top_cells = self._classify_cells()
+        # every weighted distribution gets its draw once, here, not per record
+        rng = self.rng
+        groups = sorted(config.group_mix)
+        self._draw_group = _weighted_draw(rng, groups, [config.group_mix[g] for g in groups])
+        self._draw_nonb_race = _weighted_draw(rng, NONB_RACES, NONB_RACE_WEIGHTS)
+        self._draw_scores = {
+            group: (_weighted_draw(rng, range(1, 7), dist["fta"]), _weighted_draw(rng, range(1, 7), dist["nca"]))
+            for group, dist in config.score_distributions.items()
+        }
+        self._draw_pv = _weighted_draw(rng, (0, 1, 2), (70, 20, 10))
+        self._draw_case_arrest_offset = _weighted_draw(rng, (-1, 0, 1, 2), (5, 80, 10, 5))
+        self._draw_assessment_offset = _weighted_draw(rng, (0, 1), (85, 15))
+        # overbooked scenarios pin the cell: each maps to its cells in matrix
+        # order (the retry fallback draws from that list) and as a set
+        low, top = self._classify_cells()
+        self._pinned_cells = {"overbooked_affected": (low, frozenset(low)),
+                              "overbooked_saturated": (top, frozenset(top))}
 
     def _classify_cells(self):
         low, top = [], []
@@ -301,9 +345,8 @@ class _Generator:
     def _draw_person(self) -> _Person:
         if self.persons and self.rng.random() < self.cfg.person_reuse_rate:
             return self.rng.choice(self.persons)
-        groups = sorted(self.cfg.group_mix)
-        group = self.rng.choices(groups, weights=[self.cfg.group_mix[g] for g in groups])[0]
-        base_race = "B" if group == "B" else self.rng.choices(NONB_RACES, weights=NONB_RACE_WEIGHTS)[0]
+        group = self._draw_group()
+        base_race = "B" if group == "B" else self._draw_nonb_race()
         person = _Person(
             sfid=f"SF{len(self.persons) + 1:06d}",
             name=self._share(f"{self.rng.choice(LAST_NAMES)}, {self.rng.choice(FIRST_NAMES)}"),
@@ -324,18 +367,19 @@ class _Generator:
         person.last_arrest = arrest = self._share(arrest)
         return arrest
 
-    def _draw_fta_nca(self, group: str, cell_kind: str | None) -> tuple[int, int]:
-        # overbooked scenarios pin the cell: "low" guarantees the drop is
-        # visible in the final recommendation, "top" guarantees it is not.
+    def _draw_fta_nca(self, group: str, pinned: tuple[list, frozenset] | None) -> tuple[int, int]:
+        # overbooked scenarios pin the cell: a low cell guarantees the drop is
+        # visible in the final recommendation, a top cell guarantees it is not.
         # identity-preserving scenarios may land anywhere, split cell included.
-        dist = self.cfg.score_distributions[group]
-        wanted = {"low": self._low_cells, "top": self._top_cells}.get(cell_kind)
+        draw_fta, draw_nca = self._draw_scores[group]
+        if pinned is None:
+            return draw_fta(), draw_nca()
+        cells, wanted = pinned
         for _ in range(200):
-            fta = self.rng.choices(range(1, 7), weights=dist["fta"])[0]
-            nca = self.rng.choices(range(1, 7), weights=dist["nca"])[0]
-            if wanted is None or (fta, nca) in wanted:
-                return fta, nca
-        return self.rng.choice(wanted or self._low_cells)
+            cell = (draw_fta(), draw_nca())
+            if cell in wanted:
+                return cell
+        return self.rng.choice(cells)
 
     def _draw_race(self, person: _Person) -> str:
         if self.rng.random() < 0.97:
@@ -346,9 +390,9 @@ class _Generator:
     def _conviction_code(self) -> int:
         return 160 + self.rng.randrange(0, 40)
 
-    def _offset_date(self, day: date, offsets, weights) -> date:
-        """``day`` moved by a drawn offset: an offset of 0 gives ``day`` itself."""
-        offset = self.rng.choices(offsets, weights=weights)[0]
+    def _offset_date(self, day: date, draw_offset) -> date:
+        """``day`` moved by ``draw_offset()`` days: an offset of 0 gives ``day`` itself."""
+        offset = draw_offset()
         return self._share(day + timedelta(days=offset)) if offset else day
 
     # -- record assembly ---------------------------------------------------
@@ -410,11 +454,10 @@ class _Generator:
         if scenario.startswith("overbooked"):
             pv = self.rng.randint(0, 1)
         else:
-            pv = self.rng.choices((0, 1, 2), weights=(70, 20, 10))[0]
+            pv = self._draw_pv()
 
         charges, dispositions, conviction_idx = self._plan_charges(scenario, disposed)
-        cell_kind = {"overbooked_affected": "low", "overbooked_saturated": "top"}.get(scenario)
-        fta, nca = self._draw_fta_nca(person.group, cell_kind)
+        fta, nca = self._draw_fta_nca(person.group, self._pinned_cells.get(scenario))
 
         # the row is scored exactly as the audit re-scores it; scoring draws
         # no random numbers, so it may come before the row
@@ -499,7 +542,7 @@ class _Generator:
 
     def _emit_case(self, person: _Person, psa_arrest: date, booked: str, dispositions) -> str:
         """One court row filing and booking the ``booked`` charge list."""
-        arrest = self._offset_date(psa_arrest, (-1, 0, 1, 2), (5, 80, 10, 5))
+        arrest = self._offset_date(psa_arrest, self._draw_case_arrest_offset)
         number = self._next_court_number()
         self.court_rows.append((
             number, person.sfid, person.name, person.dob, arrest,
@@ -521,7 +564,7 @@ class _Generator:
         recommendation."""
         return (
             self._next_record_id(), person.sfid, person.name, person.dob, arrest,
-            self._offset_date(arrest, (0, 1), (85, 15)),
+            self._offset_date(arrest, self._draw_assessment_offset),
             fta, nca, nvca, booked, person.age_at(arrest), prior_conviction, pv, *recorded,
         )
 

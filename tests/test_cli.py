@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -773,6 +774,7 @@ _BAD_POOL = "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "neutral_felo
     # the five pools and one the generator never draws from
     "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "violent_felonies": ["246 PC F"]}) + "\n",
     _BAD_POOL,
+    "duplicate_rate: 0.8\nincomplete_rate: 0.5\n",  # more than every record
 ])
 def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):
     gen = tmp_path / "gen.yaml"
@@ -802,6 +804,41 @@ def test_gen_config_score_distributions_may_zero_some_scores(tmp_path):
     gen.write_text(f"score_distributions: {{B: {{fta: [0, 0, 1, 1, 0, 0], nca: {_SIX}}}, "
                    f"non-B: {{fta: {_SIX}, nca: [2, 0, 0, 0, 0, 0]}}}}\n", encoding="utf-8")
     assert run(["simulate", "--gen-config", gen, "--n", 200, "--out", tmp_path / "sim"]) == 0
+
+
+#: Group B draws fta and nca 6 only, a top cell, so an overbooked-affected
+#: B record never draws a low cell and takes one by ``rng.choice`` after its
+#: 200 tries.  SHA-256 of ``simulate --n 3000 --seed 4`` on it.
+_B_TOP_ONLY = (f"score_distributions: {{B: {{fta: [0, 0, 0, 0, 0, 1], nca: [0, 0, 0, 0, 0, 1]}}, "
+               f"non-B: {{fta: [30, 25, 20, 12, 8, 5], nca: [28, 25, 20, 13, 9, 5]}}}}\n")
+_B_TOP_ONLY_PINS = {
+    "court_cases.csv": "5077de8de51e0389557bf7d0a0e96fe5b3cfc30213b8e5f568a800d7eec48573",
+    "ground_truth.csv": "94af0b05df6ba9c28106353757093b6cc62d5ff0c75eb931f77cbc02b7df894c",
+    "psa_records.csv": "442f8c8ec9268debc11908c810db7b2d8128ce5a1531308226b2ff6d91b1f94f",
+}
+
+
+def test_a_pinned_cell_the_draws_never_reach_keeps_its_output_bytes(tmp_path):
+    gen = tmp_path / "gen.yaml"
+    gen.write_text(_B_TOP_ONLY, encoding="utf-8")
+    out = tmp_path / "sim"
+    assert run(["simulate", "--gen-config", gen, "--n", 3000, "--seed", 4, "--out", out]) == 0
+    # the retry fallback ran: B records were planted as affected anyway
+    affected_b = [r for r in read_rows(out / "ground_truth.csv")
+                  if r["scenario"] == "overbooked_affected" and r["group"] == "B"]
+    assert len(affected_b) > 100
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _B_TOP_ONLY_PINS} \
+        == _B_TOP_ONLY_PINS
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--duplicate-rate", 0.8, "--incomplete-rate", 0.5], "duplicate_rate + incomplete_rate"),
+    (["--overbooking-rate", 0.9, "--plea-other-rate", 0.5], "overbooking_rate + plea_other_rate"),
+])
+def test_scenario_rates_summing_past_one_are_config_errors(tmp_path, capsys, flags, named):
+    assert run(["simulate", "--n", 2000, "--seed", 5, *flags, "--out", tmp_path / "sim"]) == 2
+    assert f"{named} must be at most 1" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):

@@ -17,7 +17,15 @@ from psa_audit.io import (
 from psa_audit.linkage import link_records
 from psa_audit.oracle import oracle_assess
 from psa_audit.engine import SubScores, assess
-from psa_audit.synth import DEFAULT_CHARGE_POOLS, GeneratorConfig, generate, write_dataset
+from psa_audit.synth import (
+    DEFAULT_CHARGE_POOLS,
+    NONB_RACE_WEIGHTS,
+    NONB_RACES,
+    GeneratorConfig,
+    _Generator,
+    generate,
+    write_dataset,
+)
 
 
 def test_zero_records_gives_empty_dataset():
@@ -62,6 +70,74 @@ def test_config_validation():
         GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent": (246,)})
     with pytest.raises(ConfigError, match=r"unknown pools \['violent_felonies'\]"):
         GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent_felonies": ("246 PC F",)})
+
+
+@pytest.mark.parametrize("first, second, planted", [
+    ("duplicate_rate", "incomplete_rate", "incomplete"),
+    ("overbooking_rate", "plea_other_rate", "plea_other_case"),
+])
+def test_two_scenario_rates_past_one_are_a_config_error(first, second, planted):
+    # each record is one of the two kinds at most, so rates summing past 1
+    # would plant fewer of the second kind than asked
+    with pytest.raises(ConfigError, match=rf"{first} \+ {second} must be at most 1, got 0.8 \+ 0.5"):
+        GeneratorConfig(**{first: 0.8, second: 0.5})
+    # a sum of exactly 1 plants the second kind at its own rate
+    ds = generate(GeneratorConfig(n_records=2000, seed=5, **{first: 0.5, second: 0.5}))
+    column = _KIND_COLUMN if planted == "incomplete" else _SCENARIO_COLUMN
+    rows = [r for r in ds.truth_rows if planted == "incomplete" or r[_KIND_COLUMN] == "base"]
+    assert 0.45 < sum(r[column] == planted for r in rows) / len(rows) < 0.55
+
+
+_KIND_COLUMN, _SCENARIO_COLUMN = GROUND_TRUTH_COLUMNS.index("kind"), GROUND_TRUTH_COLUMNS.index("scenario")
+
+#: A config whose weighted draws include a zero share and zero weights: the
+#: group mix leaves group Z out and score scales skip some values.
+_ZERO_WEIGHT_CONFIG = GeneratorConfig(
+    group_mix={"A": 0.25, "B": 0.45, "Z": 0.0, "non-B": 0.3},
+    score_distributions={
+        "A": {"fta": (0, 0, 1, 1, 0, 0), "nca": (5, 0, 0, 0, 0, 1)},
+        "Z": {"fta": (0, 0, 0, 0, 0, 1), "nca": (1, 1, 1, 1, 1, 1)},
+        **GeneratorConfig().score_distributions,
+    },
+)
+_SCALES = [(group, scale) for group in sorted(_ZERO_WEIGHT_CONFIG.score_distributions) for scale in ("fta", "nca")]
+#: table name -> (the generator's draw, its population, its weights)
+_DRAW_TABLES = {
+    "group_mix": (lambda g: g._draw_group, ("A", "B", "Z", "non-B"), (0.25, 0.45, 0.0, 0.3)),
+    "nonb_race": (lambda g: g._draw_nonb_race, NONB_RACES, NONB_RACE_WEIGHTS),
+    "pv": (lambda g: g._draw_pv, (0, 1, 2), (70, 20, 10)),
+    "case_arrest_offset": (lambda g: g._draw_case_arrest_offset, (-1, 0, 1, 2), (5, 80, 10, 5)),
+    "assessment_offset": (lambda g: g._draw_assessment_offset, (0, 1), (85, 15)),
+    **{f"{scale}:{group}": (lambda g, group=group, i=i: g._draw_scores[group][i], range(1, 7),
+                            _ZERO_WEIGHT_CONFIG.score_distributions[group][scale])
+       for group, scale in _SCALES for i in [("fta", "nca").index(scale)]},
+}
+
+
+@pytest.mark.parametrize("table", sorted(_DRAW_TABLES))
+def test_each_draw_table_draws_what_random_choices_draws(config, table):
+    """The generator's seeded bytes rest on its draw tables agreeing with
+    ``Random.choices`` value for value and leaving the stream where
+    ``choices`` would; a Python release that changes ``choices`` fails here."""
+    get_draw, population, weights = _DRAW_TABLES[table]
+    generator = _Generator(_ZERO_WEIGHT_CONFIG, config)
+    draw = get_draw(generator)
+    for seed in (0, 1, 2026, 2**40 + 7):
+        generator.rng.seed(seed)
+        reference = random.Random(seed)
+        drawn = [draw() for _ in range(300)]
+        assert drawn == [reference.choices(population, weights=weights)[0] for _ in range(300)]
+        assert generator.rng.getstate() == reference.getstate()
+        assert all(w > 0 for v, w in zip(population, weights) if v in drawn)
+
+
+def test_generating_records_calls_no_random_choices(config, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Random.choices called")
+
+    monkeypatch.setattr(random.Random, "choices", refuse)
+    ds = generate(GeneratorConfig(n_records=500, seed=3), config)
+    assert len(ds.truth_rows) == 500
 
 
 @pytest.mark.parametrize("pool, text, rule", [
