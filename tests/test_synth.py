@@ -72,6 +72,9 @@ def test_config_validation():
         GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent_felonies": ("246 PC F",)})
 
 
+_KIND_COLUMN, _SCENARIO_COLUMN = GROUND_TRUTH_COLUMNS.index("kind"), GROUND_TRUTH_COLUMNS.index("scenario")
+
+
 @pytest.mark.parametrize("first, second, planted", [
     ("duplicate_rate", "incomplete_rate", "incomplete"),
     ("overbooking_rate", "plea_other_rate", "plea_other_case"),
@@ -88,8 +91,6 @@ def test_two_scenario_rates_past_one_are_a_config_error(first, second, planted):
     assert 0.45 < sum(r[column] == planted for r in rows) / len(rows) < 0.55
 
 
-_KIND_COLUMN, _SCENARIO_COLUMN = GROUND_TRUTH_COLUMNS.index("kind"), GROUND_TRUTH_COLUMNS.index("scenario")
-
 #: A config whose weighted draws include a zero share and zero weights: the
 #: group mix leaves group Z out and score scales skip some values.
 _ZERO_WEIGHT_CONFIG = GeneratorConfig(
@@ -100,7 +101,6 @@ _ZERO_WEIGHT_CONFIG = GeneratorConfig(
         **GeneratorConfig().score_distributions,
     },
 )
-_SCALES = [(group, scale) for group in sorted(_ZERO_WEIGHT_CONFIG.score_distributions) for scale in ("fta", "nca")]
 #: table name -> (the generator's draw, its population, its weights)
 _DRAW_TABLES = {
     "group_mix": (lambda g: g._draw_group, ("A", "B", "Z", "non-B"), (0.25, 0.45, 0.0, 0.3)),
@@ -108,9 +108,9 @@ _DRAW_TABLES = {
     "pv": (lambda g: g._draw_pv, (0, 1, 2), (70, 20, 10)),
     "case_arrest_offset": (lambda g: g._draw_case_arrest_offset, (-1, 0, 1, 2), (5, 80, 10, 5)),
     "assessment_offset": (lambda g: g._draw_assessment_offset, (0, 1), (85, 15)),
-    **{f"{scale}:{group}": (lambda g, group=group, i=i: g._draw_scores[group][i], range(1, 7),
-                            _ZERO_WEIGHT_CONFIG.score_distributions[group][scale])
-       for group, scale in _SCALES for i in [("fta", "nca").index(scale)]},
+    **{f"{scale}:{group}": (lambda g, group=group, i=i: g._draw_scores[group][i], range(1, 7), dist[scale])
+       for group, dist in _ZERO_WEIGHT_CONFIG.score_distributions.items()
+       for i, scale in enumerate(("fta", "nca"))},
 }
 
 
