@@ -35,12 +35,14 @@ from .counterfactual import (
 from .engine import EngineConfig, assess, load_engine_config
 from .errors import ConfigError, PsaAuditError, SchemaError
 from .io import (
+    FLAG_TEXT,
     PSA_COLUMNS,
     SCHEMA_DOC,
     RowIssue,
     join_charges,
     read_court_cases,
     read_psa_records,
+    render_cell,
     write_csv,
 )
 from .linkage import deduplicate, filter_complete, link_records
@@ -384,6 +386,10 @@ _RESULT_COLUMNS = ("exclusion", "exclusion_reason", "bumpup", "bumpup_reason", "
 _result_cells = attrgetter(*_RESULT_COLUMNS)
 
 
+def _rendered(values) -> tuple:
+    return tuple(map(render_cell, values))
+
+
 def cmd_score(opts: dict, out_dir: Path) -> int:
     config = _engine_config(opts)
     records, issues = read_psa_records(opts["psa"], config.catalog.derivative_prefixes)
@@ -398,7 +404,7 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
             row_errors.append(RowIssue(row=row, record_id=rec.record_id, message="missing sub-scores"))
             continue
         res = assess(subs, rec.booking_charges, False, config.dmf, config.catalog)
-        rows.append((rec.record_id, subs.fta, subs.nca, subs.nvca_flag, *_result_cells(res)))
+        rows.append((rec.record_id, subs.fta, subs.nca, *_rendered((subs.nvca_flag, *_result_cells(res)))))
     write_csv(out_dir / "score_results.csv", ("record_id", "fta", "nca", "nvca_flag", *_RESULT_COLUMNS), rows)
     _write_issues(out_dir / "score_errors.csv", sorted(row_errors, key=attrgetter("row")))
     print(f"scored {len(rows)} records, {len(_hard_issues(row_errors))} row errors")
@@ -411,7 +417,7 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
 
 def _write_scoped_tables(path: Path, tables: dict[str, Table], row_type: type) -> None:
     """One line per table row: its scope and n, then the row's fields."""
-    rows = [(scope, t.n, *r) for scope, t in tables.items() for r in t.rows]
+    rows = [(scope, t.n, *_rendered(r)) for scope, t in tables.items() for r in t.rows]
     write_csv(path, ("scope", "n", *row_type._fields), rows)
 
 
@@ -476,15 +482,15 @@ def _write_review(path: Path, unresolved) -> None:
 def _write_pairs(path: Path, pairs: list[AuditPair]) -> None:
     """One row per pair.  The 18 cells after its group depend only on its
     two results, which ``assess`` shares between equal decisions, so they
-    are made once per distinct (booking, conviction) result pair, keyed by
-    the results' identity (the pairs hold the results, so no key is
+    are rendered once per distinct (booking, conviction) result pair, keyed
+    by the results' identity (the pairs hold the results, so no key is
     reused while the rows are written)."""
     tails = {}
 
     def tail(p: AuditPair) -> tuple:
         [change] = changes([p])
-        return (p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
-                p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result), *change)
+        return _rendered((p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
+                          p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result), *change))
 
     def rows():
         for p in pairs:
@@ -492,7 +498,7 @@ def _write_pairs(path: Path, pairs: list[AuditPair]) -> None:
             cells = tails.get(key)
             if cells is None:
                 cells = tails[key] = tail(p)
-            yield p.record_id, p.group, *cells, p.excluded_by_sensitivity
+            yield p.record_id, p.group, *cells, FLAG_TEXT[p.excluded_by_sensitivity]
 
     write_csv(path, (
         "record_id", "group",
@@ -580,7 +586,7 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
 def cmd_consistency(opts: dict, out_dir: Path) -> int:
     _, _, cases, issues, _ = _read_inputs(opts, out_dir)
     matrix = race_consistency(cases)
-    rows = [(cat, matrix.individuals[cat], *percents) for cat, percents in matrix.rows.items()]
+    rows = [(cat, matrix.individuals[cat], *_rendered(percents)) for cat, percents in matrix.rows.items()]
     write_csv(out_dir / "race_consistency.csv",
               ("designation", "n_individuals") + matrix.categories, rows)
     print(f"consistency rows: {len(rows)} (multi-record individuals only)")
@@ -602,13 +608,13 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
             engine_value = c.read(res)
             comparisons[c.name].append((engine_value, recorded))
             if engine_value != recorded:
-                mismatches.append((rec.record_id, c.name, engine_value, recorded))
+                mismatches.append((rec.record_id, c.name, render_cell(engine_value), render_cell(recorded)))
 
     rows = []
     for component, pairs in comparisons.items():
         agree = sum(e == r for e, r in pairs)
         rate = agreement_rate(*zip(*pairs)) if pairs else None
-        rows.append((component, len(pairs), agree, rate))
+        rows.append((component, len(pairs), agree, render_cell(rate)))
         print(f"{component}: {agree}/{len(pairs)}"
               + (" (no comparable rows)" if rate is None else f" = {rate:.6g}"))
     write_csv(out_dir / "validation_report.csv", ("component", "n", "agree", "agreement_rate"), rows)
@@ -621,8 +627,8 @@ def cmd_dedupe(opts: dict, out_dir: Path) -> int:
     _, records, _, issues, _ = _read_inputs(opts, out_dir)
     complete, incomplete = filter_complete(records)
     unique, duplicates = deduplicate(complete)
-    rows = [[join_charges(r.booking_charges) if c == "booking_charges" else getattr(r, c) for c in PSA_COLUMNS]
-            for r in unique]
+    rows = [[join_charges(r.booking_charges) if c == "booking_charges" else render_cell(getattr(r, c))
+             for c in PSA_COLUMNS] for r in unique]
     write_csv(out_dir / "deduped_records.csv", PSA_COLUMNS, rows)
     dropped = [(r.record_id, "incomplete") for r in incomplete]
     dropped += [(r.record_id, "duplicate") for r in duplicates]

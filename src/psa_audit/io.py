@@ -5,8 +5,15 @@ a leading byte-order mark.  Multi-valued cells (charge lists, disposition
 lists) join their elements with ";".  Dates are YYYY-MM-DD, integers are an
 optional sign and ASCII digits, booleans are "true"/"false", missing values
 are empty cells; so a cell reads the same on every Python version.  Writers
-take each row as a sequence of cells in column order and emit "\n"
-newlines, so repeated runs are byte-identical.
+take each row as a sequence of cells in column order, each already in its
+written form: a str, or an int, date or None, which csv writes as the
+schema says.  A writer's caller renders every other value through
+``render_cell``, once per distinct value.  Rows end in "\\n", so repeated
+runs are byte-identical.
+
+csv quotes a cell holding "\\n" but not one holding a bare "\\r", which then
+splits the row when it is read back.  So the free-text cells that outputs
+copy (ids, sfids and names) are row errors when they hold "\\r".
 
 Both input files go through one row loop, ``_read_table``, which numbers
 the rows and files every row issue.  Each reader gives it one ``build``
@@ -127,7 +134,8 @@ class _Memo(dict):
     its parsed value, calling ``parse(text, *args)`` the first time a text is
     looked up, so every row carrying that text shares one immutable value.
     A text whose parse raises is not stored, so each row carrying it raises
-    its own error."""
+    its own error.  The generator keeps one the other way round, from each
+    distinct date to its written text."""
 
     __slots__ = ("parse", "args")
 
@@ -159,11 +167,12 @@ def _read_table(
     must name each of ``columns`` once.  Data rows are numbered from 1, and
     blank lines are skipped and not numbered.  A row is an issue, in this
     order, when its cell count is not the header's, when its id (a join
-    key) is empty or repeats an earlier row's, or when ``build(id, other
-    cells)`` raises ValueError or ParseError; else ``build``'s value is an
-    item, and each of ``warnings(item)``, unless None, is a ``warning:``
-    issue.  A file that cannot be read, or is not UTF-8 text, is a
-    SchemaError naming it."""
+    key) holds "\\r" (the issue then gives an empty id), is empty or
+    repeats an earlier row's, or when ``build(id, other cells)`` raises
+    ValueError or ParseError; else ``build``'s value is an item, and each
+    of ``warnings(item)``, unless None, is a ``warning:`` issue.  A file
+    that cannot be read, or is not UTF-8 text, is a SchemaError naming
+    it."""
     items, issues = [], []
     first_row: dict[str, int] = {}
     try:
@@ -181,14 +190,17 @@ def _read_table(
             width = len(header)
             pad = [""] * width
             for number, row in enumerate(filter(None, reader), start=1):
-                ragged = None
+                error = None
                 if len(row) != width:
-                    ragged = f"row has {len(row)} cells, header has {width}"
+                    error = f"row has {len(row)} cells, header has {width}"
                     row = (row + pad)[:width]  # so that every column has a cell
                 key = row[at].strip()
+                if "\r" in key:  # the issue's own id cell is written too
+                    error = error or _carriage_return(columns[0], key)
+                    key = ""
                 try:
-                    if ragged:
-                        raise ValueError(ragged)
+                    if error:
+                        raise ValueError(error)
                     if not key:
                         raise ValueError(f"{columns[0]} must be non-empty")
                     if key in first_row:
@@ -221,8 +233,8 @@ def read_psa_records(
     """
     # one parser per column after record_id, in PSA_COLUMNS order
     parsers = (
-        _Memo(str.strip),  # sfid
-        _Memo(str.strip),  # name
+        _Memo(_parse_text, "sfid"),
+        _Memo(_parse_text, "name"),
         _Memo(parse_date, "dob"),
         _Memo(parse_date, "arrest_date"),
         _Memo(parse_date, "psa_date"),
@@ -242,6 +254,19 @@ def read_psa_records(
         return PsaRecord(rid, *map(getitem, parsers, cells))
 
     return _read_table(path, PSA_COLUMNS, build, PsaRecord.validate)
+
+
+def _carriage_return(where: str, text: str) -> str:
+    return f"{where}: must not hold a carriage return, got {text!r}"
+
+
+def _parse_text(text: str, where: str) -> str:
+    """A free-text cell, stripped; one holding "\\r" inside would be
+    written back unquoted (see the module docstring)."""
+    t = text.strip()
+    if "\r" in t:
+        raise ValueError(_carriage_return(where, t))
+    return t
 
 
 def _parse_score(text: str, where: str) -> int | None:
@@ -281,7 +306,7 @@ def _parse_dispositions(text: str) -> tuple[int | None, ...]:
 def read_court_cases(
     path: str | Path, prefixes: Mapping[str, Derivative] | None = None
 ) -> tuple[list[CourtCase], list[RowIssue]]:
-    sfids, names, races = _Memo(str.strip), _Memo(str.strip), _Memo(_parse_race)
+    sfids, names, races = _Memo(_parse_text, "sfid"), _Memo(_parse_text, "name"), _Memo(_parse_race)
     dobs, arrest_dates = _Memo(parse_date, "dob"), _Memo(parse_date, "arrest_date")
     charges, dispositions = _charge_cells(prefixes), _Memo(_parse_dispositions)
     pending = _Memo((None,).__mul__)  # n -> (None,) * n
@@ -302,26 +327,29 @@ def read_court_cases(
 
 
 def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header of ``columns``, then each row: its cells in column order."""
+    """Write a header of ``columns``, then each row: its cells in column
+    order, each a str, int, date or None (see ``render_cell``)."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(map(_cell, row) for row in rows)
+        writer.writerows(rows)
 
 
-def _cell(value):
-    """``value`` as the schema writes it, where csv's own rendering differs.
+#: A flag's written text, indexed by the flag: ``FLAG_TEXT[True] == "true"``.
+FLAG_TEXT = ("false", "true")
 
-    csv already writes None as an empty cell and str, int and date through
-    ``str``, which is the schema's form for each of them.  The writers pass
-    plain bools, floats and levels, so exact type tests suffice, and they
-    are the cheapest per cell.
-    """
+
+def render_cell(value):
+    """``value`` as the schema writes it: a bool as true/false, a float
+    with ten significant digits and a level as its label.  Every other
+    value (str, int, date, None) is returned as it is, because csv
+    already writes it as the schema says.  Values come as plain bools,
+    floats and levels, so exact type tests suffice."""
     kind = type(value)
     if kind is bool:
-        return "true" if value else "false"
+        return FLAG_TEXT[value]
     if kind is float:
         return format(value, ".10g")
     if kind is SupervisionLevel:
@@ -333,9 +361,10 @@ SCHEMA_DOC = """\
 File schemas (all comma-separated UTF-8 with a header row; lists join
 elements with ';'; dates YYYY-MM-DD; integers ASCII digits with an
 optional sign; booleans true/false; missing = empty; a row with more or
-fewer cells than the header is a row error; columns may come in any
-order, and other columns are ignored, but a header that names a required
-column twice is a schema error)
+fewer cells than the header is a row error, and so is a row whose id,
+sfid or name holds a carriage return (\\r) inside it; columns may come
+in any order, and other columns are ignored, but a header that names a
+required column twice is a schema error)
 
 psa_records.csv (input to score/audit/validate/dedupe/link)
   record_id     unique, non-empty row id; an empty or repeated id makes

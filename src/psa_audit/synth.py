@@ -31,9 +31,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from itertools import accumulate, islice
+from operator import itemgetter
 from pathlib import Path
 
 from .charges import ChargeCatalog, ChargeCode, parse_charge_code
@@ -41,9 +43,10 @@ from .engine import EngineConfig, SupervisionLevel, assess, derive_subscores, lo
 from .errors import ConfigError
 from .io import (
     COURT_COLUMNS,
+    FLAG_TEXT,
     GROUND_TRUTH_COLUMNS,
     PSA_COLUMNS,
-    join_charges,
+    _Memo,
     write_csv,
 )
 
@@ -75,6 +78,13 @@ DEFAULT_SCORE_DISTRIBUTIONS = {
 }
 NONB_RACES = ("W", "H", "C", "O", "U")
 NONB_RACE_WEIGHTS = (55, 20, 10, 8, 7)
+
+#: The disposition texts of a convicted charge: codes 160..199.
+_CODES = tuple(map(str, range(160, 200)))
+#: The PSA columns an incomplete record leaves empty, one each.
+_BLANKABLE = ("arrest_date", "fta", "nca", "nvca_flag")
+#: Dates of birth are drawn from the _DOB_DAYS days from _FIRST_DOB on.
+_FIRST_DOB, _DOB_DAYS = date(1955, 1, 1), 365 * 43
 
 
 def _is_number(value) -> bool:
@@ -199,42 +209,47 @@ class GeneratorConfig:
 class _Person:
     sfid: str
     name: str
-    dob: date
+    dob: str  # its text; equal dobs are one text
     group: str
     base_race: str
     last_arrest: date | None = None
 
     def age_at(self, day: date) -> int:
-        return (day - self.dob).days // 365
+        return (day - date.fromisoformat(self.dob)).days // 365
 
 
 @dataclass
 class SynthDataset:
     """The generated files' rows, each a tuple of cells in its file's
     column order: ``PSA_COLUMNS``, ``COURT_COLUMNS`` and
-    ``GROUND_TRUTH_COLUMNS``.  Equal charge-list, disposition and name
-    cells are one shared string, and equal arrest, assessment and court
-    dates one shared date, so the rows hold little beyond their own ids."""
+    ``GROUND_TRUTH_COLUMNS``.  Each cell is in its written form: text, or
+    an int or None, which ``write_csv`` writes as they are.  Equal
+    charge-list, disposition and name cells are one shared text, and so
+    are equal dates (dobs, arrest, assessment and court dates), so the
+    rows hold little beyond their own ids."""
 
     psa_rows: list[tuple]
     court_rows: list[tuple]
     truth_rows: list[tuple]
 
     def planted_counts(self) -> dict[str, int]:
-        kinds = [r[_KIND] for r in self.truth_rows]
-        scenarios = [r[_SCENARIO] for r in self.truth_rows]
+        # one pass: the rows per distinct (kind, scenario, disposed, affected)
+        tally = Counter(map(_PLANTED_CELLS, self.truth_rows))
+
+        def rows(cell: int, text: str) -> int:
+            return sum(n for cells, n in tally.items() if cells[cell] == text)
+
         return {
             "records": len(self.truth_rows),
-            "duplicates": kinds.count("duplicate"),
-            "incomplete": kinds.count("incomplete"),
-            "unmatched": scenarios.count("unmatched"),
-            "disposed": sum(1 for r in self.truth_rows if r[_DISPOSED] is True),
-            "affected": sum(1 for r in self.truth_rows if r[_AFFECTED] is True),
+            "duplicates": rows(0, "duplicate"),
+            "incomplete": rows(0, "incomplete"),
+            "unmatched": rows(1, "unmatched"),
+            "disposed": rows(2, FLAG_TEXT[True]),
+            "affected": rows(3, FLAG_TEXT[True]),
         }
 
 
-_KIND, _SCENARIO, _DISPOSED, _AFFECTED = map(GROUND_TRUTH_COLUMNS.index,
-                                              ("kind", "scenario", "disposed", "affected"))
+_PLANTED_CELLS = itemgetter(*map(GROUND_TRUTH_COLUMNS.index, ("kind", "scenario", "disposed", "affected")))
 
 
 #: What the catalog must say of each pool's charges for the scenarios'
@@ -270,6 +285,30 @@ def _weighted_draw(rng: random.Random, population, weights):
     return lambda: population[bisect(cum_weights, rand() * total, 0, hi)]
 
 
+def _draw_below(rng: random.Random):
+    """A function ``below(n)`` drawing an int in ``range(n)`` for n > 0.
+
+    Its body is CPython 3.11's ``Random._randbelow_with_getrandbits`` line
+    for line, which ``randrange``, ``randint`` and ``choice`` all end in:
+    ``rng.randrange(n)`` is ``below(n)``, ``rng.randint(a, b)`` is
+    ``a + below(b - a + 1)`` and ``rng.choice(s)`` is ``s[below(len(s))]``,
+    each taking the same bits from ``rng`` without those methods' own
+    frames.  So the seeded output bytes are those the three methods gave
+    (``tests/test_synth.py`` checks the values and the stream's state, so
+    a release that changes them fails there).
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()  # not (n-1): n may be 1
+        r = getrandbits(k)  # 0 <= r < 2**k
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 class _Generator:
     def __init__(self, config: GeneratorConfig, engine: EngineConfig):
         self.cfg = config
@@ -285,11 +324,17 @@ class _Generator:
         self.court_rows: list[tuple] = []
         self.truth_rows: list[tuple] = []
         self.base_rows: list[tuple] = []  # the psa_rows a duplicate may copy
-        self._shared: dict = {}  # each repeated cell value, str or date
+        self._shared: dict = {}  # each repeated cell text, and each arrest date
+        # each distinct date's text: arrest and court dates by the date, and
+        # dobs by their day in the dob range (a list is half the size of a
+        # date-keyed memo over that range)
+        self._date_text = _Memo(date.isoformat)
+        self._dob_texts: list[str | None] = [None] * _DOB_DAYS
         self._record_seq = 0
         self._case_seq = 0
-        # every weighted distribution gets its draw once, here, not per record
+        # every draw is built once, here, not per record
         rng = self.rng
+        self._below = _draw_below(rng)
         groups = sorted(config.group_mix)
         self._draw_group = _weighted_draw(rng, groups, [config.group_mix[g] for g in groups])
         self._draw_nonb_race = _weighted_draw(rng, NONB_RACES, NONB_RACE_WEIGHTS)
@@ -331,7 +376,7 @@ class _Generator:
         return charge
 
     def _share(self, value):
-        """``value``, or the equal cell value that an earlier row already holds."""
+        """``value``, or the equal value that an earlier row already holds."""
         return self._shared.setdefault(value, value)
 
     def _next_record_id(self) -> str:
@@ -344,16 +389,16 @@ class _Generator:
 
     def _draw_person(self) -> _Person:
         if self.persons and self.rng.random() < self.cfg.person_reuse_rate:
-            return self.rng.choice(self.persons)
+            return self.persons[self._below(len(self.persons))]
         group = self._draw_group()
         base_race = "B" if group == "B" else self._draw_nonb_race()
-        person = _Person(
-            sfid=f"SF{len(self.persons) + 1:06d}",
-            name=self._share(f"{self.rng.choice(LAST_NAMES)}, {self.rng.choice(FIRST_NAMES)}"),
-            dob=date(1955, 1, 1) + timedelta(days=self.rng.randrange(0, 365 * 43)),
-            group=group,
-            base_race=base_race,
-        )
+        below = self._below
+        name = self._share(f"{LAST_NAMES[below(len(LAST_NAMES))]}, {FIRST_NAMES[below(len(FIRST_NAMES))]}")
+        days = below(_DOB_DAYS)
+        dob = self._dob_texts[days]
+        if dob is None:
+            dob = self._dob_texts[days] = (_FIRST_DOB + timedelta(days=days)).isoformat()
+        person = _Person(f"SF{len(self.persons) + 1:06d}", name, dob, group, base_race)
         self.persons.append(person)
         return person
 
@@ -361,9 +406,9 @@ class _Generator:
         # keep one person's arrests at least 5 days apart so candidate
         # windows never overlap across their records
         if person.last_arrest is None:
-            arrest = date(2016, 7, 1) + timedelta(days=self.rng.randrange(0, 330))
+            arrest = date(2016, 7, 1) + timedelta(days=self._below(330))
         else:
-            arrest = person.last_arrest + timedelta(days=5 + self.rng.randrange(0, 60))
+            arrest = person.last_arrest + timedelta(days=5 + self._below(60))
         person.last_arrest = arrest = self._share(arrest)
         return arrest
 
@@ -379,21 +424,18 @@ class _Generator:
             cell = (draw_fta(), draw_nca())
             if cell in wanted:
                 return cell
-        return self.rng.choice(cells)
+        return cells[self._below(len(cells))]
 
     def _draw_race(self, person: _Person) -> str:
         if self.rng.random() < 0.97:
             return person.base_race
         others = [r for r in ("B", "C", "H", "O", "U", "W") if r != person.base_race]
-        return self.rng.choice(others)
+        return others[self._below(len(others))]
 
-    def _conviction_code(self) -> int:
-        return 160 + self.rng.randrange(0, 40)
-
-    def _offset_date(self, day: date, draw_offset) -> date:
-        """``day`` moved by ``draw_offset()`` days: an offset of 0 gives ``day`` itself."""
+    def _offset_text(self, day: date, draw_offset) -> str:
+        """The text of ``day`` moved by ``draw_offset()`` days."""
         offset = draw_offset()
-        return self._share(day + timedelta(days=offset)) if offset else day
+        return self._date_text[day + timedelta(days=offset) if offset else day]
 
     # -- record assembly ---------------------------------------------------
 
@@ -413,25 +455,26 @@ class _Generator:
         return SynthDataset(self.psa_rows, self.court_rows, self.truth_rows)
 
     def _emit_duplicate(self):
-        source = self.rng.choice(self.base_rows)
+        source = self.base_rows[self._below(len(self.base_rows))]
         # record_id leads PSA_COLUMNS; every other cell is copied
         row = (self._next_record_id(), *source[1:])
         self.psa_rows.append(row)
-        self.truth_rows.append(_truth(row[0], "duplicate", duplicate_of=source[0]))
+        self.truth_rows.append((row[0], "duplicate", "", "", "", "", "", "", source[0]))
 
     def _emit_incomplete(self):
         person = self._draw_person()
         arrest = self._draw_arrest_date(person)
         fta, nca = self._draw_fta_nca(person.group, None)
         # a one-charge list is its pool text
-        booked = self._share(self.rng.choice(self.pools["neutral_misdemeanors"]))
+        misdemeanors = self.pools["neutral_misdemeanors"]
+        booked = misdemeanors[self._below(len(misdemeanors))]
         row = self._psa_row(person, arrest, fta, nca, False, booked, prior_conviction=False, pv=0)
-        blank = self.rng.choice(("arrest_date", "fta", "nca", "nvca_flag"))
+        blank = _BLANKABLE[self._below(len(_BLANKABLE))]
         i = PSA_COLUMNS.index(blank)
         row = (*row[:i], None, *row[i + 1:])
         self.psa_rows.append(row)
-        self.truth_rows.append(_truth(row[0], "incomplete", scenario=self._share(f"missing:{blank}"),
-                                      group=person.group))
+        self.truth_rows.append((row[0], "incomplete", self._share(f"missing:{blank}"), person.group,
+                                "", "", "", "", ""))
 
     def _emit_base(self):
         cfg = self.cfg
@@ -452,20 +495,21 @@ class _Generator:
 
         prior_conviction = self.rng.random() < 0.35
         if scenario.startswith("overbooked"):
-            pv = self.rng.randint(0, 1)
+            pv = self._below(2)
         else:
             pv = self._draw_pv()
 
-        charges, dispositions, conviction_idx = self._plan_charges(scenario, disposed)
+        texts, dispositions, first_convicted = self._plan_charges(scenario, disposed)
+        charges = [self._charge(t) for t in texts]
         fta, nca = self._draw_fta_nca(person.group, self._pinned_cells.get(scenario))
 
         # the row is scored exactly as the audit re-scores it; scoring draws
         # no random numbers, so it may come before the row
         subs = derive_subscores(fta, nca, person.age_at(arrest), prior_conviction, pv, charges, self.engine)
         result = assess(subs, charges, False, self.engine.dmf, self.engine.catalog)
-        booked = self._share(join_charges(charges))
+        booked = self._share(";".join(texts))
         row = self._psa_row(person, arrest, fta, nca, subs.nvca_flag, booked, prior_conviction, pv,
-                            (result.exclusion, result.bumpup, result.final))
+                            (FLAG_TEXT[result.exclusion], FLAG_TEXT[result.bumpup], result.final.label))
         self.psa_rows.append(row)
         self.base_rows.append(row)
 
@@ -475,107 +519,83 @@ class _Generator:
             if self.rng.random() < cfg.twin_rate:
                 matched_numbers.append(self._emit_case(person, arrest, booked, dispositions))
             if self.rng.random() < cfg.decoy_rate:
-                self._emit_decoy(person, arrest, charges)
+                self._emit_decoy(person, arrest, texts)
 
-        convicted = [c for i, c in enumerate(charges) if i in conviction_idx] if disposed else []
-        self.truth_rows.append(_truth(
-            row[0], "base",
-            scenario="unmatched" if unmatched else scenario,
-            group=person.group,
-            true_match=";".join(matched_numbers),
-            disposed=disposed,
-            conviction_charges=self._share(join_charges(convicted)),
-            affected=scenario == "overbooked_affected" and disposed and not unmatched,
+        convicted = ";".join(texts[first_convicted:]) if disposed else ""
+        self.truth_rows.append((
+            row[0], "base", "unmatched" if unmatched else scenario, person.group, ";".join(matched_numbers),
+            FLAG_TEXT[disposed], self._share(convicted),
+            FLAG_TEXT[scenario == "overbooked_affected" and disposed and not unmatched], "",
         ))
 
-    def _plan_charges(self, scenario: str, disposed: bool):
-        """Charge list, dispositions, and the set of convicted indexes.
+    def _plan_charges(self, scenario: str, disposed: bool) -> tuple[list[str], list[str], int]:
+        """The charges' pool texts, their disposition texts, and the index
+        of the first convicted charge: it and every charge after it are
+        convicted when the record is disposed.
 
         Dispositions are planned for the disposed case; when the record is
         not disposed one slot is blanked afterwards.
         """
-        rng = self.rng
-        pools = self.pools
-        neutrals = self.neutrals
-        charges: list[ChargeCode] = []
-        dispositions: list[int | None] = []
-        convicted: set[int] = set()
-
-        def add(text: str, code: int | None, conviction: bool):
-            charges.append(self._charge(text))
-            dispositions.append(code)
-            if conviction:
-                convicted.add(len(charges) - 1)
-
+        rng, below, pools = self.rng, self._below, self.pools
+        neutrals, misdemeanors = self.neutrals, pools["neutral_misdemeanors"]
         if scenario == "overbooked_affected":
             pool = pools["bumpup_nonviolent"] if rng.random() < 0.5 else pools["exclusion"]
-            add(rng.choice(pool), 30, False)
-            for _ in range(rng.randint(0, 2)):
-                add(rng.choice(neutrals), self._conviction_code(), True)
+            texts, codes, first = [pool[below(len(pool))]], ["30"], 1
+            for _ in range(below(3)):
+                texts.append(neutrals[below(len(neutrals))])
+                codes.append(_CODES[below(40)])
         elif scenario == "overbooked_saturated":
             pool = pools["exclusion"] if rng.random() < 0.5 else pools["bumpup_nonviolent"]
-            add(rng.choice(pool), 30, False)
-            for _ in range(rng.randint(1, 2)):
-                add(rng.choice(neutrals), self._conviction_code(), True)
+            texts, codes, first = [pool[below(len(pool))]], ["30"], 1
+            for _ in range(1 + below(2)):
+                texts.append(neutrals[below(len(neutrals))])
+                codes.append(_CODES[below(40)])
         elif scenario == "plea_other_case":
-            add(rng.choice(pools["neutral_misdemeanors"]), 72, False)
-            for _ in range(rng.randint(0, 1)):
-                add(rng.choice(pools["neutral_misdemeanors"]), 30, False)
+            texts, codes = [misdemeanors[below(len(misdemeanors))]], ["72"]
+            for _ in range(below(2)):
+                texts.append(misdemeanors[below(len(misdemeanors))])
+                codes.append("30")
+            first = len(texts)  # none convicted
         else:  # identical
-            k = rng.randint(1, 3)
-            picks = [rng.choice(self.identical_pool) for _ in range(k)]
+            pool = self.identical_pool
+            texts = [pool[below(len(pool))] for _ in range(1 + below(3))]
             if rng.random() < self.cfg.companion_zero_share:
                 # plea-code encoding: the pleaded charge is an inert
                 # misdemeanor; its zero-coded companions are the convictions
-                add(rng.choice(pools["neutral_misdemeanors"]), 72, False)
-                for text in picks:
-                    add(text, 0, True)
+                texts.insert(0, misdemeanors[below(len(misdemeanors))])
+                codes, first = ["72"] + ["0"] * (len(texts) - 1), 1
             else:
-                for text in picks:
-                    add(text, self._conviction_code(), True)
+                codes, first = [_CODES[below(40)] for _ in texts], 0
 
         if not disposed:
-            pending = rng.randrange(len(charges))
-            dispositions[pending] = None
-            convicted.discard(pending)
-        return charges, dispositions, convicted
+            codes[below(len(texts))] = ""
+        return texts, codes, first
 
-    def _emit_case(self, person: _Person, psa_arrest: date, booked: str, dispositions) -> str:
+    def _emit_case(self, person: _Person, psa_arrest: date, booked: str, dispositions: list[str]) -> str:
         """One court row filing and booking the ``booked`` charge list."""
-        arrest = self._offset_date(psa_arrest, self._draw_case_arrest_offset)
+        arrest = self._offset_text(psa_arrest, self._draw_case_arrest_offset)
         number = self._next_court_number()
         self.court_rows.append((
             number, person.sfid, person.name, person.dob, arrest,
-            self._draw_race(person), booked, booked,
-            self._share(";".join("" if d is None else str(d) for d in dispositions)),
+            self._draw_race(person), booked, booked, self._share(";".join(dispositions)),
         ))
         return number
 
-    def _emit_decoy(self, person: _Person, psa_arrest: date, booked):
-        booked_texts = {c.raw for c in booked}
-        texts = list(islice((t for t in self.pools["neutral_misdemeanors"] if t not in booked_texts), 2))
+    def _emit_decoy(self, person: _Person, psa_arrest: date, booked: list[str]):
+        texts = list(islice((t for t in self.pools["neutral_misdemeanors"] if t not in booked), 2))
         if texts:
-            self._emit_case(person, psa_arrest, self._share(";".join(texts)), [30] * len(texts))
+            self._emit_case(person, psa_arrest, self._share(";".join(texts)), ["30"] * len(texts))
 
-    def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca, booked: str, prior_conviction, pv,
-                 recorded=(None, None, None)) -> tuple:
+    def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca: bool, booked: str, prior_conviction: bool,
+                 pv, recorded=(None, None, None)) -> tuple:
         """One assessment row in PSA_COLUMNS order; ``booked`` is the joined
-        charge list and ``recorded`` holds the form's exclusion, bump-up and
-        recommendation."""
+        charge list and ``recorded`` holds the texts of the form's
+        exclusion, bump-up and recommendation."""
         return (
-            self._next_record_id(), person.sfid, person.name, person.dob, arrest,
-            self._offset_date(arrest, self._draw_assessment_offset),
-            fta, nca, nvca, booked, person.age_at(arrest), prior_conviction, pv, *recorded,
+            self._next_record_id(), person.sfid, person.name, person.dob, self._date_text[arrest],
+            self._offset_text(arrest, self._draw_assessment_offset),
+            fta, nca, FLAG_TEXT[nvca], booked, person.age_at(arrest), FLAG_TEXT[prior_conviction], pv, *recorded,
         )
-
-
-_PLANTED = GROUND_TRUTH_COLUMNS[2:]
-
-
-def _truth(record_id: str, kind: str, **planted) -> tuple:
-    """A ground-truth row in ``GROUND_TRUTH_COLUMNS`` order: ``planted``
-    sets columns, and the rest are empty."""
-    return (record_id, kind, *[planted.get(column, "") for column in _PLANTED])
 
 
 def generate(config: GeneratorConfig, engine: EngineConfig | None = None) -> SynthDataset:

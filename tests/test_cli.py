@@ -16,7 +16,7 @@ import psa_audit.cli as cli
 from psa_audit.cli import _HANDLERS, main
 from psa_audit.counterfactual import COMPONENTS
 from psa_audit.engine import SupervisionLevel
-from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, write_csv
+from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, render_cell, write_csv
 from psa_audit.linkage import CourtCase, PsaRecord
 from psa_audit.synth import DEFAULT_CHARGE_POOLS
 
@@ -379,9 +379,8 @@ def test_write_csv_writes_each_cell_as_the_schema_says(tmp_path):
     columns = ("none", "empty", "yes", "no", "sum", "tiny", "level", "day", "zero", "text")
     header = b"none,empty,yes,no,sum,tiny,level,day,zero,text\n"
     path = tmp_path / "cells.csv"
-    write_csv(path, columns, [
-        [None, "", True, False, 0.1 + 0.2, 1e-12, SupervisionLevel.SFPDP_ACM, date(2016, 9, 1), 0, 'a, "b"'],
-    ])
+    values = [None, "", True, False, 0.1 + 0.2, 1e-12, SupervisionLevel.SFPDP_ACM, date(2016, 9, 1), 0, 'a, "b"']
+    write_csv(path, columns, [[render_cell(v) for v in values]])
     assert path.read_bytes() == header + b',,true,false,0.3,1e-12,SFPDP-ACM,2016-09-01,0,"a, ""b"""\n'
     write_csv(path, columns, [])
     assert path.read_bytes() == header
@@ -698,6 +697,86 @@ def test_every_write_csv_call_gets_sized_rows(sim_dir, tmp_path, monkeypatch):
     for path, n in written:
         with open(path, newline="", encoding="utf-8") as fh:
             assert sum(1 for _ in csv.reader(fh)) - 1 == n, path
+
+
+def test_every_write_csv_call_gets_written_cells(sim_dir, tmp_path, monkeypatch):
+    """write_csv writes each cell as it is given, so every caller renders
+    its bools, floats and levels first (csv would write True, repr floats
+    and enum names)."""
+    import psa_audit.synth as synth
+
+    written = []
+    for module in (cli, synth):
+        def check(path, columns, rows, write=module.write_csv):
+            rows = list(rows)
+            kinds = {type(cell) for row in rows for cell in row}
+            written.append(Path(path))
+            assert not kinds & {bool, float, SupervisionLevel}, (path, kinds)
+            write(path, columns, rows)
+        monkeypatch.setattr(module, "write_csv", check)
+    psa, court = ["--psa", sim_dir / "psa_records.csv"], ["--court", sim_dir / "court_cases.csv"]
+    commands = {
+        "audit": ["--sensitivity", *psa, *court],
+        "link": [*psa, *court],
+        "validate": [*psa, *court],
+        "score": psa,
+        "simulate": ["--n", 300, "--seed", 5],
+        "consistency": court,
+        "dedupe": psa,
+    }
+    assert set(commands) == set(_HANDLERS)
+    for command, args in commands.items():
+        assert run([command, *args, "--out", tmp_path / command]) in (0, 3)
+    assert {path.parent.name for path in written} == set(commands)
+
+
+def _write_quoting_carriage_returns(path, columns, rows):
+    """Write dict rows with CRLF line ends, so csv quotes a cell holding "\\r"."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+
+
+def _assert_every_csv_reads_back_whole(out: Path):
+    for path in out.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows), path
+
+
+@pytest.mark.parametrize("column, cell", [("record_id", "R\r3"), ("sfid", "S\r3"), ("name", "ADAMS\rALEX")])
+def test_a_carriage_return_in_an_id_sfid_or_name_is_a_row_error(tmp_path, column, cell):
+    """csv quotes a cell holding "\\r" only when it ends its lines with one,
+    so such a cell, written back into an output, would split its row."""
+    record_id = "" if column == "record_id" else "R3"
+    message = f"{column}: must not hold a carriage return, got {cell!r}"
+    psa_rows = [psa_row(f"R{i}", f"S{i}", name="ADAMS, ALEX", dob="1980-01-01") for i in range(1, 6)]
+    psa_rows[2][column] = cell
+    psa = tmp_path / "psa.csv"
+    _write_quoting_carriage_returns(psa, PSA_COLUMNS, psa_rows)
+
+    out = tmp_path / "dedupe"
+    assert run(["dedupe", "--psa", psa, "--out", out]) == 3
+    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "input_errors.csv")] == [
+        ("3", record_id, message)]
+    _assert_every_csv_reads_back_whole(out)
+    records, issues = read_psa_records(out / "deduped_records.csv")
+    assert [r.record_id for r in records] == ["R1", "R2", "R4", "R5"] and issues == []
+
+    court_column = "court_number" if column == "record_id" else column
+    court_rows = [court_row(f"C{i}", f"S{i}", name="ADAMS, ALEX", dob="1980-01-01") for i in range(1, 6)]
+    court_rows[3][court_column] = cell.replace("3", "4")
+    court = tmp_path / "court.csv"
+    _write_quoting_carriage_returns(court, COURT_COLUMNS, court_rows)
+    out = tmp_path / "audit"
+    assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 3
+    court_message = f"{court_column}: must not hold a carriage return, got {cell.replace('3', '4')!r}"
+    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "input_errors.csv")] == [
+        ("3", record_id, message), ("4", "" if column == "record_id" else "C4", court_message)]
+    _assert_every_csv_reads_back_whole(out)
+    assert sorted(m["record_id"] for m in read_rows(out / "matches.csv")) == ["R1", "R2", "R4", "R5"]
+    assert [p["record_id"] for p in read_rows(out / "audit_pairs.csv")] == ["R1", "R2", "R5"]
 
 
 # ---------------------------------------------------------------------------

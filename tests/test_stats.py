@@ -13,7 +13,7 @@ from psa_audit import cli
 from psa_audit.counterfactual import COMPONENTS, GROUPS, AuditPair, changes
 from psa_audit.engine import PsaResult, SubScores, SupervisionLevel
 from psa_audit.errors import DegenerateInput, EmptyInput, LengthMismatch
-from psa_audit.io import write_csv
+from psa_audit.io import render_cell, write_csv
 from psa_audit.linkage import CourtCase
 from psa_audit.stats import (
     DEFAULT_ALPHA,
@@ -578,7 +578,7 @@ def assert_tables_equal_the_per_pair_code(pairs, tmp_path):
     cli._write_pairs(written, pairs)
     with open(written, encoding="utf-8") as fh:
         header = next(csv.reader(fh))
-    write_csv(reference, header, list(_reference_pair_rows(pairs)))
+    write_csv(reference, header, [[render_cell(v) for v in row] for row in _reference_pair_rows(pairs)])
     assert written.read_bytes() == reference.read_bytes()
 
 

@@ -22,6 +22,7 @@ from psa_audit.synth import (
     NONB_RACE_WEIGHTS,
     NONB_RACES,
     GeneratorConfig,
+    _draw_below,
     _Generator,
     generate,
     write_dataset,
@@ -131,11 +132,38 @@ def test_each_draw_table_draws_what_random_choices_draws(config, table):
         assert all(w > 0 for v, w in zip(population, weights) if v in drawn)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**40 + 7])
+def test_draw_below_draws_what_randrange_randint_and_choice_draw(seed):
+    """The generator's seeded bytes rest on ``below`` taking the same bits
+    as the three ``Random`` methods it replaces and leaving the stream
+    where they would; a Python release that changes them fails here."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    below = _draw_below(rng)
+    for n in range(1, 71):
+        items = tuple(range(100, 100 + n))
+        for _ in range(3):
+            assert below(n) == reference.randrange(n)
+            assert below(n) == reference.randrange(0, n)
+            assert 3 + below(n) == reference.randint(3, 3 + n - 1)
+            assert items[below(len(items))] == reference.choice(items)
+            assert rng.getstate() == reference.getstate()
+
+
 def test_generating_records_calls_no_random_choices(config, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Random.choices called")
 
     monkeypatch.setattr(random.Random, "choices", refuse)
+    ds = generate(GeneratorConfig(n_records=500, seed=3), config)
+    assert len(ds.truth_rows) == 500
+
+
+def test_generating_records_calls_no_randrange_randint_or_choice(config, monkeypatch):
+    for method in ("randrange", "randint", "choice"):
+        def refuse(*args, method=method, **kwargs):
+            raise AssertionError(f"Random.{method} called")
+
+        monkeypatch.setattr(random.Random, method, refuse)
     ds = generate(GeneratorConfig(n_records=500, seed=3), config)
     assert len(ds.truth_rows) == 500
 
@@ -169,6 +197,10 @@ def test_rows_are_tuples_and_equal_cells_are_one_object(config):
     for column in ("booking_charges", "filed_charges", "dispositions", "name"):
         cells += [r[COURT_COLUMNS.index(column)] for r in ds.court_rows]
     cells += [r[GROUND_TRUTH_COLUMNS.index("conviction_charges")] for r in ds.truth_rows]
+    dates = [r[PSA_COLUMNS.index(column)] for column in ("dob", "arrest_date", "psa_date") for r in ds.psa_rows]
+    dates += [r[COURT_COLUMNS.index(column)] for column in ("dob", "arrest_date") for r in ds.court_rows]
+    assert all(type(d) is str and len(d) == 10 for d in dates if d is not None)
+    cells += dates
     objects = {}
     for cell in cells:
         assert objects.setdefault(cell, cell) is cell
@@ -248,7 +280,7 @@ def test_planted_scenarios_verified_by_pipeline(config):
 
     pairs, skipped = build_audit_pairs(report.matched, DispositionPolicy(), config, set())
     for record_id in skipped:
-        assert truth[record_id]["disposed"] is False
+        assert truth[record_id]["disposed"] == "false"
     from psa_audit.charges import normalize_text
     from psa_audit.counterfactual import conviction_charges
 
@@ -256,11 +288,11 @@ def test_planted_scenarios_verified_by_pipeline(config):
     assert pairs
     for p, (*_, delta) in zip(pairs, changes(pairs)):
         t = truth[p.record_id]
-        assert t["disposed"] is True
+        assert t["disposed"] == "true"
         convicted = conviction_charges(by_id[p.record_id], DispositionPolicy())
         planted = {normalize_text(s) for s in t["conviction_charges"].split(";") if s}
         assert {normalize_text(c.raw) for c in convicted} == planted
-        assert (delta > 0) == (t["affected"] is True)
+        assert (delta > 0) == (t["affected"] == "true")
         if t["scenario"] == "plea_other_case":
             assert p.excluded_by_sensitivity
 
