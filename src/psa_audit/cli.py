@@ -57,6 +57,7 @@ from .stats import (
     proportion_affected,
     race_consistency,
     rate_table,
+    tally,
 )
 from .synth import GeneratorConfig, generate, write_dataset
 
@@ -174,7 +175,6 @@ _COMMANDS = {
     "consistency": ("race-designation consistency matrix from court data", (_COURT,)),
     "validate": ("agreement of engine outputs with recorded form columns", (_PSA, _COURT, *_ENGINE_FILES)),
     "dedupe": ("completeness filter and de-duplication only", (_PSA,)),
-    "link": ("de-duplicate and link records to court cases", (_PSA, _COURT)),
 }
 
 
@@ -535,36 +535,34 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
 
     pairs, skipped = build_audit_pairs(_popped(matched), policy, config, b_people)
 
-    counts.update(
-        not_fully_disposed=len(skipped),
-        analyzed_pairs=len(pairs),
-        sensitivity_excluded=sum(p.excluded_by_sensitivity for p in pairs),
-    )
+    counts.update(not_fully_disposed=len(skipped), analyzed_pairs=len(pairs))
     return pairs, counts, issues
 
 
 def cmd_audit(opts: dict, out_dir: Path) -> int:
+    """Every table and ``sensitivity_excluded`` read one tally of the pairs;
+    the sensitivity scope is its entries not ``excluded_by_sensitivity``."""
     policy, alpha = _audit_settings(opts)
     pairs, counts, issues = _audit_intake(opts, out_dir, policy)
+    entries = tally(pairs)
+    kept = [e for e in entries if not e.excluded_by_sensitivity]
+    counts["sensitivity_excluded"] = sum(e.count for e in entries if e.excluded_by_sensitivity)
     _write_counts(out_dir / "counts_summary.csv", "stage", counts)
 
     _write_pairs(out_dir / "audit_pairs.csv", pairs)
 
     tables = affected = hists = {}
-    if pairs:
-        tables = rate_table(pairs, alpha=alpha)
-        affected = proportion_affected(pairs)
-        hists = initial_distribution(pairs)
+    if entries:
+        tables = rate_table(entries, alpha=alpha)
+        affected = proportion_affected(entries)
+        hists = initial_distribution(entries)
     _write_scoped_tables(out_dir / "rate_table.csv", tables, RateRow)
     _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
     _write_scoped_tables(out_dir / "initial_distribution.csv", hists, LevelRow)
     _write_summary(out_dir / "test_summary.txt", counts, tables, affected, alpha)
-    keep = [p for p in pairs if not p.excluded_by_sensitivity] if opts["sensitivity"] else []
-    if keep:
-        _write_scoped_tables(out_dir / "rate_table_sensitivity.csv",
-                             rate_table(keep, alpha=alpha), RateRow)
-        _write_scoped_tables(out_dir / "affected_table_sensitivity.csv",
-                             proportion_affected(keep), AffectedRow)
+    if opts["sensitivity"] and kept:
+        _write_scoped_tables(out_dir / "rate_table_sensitivity.csv", rate_table(kept, alpha=alpha), RateRow)
+        _write_scoped_tables(out_dir / "affected_table_sensitivity.csv", proportion_affected(kept), AffectedRow)
     return _exit_code(bool(pairs), issues)
 
 
@@ -580,7 +578,7 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# consistency / validate / dedupe / link
+# consistency / validate / dedupe
 
 
 def cmd_consistency(opts: dict, out_dir: Path) -> int:
@@ -637,15 +635,6 @@ def cmd_dedupe(opts: dict, out_dir: Path) -> int:
     return _exit_code(bool(unique), issues)
 
 
-def cmd_link(opts: dict, out_dir: Path) -> int:
-    _, records, cases, issues, _ = _read_inputs(opts, out_dir)
-    report = link_records(records, cases)
-    _write_matches(out_dir / "matches.csv", report)
-    _write_review(out_dir / "review_unresolved.csv", report.unresolved)
-    _write_counts(out_dir / "counts_summary.csv", "stage", report.counts())
-    return _exit_code(bool(report.matched), issues)
-
-
 _HANDLERS = {
     "score": cmd_score,
     "audit": cmd_audit,
@@ -653,7 +642,6 @@ _HANDLERS = {
     "consistency": cmd_consistency,
     "validate": cmd_validate,
     "dedupe": cmd_dedupe,
-    "link": cmd_link,
 }
 
 

@@ -13,7 +13,8 @@ runs are byte-identical.
 
 csv quotes a cell holding "\\n" but not one holding a bare "\\r", which then
 splits the row when it is read back.  So the free-text cells that outputs
-copy (ids, sfids and names) are row errors when they hold "\\r".
+copy (ids, sfids, names and charge texts) are row errors when they hold
+"\\r".
 
 Both input files go through one row loop, ``_read_table``, which numbers
 the rows and files every row issue.  Each reader gives it one ``build``
@@ -149,15 +150,13 @@ class _Memo(dict):
         return value
 
 
-def _charge_cells(prefixes: Mapping[str, Derivative] | None) -> _Memo:
-    """The file's memo of ';'-joined charge cells.  Each distinct stripped
-    charge text is parsed once, and its ChargeCode is shared by every cell
-    that carries it."""
-    return _Memo(_split_charges, _Memo(parse_charge_code, prefixes))
-
-
-def _split_charges(cell: str, charges: _Memo) -> tuple[ChargeCode, ...]:
-    return tuple(charges[text] for part in cell.split(";") if (text := part.strip()))
+def _split_charges(cell: str, where: str, codes: _Memo) -> tuple[ChargeCode, ...]:
+    """A ';'-joined charge cell of column ``where``.  ``codes`` is the
+    file's memo of charge texts, so each distinct stripped text is parsed
+    once and its ChargeCode is shared by every cell that carries it.  A
+    charge keeps its text in ``raw``, which the outputs copy, so a charge
+    text holding "\\r" is a row error too."""
+    return tuple(codes[text] for part in cell.split(";") if (text := _parse_text(part, where)))
 
 
 def _read_table(
@@ -241,7 +240,7 @@ def read_psa_records(
         _Memo(_parse_score, "fta"),
         _Memo(_parse_score, "nca"),
         _Memo(parse_bool, "nvca_flag"),
-        _charge_cells(prefixes),  # booking_charges
+        _Memo(_split_charges, "booking_charges", _Memo(parse_charge_code, prefixes)),
         _Memo(_parse_count, "age_at_arrest"),
         _Memo(parse_bool, "prior_conviction"),
         _Memo(_parse_count, "prior_violent_convictions"),
@@ -308,13 +307,16 @@ def read_court_cases(
 ) -> tuple[list[CourtCase], list[RowIssue]]:
     sfids, names, races = _Memo(_parse_text, "sfid"), _Memo(_parse_text, "name"), _Memo(_parse_race)
     dobs, arrest_dates = _Memo(parse_date, "dob"), _Memo(parse_date, "arrest_date")
-    charges, dispositions = _charge_cells(prefixes), _Memo(_parse_dispositions)
+    codes = _Memo(parse_charge_code, prefixes)
+    charges, dispositions = _Memo(_split_charges, "booking_charges", codes), _Memo(_parse_dispositions)
     pending = _Memo((None,).__mul__)  # n -> (None,) * n
 
     def build(cn, cells):
         sfid, name, dob, arrest_date, race, booked, filed, disposed = cells
         race = races[race]
-        filed = charges[filed]
+        # the two charge columns share one memo, whose errors name
+        # booking_charges: a filed cell that may fail on "\r" is split apart
+        filed = charges[filed] if "\r" not in filed else _split_charges(filed, "filed_charges", codes)
         # an entirely empty cell means every filed charge is pending
         disposed = dispositions[disposed] or pending[len(filed)]
         if len(disposed) != len(filed):
@@ -362,11 +364,11 @@ File schemas (all comma-separated UTF-8 with a header row; lists join
 elements with ';'; dates YYYY-MM-DD; integers ASCII digits with an
 optional sign; booleans true/false; missing = empty; a row with more or
 fewer cells than the header is a row error, and so is a row whose id,
-sfid or name holds a carriage return (\\r) inside it; columns may come
-in any order, and other columns are ignored, but a header that names a
-required column twice is a schema error)
+sfid, name or charge text holds a carriage return (\\r) inside it;
+columns may come in any order, and other columns are ignored, but a
+header that names a required column twice is a schema error)
 
-psa_records.csv (input to score/audit/validate/dedupe/link)
+psa_records.csv (input to score/audit/validate/dedupe)
   record_id     unique, non-empty row id; an empty or repeated id makes
                 the row a row error
   sfid          person identifier shared with the court file
@@ -383,7 +385,7 @@ psa_records.csv (input to score/audit/validate/dedupe/link)
   recorded_recommendation    OR-NAS | OR-Minimum | SFPDP-ACM |
                              Release-Not-Recommended (or rank 1..4)
 
-court_cases.csv (input to audit/validate/consistency/link)
+court_cases.csv (input to audit/validate/consistency)
   court_number  unique, non-empty case id (one person may have several);
                 an empty or repeated id makes the row a row error
   sfid, name, dob

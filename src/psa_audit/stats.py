@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import gt
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .counterfactual import COMPONENTS, GROUPS, AuditPair, Component
 from .engine import PsaResult, SupervisionLevel
@@ -161,57 +161,66 @@ class Table:
     rows: tuple
 
 
-#: One scope's distinct (booking, conviction) result pairs, each with the
-#: number of its pairs that hold it.
-_Tally = list[tuple[PsaResult, PsaResult, int]]
+class TallyEntry(NamedTuple):
+    """``count`` pairs of one group and one sensitivity flag that hold one
+    (booking, conviction) result pair."""
+
+    group: str
+    excluded_by_sensitivity: bool
+    booking: PsaResult
+    conviction: PsaResult
+    count: int
 
 
-def _tally(pairs: Sequence[AuditPair]) -> dict[str, _Tally]:
-    """Each scope's tally: "all" first, then each of ``GROUPS``, possibly
-    empty.  Pairs are counted by their group and by the identity of their
-    two results, which ``assess`` shares between equal decisions, so a
-    scope holds about as many entries as distinct decisions, not pairs.
-    Each scope lists its entries in the order they first occur in
-    ``pairs``."""
-    counted: dict[tuple[str, int, int], list] = {}
+def tally(pairs: Iterable[AuditPair]) -> list[TallyEntry]:
+    """The pairs counted in one pass by group, sensitivity flag and the
+    identity of their two results, which ``assess`` shares between equal
+    decisions: about one entry per distinct decision, not per pair, listed
+    in the order each first occurs.  Every audit table reads these
+    entries; the sensitivity tables read those not excluded."""
+    counted: dict[tuple[str, bool, int, int], list] = {}
     for p in pairs:
-        key = p.group, id(p.booking_result), id(p.conviction_result)
+        key = p.group, p.excluded_by_sensitivity, id(p.booking_result), id(p.conviction_result)
         entry = counted.get(key)
         if entry is None:
             counted[key] = [p, 1]
         else:
             entry[1] += 1
-    scopes: dict[str, _Tally] = {"all": [], **{g: [] for g in GROUPS}}
-    for p, k in counted.values():
-        entry = (p.booking_result, p.conviction_result, k)
-        scopes["all"].append(entry)
-        if p.group:
-            scopes[p.group].append(entry)
+    return [TallyEntry(p.group, p.excluded_by_sensitivity, p.booking_result, p.conviction_result, k)
+            for p, k in counted.values()]
+
+
+def _scopes(entries: Sequence[TallyEntry]) -> dict[str, Sequence[TallyEntry]]:
+    """Each scope's entries: "all" first, then each of ``GROUPS``, possibly empty."""
+    scopes = {"all": entries, **{g: [] for g in GROUPS}}
+    for e in entries:
+        if e.group:
+            scopes[e.group].append(e)
     return scopes
 
 
-def _size(tally: _Tally) -> int:
-    return sum(k for _, _, k in tally)
+def _size(entries: Sequence[TallyEntry]) -> int:
+    return sum(e.count for e in entries)
 
 
-def _value_counts(tally: _Tally, component: Component) -> tuple[Counter, Counter]:
-    """How many pairs of ``tally`` hold each booking and each conviction
+def _value_counts(entries: Sequence[TallyEntry], component: Component) -> tuple[Counter, Counter]:
+    """How many pairs of ``entries`` hold each booking and each conviction
     value of ``component``."""
     booking, conviction = Counter(), Counter()
-    for b, c, k in tally:
-        booking[component.read(b)] += k
-        conviction[component.read(c)] += k
+    for e in entries:
+        booking[component.read(e.booking)] += e.count
+        conviction[component.read(e.conviction)] += e.count
     return booking, conviction
 
 
-def _rate_table_one(tally: _Tally, alpha: float) -> Table:
+def _rate_table_one(entries: Sequence[TallyEntry], alpha: float) -> Table:
     """A flag (a component whose change is ``gt``) is tested with the
     two-proportion z-test, the recommendation level with the rank-sum test."""
-    n = _size(tally)
+    n = _size(entries)
     rows = []
     tests: list[tuple[float, float] | None] = []
     for c in COMPONENTS:
-        b_counts, c_counts = _value_counts(tally, c)
+        b_counts, c_counts = _value_counts(entries, c)
         b_sum = sum(v * k for v, k in b_counts.items())
         c_sum = sum(v * k for v, k in c_counts.items())
         try:
@@ -224,36 +233,32 @@ def _rate_table_one(tally: _Tally, alpha: float) -> Table:
         rows.append((c.name, b_sum / n, c_sum / n))
 
     usable = [t[1] for t in tests if t is not None]
-    flags = bonferroni(usable, alpha) if usable else []
-    flag_iter = iter(flags)
-    out = []
-    for (name, b_val, c_val), t in zip(rows, tests):
-        if t is None:
-            out.append(RateRow(name, b_val, c_val, b_val - c_val, None, None, None))
-        else:
-            out.append(RateRow(name, b_val, c_val, b_val - c_val, t[0], t[1], next(flag_iter)))
-    return Table(n, tuple(out))
+    flags = iter(bonferroni(usable, alpha) if usable else [])
+    return Table(n, tuple(RateRow(name, b, c, b - c, None, None, None) if t is None
+                          else RateRow(name, b, c, b - c, t[0], t[1], next(flags))
+                          for (name, b, c), t in zip(rows, tests)))
 
 
-def rate_table(pairs: Sequence[AuditPair], *, alpha: float = DEFAULT_ALPHA) -> dict[str, Table]:
+def rate_table(entries: Sequence[TallyEntry], *, alpha: float = DEFAULT_ALPHA) -> dict[str, Table]:
     """Component rates and mean recommendation per charge source, in
-    ``RateRow``s.
+    ``RateRow``s, over the pairs that ``entries`` (see ``tally``) count.
 
     Returns tables keyed by scope: "all" first, then one per group that
     has pairs.
     """
-    if not pairs:
+    if not entries:
         raise EmptyInput("no audit pairs")
-    return {scope: _rate_table_one(tally, alpha) for scope, tally in _tally(pairs).items() if tally}
+    return {scope: _rate_table_one(part, alpha) for scope, part in _scopes(entries).items() if part}
 
 
-def _affected_one(tally: _Tally) -> Table:
-    n = _size(tally)
-    counts = [(c.name, sum(k for b, cr, k in tally if c.read(b) > c.read(cr))) for c in COMPONENTS]
+def _affected_one(entries: Sequence[TallyEntry]) -> Table:
+    n = _size(entries)
+    counts = [(c.name, sum(e.count for e in entries if c.read(e.booking) > c.read(e.conviction)))
+              for c in COMPONENTS]
     return Table(n, tuple(AffectedRow(name, k, k / n) for name, k in counts))
 
 
-def proportion_affected(pairs: Sequence[AuditPair]) -> dict[str, Table]:
+def proportion_affected(entries: Sequence[TallyEntry]) -> dict[str, Table]:
     """Strictly one-sided change rates, in ``AffectedRow``s: a component
     held under booking but not under conviction charges, and a final
     recommendation strictly higher under booking.  Cases moving the other
@@ -261,12 +266,12 @@ def proportion_affected(pairs: Sequence[AuditPair]) -> dict[str, Table]:
 
     Returns tables keyed by scope, as ``rate_table`` does.
     """
-    if not pairs:
+    if not entries:
         raise EmptyInput("no audit pairs")
-    return {scope: _affected_one(tally) for scope, tally in _tally(pairs).items() if tally}
+    return {scope: _affected_one(part) for scope, part in _scopes(entries).items() if part}
 
 
-def initial_distribution(pairs: Sequence[AuditPair]) -> dict[str, Table]:
+def initial_distribution(entries: Sequence[TallyEntry]) -> dict[str, Table]:
     """Counts of the booking-side initial recommendation, per scope:
     one ``LevelRow`` per level, in rank order.
 
@@ -274,11 +279,11 @@ def initial_distribution(pairs: Sequence[AuditPair]) -> dict[str, Table]:
     a missing group is visible rather than silent.
     """
     out = {}
-    for label, tally in _tally(pairs).items():
-        n = _size(tally)
+    for label, part in _scopes(entries).items():
+        n = _size(part)
         counts = Counter()
-        for b, _, k in tally:
-            counts[b.initial] += k
+        for e in part:
+            counts[e.booking.initial] += e.count
         out[label] = Table(n, tuple(LevelRow(int(level), level, counts[level], counts[level] / n if n else 0.0, n == 0)
                                     for level in SupervisionLevel))
     return out

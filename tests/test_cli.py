@@ -326,7 +326,6 @@ def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
     for command, inputs in (
         ("audit", [*psa, *court]),
         ("validate", [*psa, *court]),
-        ("link", [*psa, *court]),
         ("dedupe", psa),
         ("consistency", court),
         ("score", psa),
@@ -336,7 +335,6 @@ def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
         errors[command] = out / ("score_errors.csv" if command == "score" else "input_errors.csv")
     both = errors["audit"].read_bytes()
     assert errors["validate"].read_bytes() == both
-    assert errors["link"].read_bytes() == both
     psa_rows, court_rows = read_rows(errors["dedupe"]), read_rows(errors["consistency"])
     assert psa_rows and court_rows
     assert read_rows(errors["audit"]) == psa_rows + court_rows
@@ -409,6 +407,26 @@ def test_utf8_bom_input_gives_the_same_outputs(sim_dir, tmp_path):
                     "--out", out, "--sensitivity"]) == 0
         outs.append(_tree_bytes(out, skip=("run_manifest.json",)))
     assert outs[0] == outs[1]
+
+
+def test_audit_tallies_the_pairs_once(sim_dir, tmp_path, monkeypatch):
+    """Every table, the sensitivity tables and ``sensitivity_excluded``
+    are read from one tally of the pairs."""
+    calls = []
+
+    def counted(pairs, tally=cli.tally):
+        calls.append(len(pairs))
+        return tally(pairs)
+
+    monkeypatch.setattr(cli, "tally", counted)
+    out = tmp_path / "audit"
+    assert run(["audit", "--sensitivity", "--psa", sim_dir / "psa_records.csv",
+                "--court", sim_dir / "court_cases.csv", "--out", out]) == 0
+    pairs = read_rows(out / "audit_pairs.csv")
+    assert calls == [len(pairs)]
+    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
+    excluded = sum(p["excluded_by_sensitivity"] == "true" for p in pairs)
+    assert counts["sensitivity_excluded"] == excluded > 0
 
 
 def test_audit_on_simulated_data(sim_dir, tmp_path):
@@ -549,23 +567,11 @@ def test_dedupe_command(tmp_path):
     assert dropped == {"R2": "duplicate", "R3": "incomplete"}
 
 
-def test_link_command(sim_dir, tmp_path):
-    out = tmp_path / "link"
-    rc = run(["link", "--psa", sim_dir / "psa_records.csv",
-              "--court", sim_dir / "court_cases.csv", "--out", out])
-    assert rc == 0
-    matches = read_rows(out / "matches.csv")
-    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
-    assert len(matches) == 800
-    assert sum(counts.values()) == 800
-
-
 def test_every_run_writes_a_manifest(sim_dir, tmp_path):
-    out = tmp_path / "link"
-    run(["link", "--psa", sim_dir / "psa_records.csv",
-         "--court", sim_dir / "court_cases.csv", "--out", out])
+    out = tmp_path / "dedupe"
+    run(["dedupe", "--psa", sim_dir / "psa_records.csv", "--out", out])
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["subcommand"] == "link"
+    assert manifest["subcommand"] == "dedupe"
     assert manifest["tool"] == "psa-audit"
     assert Path(manifest["options"]["psa"]).is_absolute()
 
@@ -584,7 +590,7 @@ def test_rerun_simulate_byte_identical(tmp_path):
     assert _tree_bytes(first) == _tree_bytes(second)
 
 
-@pytest.mark.parametrize("command", ["score", "audit", "consistency", "validate", "dedupe", "link"])
+@pytest.mark.parametrize("command", ["score", "audit", "consistency", "validate", "dedupe"])
 def test_rerun_byte_identical(sim_dir, tmp_path, command):
     psa, court = ["--psa", sim_dir / "psa_records.csv"], ["--court", sim_dir / "court_cases.csv"]
     args = {
@@ -594,7 +600,6 @@ def test_rerun_byte_identical(sim_dir, tmp_path, command):
         # a resolved engine-file option round-trips too
         "validate": [*psa, *court, "--config-dir", _copy_packaged_config(tmp_path / "cfg")],
         "dedupe": psa,
-        "link": [*psa, *court],
     }[command]
     first = tmp_path / "first"
     rc = run([command, *args, "--out", first])
@@ -654,6 +659,8 @@ def test_rerun_rejects_bad_manifest(tmp_path, capsys):
         {"subcommand": "audit", "options": {**audit, "conviction_threshold": "159"}},
         {"subcommand": "audit", "options": {**audit, "sensitivity": 1}},
         {"subcommand": "dedupe", "options": {"psa": 5}},
+        # the link command is gone; audit writes each of its files
+        {"subcommand": "link", "options": {"psa": audit["psa"], "court": audit["court"]}},
         {"subcommand": "simulate", "options": {"resolved_generator": [150, 11]}},
         {"subcommand": "simulate", "options": {}},
         {"subcommand": "simulate", "options": {"resolved_generator": {"bogus": 1}}},
@@ -686,7 +693,6 @@ def test_every_write_csv_call_gets_sized_rows(sim_dir, tmp_path, monkeypatch):
     psa, court = ["--psa", sim_dir / "psa_records.csv"], ["--court", sim_dir / "court_cases.csv"]
     commands = {
         "audit": ["--sensitivity", *psa, *court],
-        "link": [*psa, *court],
         "validate": [*psa, *court],
         "score": psa,
         "simulate": ["--n", 300, "--seed", 5],
@@ -717,7 +723,6 @@ def test_every_write_csv_call_gets_written_cells(sim_dir, tmp_path, monkeypatch)
     psa, court = ["--psa", sim_dir / "psa_records.csv"], ["--court", sim_dir / "court_cases.csv"]
     commands = {
         "audit": ["--sensitivity", *psa, *court],
-        "link": [*psa, *court],
         "validate": [*psa, *court],
         "score": psa,
         "simulate": ["--n", 300, "--seed", 5],
@@ -776,6 +781,37 @@ def test_a_carriage_return_in_an_id_sfid_or_name_is_a_row_error(tmp_path, column
         ("3", record_id, message), ("4", "" if column == "record_id" else "C4", court_message)]
     _assert_every_csv_reads_back_whole(out)
     assert sorted(m["record_id"] for m in read_rows(out / "matches.csv")) == ["R1", "R2", "R4", "R5"]
+    assert [p["record_id"] for p in read_rows(out / "audit_pairs.csv")] == ["R1", "R2", "R5"]
+
+
+@pytest.mark.parametrize("column", ["booking_charges", "filed_charges"])
+def test_a_carriage_return_in_a_charge_text_is_a_row_error(tmp_path, column):
+    """A charge keeps its text, which dedupe, matches and review outputs
+    copy, so a "\\r" inside one is a row error that names its column; the
+    court file's two charge columns share one memo of cells."""
+    cell = "459\rPC F"
+    psa_rows = [psa_row(f"R{i}", f"S{i}") for i in range(1, 6)]
+    psa_rows[2]["booking_charges"] = cell
+    psa = tmp_path / "psa.csv"
+    _write_quoting_carriage_returns(psa, PSA_COLUMNS, psa_rows)
+    psa_issue = ("3", "R3", f"booking_charges: must not hold a carriage return, got {cell!r}")
+
+    out = tmp_path / "dedupe"
+    assert run(["dedupe", "--psa", psa, "--out", out]) == 3
+    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "input_errors.csv")] == [psa_issue]
+    _assert_every_csv_reads_back_whole(out)
+    records, issues = read_psa_records(out / "deduped_records.csv")
+    assert [r.record_id for r in records] == ["R1", "R2", "R4", "R5"] and issues == []
+
+    court_rows = [court_row(f"C{i}", f"S{i}") for i in range(1, 6)]
+    court_rows[3][column] = cell
+    court = tmp_path / "court.csv"
+    _write_quoting_carriage_returns(court, COURT_COLUMNS, court_rows)
+    out = tmp_path / "audit"
+    assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 3
+    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "input_errors.csv")] == [
+        psa_issue, ("4", "C4", f"{column}: must not hold a carriage return, got {cell!r}")]
+    _assert_every_csv_reads_back_whole(out)
     assert [p["record_id"] for p in read_rows(out / "audit_pairs.csv")] == ["R1", "R2", "R5"]
 
 

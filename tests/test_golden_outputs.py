@@ -1,4 +1,4 @@
-"""Golden outputs: every file that the seven subcommands write over a seeded
+"""Golden outputs: every file that the six subcommands write over a seeded
 10k-record corpus must keep its SHA-256, and each command its exit code.
 
 The digests pin the output bytes of ``simulate --n 10000 --seed 2026`` and
@@ -29,7 +29,6 @@ COMMANDS = {
     "consistency": ["consistency", "--court", "{court}"],
     "validate": ["validate", "--psa", "{psa}", "--court", "{court}"],
     "dedupe": ["dedupe", "--psa", "{psa}"],
-    "link": ["link", "--psa", "{psa}", "--court", "{court}"],
 }
 
 #: command -> (exit code, {output file: SHA-256})
@@ -71,12 +70,6 @@ GOLDEN = {
         'dedupe_dropped.csv': 'cfdbe3a9ecc9fad3b63f2cfa80347a0f90142602ed5710f5b80a723ed3c2cf71',
         'deduped_records.csv': '40fcc9d6365022b9403223d1c477bd7a9e40a47d1058bc27be5e7d2f044b23f2',
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
-    }),
-    'link': (0, {
-        'counts_summary.csv': '6ae9c9711b7a404ba5c2bd12b4738436542f7a1a6e25b86dc697c76296665527',
-        'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
-        'matches.csv': '7a903b9a6b071d406fc6d9f9dfd19a42e5ce626a866fd1b2112c5950420bd2ff',
-        'review_unresolved.csv': '861802d8f9b0a206cbab345b432a54db00a89a3bab7255e155b0f2408399730b',
     }),
 }
 

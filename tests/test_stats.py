@@ -28,6 +28,7 @@ from psa_audit.stats import (
     proportion_affected,
     race_consistency,
     rate_table,
+    tally,
     two_proportion_test,
     wilcoxon_rank_sum,
 )
@@ -334,7 +335,7 @@ def test_agreement_length_mismatch():
 
 def test_rate_table_identical_pairs_zero_differences():
     p = [pair(f"R{i}", result(), result()) for i in range(5)]
-    tables = rate_table(p)
+    tables = rate_table(tally(p))
     assert list(tables) == ["all"]
     t = tables["all"]
     for row in t.rows:
@@ -351,7 +352,7 @@ def test_rate_table_hand_counted_fixture():
         pair("R2", result(), result()),
         pair("R3", result(), result()),
     ]
-    t = rate_table(pairs)["all"]
+    t = rate_table(tally(pairs))["all"]
     by = {r.component: r for r in t.rows}
     assert by["exclusion"].booking == 0.25
     assert by["exclusion"].conviction == 0.0
@@ -363,23 +364,23 @@ def test_rate_table_hand_counted_fixture():
 
 def test_rate_table_grouped():
     pairs = [pair(f"R{i}", result(exclusion=(i < 2)), result(), group=GROUPS[i % 2]) for i in range(4)]
-    tables = rate_table(pairs)
+    tables = rate_table(tally(pairs))
     assert list(tables) == ["all", "B", "non-B"]
-    assert list(proportion_affected(pairs)) == ["all", "B", "non-B"]
+    assert list(proportion_affected(tally(pairs))) == ["all", "B", "non-B"]
     b = {r.component: r for r in tables["B"].rows}
     assert b["exclusion"].booking == 0.5
 
 
 def test_rate_table_empty_raises():
     with pytest.raises(EmptyInput):
-        rate_table([])
+        rate_table(tally([]))
 
 
 def test_proportion_affected_wrong_direction_not_counted():
     up = pair("R0", result(initial=L.OR_NAS), result(initial=L.OR_MINIMUM, final=L.OR_MINIMUM))
     [(*_, delta)] = changes([up])
     assert delta == -1
-    t = proportion_affected([up])["all"]
+    t = proportion_affected(tally([up]))["all"]
     by = {r.component: r for r in t.rows}
     assert by["recommendation"].fraction == 0.0
 
@@ -391,7 +392,7 @@ def test_proportion_affected_exact_fixture():
             pairs.append(pair(f"R{i}", result(bumpup=True, initial=L.OR_NAS, final=L.OR_MINIMUM), result()))
         else:
             pairs.append(pair(f"R{i}", result(), result()))
-    t = proportion_affected(pairs)["all"]
+    t = proportion_affected(tally(pairs))["all"]
     by = {r.component: r for r in t.rows}
     assert by["recommendation"].fraction == 0.27
     assert by["bumpup"].fraction == 0.27
@@ -402,8 +403,8 @@ def test_proportion_affected_zero_delta_pairs_only_scale_the_denominator():
     affected = [pair(f"A{i}", result(bumpup=True, initial=L.OR_NAS, final=L.OR_MINIMUM), result())
                 for i in range(3)]
     inert = [pair(f"I{i}", result(), result()) for i in range(9)]
-    small = {r.component: r for r in proportion_affected(affected)["all"].rows}
-    big = {r.component: r for r in proportion_affected(affected + inert)["all"].rows}
+    small = {r.component: r for r in proportion_affected(tally(affected))["all"].rows}
+    big = {r.component: r for r in proportion_affected(tally(affected + inert))["all"].rows}
     for component in small:
         assert big[component].count == small[component].count
         assert big[component].fraction == small[component].count / 12
@@ -437,7 +438,7 @@ def test_each_pair_change_is_the_papers_definition(sides):
     assert derived == definitions
     # audit_pairs.csv prints a flag as true/false and the delta as a number
     assert all([type(v) for v in d] == [bool, bool, bool, int] for d in derived)
-    counts = {r.component: r.count for r in proportion_affected(pairs)["all"].rows}
+    counts = {r.component: r.count for r in proportion_affected(tally(pairs))["all"].rows}
     assert counts == {
         "exclusion": sum(d[0] for d in definitions),
         "bumpup": sum(d[1] for d in definitions),
@@ -452,7 +453,7 @@ def test_proportion_affected_saturation_counts_component_not_recommendation():
         result(exclusion=True, initial=L.RELEASE_NOT_RECOMMENDED),
         result(initial=L.RELEASE_NOT_RECOMMENDED),
     )
-    t = proportion_affected([sat])["all"]
+    t = proportion_affected(tally([sat]))["all"]
     by = {r.component: r for r in t.rows}
     assert by["exclusion"].fraction == 1.0
     assert by["recommendation"].fraction == 0.0
@@ -460,7 +461,7 @@ def test_proportion_affected_saturation_counts_component_not_recommendation():
 
 def test_initial_distribution_single_group_sums_to_one():
     pairs = [pair(f"R{i}", result(initial=L(1 + i % 3)), result()) for i in range(9)]
-    hists = initial_distribution(pairs)
+    hists = initial_distribution(tally(pairs))
     # ungrouped pairs leave each group's rows empty
     assert list(hists) == ["all", "B", "non-B"]
     assert all(r.empty_group for g in GROUPS for r in hists[g].rows)
@@ -475,14 +476,14 @@ def test_initial_distribution_planted_group_shift_recovered():
     for i in range(200):
         initial = L.SFPDP_ACM if i % 2 else L.OR_NAS
         pairs.append(pair(f"R{i}", result(initial=initial), result(), group="B" if i % 2 else "non-B"))
-    hists = initial_distribution(pairs)
+    hists = initial_distribution(tally(pairs))
     assert hists["B"].rows[2].fraction == 1.0
     assert hists["non-B"].rows[0].fraction == 1.0
 
 
 def test_initial_distribution_empty_group_flagged():
     pairs = [pair("R0", result(), result(), group="B")]
-    hists = initial_distribution(pairs)
+    hists = initial_distribution(tally(pairs))
     assert all(r.empty_group for r in hists["non-B"].rows)
     assert [r.count for r in hists["non-B"].rows] == [0, 0, 0, 0]
 
@@ -490,8 +491,8 @@ def test_initial_distribution_empty_group_flagged():
 # ---------------------------------------------------------------------------
 # the per-pair tables that the tallies replaced
 #
-# The tables and audit_pairs.csv are made from one tally per call, or one
-# rendering per distinct result pair, keyed by the identity of the two
+# The tables are made from one tally per run, and audit_pairs.csv from one
+# rendering per distinct result pair, both keyed by the identity of the two
 # results.  The code below is the per-pair code they replaced, kept as the
 # reference they must equal.
 
@@ -567,12 +568,24 @@ def _reference_pair_rows(pairs):
 
 def assert_tables_equal_the_per_pair_code(pairs, tmp_path):
     """Every table, to the bit (``repr`` tells -0.0 from 0.0), and the
-    bytes of audit_pairs.csv."""
+    bytes of audit_pairs.csv.  The sensitivity tables are made as the
+    audit makes them, from the tally's entries of the pairs that are not
+    excluded by sensitivity, and must equal the per-pair code over those
+    pairs."""
+    entries = tally(pairs)
     if pairs:
-        assert repr(rate_table(pairs)) == repr(_reference_rate_table(pairs))
-        assert repr(rate_table(pairs, alpha=0.05)) == repr(_reference_rate_table(pairs, alpha=0.05))
-        assert repr(proportion_affected(pairs)) == repr(_reference_affected(pairs))
-    assert repr(initial_distribution(pairs)) == repr(_reference_distribution(pairs))
+        assert repr(rate_table(entries)) == repr(_reference_rate_table(pairs))
+        assert repr(rate_table(entries, alpha=0.05)) == repr(_reference_rate_table(pairs, alpha=0.05))
+        assert repr(proportion_affected(entries)) == repr(_reference_affected(pairs))
+    assert repr(initial_distribution(entries)) == repr(_reference_distribution(pairs))
+
+    kept = [e for e in entries if not e.excluded_by_sensitivity]
+    kept_pairs = [p for p in pairs if not p.excluded_by_sensitivity]
+    assert bool(kept) == bool(kept_pairs)
+    assert sum(e.count for e in entries if e.excluded_by_sensitivity) == len(pairs) - len(kept_pairs)
+    if kept_pairs:
+        assert repr(rate_table(kept)) == repr(_reference_rate_table(kept_pairs))
+        assert repr(proportion_affected(kept)) == repr(_reference_affected(kept_pairs))
 
     written, reference = tmp_path / "audit_pairs.csv", tmp_path / "reference.csv"
     cli._write_pairs(written, pairs)
@@ -620,7 +633,7 @@ def test_tallied_tables_equal_the_per_pair_code_on_named_cases(tmp_path):
     }
     for name, pairs in cases.items():
         assert_tables_equal_the_per_pair_code(pairs, tmp_path / name.replace(" ", "_"))
-    t = rate_table(cases["a degenerate rank sum"])["all"]
+    t = rate_table(tally(cases["a degenerate rank sum"]))["all"]
     assert t.rows[-1].component == "recommendation" and t.rows[-1].statistic is None
 
 
@@ -700,7 +713,7 @@ def test_rate_table_values_in_range():
         c = result(nvca=rng.random() < 0.2, exclusion=rng.random() < 0.1,
                    bumpup=rng.random() < 0.2, initial=rng.choice(levels))
         pairs.append(pair(f"R{i}", b, c))
-    t = rate_table(pairs)["all"]
+    t = rate_table(tally(pairs))["all"]
     for row in t.rows:
         if row.component == "recommendation":
             assert 1.0 <= row.booking <= 4.0 and 1.0 <= row.conviction <= 4.0
@@ -708,8 +721,8 @@ def test_rate_table_values_in_range():
         else:
             assert 0.0 <= row.booking <= 1.0 and 0.0 <= row.conviction <= 1.0
             assert -1.0 <= row.difference <= 1.0
-    a = proportion_affected(pairs)["all"]
+    a = proportion_affected(tally(pairs))["all"]
     for row in a.rows:
         assert 0.0 <= row.fraction <= 1.0
-    hists = initial_distribution(pairs)
+    hists = initial_distribution(tally(pairs))
     assert sum(r.count for r in hists["all"].rows) == len(pairs)
