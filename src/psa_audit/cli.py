@@ -622,7 +622,7 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
 
 
 def cmd_dedupe(opts: dict, out_dir: Path) -> int:
-    _, records, _, issues, _ = _read_inputs(opts, out_dir)
+    _, records, _, issues, intake = _read_inputs(opts, out_dir)
     complete, incomplete = filter_complete(records)
     unique, duplicates = deduplicate(complete)
     rows = [[join_charges(r.booking_charges) if c == "booking_charges" else render_cell(getattr(r, c))
@@ -631,7 +631,9 @@ def cmd_dedupe(opts: dict, out_dir: Path) -> int:
     dropped = [(r.record_id, "incomplete") for r in incomplete]
     dropped += [(r.record_id, "duplicate") for r in duplicates]
     write_csv(out_dir / "dedupe_dropped.csv", ("record_id", "reason"), dropped)
-    print(f"kept {len(unique)}, dropped {len(incomplete)} incomplete, {len(duplicates)} duplicates")
+    counts = {k: intake[k] for k in ("psa_input_rows", "row_errors", "records_parsed")}
+    counts.update(dropped_incomplete=len(incomplete), dropped_duplicates=len(duplicates), kept=len(unique))
+    _write_counts(out_dir / "counts_summary.csv", "stage", counts)
     return _exit_code(bool(unique), issues)
 
 

@@ -567,6 +567,23 @@ def test_dedupe_command(tmp_path):
     assert dropped == {"R2": "duplicate", "R3": "incomplete"}
 
 
+def test_dedupe_counts_conserve_every_row(sim_dir, tmp_path):
+    """Every input row is parsed or a row error, and every parsed record is
+    kept or dropped as incomplete or as a duplicate."""
+    bad = _corrupt_copy(sim_dir, tmp_path / "corrupt")
+    out = tmp_path / "dedupe"
+    assert run(["dedupe", "--psa", bad / "psa_records.csv", "--out", out]) == 3
+    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
+    assert list(counts) == ["psa_input_rows", "row_errors", "records_parsed",
+                            "dropped_incomplete", "dropped_duplicates", "kept"]
+    assert counts["psa_input_rows"] == len(read_rows(bad / "psa_records.csv"))
+    assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
+    assert counts["row_errors"] == len(read_rows(out / "input_errors.csv")) > 0
+    assert counts["records_parsed"] == counts["kept"] + counts["dropped_incomplete"] + counts["dropped_duplicates"]
+    assert counts["kept"] == len(read_rows(out / "deduped_records.csv"))
+    assert counts["dropped_incomplete"] > 0 and counts["dropped_duplicates"] > 0
+
+
 def test_every_run_writes_a_manifest(sim_dir, tmp_path):
     out = tmp_path / "dedupe"
     run(["dedupe", "--psa", sim_dir / "psa_records.csv", "--out", out])
