@@ -52,7 +52,9 @@ from .stats import (
     LevelRow,
     RateRow,
     Table,
+    TallyEntry,
     agreement_rate,
+    count_by,
     initial_distribution,
     proportion_affected,
     race_consistency,
@@ -479,31 +481,38 @@ def _write_review(path: Path, unresolved) -> None:
     write_csv(path, ("record_id", "sfid", "name", "arrest_date", "psa_date", "booking_charges", "reason"), rows)
 
 
-def _write_pairs(path: Path, pairs: list[AuditPair]) -> None:
+def _write_pairs(path: Path, pairs: list[AuditPair], entries: list[TallyEntry]) -> None:
     """One row per pair.  The 18 cells after its group depend only on its
-    two results, which ``assess`` shares between equal decisions, so they
-    are rendered once per distinct (booking, conviction) result pair, keyed
-    by the results' identity (the pairs hold the results, so no key is
-    reused while the rows are written)."""
+    two results, so they are rendered once per entry of ``entries``, the
+    pairs' tally, before any row is written, keyed by the identity of the
+    two results (which the pairs hold, so no key is reused meanwhile)."""
     tails = {}
-
-    def tail(p: AuditPair) -> tuple:
-        [change] = changes([p])
-        return _rendered((p.booking_result.subscores.nvca_flag, *_result_cells(p.booking_result),
-                          p.conviction_result.subscores.nvca_flag, *_result_cells(p.conviction_result), *change))
+    for e in entries:
+        b, c = e.booking, e.conviction
+        tails[id(b), id(c)] = _rendered((b.subscores.nvca_flag, *_result_cells(b),
+                                         c.subscores.nvca_flag, *_result_cells(c), *changes(b, c)))
 
     def rows():
         for p in pairs:
-            key = id(p.booking_result), id(p.conviction_result)
-            cells = tails.get(key)
-            if cells is None:
-                cells = tails[key] = tail(p)
-            yield p.record_id, p.group, *cells, FLAG_TEXT[p.excluded_by_sensitivity]
+            yield (p.record_id, p.group, *tails[id(p.booking_result), id(p.conviction_result)],
+                   FLAG_TEXT[p.excluded_by_sensitivity])
 
     write_csv(path, (
         "record_id", "group",
         *(f"{side}_{c}" for side in ("booking", "conviction") for c in ("nvca", *_RESULT_COLUMNS)),
         *(c.column for c in COMPONENTS), "excluded_by_sensitivity"), _SizedRows(len(pairs), rows))
+
+
+def _write_tables(out_dir: Path, suffix: str, entries: list[TallyEntry], alpha: float) -> tuple[dict, dict]:
+    """Write the rate and the affected table of the pairs that ``entries``
+    count, as ``rate_table{suffix}.csv`` and ``affected_table{suffix}.csv``;
+    with no entries, each file holds only its header.  Returns the two
+    tables."""
+    tables = rate_table(entries, alpha=alpha) if entries else {}
+    affected = proportion_affected(entries) if entries else {}
+    _write_scoped_tables(out_dir / f"rate_table{suffix}.csv", tables, RateRow)
+    _write_scoped_tables(out_dir / f"affected_table{suffix}.csv", affected, AffectedRow)
+    return tables, affected
 
 
 def _popped(items: list) -> Iterator:
@@ -540,29 +549,21 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
 
 
 def cmd_audit(opts: dict, out_dir: Path) -> int:
-    """Every table and ``sensitivity_excluded`` read one tally of the pairs;
-    the sensitivity scope is its entries not ``excluded_by_sensitivity``."""
+    """Every table, ``audit_pairs.csv`` and ``sensitivity_excluded`` read one
+    tally; the sensitivity scope is its entries not ``excluded_by_sensitivity``."""
     policy, alpha = _audit_settings(opts)
     pairs, counts, issues = _audit_intake(opts, out_dir, policy)
     entries = tally(pairs)
-    kept = [e for e in entries if not e.excluded_by_sensitivity]
-    counts["sensitivity_excluded"] = sum(e.count for e in entries if e.excluded_by_sensitivity)
+    counts["sensitivity_excluded"] = count_by(entries, attrgetter("excluded_by_sensitivity"))[True]
     _write_counts(out_dir / "counts_summary.csv", "stage", counts)
 
-    _write_pairs(out_dir / "audit_pairs.csv", pairs)
-
-    tables = affected = hists = {}
-    if entries:
-        tables = rate_table(entries, alpha=alpha)
-        affected = proportion_affected(entries)
-        hists = initial_distribution(entries)
-    _write_scoped_tables(out_dir / "rate_table.csv", tables, RateRow)
-    _write_scoped_tables(out_dir / "affected_table.csv", affected, AffectedRow)
-    _write_scoped_tables(out_dir / "initial_distribution.csv", hists, LevelRow)
+    _write_pairs(out_dir / "audit_pairs.csv", pairs, entries)
+    tables, affected = _write_tables(out_dir, "", entries, alpha)
+    _write_scoped_tables(out_dir / "initial_distribution.csv", initial_distribution(entries) if entries else {},
+                         LevelRow)
     _write_summary(out_dir / "test_summary.txt", counts, tables, affected, alpha)
-    if opts["sensitivity"] and kept:
-        _write_scoped_tables(out_dir / "rate_table_sensitivity.csv", rate_table(kept, alpha=alpha), RateRow)
-        _write_scoped_tables(out_dir / "affected_table_sensitivity.csv", proportion_affected(kept), AffectedRow)
+    if opts["sensitivity"]:
+        _write_tables(out_dir, "_sensitivity", [e for e in entries if not e.excluded_by_sensitivity], alpha)
     return _exit_code(bool(pairs), issues)
 
 

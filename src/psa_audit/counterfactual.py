@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, gt, sub
-from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Container, Iterable, NamedTuple, Sequence
 
 from .charges import ChargeCode
 from .engine import EngineConfig, PsaResult, assess, derive_subscores
@@ -180,15 +180,11 @@ class AuditPair:
     group: str = ""
 
 
-_booking_result, _conviction_result = attrgetter("booking_result"), attrgetter("conviction_result")
-
-
-def changes(pairs: Sequence[AuditPair]) -> Iterator[tuple]:
-    """Each pair's component changes from conviction to booking charges,
-    in ``COMPONENTS`` order: whether each flag was lost, then the signed
-    recommendation level difference."""
-    return zip(*[map(c.change, map(c.read, map(_booking_result, pairs)), map(c.read, map(_conviction_result, pairs)))
-                 for c in COMPONENTS])
+def changes(booking: PsaResult, conviction: PsaResult) -> tuple:
+    """One result pair's component changes from conviction to booking
+    charges, in ``COMPONENTS`` order: whether each flag was lost, then the
+    signed recommendation level difference."""
+    return tuple(c.change(c.read(booking), c.read(conviction)) for c in COMPONENTS)
 
 
 def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: EngineConfig, group: str) -> AuditPair:

@@ -135,8 +135,8 @@ class _Memo(dict):
     its parsed value, calling ``parse(text, *args)`` the first time a text is
     looked up, so every row carrying that text shares one immutable value.
     A text whose parse raises is not stored, so each row carrying it raises
-    its own error.  The generator keeps one the other way round, from each
-    distinct date to its written text."""
+    its own error.  The generator keeps one of its pool texts' charges, and
+    one the other way round, from each distinct date to its written text."""
 
     __slots__ = ("parse", "args")
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import gt
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter, gt
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .counterfactual import COMPONENTS, GROUPS, AuditPair, Component
+from .counterfactual import COMPONENTS, GROUPS, AuditPair, changes
 from .engine import PsaResult, SupervisionLevel
 from .errors import DegenerateInput, EmptyInput, LengthMismatch
 from .linkage import RACE_CATEGORIES, CourtCase
@@ -176,8 +176,8 @@ def tally(pairs: Iterable[AuditPair]) -> list[TallyEntry]:
     """The pairs counted in one pass by group, sensitivity flag and the
     identity of their two results, which ``assess`` shares between equal
     decisions: about one entry per distinct decision, not per pair, listed
-    in the order each first occurs.  Every audit table reads these
-    entries; the sensitivity tables read those not excluded."""
+    in the order each first occurs.  They are the audit's one per-pair
+    view: every table counts them through ``count_by``."""
     counted: dict[tuple[str, bool, int, int], list] = {}
     for p in pairs:
         key = p.group, p.excluded_by_sensitivity, id(p.booking_result), id(p.conviction_result)
@@ -203,14 +203,14 @@ def _size(entries: Sequence[TallyEntry]) -> int:
     return sum(e.count for e in entries)
 
 
-def _value_counts(entries: Sequence[TallyEntry], component: Component) -> tuple[Counter, Counter]:
-    """How many pairs of ``entries`` hold each booking and each conviction
-    value of ``component``."""
-    booking, conviction = Counter(), Counter()
+def count_by(entries: Iterable[TallyEntry], key: Callable[[TallyEntry], Any]) -> Counter:
+    """How many pairs ``entries`` count for each value of ``key(entry)``,
+    in the order each value first occurs.  Every table counts its pairs
+    through this."""
+    counts = Counter()
     for e in entries:
-        booking[component.read(e.booking)] += e.count
-        conviction[component.read(e.conviction)] += e.count
-    return booking, conviction
+        counts[key(e)] += e.count
+    return counts
 
 
 def _rate_table_one(entries: Sequence[TallyEntry], alpha: float) -> Table:
@@ -220,7 +220,8 @@ def _rate_table_one(entries: Sequence[TallyEntry], alpha: float) -> Table:
     rows = []
     tests: list[tuple[float, float] | None] = []
     for c in COMPONENTS:
-        b_counts, c_counts = _value_counts(entries, c)
+        b_counts = count_by(entries, lambda e: c.read(e.booking))
+        c_counts = count_by(entries, lambda e: c.read(e.conviction))
         b_sum = sum(v * k for v, k in b_counts.items())
         c_sum = sum(v * k for v, k in c_counts.items())
         try:
@@ -252,10 +253,11 @@ def rate_table(entries: Sequence[TallyEntry], *, alpha: float = DEFAULT_ALPHA) -
 
 
 def _affected_one(entries: Sequence[TallyEntry]) -> Table:
+    """Booking charges raised a component when its change is positive."""
     n = _size(entries)
-    counts = [(c.name, sum(e.count for e in entries if c.read(e.booking) > c.read(e.conviction)))
-              for c in COMPONENTS]
-    return Table(n, tuple(AffectedRow(name, k, k / n) for name, k in counts))
+    by_change = count_by(entries, lambda e: changes(e.booking, e.conviction))
+    raised = [sum(k for change, k in by_change.items() if change[i] > 0) for i in range(len(COMPONENTS))]
+    return Table(n, tuple(AffectedRow(c.name, k, k / n) for c, k in zip(COMPONENTS, raised)))
 
 
 def proportion_affected(entries: Sequence[TallyEntry]) -> dict[str, Table]:
@@ -281,9 +283,7 @@ def initial_distribution(entries: Sequence[TallyEntry]) -> dict[str, Table]:
     out = {}
     for label, part in _scopes(entries).items():
         n = _size(part)
-        counts = Counter()
-        for e in part:
-            counts[e.booking.initial] += e.count
+        counts = count_by(part, attrgetter("booking.initial"))
         out[label] = Table(n, tuple(LevelRow(int(level), level, counts[level], counts[level] / n if n else 0.0, n == 0)
                                     for level in SupervisionLevel))
     return out

@@ -38,7 +38,7 @@ from itertools import accumulate, islice
 from operator import itemgetter
 from pathlib import Path
 
-from .charges import ChargeCatalog, ChargeCode, parse_charge_code
+from .charges import ChargeCatalog, parse_charge_code
 from .engine import EngineConfig, SupervisionLevel, assess, derive_subscores, load_engine_config
 from .errors import ConfigError
 from .io import (
@@ -314,7 +314,8 @@ class _Generator:
         self.cfg = config
         self.engine = engine
         self.pools = {k: tuple(v) for k, v in config.charge_pools.items()}
-        self._charges: dict[str, ChargeCode] = {}
+        # one shared ChargeCode per distinct pool text
+        self._charges = _Memo(parse_charge_code, engine.catalog.derivative_prefixes)
         config.check_pools(engine.catalog)
         self.neutrals = self.pools["neutral_misdemeanors"] + self.pools["neutral_felonies"]
         self.identical_pool = self.neutrals + self.pools["violent"]
@@ -367,13 +368,6 @@ class _Generator:
         return low, top
 
     # -- small draw helpers ------------------------------------------------
-
-    def _charge(self, text: str) -> ChargeCode:
-        """The parsed pool string, one shared ChargeCode per distinct text."""
-        charge = self._charges.get(text)
-        if charge is None:
-            charge = self._charges[text] = parse_charge_code(text, self.engine.catalog.derivative_prefixes)
-        return charge
 
     def _share(self, value):
         """``value``, or the equal value that an earlier row already holds."""
@@ -500,7 +494,7 @@ class _Generator:
             pv = self._draw_pv()
 
         texts, dispositions, first_convicted = self._plan_charges(scenario, disposed)
-        charges = [self._charge(t) for t in texts]
+        charges = [self._charges[t] for t in texts]
         fta, nca = self._draw_fta_nca(person.group, self._pinned_cells.get(scenario))
 
         # the row is scored exactly as the audit re-scores it; scoring draws

@@ -18,6 +18,7 @@ from psa_audit.counterfactual import COMPONENTS
 from psa_audit.engine import SupervisionLevel
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, render_cell, write_csv
 from psa_audit.linkage import CourtCase, PsaRecord
+from psa_audit.stats import AffectedRow, RateRow
 from psa_audit.synth import DEFAULT_CHARGE_POOLS
 
 
@@ -508,6 +509,29 @@ def test_audit_empty_court_file(sim_dir, tmp_path):
     assert counts["unresolved"] > 0
     assert read_rows(out / "rate_table.csv") == []
     assert len(read_rows(out / "review_unresolved.csv")) == counts["unresolved"]
+
+
+@pytest.mark.parametrize("corpus", ["all_excluded", "empty_court"])
+def test_sensitivity_tables_are_written_when_no_pair_is_kept(tmp_path, corpus):
+    """``--sensitivity`` always writes both sensitivity tables, holding only
+    their header when every pair is excluded or there are no pairs, as
+    the main tables do when there are no pairs."""
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--n", 200, "--seed", 3, "--overbooking-rate", 0, "--plea-other-rate", 1.0,
+                "--out", sim]) == 0
+    court = sim / "court_cases.csv"
+    if corpus == "empty_court":
+        court = tmp_path / "court.csv"
+        write_table(court, COURT_COLUMNS, [])
+    out = tmp_path / "audit"
+    assert run(["audit", "--sensitivity", "--psa", sim / "psa_records.csv", "--court", court,
+                "--out", out]) == (0 if corpus == "all_excluded" else 4)
+    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
+    assert counts["sensitivity_excluded"] == counts["analyzed_pairs"]
+    assert (counts["analyzed_pairs"] > 0) == (corpus == "all_excluded")
+    for name, row_type in (("rate_table", RateRow), ("affected_table", AffectedRow)):
+        text = (out / f"{name}_sensitivity.csv").read_text(encoding="utf-8")
+        assert text == ",".join(("scope", "n", *row_type._fields)) + "\n"
 
 
 def test_validate_self_consistency(sim_dir, tmp_path):

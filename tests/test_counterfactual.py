@@ -203,7 +203,7 @@ def test_exclusion_lost_at_top_initial_keeps_final(config):
     r = rec(fta=6, nca=6)
     m = matched(case(["187(A) PC F", "459 PC F"], [30, 160]), record=r)
     pair = build_audit_pair(m, POLICY, config, "")
-    [(exclusion_lost, _, _, delta)] = changes([pair])
+    exclusion_lost, _, _, delta = changes(pair.booking_result, pair.conviction_result)
     assert pair.booking_result.exclusion and not pair.conviction_result.exclusion
     assert exclusion_lost
     assert pair.booking_result.final is L.RELEASE_NOT_RECOMMENDED
@@ -222,7 +222,7 @@ def test_exclusion_downgraded_to_bumpup_saturates(config):
     assert pair.conviction_result.bumpup and not pair.conviction_result.exclusion
     assert pair.booking_result.final is L.RELEASE_NOT_RECOMMENDED
     assert pair.conviction_result.final is L.RELEASE_NOT_RECOMMENDED
-    [(exclusion_lost, _, _, delta)] = changes([pair])
+    exclusion_lost, _, _, delta = changes(pair.booking_result, pair.conviction_result)
     assert exclusion_lost and delta == 0
 
 
@@ -230,7 +230,7 @@ def test_bumpup_lost_lowers_final(config):
     r = rec(fta=2, nca=3)
     m = matched(case(["646.9 PC M", "459 PC F"], [30, 160]), record=r)
     pair = build_audit_pair(m, POLICY, config, "")
-    [(_, bumpup_lost, _, delta)] = changes([pair])
+    _, bumpup_lost, _, delta = changes(pair.booking_result, pair.conviction_result)
     assert bumpup_lost
     assert delta == 1
     assert pair.booking_result.final is L.OR_MINIMUM
@@ -286,7 +286,7 @@ def test_subset_monotonicity_and_delta_implication(config):
         )
         m = matched(case(booked, dispositions), record=r)
         pair = build_audit_pair(m, POLICY, config, "")
-        [(exclusion_lost, bumpup_lost, nvca_lost, delta)] = changes([pair])
+        exclusion_lost, bumpup_lost, nvca_lost, delta = changes(pair.booking_result, pair.conviction_result)
         assert pair.conviction_result.final <= pair.booking_result.final
         if delta > 0:
             # the split cell adds a fourth mechanism: losing the only felony

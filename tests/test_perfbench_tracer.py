@@ -39,8 +39,15 @@ def test_traced_simulate_and_audit_count_every_assess(tmp_path):
     scored = planted["records"] - planted["duplicates"] - planted["incomplete"]
     assert doc["totals"]["engine.assess"]["calls"] == scored > 0
 
+    out = tmp_path / "audit"
     doc = traced(tmp_path / "audit.json", "audit", "--sensitivity", "--psa", sim / "psa_records.csv",
-                 "--court", sim / "court_cases.csv", "--out", tmp_path / "audit")
+                 "--court", sim / "court_cases.csv", "--out", out)
     pairs = doc["counts"]["counterfactual.pairs"]
     assert pairs > 0
     assert doc["totals"]["engine.assess"]["calls"] == 2 * pairs
+    # the table layer: the main and the sensitivity scope's rate and
+    # affected tables, the main scope's distribution, and one write per file
+    calls = {name: doc["totals"][name]["calls"]
+             for name in ("stats.rate_table", "stats.affected", "stats.distribution", "io.write")}
+    assert calls == {"stats.rate_table": 2, "stats.affected": 2, "stats.distribution": 1,
+                     "io.write": len(list(out.glob("*.csv")))}

@@ -378,7 +378,7 @@ def test_rate_table_empty_raises():
 
 def test_proportion_affected_wrong_direction_not_counted():
     up = pair("R0", result(initial=L.OR_NAS), result(initial=L.OR_MINIMUM, final=L.OR_MINIMUM))
-    [(*_, delta)] = changes([up])
+    *_, delta = changes(up.booking_result, up.conviction_result)
     assert delta == -1
     t = proportion_affected(tally([up]))["all"]
     by = {r.component: r for r in t.rows}
@@ -434,7 +434,7 @@ def test_each_pair_change_is_the_papers_definition(sides):
         )
         for booking, conviction in sides
     ]
-    derived = list(changes(pairs))
+    derived = [changes(p.booking_result, p.conviction_result) for p in pairs]
     assert derived == definitions
     # audit_pairs.csv prints a flag as true/false and the delta as a number
     assert all([type(v) for v in d] == [bool, bool, bool, int] for d in derived)
@@ -588,7 +588,7 @@ def assert_tables_equal_the_per_pair_code(pairs, tmp_path):
         assert repr(proportion_affected(kept)) == repr(_reference_affected(kept_pairs))
 
     written, reference = tmp_path / "audit_pairs.csv", tmp_path / "reference.csv"
-    cli._write_pairs(written, pairs)
+    cli._write_pairs(written, pairs, entries)
     with open(written, encoding="utf-8") as fh:
         header = next(csv.reader(fh))
     write_csv(reference, header, [[render_cell(v) for v in row] for row in _reference_pair_rows(pairs)])

@@ -243,7 +243,7 @@ def test_overbooking_zero_means_no_deltas(config):
     report = link_records(*paths_records)
     pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config, set())
     assert pairs
-    assert set(changes(pairs)) == {(False, False, False, 0)}
+    assert {changes(p.booking_result, p.conviction_result) for p in pairs} == {(False, False, False, 0)}
 
 
 def _parse(ds, config):
@@ -286,7 +286,8 @@ def test_planted_scenarios_verified_by_pipeline(config):
 
     by_id = {m.psa.record_id: m for m in report.matched}
     assert pairs
-    for p, (*_, delta) in zip(pairs, changes(pairs)):
+    for p in pairs:
+        *_, delta = changes(p.booking_result, p.conviction_result)
         t = truth[p.record_id]
         assert t["disposed"] == "true"
         convicted = conviction_charges(by_id[p.record_id], DispositionPolicy())
@@ -303,7 +304,7 @@ def test_affected_rate_recovery_small(config):
     records, cases = _parse(ds, config)
     report = link_records(records, cases)
     pairs, _ = build_audit_pairs(report.matched, DispositionPolicy(), config, set())
-    affected = sum(delta > 0 for *_, delta in changes(pairs)) / len(pairs)
+    affected = sum(changes(p.booking_result, p.conviction_result)[-1] > 0 for p in pairs) / len(pairs)
     assert abs(affected - 0.27) < 0.03
 
 
