@@ -353,13 +353,13 @@ def _read_inputs(opts: dict, out_dir: Path):
 
 
 def _write_counts(path: Path, key: str, counts: dict) -> None:
-    write_csv(path, (key, "count"), list(counts.items()))
+    write_csv(path, (key, "count"), list(map(_rendered, counts.items())))
     for k, v in counts.items():
         print(f"{k}: {v}")
 
 
 def _write_issues(path: Path, issues) -> None:
-    write_csv(path, ("row", "record_id", "message"), [(i.row, i.record_id, i.message) for i in issues])
+    write_csv(path, ("row", "record_id", "message"), [_rendered((i.row, i.record_id, i.message)) for i in issues])
 
 
 def _hard_issues(issues):
@@ -406,7 +406,7 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
             row_errors.append(RowIssue(row=row, record_id=rec.record_id, message="missing sub-scores"))
             continue
         res = assess(subs, rec.booking_charges, False, config.dmf, config.catalog)
-        rows.append((rec.record_id, subs.fta, subs.nca, *_rendered((subs.nvca_flag, *_result_cells(res)))))
+        rows.append(_rendered((rec.record_id, subs.fta, subs.nca, subs.nvca_flag, *_result_cells(res))))
     write_csv(out_dir / "score_results.csv", ("record_id", "fta", "nca", "nvca_flag", *_RESULT_COLUMNS), rows)
     _write_issues(out_dir / "score_errors.csv", sorted(row_errors, key=attrgetter("row")))
     print(f"scored {len(rows)} records, {len(_hard_issues(row_errors))} row errors")
@@ -419,7 +419,7 @@ def cmd_score(opts: dict, out_dir: Path) -> int:
 
 def _write_scoped_tables(path: Path, tables: dict[str, Table], row_type: type) -> None:
     """One line per table row: its scope and n, then the row's fields."""
-    rows = [(scope, t.n, *_rendered(r)) for scope, t in tables.items() for r in t.rows]
+    rows = [_rendered((scope, t.n, *r)) for scope, t in tables.items() for r in t.rows]
     write_csv(path, ("scope", "n", *row_type._fields), rows)
 
 
@@ -468,33 +468,37 @@ class _SizedRows:
 def _write_matches(path: Path, report) -> None:
     def rows():
         for m in report.all_results:
-            yield m.psa.record_id, m.psa.sfid, m.status.value, ";".join(c.court_number for c in m.matched_cases)
+            yield (render_cell(m.psa.record_id), render_cell(m.psa.sfid), m.status.value,
+                   render_cell(";".join(c.court_number for c in m.matched_cases)))
 
     write_csv(path, ("record_id", "sfid", "status", "court_numbers"),
               _SizedRows(sum(report.counts().values()), rows))
 
 
 def _write_review(path: Path, unresolved) -> None:
-    rows = [(m.psa.record_id, m.psa.sfid, m.psa.name, m.psa.arrest_date, m.psa.psa_date,
-             join_charges(m.psa.booking_charges), m.note)
+    rows = [_rendered((m.psa.record_id, m.psa.sfid, m.psa.name, m.psa.arrest_date, m.psa.psa_date,
+                       join_charges(m.psa.booking_charges), m.note))
             for m in unresolved]
     write_csv(path, ("record_id", "sfid", "name", "arrest_date", "psa_date", "booking_charges", "reason"), rows)
 
 
 def _write_pairs(path: Path, pairs: list[AuditPair], entries: list[TallyEntry]) -> None:
     """One row per pair.  The 18 cells after its group depend only on its
-    two results, so they are rendered once per entry of ``entries``, the
-    pairs' tally, before any row is written, keyed by the identity of the
-    two results (which the pairs hold, so no key is reused meanwhile)."""
+    two results, so they are rendered once per distinct result pair of
+    ``entries``, the pairs' tally, before any row is written, keyed by the
+    identity of the two results (which the pairs hold, so no key is
+    reused meanwhile).  A group is one of ``GROUPS`` or "", a field text
+    as it is."""
     tails = {}
     for e in entries:
         b, c = e.booking, e.conviction
-        tails[id(b), id(c)] = _rendered((b.subscores.nvca_flag, *_result_cells(b),
-                                         c.subscores.nvca_flag, *_result_cells(c), *changes(b, c)))
+        if (key := (id(b), id(c))) not in tails:
+            tails[key] = _rendered((b.subscores.nvca_flag, *_result_cells(b),
+                                    c.subscores.nvca_flag, *_result_cells(c), *changes(b, c)))
 
     def rows():
         for p in pairs:
-            yield (p.record_id, p.group, *tails[id(p.booking_result), id(p.conviction_result)],
+            yield (render_cell(p.record_id), p.group, *tails[id(p.booking_result), id(p.conviction_result)],
                    FLAG_TEXT[p.excluded_by_sensitivity])
 
     write_csv(path, (
@@ -585,7 +589,7 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
 def cmd_consistency(opts: dict, out_dir: Path) -> int:
     _, _, cases, issues, _ = _read_inputs(opts, out_dir)
     matrix = race_consistency(cases)
-    rows = [(cat, matrix.individuals[cat], *_rendered(percents)) for cat, percents in matrix.rows.items()]
+    rows = [_rendered((cat, matrix.individuals[cat], *percents)) for cat, percents in matrix.rows.items()]
     write_csv(out_dir / "race_consistency.csv",
               ("designation", "n_individuals") + matrix.categories, rows)
     print(f"consistency rows: {len(rows)} (multi-record individuals only)")
@@ -607,13 +611,13 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
             engine_value = c.read(res)
             comparisons[c.name].append((engine_value, recorded))
             if engine_value != recorded:
-                mismatches.append((rec.record_id, c.name, render_cell(engine_value), render_cell(recorded)))
+                mismatches.append(_rendered((rec.record_id, c.name, engine_value, recorded)))
 
     rows = []
     for component, pairs in comparisons.items():
         agree = sum(e == r for e, r in pairs)
         rate = agreement_rate(*zip(*pairs)) if pairs else None
-        rows.append((component, len(pairs), agree, render_cell(rate)))
+        rows.append(_rendered((component, len(pairs), agree, rate)))
         print(f"{component}: {agree}/{len(pairs)}"
               + (" (no comparable rows)" if rate is None else f" = {rate:.6g}"))
     write_csv(out_dir / "validation_report.csv", ("component", "n", "agree", "agreement_rate"), rows)
@@ -626,11 +630,11 @@ def cmd_dedupe(opts: dict, out_dir: Path) -> int:
     _, records, _, issues, intake = _read_inputs(opts, out_dir)
     complete, incomplete = filter_complete(records)
     unique, duplicates = deduplicate(complete)
-    rows = [[join_charges(r.booking_charges) if c == "booking_charges" else render_cell(getattr(r, c))
-             for c in PSA_COLUMNS] for r in unique]
+    rows = [_rendered(join_charges(r.booking_charges) if c == "booking_charges" else getattr(r, c)
+                      for c in PSA_COLUMNS) for r in unique]
     write_csv(out_dir / "deduped_records.csv", PSA_COLUMNS, rows)
-    dropped = [(r.record_id, "incomplete") for r in incomplete]
-    dropped += [(r.record_id, "duplicate") for r in duplicates]
+    dropped = [(render_cell(r.record_id), "incomplete") for r in incomplete]
+    dropped += [(render_cell(r.record_id), "duplicate") for r in duplicates]
     write_csv(out_dir / "dedupe_dropped.csv", ("record_id", "reason"), dropped)
     counts = {k: intake[k] for k in ("psa_input_rows", "row_errors", "records_parsed")}
     counts.update(dropped_incomplete=len(incomplete), dropped_duplicates=len(duplicates), kept=len(unique))

@@ -4,17 +4,18 @@ All files are comma-separated UTF-8 with a header row; readers also accept
 a leading byte-order mark.  Multi-valued cells (charge lists, disposition
 lists) join their elements with ";".  Dates are YYYY-MM-DD, integers are an
 optional sign and ASCII digits, booleans are "true"/"false", missing values
-are empty cells; so a cell reads the same on every Python version.  Writers
-take each row as a sequence of cells in column order, each already in its
-written form: a str, or an int, date or None, which csv writes as the
-schema says.  A writer's caller renders every other value through
-``render_cell``, once per distinct value.  Rows end in "\\n", so repeated
-runs are byte-identical.
+are empty cells; so a cell reads the same on every Python version.  A
+written cell is its CSV field text: ``render_cell`` gives the field that
+``csv.writer(lineterminator="\\n")`` writes for a value, quoted as csv
+quotes it, and each caller renders each distinct value once.  So
+``write_csv`` takes each row as a sequence of field texts in column order
+and only joins them; rows end in "\\n", so repeated runs are
+byte-identical.
 
-csv quotes a cell holding "\\n" but not one holding a bare "\\r", which then
-splits the row when it is read back.  So the free-text cells that outputs
-copy (ids, sfids, names and charge texts) are row errors when they hold
-"\\r".
+csv quotes a field holding "\\n" but not one holding a bare "\\r", which
+then splits the row when it is read back.  So the free-text cells that
+outputs copy (ids, sfids, names and charge texts) are row errors when
+they hold "\\r".
 
 Both input files go through one row loop, ``_read_table``, which numbers
 the rows and files every row issue.  Each reader gives it one ``build``
@@ -30,6 +31,7 @@ import csv
 import re
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain, islice
 from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -328,35 +330,64 @@ def read_court_cases(
     return _read_table(path, COURT_COLUMNS, build, None)
 
 
-def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header of ``columns``, then each row: its cells in column
-    order, each a str, int, date or None (see ``render_cell``)."""
+#: The rows ``write_csv`` joins into one string and writes at a time: tens
+#: of kilobytes of text, so one write serves many rows, yet little beside
+#: the audit's intake, which writes matches.csv at its memory peak.
+_CHUNK_ROWS = 256
+
+
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header of ``columns``, then each row: its field texts in
+    column order, as ``render_cell`` gives them, joined by "," and ended
+    by "\\n".  As csv does, a row of one empty field is written ``""``,
+    so that it is not a blank line.  The rows are joined and written
+    ``_CHUNK_ROWS`` at a time, so the file is never one string."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
+    rows = chain((tuple(map(render_cell, columns)),), rows)
     with p.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            lines = list(map(",".join, chunk))
+            if not all(lines):
+                lines = [line if line or len(row) != 1 else '""' for line, row in zip(lines, chunk)]
+            lines.append("")
+            fh.write("\n".join(lines))
 
 
 #: A flag's written text, indexed by the flag: ``FLAG_TEXT[True] == "true"``.
 FLAG_TEXT = ("false", "true")
 
 
-def render_cell(value):
-    """``value`` as the schema writes it: a bool as true/false, a float
-    with ten significant digits and a level as its label.  Every other
-    value (str, int, date, None) is returned as it is, because csv
-    already writes it as the schema says.  Values come as plain bools,
-    floats and levels, so exact type tests suffice."""
+def render_cell(value) -> str:
+    """The CSV field of ``value``: the text that
+    ``csv.writer(lineterminator="\\n")`` writes for it, with the schema's
+    forms.  None is the empty field, a bool is true/false (``FLAG_TEXT``),
+    a float has ten significant digits, a level is its label, a date its
+    ISO form and an int its digits.  A text, or any other value's ``str``,
+    is quoted as csv's QUOTE_MINIMAL quotes it: when it holds ",", '"' or
+    "\\n", it is wrapped in '"' with each inner '"' doubled; a bare "\\r"
+    is not quoted (see the module docstring).  Values come as plain
+    bools, floats and levels, so exact type tests suffice."""
     kind = type(value)
-    if kind is bool:
+    if kind is str:
+        text = value
+    elif kind is int:
+        return str(value)
+    elif kind is bool:
         return FLAG_TEXT[value]
-    if kind is float:
+    elif value is None:
+        return ""
+    elif kind is float:
         return format(value, ".10g")
-    if kind is SupervisionLevel:
+    elif kind is SupervisionLevel:
         return value.label
-    return value
+    else:
+        text = str(value)  # a date is its ISO form
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text:
+        return '"' + text + '"'
+    return text
 
 
 SCHEMA_DOC = """\

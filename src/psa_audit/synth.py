@@ -34,7 +34,7 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -47,6 +47,7 @@ from .io import (
     GROUND_TRUTH_COLUMNS,
     PSA_COLUMNS,
     _Memo,
+    render_cell,
     write_csv,
 )
 
@@ -208,25 +209,26 @@ class GeneratorConfig:
 @dataclass(slots=True)
 class _Person:
     sfid: str
-    name: str
-    dob: str  # its text; equal dobs are one text
+    name: str  # its field text: quoted, as it holds a comma
+    dob: date  # equal dobs are one date
     group: str
     base_race: str
     last_arrest: date | None = None
 
     def age_at(self, day: date) -> int:
-        return (day - date.fromisoformat(self.dob)).days // 365
+        return (day - self.dob).days // 365
 
 
 @dataclass
 class SynthDataset:
     """The generated files' rows, each a tuple of cells in its file's
     column order: ``PSA_COLUMNS``, ``COURT_COLUMNS`` and
-    ``GROUND_TRUTH_COLUMNS``.  Each cell is in its written form: text, or
-    an int or None, which ``write_csv`` writes as they are.  Equal
-    charge-list, disposition and name cells are one shared text, and so
-    are equal dates (dobs, arrest, assessment and court dates), so the
-    rows hold little beyond their own ids."""
+    ``GROUND_TRUTH_COLUMNS``.  Each cell is its CSV field text, as
+    ``io.render_cell`` gives it and ``write_csv`` joins it: a name such as
+    ``ADAMS, ALEX`` is held quoted, counts are digits and a blank is "".
+    Equal charge-list, disposition, name and count cells are one shared
+    text, and so are equal dates (dobs, arrest, assessment and court
+    dates), so the rows hold little beyond their own ids."""
 
     psa_rows: list[tuple]
     court_rows: list[tuple]
@@ -325,14 +327,17 @@ class _Generator:
         self.court_rows: list[tuple] = []
         self.truth_rows: list[tuple] = []
         self.base_rows: list[tuple] = []  # the psa_rows a duplicate may copy
-        self._shared: dict = {}  # each repeated cell text, and each arrest date
-        # each distinct date's text: arrest and court dates by the date, and
-        # dobs by their day in the dob range (a list is half the size of a
-        # date-keyed memo over that range)
+        # the field text of a repeated cell's text, rendered the first time
+        # and then the one object every row holding it shares
+        self._share = _Memo(render_cell).__getitem__
+        self._count_text = _Memo(str)  # each count's text: fta, nca, age, prior violence
+        self._arrests: dict = {}  # each arrest date
+        # each distinct date's text, and each dob by its day in the dob range
         self._date_text = _Memo(date.isoformat)
-        self._dob_texts: list[str | None] = [None] * _DOB_DAYS
-        self._record_seq = 0
-        self._case_seq = 0
+        self._dobs: list[date | None] = [None] * _DOB_DAYS
+        # the next row id: R000001, R000002, ... and CN0000001, ...
+        self._next_record_id = map("R{:06d}".format, count(1)).__next__
+        self._next_court_number = map("CN{:07d}".format, count(1)).__next__
         # every draw is built once, here, not per record
         rng = self.rng
         self._below = _draw_below(rng)
@@ -369,18 +374,6 @@ class _Generator:
 
     # -- small draw helpers ------------------------------------------------
 
-    def _share(self, value):
-        """``value``, or the equal value that an earlier row already holds."""
-        return self._shared.setdefault(value, value)
-
-    def _next_record_id(self) -> str:
-        self._record_seq += 1
-        return f"R{self._record_seq:06d}"
-
-    def _next_court_number(self) -> str:
-        self._case_seq += 1
-        return f"CN{self._case_seq:07d}"
-
     def _draw_person(self) -> _Person:
         if self.persons and self.rng.random() < self.cfg.person_reuse_rate:
             return self.persons[self._below(len(self.persons))]
@@ -389,9 +382,9 @@ class _Generator:
         below = self._below
         name = self._share(f"{LAST_NAMES[below(len(LAST_NAMES))]}, {FIRST_NAMES[below(len(FIRST_NAMES))]}")
         days = below(_DOB_DAYS)
-        dob = self._dob_texts[days]
+        dob = self._dobs[days]
         if dob is None:
-            dob = self._dob_texts[days] = (_FIRST_DOB + timedelta(days=days)).isoformat()
+            dob = self._dobs[days] = _FIRST_DOB + timedelta(days=days)
         person = _Person(f"SF{len(self.persons) + 1:06d}", name, dob, group, base_race)
         self.persons.append(person)
         return person
@@ -403,7 +396,7 @@ class _Generator:
             arrest = date(2016, 7, 1) + timedelta(days=self._below(330))
         else:
             arrest = person.last_arrest + timedelta(days=5 + self._below(60))
-        person.last_arrest = arrest = self._share(arrest)
+        person.last_arrest = arrest = self._arrests.setdefault(arrest, arrest)
         return arrest
 
     def _draw_fta_nca(self, group: str, pinned: tuple[list, frozenset] | None) -> tuple[int, int]:
@@ -461,13 +454,14 @@ class _Generator:
         fta, nca = self._draw_fta_nca(person.group, None)
         # a one-charge list is its pool text
         misdemeanors = self.pools["neutral_misdemeanors"]
-        booked = misdemeanors[self._below(len(misdemeanors))]
-        row = self._psa_row(person, arrest, fta, nca, False, booked, prior_conviction=False, pv=0)
+        booked = self._share(misdemeanors[self._below(len(misdemeanors))])
+        row = self._psa_row(person, arrest, person.age_at(arrest), fta, nca, False, booked,
+                            prior_conviction=False, pv=0)
         blank = _BLANKABLE[self._below(len(_BLANKABLE))]
         i = PSA_COLUMNS.index(blank)
-        row = (*row[:i], None, *row[i + 1:])
+        row = (*row[:i], "", *row[i + 1:])
         self.psa_rows.append(row)
-        self.truth_rows.append((row[0], "incomplete", self._share(f"missing:{blank}"), person.group,
+        self.truth_rows.append((row[0], "incomplete", self._share(f"missing:{blank}"), self._share(person.group),
                                 "", "", "", "", ""))
 
     def _emit_base(self):
@@ -499,10 +493,11 @@ class _Generator:
 
         # the row is scored exactly as the audit re-scores it; scoring draws
         # no random numbers, so it may come before the row
-        subs = derive_subscores(fta, nca, person.age_at(arrest), prior_conviction, pv, charges, self.engine)
+        age = person.age_at(arrest)
+        subs = derive_subscores(fta, nca, age, prior_conviction, pv, charges, self.engine)
         result = assess(subs, charges, False, self.engine.dmf, self.engine.catalog)
         booked = self._share(";".join(texts))
-        row = self._psa_row(person, arrest, fta, nca, subs.nvca_flag, booked, prior_conviction, pv,
+        row = self._psa_row(person, arrest, age, fta, nca, subs.nvca_flag, booked, prior_conviction, pv,
                             (FLAG_TEXT[result.exclusion], FLAG_TEXT[result.bumpup], result.final.label))
         self.psa_rows.append(row)
         self.base_rows.append(row)
@@ -517,7 +512,8 @@ class _Generator:
 
         convicted = ";".join(texts[first_convicted:]) if disposed else ""
         self.truth_rows.append((
-            row[0], "base", "unmatched" if unmatched else scenario, person.group, ";".join(matched_numbers),
+            row[0], "base", "unmatched" if unmatched else scenario, self._share(person.group),
+            ";".join(matched_numbers),
             FLAG_TEXT[disposed], self._share(convicted),
             FLAG_TEXT[scenario == "overbooked_affected" and disposed and not unmatched], "",
         ))
@@ -570,7 +566,7 @@ class _Generator:
         arrest = self._offset_text(psa_arrest, self._draw_case_arrest_offset)
         number = self._next_court_number()
         self.court_rows.append((
-            number, person.sfid, person.name, person.dob, arrest,
+            number, person.sfid, person.name, self._date_text[person.dob], arrest,
             self._draw_race(person), booked, booked, self._share(";".join(dispositions)),
         ))
         return number
@@ -580,15 +576,16 @@ class _Generator:
         if texts:
             self._emit_case(person, psa_arrest, self._share(";".join(texts)), ["30"] * len(texts))
 
-    def _psa_row(self, person: _Person, arrest: date, fta, nca, nvca: bool, booked: str, prior_conviction: bool,
-                 pv, recorded=(None, None, None)) -> tuple:
+    def _psa_row(self, person: _Person, arrest: date, age: int, fta: int, nca: int, nvca: bool, booked: str,
+                 prior_conviction: bool, pv: int, recorded=("", "", "")) -> tuple:
         """One assessment row in PSA_COLUMNS order; ``booked`` is the joined
-        charge list and ``recorded`` holds the texts of the form's
-        exclusion, bump-up and recommendation."""
+        charge list's field text and ``recorded`` holds the texts of the
+        form's exclusion, bump-up and recommendation."""
+        text = self._count_text
         return (
-            self._next_record_id(), person.sfid, person.name, person.dob, self._date_text[arrest],
-            self._offset_text(arrest, self._draw_assessment_offset),
-            fta, nca, FLAG_TEXT[nvca], booked, person.age_at(arrest), FLAG_TEXT[prior_conviction], pv, *recorded,
+            self._next_record_id(), person.sfid, person.name, self._date_text[person.dob], self._date_text[arrest],
+            self._offset_text(arrest, self._draw_assessment_offset), text[fta], text[nca], FLAG_TEXT[nvca],
+            booked, text[age], FLAG_TEXT[prior_conviction], text[pv], *recorded,
         )
 
 

@@ -1,27 +1,34 @@
-"""The readers parse each distinct cell once per file and share its value.
+"""The readers parse each distinct cell once per file and share its value,
+and the writer writes what csv writes.
 
-Every check runs on a seeded simulated corpus or on small fixtures; the
-reference for each value is a fresh parse of its cell with the public
-parse functions, one cell at a time.
+Every reader check runs on a seeded simulated corpus or on small fixtures;
+the reference for each value is a fresh parse of its cell with the public
+parse functions, one cell at a time.  The writer's reference is
+``csv.writer`` on the values themselves.
 """
 
 import csv
 import random
 from datetime import date
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from psa_audit.charges import parse_charge_code
 from psa_audit.cli import main
+import psa_audit.io as io
 from psa_audit.engine import SupervisionLevel
 from psa_audit.io import (
     COURT_COLUMNS,
+    FLAG_TEXT,
     PSA_COLUMNS,
     parse_bool,
     parse_date,
     parse_int,
     read_court_cases,
     read_psa_records,
+    render_cell,
     write_csv,
 )
 
@@ -39,7 +46,7 @@ def _cells(path):
 
 
 def _write(path, columns, rows):
-    write_csv(path, columns, [[row[c] for c in columns] for row in rows])
+    write_csv(path, columns, [[render_cell(row[c]) for c in columns] for row in rows])
 
 
 def _charges(cell):
@@ -208,3 +215,51 @@ def test_a_repeated_required_column_is_a_schema_error(tmp_path, capsys, command,
     assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"repeated columns ['{column}']" in err and "Traceback" not in err
+
+
+def _schema_form(value):
+    """What csv is given for ``value``: the schema's text of a bool, a
+    float or a level, which csv has no form for, and any other value as
+    it is."""
+    kind = type(value)
+    if kind is bool:
+        return FLAG_TEXT[value]
+    if kind is float:
+        return format(value, ".10g")
+    if kind is SupervisionLevel:
+        return value.label
+    return value
+
+
+#: Texts rich in what csv quotes or must not split on.
+_TEXTS = st.text(st.one_of(st.sampled_from([",", '"', "\n", "\r", ";", " ", "a", "\u00e9", "\u65e5"]),
+                           st.characters(blacklist_categories=("Cs",))), max_size=6)
+_VALUES = st.one_of(_TEXTS, st.none(), st.booleans(), st.integers(), st.floats(), st.dates(),
+                    st.sampled_from(SupervisionLevel))
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(_TEXTS, min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(_VALUES, min_size=len(columns), max_size=len(columns)), max_size=12))
+    return columns, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.integers(1, 5))
+@example((["only"], [[""], ["x"], [None], [""]]), 2)
+@example((["a,b", 'say "hi"'], [["x\ry", "\u00e9,\u65e5"], ["", None], ["line\nbreak", 1.5]]), 1)
+def test_write_csv_of_rendered_cells_is_what_csv_writes(tmp_path_factory, table, chunk_rows):
+    """write_csv over render_cell's texts writes, byte for byte, what
+    csv.writer(lineterminator="\\n") writes of the values; chunks of a
+    few rows put chunk edges among the drawn rows."""
+    columns, rows = table
+    out = tmp_path_factory.getbasetemp() / "writer"
+    written, reference = out / "written.csv", out / "reference.csv"
+    with mock.patch.object(io, "_CHUNK_ROWS", chunk_rows):
+        write_csv(written, columns, [[render_cell(v) for v in row] for row in rows])
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([[_schema_form(v) for v in row] for row in rows])
+    assert written.read_bytes() == reference.read_bytes()

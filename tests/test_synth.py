@@ -199,7 +199,7 @@ def test_rows_are_tuples_and_equal_cells_are_one_object(config):
     cells += [r[GROUND_TRUTH_COLUMNS.index("conviction_charges")] for r in ds.truth_rows]
     dates = [r[PSA_COLUMNS.index(column)] for column in ("dob", "arrest_date", "psa_date") for r in ds.psa_rows]
     dates += [r[COURT_COLUMNS.index(column)] for column in ("dob", "arrest_date") for r in ds.court_rows]
-    assert all(type(d) is str and len(d) == 10 for d in dates if d is not None)
+    assert all(type(d) is str and len(d) == 10 for d in dates if d != "")
     cells += dates
     objects = {}
     for cell in cells:
