@@ -9,6 +9,7 @@ its outputs with everything needed to re-execute it byte-identically.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import json
 import os
@@ -86,6 +87,7 @@ def main(argv=None) -> int:
     # leaves for the collector does not grow with its input.
     collecting = gc.isenabled()
     gc.disable()
+    _map_large_blocks()
     try:
         if args.command == "rerun":
             return _cmd_rerun(args)
@@ -96,6 +98,29 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+#: glibc's mallopt parameter for the size from which a block gets its own
+#: mapping, and its default value.
+_M_MMAP_THRESHOLD, _MMAP_THRESHOLD = -3, 128 * 1024
+
+
+def _map_large_blocks() -> None:
+    """Keep glibc's malloc giving each block of 128 KiB or more a mapping
+    of its own, which goes back to the system when it is freed.  By
+    default glibc raises that threshold to the size of every such block
+    freed, and the readers free their large memo tables when they return;
+    the court reader's tables then come from the heap, under blocks the
+    run keeps, and stay resident, so the wide 100k audit's peak read
+    94.6 or 99.0 MB with the length of the checkout's path alone.  Where
+    the C library has no ``mallopt``, this does nothing.  The setting
+    lasts for the process."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
