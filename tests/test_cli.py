@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -1089,6 +1090,31 @@ def test_commands_leave_no_garbage_that_grows_with_the_input(tmp_path):
     assert small.keys() == large.keys() == {"simulate", "audit", "validate", "score"}
     for command in small:
         assert large[command] <= small[command] + 50, (command, small, large)
+
+
+@pytest.mark.parametrize("library", ["glibc", "no_mallopt", "no_c_library"])
+def test_commands_run_with_or_without_mallopt(tmp_path, monkeypatch, library):
+    """main fixes glibc's mmap threshold through mallopt where the C
+    library has it, and runs the same without it; the outputs are the
+    same either way."""
+    calls = []
+
+    def mallopt(*args):
+        calls.append(args)
+        return 1
+
+    def cdll(name):
+        if library == "no_c_library":
+            raise OSError("no C library")
+        return SimpleNamespace(mallopt=mallopt) if library == "glibc" else SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert run(["simulate", "--n", 200, "--seed", 4, "--out", tmp_path / "patched"]) == 0
+    monkeypatch.undo()
+    assert run(["simulate", "--n", 200, "--seed", 4, "--out", tmp_path / "real"]) == 0
+    assert calls == ([(-3, 128 * 1024)] if library == "glibc" else [])
+    for name in ("psa_records.csv", "court_cases.csv", "ground_truth.csv", "planted_counts.csv"):
+        assert (tmp_path / "patched" / name).read_bytes() == (tmp_path / "real" / name).read_bytes()
 
 
 def _live(cls) -> int:
