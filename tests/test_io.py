@@ -15,9 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import psa_audit.io as psa_io
 from psa_audit.charges import parse_charge_code
 from psa_audit.cli import main
-import psa_audit.io as io
 from psa_audit.engine import SupervisionLevel
 from psa_audit.io import (
     COURT_COLUMNS,
@@ -256,7 +256,7 @@ def test_write_csv_of_rendered_cells_is_what_csv_writes(tmp_path_factory, table,
     columns, rows = table
     out = tmp_path_factory.getbasetemp() / "writer"
     written, reference = out / "written.csv", out / "reference.csv"
-    with mock.patch.object(io, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(psa_io, "_CHUNK_ROWS", chunk_rows):
         write_csv(written, columns, [[render_cell(v) for v in row] for row in rows])
     with open(reference, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
