@@ -93,14 +93,23 @@ def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[C
     for case in match.matched_cases:
         if not fully_disposed(case):
             raise NotDisposed(f"case {case.court_number} has pending charges")
-    return _dedup_sorted([charge for case in match.matched_cases
-                          for charge, code in zip(case.filed_charges, case.dispositions)
-                          if is_conviction(code, case, policy)])
+    # every code is terminal now, so ``is_conviction`` reduces to the
+    # threshold plus one per-case answer: whether a zero code convicts there
+    threshold = policy.conviction_threshold
+    convicted = []
+    for case in match.matched_cases:
+        zero = is_conviction(0, case, policy)
+        convicted += [charge for charge, code in zip(case.filed_charges, case.dispositions)
+                      if code > threshold or (zero and code == 0)]
+    return _dedup_sorted(convicted)
 
 
 def booking_charges(match: MatchResult) -> tuple[ChargeCode, ...]:
     """Union of booked charges across the matched case(s)."""
-    return _dedup_sorted([c for case in match.matched_cases for c in case.booking_charges])
+    cases = match.matched_cases
+    if len(cases) == 1:
+        return _dedup_sorted(cases[0].booking_charges)
+    return _dedup_sorted([c for case in cases for c in case.booking_charges])
 
 
 def counterfactual_assess(
@@ -192,7 +201,11 @@ def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: Engi
     scoring, when a matched case still has pending charges."""
     convicted = conviction_charges(match, policy)
     booked = booking_charges(match)
-    plea_entered = any(policy.plea_to_other_code in case.dispositions for case in match.matched_cases)
+    cases = match.matched_cases
+    if len(cases) == 1:
+        plea_entered = policy.plea_to_other_code in cases[0].dispositions
+    else:
+        plea_entered = any(policy.plea_to_other_code in case.dispositions for case in cases)
     return AuditPair(
         record_id=match.psa.record_id,
         booking_result=counterfactual_assess(match.psa, booked, config),

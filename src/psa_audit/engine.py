@@ -135,17 +135,22 @@ _SPLIT = "SPLIT"
 @dataclass(frozen=True)
 class DmfConfig:
     """6x6 decision matrix indexed (fta, nca), values SupervisionLevel
-    or the split-cell marker."""
+    or the split-cell marker; checked once, when made, to be 6x6 with
+    no missing cell."""
 
     cells: tuple[tuple[SupervisionLevel | str, ...], ...]
+
+    def __post_init__(self):
+        if len(self.cells) != 6 or any(len(row) != 6 for row in self.cells):
+            raise ConfigError("decision matrix must be 6x6 (fta 1..6 by nca 1..6)")
+        for i, row in enumerate(self.cells):
+            if None in row:
+                raise ConfigError(f"decision matrix cell ({i + 1}, {row.index(None) + 1}) is missing")
 
     def cell(self, fta: int, nca: int) -> SupervisionLevel | str:
         if not (1 <= fta <= len(self.cells) and 1 <= nca <= len(self.cells[0])):
             raise ConfigError(f"decision matrix has no cell ({fta}, {nca})")
-        value = self.cells[fta - 1][nca - 1]
-        if value is None:
-            raise ConfigError(f"decision matrix cell ({fta}, {nca}) is missing")
-        return value
+        return self.cells[fta - 1][nca - 1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +227,9 @@ def _bumpup(summary: _ChargeSummary, nvca_flag: bool) -> tuple[bool, str]:
 
 
 def _initial(subscores: SubScores, summary: _ChargeSummary, dmf: DmfConfig) -> SupervisionLevel:
-    value = dmf.cell(subscores.fta, subscores.nca)
+    # SubScores holds fta and nca in 1..6 and DmfConfig is checked 6x6
+    # with every cell present, so the cell needs no check here
+    value = dmf.cells[subscores.fta - 1][subscores.nca - 1]
     if value == _SPLIT:
         if summary.felony_or_violent_misdemeanor:
             return SupervisionLevel.RELEASE_NOT_RECOMMENDED

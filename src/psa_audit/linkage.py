@@ -29,6 +29,7 @@ from .engine import SubScores, SupervisionLevel
 
 WINDOW_BEFORE = timedelta(days=1)
 WINDOW_AFTER = timedelta(days=2)
+_ONE_DAY = timedelta(days=1)
 
 
 @dataclass(slots=True)
@@ -70,7 +71,7 @@ class PsaRecord:
         """Soft invariant checks, reported as diagnostics rather than raised:
         source data with transposed dates must still reach the review queue."""
         issues = []
-        if self.psa_date and self.arrest_date and self.psa_date < self.arrest_date - timedelta(days=1):
+        if self.psa_date and self.arrest_date and self.psa_date < self.arrest_date - _ONE_DAY:
             issues.append("psa_date earlier than one day before arrest_date")
         return issues
 
@@ -167,15 +168,21 @@ def _content_order(record: PsaRecord):
 
 
 _sfid = attrgetter("sfid")
+_court_number = attrgetter("court_number")
 
 
-def _in_content_order(records: Iterable[PsaRecord]) -> Iterator[tuple[tuple, PsaRecord]]:
+def _in_content_order(records: Iterable[PsaRecord]) -> Iterator[tuple[tuple | None, PsaRecord]]:
     """Each record with its ``_content_order`` key, in that order.  The
     key leads with the sfid, so the records are sorted by sfid first and
     then one person at a time by the whole key: only one person's keys
-    are alive at once."""
+    are alive at once.  A person's only record needs no key to be placed,
+    and comes with None instead."""
     for _, person in groupby(sorted(records, key=_sfid), key=_sfid):
-        yield from sorted(((_content_order(r), r) for r in person), key=itemgetter(0))
+        person = list(person)
+        if len(person) == 1:
+            yield None, person[0]
+        else:
+            yield from sorted(((_content_order(r), r) for r in person), key=itemgetter(0))
 
 
 def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[PsaRecord]]:
@@ -188,8 +195,8 @@ def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[Psa
     unique, dropped = [], []
     kept = None  # the key of the last representative; equal keys are adjacent
     for order, r in _in_content_order(records):
-        key = order[:4]
-        if key == kept:
+        key = order and order[:4]  # None for a person's only record
+        if key is not None and key == kept:
             dropped.append(r)
         else:
             kept = key
@@ -209,7 +216,7 @@ def find_candidates(psa: PsaRecord, cases: Iterable[CourtCase]) -> list[CourtCas
         for c in cases
         if c.sfid == psa.sfid and c.arrest_date is not None and lo <= c.arrest_date <= hi
     ]
-    out.sort(key=lambda c: c.court_number)
+    out.sort(key=_court_number)
     return out
 
 
@@ -221,7 +228,7 @@ def resolve_match(psa: PsaRecord, candidates: Sequence[CourtCase]) -> MatchResul
     steps is declared a match.  No candidate at all means the record goes
     to manual review.
     """
-    pool = sorted(candidates, key=lambda c: c.court_number)
+    pool = sorted(candidates, key=_court_number)
     if not pool:
         return MatchResult(psa=psa, matched_cases=(), status=MatchStatus.UNRESOLVED, note="no-candidates")
     if len(pool) == 1:

@@ -3,6 +3,7 @@ from dataclasses import replace
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psa_audit.charges import parse_charge_code
 from psa_audit.counterfactual import (
@@ -310,3 +311,101 @@ def test_per_record_types_stay_slotted(config):
     assert [type(x).__name__ for x in instances] == [
         "PsaRecord", "CourtCase", "MatchResult", "AuditPair", "PsaResult", "SubScores"]
     assert [type(x).__name__ for x in instances if hasattr(x, "__dict__")] == []
+
+
+# ---------------------------------------------------------------------------
+# the pair path against a per-charge reference
+
+
+def _ref_union(charges):
+    """The first of ``charges`` with each normalized text, in normalized-text order."""
+    first = {}
+    for c in charges:
+        first.setdefault(c.normalized, c)
+    return tuple(first[text] for text in sorted(first))
+
+
+def _ref_conviction_charges(match, policy):
+    for c in match.matched_cases:
+        if not fully_disposed(c):
+            raise NotDisposed(c.court_number)
+    return _ref_union([charge for c in match.matched_cases
+                       for charge, code in zip(c.filed_charges, c.dispositions) if is_conviction(code, c, policy)])
+
+
+def _ref_booking_charges(match):
+    return _ref_union([charge for c in match.matched_cases for charge in c.booking_charges])
+
+
+def _ref_build_audit_pairs(matches, policy, config, b_people):
+    pairs, skipped = [], []
+    for m in matches:
+        try:
+            convicted = _ref_conviction_charges(m, policy)
+        except NotDisposed:
+            skipped.append(m.psa.record_id)
+            continue
+        plea_entered = any(policy.plea_to_other_code in c.dispositions for c in m.matched_cases)
+        pairs.append(AuditPair(
+            record_id=m.psa.record_id,
+            booking_result=counterfactual_assess(m.psa, _ref_booking_charges(m), config),
+            conviction_result=counterfactual_assess(m.psa, convicted, config),
+            excluded_by_sensitivity=plea_entered and not convicted,
+            group="B" if m.psa.sfid in b_people else "non-B",
+        ))
+    return pairs, skipped
+
+
+# two spellings of 459 and of 484, so equal normalized texts meet across
+# cases and the union must keep the first spelling it sees
+_DIFF_CHARGES = ("459 PC F", "459PC F", "484 PC M", "484  PC M", "187(A) PC F", "240 PC M", "211 PC F")
+
+
+@st.composite
+def _policies(draw):
+    threshold = draw(st.sampled_from((2, 159)))
+    plea = draw(st.sampled_from(sorted({1, min(72, threshold), threshold})))
+    return DispositionPolicy(threshold, plea, draw(st.booleans()))
+
+
+@st.composite
+def _matches(draw, policy, record_id):
+    threshold, plea = policy.conviction_threshold, policy.plea_to_other_code
+    # pending slots, zero, the plea code and the threshold's neighbours
+    codes = st.sampled_from((None, 0, plea, threshold - 1, threshold, threshold + 1, 300))
+    cases = []
+    for n in range(draw(st.integers(1, 3))):
+        filed = draw(st.lists(st.sampled_from(_DIFF_CHARGES), min_size=1, max_size=4))
+        cases.append(CourtCase(
+            court_number=f"C{n}",
+            sfid="S1",
+            arrest_date=date(2016, 9, 1),
+            booking_charges=tuple(q(c) for c in draw(st.lists(st.sampled_from(_DIFF_CHARGES), max_size=3))),
+            filed_charges=tuple(q(c) for c in filed),
+            dispositions=tuple(draw(codes) for _ in filed),
+        ))
+    record = replace(rec(record_id=record_id, fta=draw(st.integers(1, 6)), nca=draw(st.integers(1, 6)),
+                         prior_conviction=draw(st.booleans()), pv=draw(st.integers(0, 2))),
+                     sfid=draw(st.sampled_from(("S1", "S2"))))
+    return matched(*cases, record=record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_path_equals_the_per_charge_reference(config, data):
+    policy = data.draw(_policies())
+    matches = [data.draw(_matches(policy, f"R{i}")) for i in range(data.draw(st.integers(1, 4)))]
+    for m in matches:
+        assert list(map(id, booking_charges(m))) == list(map(id, _ref_booking_charges(m)))
+        try:
+            reference = _ref_conviction_charges(m, policy)
+        except NotDisposed:
+            with pytest.raises(NotDisposed):
+                conviction_charges(m, policy)
+        else:
+            assert list(map(id, conviction_charges(m, policy))) == list(map(id, reference))
+    pairs, skipped = build_audit_pairs(matches, policy, config, {"S1"})
+    ref_pairs, ref_skipped = _ref_build_audit_pairs(matches, policy, config, {"S1"})
+    assert skipped == ref_skipped
+    assert pairs == ref_pairs
+    assert [p.excluded_by_sensitivity for p in pairs] == [p.excluded_by_sensitivity for p in ref_pairs]

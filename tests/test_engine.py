@@ -208,6 +208,19 @@ def test_dmf_loader_rejects_bad_shapes(tmp_path):
         load_dmf_config(p)
 
 
+def test_dmf_config_is_checked_when_made(config):
+    rows = config.dmf.cells
+    for cells in (rows[:5], rows[:5] + (rows[5][:5],), rows[:5] + (rows[5][:5] + (None,),)):
+        with pytest.raises(ConfigError):
+            DmfConfig(cells=cells)
+    # the engine reads each cell unchecked, as the checked ``cell`` gives it
+    no_charges = engine._summarize((), config.catalog)
+    for fta, nca in itertools.product(range(1, 7), repeat=2):
+        cell = config.dmf.cell(fta, nca)
+        expected = L.SFPDP_ACM if cell == "SPLIT" else cell
+        assert engine._initial(SubScores(fta, nca, False), no_charges, config.dmf) is expected
+
+
 def test_weights_loader_rejects_bad_config(tmp_path):
     p = tmp_path / "weights.yaml"
     for doc in (
