@@ -141,11 +141,8 @@ class DmfConfig:
     cells: tuple[tuple[SupervisionLevel | str, ...], ...]
 
     def __post_init__(self):
-        if len(self.cells) != 6 or any(len(row) != 6 for row in self.cells):
-            raise ConfigError("decision matrix must be 6x6 (fta 1..6 by nca 1..6)")
-        for i, row in enumerate(self.cells):
-            if None in row:
-                raise ConfigError(f"decision matrix cell ({i + 1}, {row.index(None) + 1}) is missing")
+        if len(self.cells) != 6 or any(len(row) != 6 or None in row for row in self.cells):
+            raise ConfigError("decision matrix must be 6x6 (fta 1..6 by nca 1..6) with no missing cell")
 
     def cell(self, fta: int, nca: int) -> SupervisionLevel | str:
         if not (1 <= fta <= len(self.cells) and 1 <= nca <= len(self.cells[0])):
