@@ -94,11 +94,12 @@ def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[C
         if not fully_disposed(case):
             raise NotDisposed(f"case {case.court_number} has pending charges")
     # every code is terminal now, so ``is_conviction`` reduces to the
-    # threshold plus one per-case answer: whether a zero code convicts there
+    # threshold plus one per-case answer: whether a zero code convicts
+    # there, asked only of a case that holds one
     threshold = policy.conviction_threshold
     convicted = []
     for case in match.matched_cases:
-        zero = is_conviction(0, case, policy)
+        zero = 0 in case.dispositions and is_conviction(0, case, policy)
         convicted += [charge for charge, code in zip(case.filed_charges, case.dispositions)
                       if code > threshold or (zero and code == 0)]
     return _dedup_sorted(convicted)
