@@ -40,6 +40,8 @@ from .io import (
     PSA_COLUMNS,
     SCHEMA_DOC,
     RowIssue,
+    _Items,
+    _shared_memos,
     join_charges,
     read_court_cases,
     read_psa_records,
@@ -109,12 +111,14 @@ def _map_large_blocks() -> None:
     """Keep glibc's malloc giving each block of 128 KiB or more a mapping
     of its own, which goes back to the system when it is freed.  By
     default glibc raises that threshold to the size of every such block
-    freed, and the readers free their large memo tables when they return;
-    the court reader's tables then come from the heap, under blocks the
-    run keeps, and stay resident, so the wide 100k audit's peak read
-    94.6 or 99.0 MB with the length of the checkout's path alone.  Where
-    the C library has no ``mallopt``, this does nothing.  The setting
-    lasts for the process."""
+    freed, and the intake frees large memo tables as it goes (the record
+    reader's per-file tables when it returns, the shared ones when
+    ``_read_inputs`` returns); later large blocks then come from the
+    heap, under blocks the run keeps, and stay resident, so the wide
+    100k audit's peak read 85.6-87.9 MB with the length of the
+    checkout's path alone, and 84.6-85.0 MB with the threshold fixed.
+    Where the C library has no ``mallopt``, this does nothing.  The
+    setting lasts for the process."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -353,23 +357,27 @@ def _read_inputs(opts: dict, out_dir: Path):
     """Load the engine config and read whichever of ``--psa`` and
     ``--court`` the command takes, parsing charges with the catalog's
     derivative prefixes, and list every row issue in ``input_errors.csv``.
+    Both readers get one set of memos for the columns both files parse
+    the same way, so each of those cell texts is parsed once per run and
+    a record and its case share the value; the set is dropped on return.
 
     Returns (config, records, cases, issues, counts); counts are the
-    intake stages of ``counts_summary.csv``, where ``row_errors`` and
+    intake stages of ``counts_summary.csv``.  Each file's input rows are
+    the data rows its reader numbered, and ``row_errors`` and
     ``court_row_errors`` count the rows of the record and of the case
-    file that were skipped, so each file's input rows are its parsed rows
-    plus its row errors.
+    file that were skipped; the reader checks that its input rows are its
+    parsed rows plus its row errors.
     """
     config = _engine_config(opts)
-    prefixes = config.catalog.derivative_prefixes
-    records, psa_issues = read_psa_records(opts["psa"], prefixes) if "psa" in opts else ([], [])
-    cases, court_issues = read_court_cases(opts["court"], prefixes) if "court" in opts else ([], [])
+    memos = _shared_memos(config.catalog.derivative_prefixes)
+    records, psa_issues = read_psa_records(opts["psa"], memos=memos) if "psa" in opts else (_Items(), [])
+    cases, court_issues = read_court_cases(opts["court"], memos=memos) if "court" in opts else (_Items(), [])
     issues = psa_issues + court_issues
     _write_issues(out_dir / "input_errors.csv", issues)
     psa_errors, court_errors = len(_hard_issues(psa_issues)), len(_hard_issues(court_issues))
     counts = {
-        "psa_input_rows": len(records) + psa_errors,
-        "court_input_rows": len(cases) + court_errors,
+        "psa_input_rows": records.rows,
+        "court_input_rows": cases.rows,
         "row_errors": psa_errors,
         "court_row_errors": court_errors,
         "records_parsed": len(records),

@@ -18,11 +18,16 @@ outputs copy (ids, sfids, names and charge texts) are row errors when
 they hold "\\r".
 
 Both input files go through one row loop, ``_read_table``, which numbers
-the rows and files every row issue.  Each reader gives it one ``build``
-and each column one parser for the file.  That parser is a memo: each
-distinct cell text is parsed once per file, and every row carrying it
-shares the resulting immutable value (a date, a charge tuple, a level, ...).
-Only the row ids, which are unique, are not memoized.
+the rows, files every row issue and checks that each numbered row is
+either an item or a row error.  Each reader gives it one ``build`` and
+each column one parser.  That parser is a memo: each distinct cell text
+is parsed once, and every row carrying it shares the resulting immutable
+value (a date, a charge tuple, a level, ...).  The columns both files
+parse the same way (sfid, name, dob, arrest date, charge texts and
+charge cells) share one set of memos per run, ``_SharedMemos``, so a
+text both files carry is parsed once and a record and its case share
+its value; every other column has a memo per file.  Only the row ids,
+which are unique, are not memoized.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from datetime import date
 from itertools import chain, islice
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .charges import ChargeCode, Derivative, parse_charge_code
 from .engine import SupervisionLevel
@@ -133,7 +138,7 @@ def join_charges(charges: Iterable[ChargeCode]) -> str:
 
 
 class _Memo(dict):
-    """One column's parser for one file: maps each distinct cell text to
+    """One column's parser: maps each distinct cell text to
     its parsed value, calling ``parse(text, *args)`` the first time a text is
     looked up, so every row carrying that text shares one immutable value.
     A text whose parse raises is not stored, so each row carrying it raises
@@ -154,16 +159,46 @@ class _Memo(dict):
 
 def _split_charges(cell: str, where: str, codes: _Memo) -> tuple[ChargeCode, ...]:
     """A ';'-joined charge cell of column ``where``.  ``codes`` is the
-    file's memo of charge texts, so each distinct stripped text is parsed
-    once and its ChargeCode is shared by every cell that carries it.  A
+    memo of charge texts, so each distinct stripped text is parsed once
+    and its ChargeCode is shared by every cell that carries it.  A
     charge keeps its text in ``raw``, which the outputs copy, so a charge
     text holding "\\r" is a row error too."""
     return tuple(codes[text] for part in cell.split(";") if (text := _parse_text(part, where)))
 
 
+class _SharedMemos(NamedTuple):
+    """The memos of the columns both input files parse the same way: the
+    sfid, name, dob and arrest date cells, the charge texts (``codes``)
+    and the charge cells (``charges``, whose errors name booking_charges).
+    One set passed to both readers parses a text both files carry once,
+    and a record and its case share the value.  A memo stores only
+    successful parses, so sharing changes no row's issues."""
+
+    sfid: _Memo
+    name: _Memo
+    dob: _Memo
+    arrest_date: _Memo
+    codes: _Memo
+    charges: _Memo
+
+
+def _shared_memos(prefixes: Mapping[str, Derivative] | None = None) -> _SharedMemos:
+    """A fresh set of shared memos, parsing charges with ``prefixes``."""
+    codes = _Memo(parse_charge_code, prefixes)
+    return _SharedMemos(_Memo(_parse_text, "sfid"), _Memo(_parse_text, "name"), _Memo(parse_date, "dob"),
+                        _Memo(parse_date, "arrest_date"), codes, _Memo(_split_charges, "booking_charges", codes))
+
+
+class _Items(list):
+    """A reader's items, and in ``rows`` the non-blank data rows it
+    numbered; an empty one with no rows stands for a file not read."""
+
+    rows = 0
+
+
 def _read_table(
     path: str | Path, columns: Sequence[str], build: Callable, warnings: Callable | None
-) -> tuple[list, list[RowIssue]]:
+) -> tuple[_Items, list[RowIssue]]:
     """(items, issues) of a table keyed by its first column.  The header
     must name each of ``columns`` once.  Data rows are numbered from 1, and
     blank lines are skipped and not numbered.  A row is an issue, in this
@@ -171,11 +206,14 @@ def _read_table(
     key) holds "\\r" (the issue then gives an empty id), is empty or
     repeats an earlier row's, or when ``build(id, other cells)`` raises
     ValueError or ParseError; else ``build``'s value is an item, and each
-    of ``warnings(item)``, unless None, is a ``warning:`` issue.  A file
-    that cannot be read, or is not UTF-8 text, is a SchemaError naming
-    it."""
-    items, issues = [], []
+    of ``warnings(item)``, unless None, is a ``warning:`` issue.
+    ``items.rows`` is the number of rows numbered, counted apart from the
+    items and issues: a RuntimeError is raised unless it equals the items
+    plus the issues that are not warnings.  A file that cannot be read,
+    or is not UTF-8 text, is a SchemaError naming it."""
+    items, issues = _Items(), []
     first_row: dict[str, int] = {}
+    number = 0
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -219,30 +257,38 @@ def _read_table(
         raise SchemaError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    errors = sum(not i.message.startswith("warning:") for i in issues)
+    if len(items) + errors != number:
+        raise RuntimeError(f"{path}: {number} data rows, but {len(items)} items and {errors} row errors")
+    items.rows = number
     return items, issues
 
 
 def read_psa_records(
-    path: str | Path, prefixes: Mapping[str, Derivative] | None = None
-) -> tuple[list[PsaRecord], list[RowIssue]]:
+    path: str | Path, prefixes: Mapping[str, Derivative] | None = None, *, memos: _SharedMemos | None = None
+) -> tuple[_Items[PsaRecord], list[RowIssue]]:
     """Parse an assessment-record file.
 
     Returns (records, issues).  Rows that cannot be parsed are skipped and
     reported, as are rows with an empty or repeated ``record_id``; soft
     invariant violations (e.g. a form date more than a day before the
-    arrest date) keep the row but add a warning issue.
+    arrest date) keep the row but add a warning issue.  ``memos`` is the
+    run's shared set (``_shared_memos``), which then sets the prefixes;
+    without it the reader builds its own from ``prefixes``.
     """
+    if memos is None:
+        memos = _shared_memos(prefixes)
     # one parser per column after record_id, in PSA_COLUMNS order
     parsers = (
-        _Memo(_parse_text, "sfid"),
-        _Memo(_parse_text, "name"),
-        _Memo(parse_date, "dob"),
-        _Memo(parse_date, "arrest_date"),
+        memos.sfid,
+        memos.name,
+        memos.dob,
+        memos.arrest_date,
         _Memo(parse_date, "psa_date"),
         _Memo(_parse_score, "fta"),
         _Memo(_parse_score, "nca"),
         _Memo(parse_bool, "nvca_flag"),
-        _Memo(_split_charges, "booking_charges", _Memo(parse_charge_code, prefixes)),
+        memos.charges,  # booking_charges
         _Memo(_parse_count, "age_at_arrest"),
         _Memo(parse_bool, "prior_conviction"),
         _Memo(_parse_count, "prior_violent_convictions"),
@@ -305,12 +351,13 @@ def _parse_dispositions(text: str) -> tuple[int | None, ...]:
 
 
 def read_court_cases(
-    path: str | Path, prefixes: Mapping[str, Derivative] | None = None
-) -> tuple[list[CourtCase], list[RowIssue]]:
-    sfids, names, races = _Memo(_parse_text, "sfid"), _Memo(_parse_text, "name"), _Memo(_parse_race)
-    dobs, arrest_dates = _Memo(parse_date, "dob"), _Memo(parse_date, "arrest_date")
-    codes = _Memo(parse_charge_code, prefixes)
-    charges, dispositions = _Memo(_split_charges, "booking_charges", codes), _Memo(_parse_dispositions)
+    path: str | Path, prefixes: Mapping[str, Derivative] | None = None, *, memos: _SharedMemos | None = None
+) -> tuple[_Items[CourtCase], list[RowIssue]]:
+    """Parse a court-case file into (cases, issues), as
+    ``read_psa_records`` parses a record file, with ``memos`` and
+    ``prefixes`` as there."""
+    sfids, names, dobs, arrest_dates, codes, charges = _shared_memos(prefixes) if memos is None else memos
+    races, dispositions = _Memo(_parse_race), _Memo(_parse_dispositions)
     pending = _Memo((None,).__mul__)  # n -> (None,) * n
 
     def build(cn, cells):

@@ -1,5 +1,6 @@
-"""The readers parse each distinct cell once per file and share its value,
-and the writer writes what csv writes.
+"""The readers parse each distinct cell once and share its value, the
+columns both files parse the same way once per run, and the writer
+writes what csv writes.
 
 Every reader check runs on a seeded simulated corpus or on small fixtures;
 the reference for each value is a fresh parse of its cell with the public
@@ -9,12 +10,14 @@ parse functions, one cell at a time.  The writer's reference is
 
 import csv
 import random
+from collections import Counter
 from datetime import date
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import psa_audit.cli as cli
 import psa_audit.io as psa_io
 from psa_audit.charges import parse_charge_code
 from psa_audit.cli import main
@@ -215,6 +218,140 @@ def test_a_repeated_required_column_is_a_schema_error(tmp_path, capsys, command,
     assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"repeated columns ['{column}']" in err and "Traceback" not in err
+
+
+def _write_quoted(path, columns, rows):
+    """Write dict rows with every cell quoted, so a "\\r" stays inside its
+    cell; a row given as a list is written as it is (a ragged row)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(row if isinstance(row, list) else [row.get(c, "") for c in columns])
+
+
+def _faulty_pair(tmp_path):
+    """A record file and a court file that share sfids, names, dobs and
+    charge cells, with the same faults planted in both: a bad dob, an
+    unparseable charge text alone and after a good one, and a charge cell
+    holding "\\r" (booked on a record, filed on a case), plus a ragged
+    row in each."""
+    person = {"sfid": "S1", "name": "ADAMS, ALEX", "dob": "1990-01-02", "arrest_date": "2016-09-01"}
+    psa = [
+        {**person, "record_id": "R1", "booking_charges": "459 PC F;484 PC M"},
+        {**person, "record_id": "R2", "sfid": "S2", "dob": "2016-13-01", "booking_charges": "459 PC F"},
+        {**person, "record_id": "R3", "sfid": "S3", "booking_charges": "PC F"},
+        ["R4", "S4", "BAKER, BO"],
+        {**person, "record_id": "R5", "booking_charges": "459 PC F;PC F"},
+        {**person, "record_id": "R6", "booking_charges": "459\rPC F"},
+        {**person, "record_id": "R7", "arrest_date": "2017-02-03", "booking_charges": "484 PC M"},
+    ]
+    for row in psa[:3] + psa[4:]:
+        row.update(psa_date=row["arrest_date"], fta="2", nca="3", nvca_flag="false")
+    court = [
+        {**person, "court_number": "C1", "booking_charges": "459 PC F;484 PC M",
+         "filed_charges": "459 PC F;484 PC M", "dispositions": "160;160"},
+        {**person, "court_number": "C2", "sfid": "S2", "dob": "2016-13-01", "booking_charges": "459 PC F",
+         "filed_charges": "459 PC F", "dispositions": "160"},
+        {**person, "court_number": "C3", "sfid": "S3", "booking_charges": "PC F", "filed_charges": "459 PC F",
+         "dispositions": "160"},
+        {**person, "court_number": "C4", "booking_charges": "459 PC F;PC F", "filed_charges": "484 PC M",
+         "dispositions": "160"},
+        {**person, "court_number": "C5", "booking_charges": "459 PC F", "filed_charges": "459\rPC F",
+         "dispositions": "160"},
+        ["C6", "S4"],
+        {**person, "court_number": "C7", "arrest_date": "2017-02-03", "booking_charges": "484 PC M",
+         "filed_charges": "484 PC M", "dispositions": ""},
+    ]
+    for row in court[:5] + court[6:]:
+        row["race"] = "W"
+    _write_quoted(tmp_path / "psa.csv", PSA_COLUMNS, psa)
+    _write_quoted(tmp_path / "court.csv", COURT_COLUMNS, court)
+    return tmp_path / "psa.csv", tmp_path / "court.csv"
+
+
+def _read_outcome(read, path, **kw):
+    items, issues = read(path, **kw)
+    return items, [_raw(x.booking_charges) for x in items], issues, items.rows
+
+
+@pytest.mark.parametrize("court_first", [False, True])
+def test_shared_memos_read_what_each_file_reads_alone(tmp_path, court_first):
+    psa, court = _faulty_pair(tmp_path)
+    alone = {read: _read_outcome(read, path) for read, path in ((read_psa_records, psa), (read_court_cases, court))}
+    memos = psa_io._shared_memos()
+    order = [(read_psa_records, psa), (read_court_cases, court)]
+    shared = {read: _read_outcome(read, path, memos=memos) for read, path in order[::-1 if court_first else 1]}
+    assert shared == alone
+    psa_messages = [i.message for i in alone[read_psa_records][2]]
+    court_messages = [i.message for i in alone[read_court_cases][2]]
+    for messages in psa_messages, court_messages:
+        assert "dob: expected YYYY-MM-DD, got '2016-13-01'" in messages
+        assert messages.count("no leading statute number in 'PC F'") == 2
+        assert any(m.startswith("row has ") for m in messages)
+    assert "booking_charges: must not hold a carriage return, got '459\\rPC F'" in psa_messages
+    assert "filed_charges: must not hold a carriage return, got '459\\rPC F'" in court_messages
+    assert [r.record_id for r in alone[read_psa_records][0]] == ["R1", "R7"]
+    assert [c.court_number for c in alone[read_court_cases][0]] == ["C1", "C7"]
+    # what the shared memos parsed, both files share
+    records, cases = shared[read_psa_records][0], shared[read_court_cases][0]
+    for record, case in zip(records, cases):
+        assert case.sfid is record.sfid and case.name is record.name and case.dob is record.dob
+        assert case.booking_charges is record.booking_charges
+
+
+def test_the_audit_intake_parses_each_charge_text_once_and_shares_it(corpus, tmp_path, monkeypatch):
+    parsed = Counter()
+
+    def counting(text, *args):
+        parsed[text] += 1
+        return parse_charge_code(text, *args)
+
+    linked = []
+    link_records = cli.link_records
+
+    def linking(records, cases):
+        report = link_records(records, cases)
+        linked.extend((m.psa, m.matched_cases[0]) for m in report.matched)
+        return report
+
+    monkeypatch.setattr(psa_io, "parse_charge_code", counting)
+    monkeypatch.setattr(cli, "link_records", linking)
+    assert main(["audit", "--psa", str(corpus / "psa_records.csv"), "--court", str(corpus / "court_cases.csv"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert parsed and set(parsed.values()) == {1}
+    assert len(linked) > 1000
+    assert all(case.sfid is record.sfid for record, case in linked)
+    same_cell = [(record, case) for record, case in linked
+                 if _raw(case.booking_charges) == _raw(record.booking_charges)]
+    assert len(same_cell) > len(linked) // 2
+    assert all(case.booking_charges is record.booking_charges for record, case in same_cell)
+
+
+def _numbered_rows(text):
+    return sum(1 for line in text.splitlines()[1:] if line)
+
+
+def test_a_reader_counts_its_rows_apart_from_what_it_keeps(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,x\n\nA,1\nB,bad\n\nC\nA,2\nD,warn\n\n", encoding="utf-8")
+
+    def build(key, x):
+        if x == "bad":
+            raise ValueError("x: bad")
+        return key, x
+
+    items, issues = psa_io._read_table(path, ("id", "x"), build, lambda item: ["odd"] if item[1] == "warn" else [])
+    assert items == [("A", "1"), ("D", "warn")]
+    assert [(i.row, i.message) for i in issues] == [
+        (2, "x: bad"), (3, "row has 1 cells, header has 2"), (4, "id 'A' repeats row 1"), (5, "warning: odd")]
+    assert items.rows == _numbered_rows(path.read_text(encoding="utf-8")) == 5
+
+    def build_warning(key, x):
+        raise ValueError("warning: read as a warning, yet the row is dropped")
+
+    with pytest.raises(RuntimeError, match="5 data rows, but 0 items and 1 row errors"):
+        psa_io._read_table(path, ("id", "x"), build_warning, None)
 
 
 def _schema_form(value):

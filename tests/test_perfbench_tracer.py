@@ -45,6 +45,8 @@ def test_traced_simulate_and_audit_count_every_assess(tmp_path):
     pairs = doc["counts"]["counterfactual.pairs"]
     assert pairs > 0
     assert doc["totals"]["engine.assess"]["calls"] == 2 * pairs
+    # both readers share one memo of charge texts, so each is parsed once per run
+    assert doc["totals"]["charges.parse"]["calls"] == doc["distinct"]["charges.parse"] > 0
     # the table layer: the main and the sensitivity scope's rate and
     # affected tables, the main scope's distribution, and one write per file
     calls = {name: doc["totals"][name]["calls"]
