@@ -11,6 +11,7 @@ input does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter, gt, sub
 from typing import Any, Callable, Container, Iterable, NamedTuple, Sequence
 
@@ -93,16 +94,22 @@ def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[C
     for case in match.matched_cases:
         if not fully_disposed(case):
             raise NotDisposed(f"case {case.court_number} has pending charges")
-    # every code is terminal now, so ``is_conviction`` reduces to the
-    # threshold plus one per-case answer: whether a zero code convicts
-    # there, asked only of a case that holds one
-    threshold = policy.conviction_threshold
     convicted = []
     for case in match.matched_cases:
-        zero = 0 in case.dispositions and is_conviction(0, case, policy)
-        convicted += [charge for charge, code in zip(case.filed_charges, case.dispositions)
-                      if code > threshold or (zero and code == 0)]
+        convicted += compress(case.filed_charges, _conviction_mask(case, policy))
     return _dedup_sorted(convicted)
+
+
+def _conviction_mask(case: CourtCase, policy: DispositionPolicy) -> tuple[bool, ...]:
+    """Which filed charges of the fully disposed ``case`` ended in
+    conviction under ``policy``.  It reads nothing of the case but its
+    disposition codes."""
+    # every code is terminal, so ``is_conviction`` reduces to the threshold
+    # plus one per-case answer: whether a zero code convicts there, asked
+    # only of a case that holds one
+    threshold = policy.conviction_threshold
+    zero = 0 in case.dispositions and is_conviction(0, case, policy)
+    return tuple(code > threshold or (zero and code == 0) for code in case.dispositions)
 
 
 def booking_charges(match: MatchResult) -> tuple[ChargeCode, ...]:
@@ -216,6 +223,24 @@ def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: Engi
     )
 
 
+#: The most entries each of ``build_audit_pairs``'s memos holds; a full
+#: memo keeps what it holds and stores nothing more.  The seeded 100k
+#: audit's one-case matches carry 5,958 distinct booked cells, 15,302
+#: dispositions cells and 6,567 (filed cell, mask) keys.  Keeping every
+#: entry raised the wide 100k audit's peak from 84.9 to 90.5 MB, where the
+#: memos gain little; keeping the first cells instead of clearing a full
+#: memo misses less on both benchmark corpora (35,372 against 50,712 new
+#: entries asked for on the seeded one).
+_PAIR_MEMO_SIZE = 4096
+
+
+def _remember(memo: dict, key, entry: tuple) -> tuple:
+    """Return ``entry``, stored under ``key`` while ``memo`` is not full."""
+    if len(memo) < _PAIR_MEMO_SIZE:
+        memo[key] = entry
+    return entry
+
+
 def build_audit_pairs(
     matches: Iterable[MatchResult],
     policy: DispositionPolicy,
@@ -232,11 +257,49 @@ def build_audit_pairs(
     one at a time frees each as its pair is built.  Pairs flagged
     ``excluded_by_sensitivity`` stay in the main set; the sensitivity
     variant of the analysis drops them.
+
+    A match with one case, as about 98% are, takes its two charge sets
+    from memos that live for this call only, so no answer that depends on
+    ``policy`` outlives it.  The readers share one tuple per distinct
+    cell, so the memos are keyed on the identity of a case's tuples: its
+    booked charges to their de-duplicated, sorted set; its dispositions
+    to their conviction mask (None while a charge is pending) and whether
+    the plea code was entered; and (filed charges, mask) to the convicted
+    set.  Each entry holds the tuple whose id keys it, so that id is not
+    reused while the entry lives, and each memo stores at most
+    ``_PAIR_MEMO_SIZE`` entries.  A match with several cases goes through
+    ``build_audit_pair``.  Either way each pair scores both its sets
+    through ``counterfactual_assess``.
     """
+    plea = policy.plea_to_other_code
+    booked_sets, outcomes, convicted_sets = {}, {}, {}
     pairs, skipped = [], []
     for m in matches:
-        try:
-            pairs.append(build_audit_pair(m, policy, config, "B" if m.psa.sfid in b_people else "non-B"))
-        except NotDisposed:
-            skipped.append(m.psa.record_id)
+        record = m.psa
+        group = "B" if record.sfid in b_people else "non-B"
+        cases = m.matched_cases
+        if len(cases) != 1 or m.status is not MatchStatus.MATCHED:
+            try:
+                pairs.append(build_audit_pair(m, policy, config, group))
+            except NotDisposed:
+                skipped.append(record.record_id)
+            continue
+        case = cases[0]
+        codes = case.dispositions
+        outcome = outcomes.get(id(codes)) or _remember(outcomes, id(codes), (
+            codes, _conviction_mask(case, policy) if fully_disposed(case) else None, plea in codes))
+        mask = outcome[1]
+        if mask is None:
+            skipped.append(record.record_id)
+            continue
+        filed = case.filed_charges
+        key = (id(filed), mask)
+        convicted = (convicted_sets.get(key) or _remember(convicted_sets, key, (
+            filed, _dedup_sorted(list(compress(filed, mask))))))[1]
+        booked = case.booking_charges
+        booked = (booked_sets.get(id(booked)) or _remember(booked_sets, id(booked), (
+            booked, _dedup_sorted(booked))))[1]
+        pairs.append(AuditPair(record.record_id, counterfactual_assess(record, booked, config),
+                               counterfactual_assess(record, convicted, config), outcome[2] and not convicted,
+                               group))
     return pairs, skipped

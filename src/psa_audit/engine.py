@@ -23,8 +23,10 @@ so that audits can compare like with like.
 A charge set is walked once, into the few facts steps 1..4 read of it
 (the least violent, exclusion-listed and bump-up-listed charge, and
 whether any charge is a felony or a violent misdemeanor).  That summary
-is memoized per distinct charge set and catalog, so ``derive_subscores``
-and ``assess`` share one walk and a set scored again is not walked again.
+is memoized per distinct charge set and catalog, so a set scored again
+is not walked again.  ``derive_subscores`` and then ``assess`` are given
+one side's charge tuple in turn, and the second reuses the summary the
+first looked up for that tuple object, so each side costs one lookup.
 The summary memo keeps the 2,048 most recently used sets
 (``_SUMMARY_MEMO_SIZE``), so it stays bounded however many distinct sets
 a run scores.  Equal decisions then share one immutable ``PsaResult``,
@@ -117,7 +119,7 @@ def derive_subscores(fta: int, nca: int, age_at_arrest: int | None, prior_convic
     age, priors = age_at_arrest or 0, prior_violent_convictions or 0
     if age < 0 or priors < 0:
         raise ValueError(f"age_at_arrest and prior_violent_convictions must be >= 0, got {age} and {priors}")
-    violent = _summarize(tuple(charges), config.catalog).violent is not None
+    violent = _summary(charges, config.catalog).violent is not None
     nvca = config.weights.nvca
     w = nvca.weights.get
     score = (w("age_at_arrest", 0) * age + w("prior_conviction", 0) * bool(prior_conviction)
@@ -180,7 +182,8 @@ def _least(current: str | None, text: str) -> str:
 #: The most charge sets whose summaries ``_summarize`` keeps.  A 100k audit
 #: of the seeded corpus scores 1,083 distinct sets, all of which stay in
 #: the memo; a corpus with tens of thousands keeps only the recent ones.
-#: Full, the memo holds about 0.6 MB.
+#: Each side of a pair is looked up once, the booking side then the
+#: conviction side.  Full, the memo holds about 0.6 MB.
 _SUMMARY_MEMO_SIZE = 2048
 
 
@@ -203,6 +206,29 @@ def _summarize(charges: tuple[ChargeCode, ...], catalog: ChargeCatalog) -> _Char
             bumpup = _least(bumpup, c.normalized)
         top = top or c.is_felony()
     return _ChargeSummary(violent, exclusion, bumpup, top)
+
+
+#: The last (charge tuple, catalog, summary) that ``_summary`` looked up,
+#: as one tuple so that it is read and set in one step: callers scoring in
+#: parallel threads can cost each other a lookup, never a wrong summary.
+#: It holds the charge tuple itself, so no other tuple can take its id
+#: while it is kept.
+_last_summary: tuple = ((), None, None)
+
+
+def _summary(charges: Sequence[ChargeCode], catalog: ChargeCatalog) -> _ChargeSummary:
+    """``_summarize`` of ``charges``, looked up once for a tuple that
+    ``derive_subscores`` and then ``assess`` are given in turn: a second
+    ask about the same tuple object under the same catalog reuses the
+    summary the first one found, without hashing the set again."""
+    global _last_summary
+    last_charges, last_catalog, summary = _last_summary
+    if charges is last_charges and catalog is last_catalog:
+        return summary
+    key = tuple(charges)
+    summary = _summarize(key, catalog)
+    _last_summary = (key, catalog, summary)
+    return summary
 
 
 def _exclusion(summary: _ChargeSummary, extradited: bool, nvca_flag: bool) -> tuple[bool, str]:
@@ -256,7 +282,7 @@ def assess(
 
     Equal decisions return one shared result.
     """
-    summary = _summarize(tuple(charges), catalog)
+    summary = _summary(charges, catalog)
     return _decide(subscores, extradited, summary, _initial(subscores, summary, dmf))
 
 

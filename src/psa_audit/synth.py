@@ -189,14 +189,16 @@ class GeneratorConfig:
             raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
         return cls(**doc)
 
-    def check_pools(self, catalog: ChargeCatalog) -> None:
+    def check_pools(self, catalog: ChargeCatalog) -> _Memo:
         """Raise ConfigError unless ``catalog`` says of each pool's charges
         what the scenarios' planted outcomes need (``_POOL_RULES``).  The
         rest of the config is checked on construction; this part needs the
-        run's catalog."""
+        run's catalog.  Returns the memo of the pool texts' charges it
+        parsed, each text once, for the generator to draw from."""
+        charges = _Memo(parse_charge_code, catalog.derivative_prefixes)
         for pool, rules in _POOL_RULES.items():
             for text in self.charge_pools[pool]:
-                charge = parse_charge_code(text, catalog.derivative_prefixes)
+                charge = charges[text]
                 facts = catalog.facts(charge)
                 have = {"violent": facts.violent, "exclusion-listed": facts.exclusion,
                         "bump-up-listed": facts.bumpup, "felony": charge.is_felony()}
@@ -204,6 +206,7 @@ class GeneratorConfig:
                     if have[fact] is not required:
                         rule = f"only {fact}" if required else f"no {fact}"
                         raise ConfigError(f"charge pool {pool!r} takes {rule} charges, got {text!r}")
+        return charges
 
 
 @dataclass(slots=True)
@@ -316,9 +319,8 @@ class _Generator:
         self.cfg = config
         self.engine = engine
         self.pools = {k: tuple(v) for k, v in config.charge_pools.items()}
-        # one shared ChargeCode per distinct pool text
-        self._charges = _Memo(parse_charge_code, engine.catalog.derivative_prefixes)
-        config.check_pools(engine.catalog)
+        # one shared ChargeCode per distinct pool text, parsed by the check
+        self._charges = config.check_pools(engine.catalog)
         self.neutrals = self.pools["neutral_misdemeanors"] + self.pools["neutral_felonies"]
         self.identical_pool = self.neutrals + self.pools["violent"]
         self.rng = random.Random(config.seed)
@@ -488,7 +490,8 @@ class _Generator:
             pv = self._draw_pv()
 
         texts, dispositions, first_convicted = self._plan_charges(scenario, disposed)
-        charges = [self._charges[t] for t in texts]
+        # a tuple, so that assess reuses the summary derive_subscores found
+        charges = tuple(map(self._charges.__getitem__, texts))
         fta, nca = self._draw_fta_nca(person.group, self._pinned_cells.get(scenario))
 
         # the row is scored exactly as the audit re-scores it; scoring draws

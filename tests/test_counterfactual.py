@@ -1,10 +1,12 @@
 import random
 from dataclasses import replace
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psa_audit import counterfactual
 from psa_audit.charges import parse_charge_code
 from psa_audit.counterfactual import (
     AuditPair,
@@ -361,11 +363,14 @@ def _ref_build_audit_pairs(matches, policy, config, b_people):
 _DIFF_CHARGES = ("459 PC F", "459PC F", "484 PC M", "484  PC M", "187(A) PC F", "240 PC M", "211 PC F")
 
 
-@st.composite
-def _policies(draw):
-    threshold = draw(st.sampled_from((2, 159)))
-    plea = draw(st.sampled_from(sorted({1, min(72, threshold), threshold})))
-    return DispositionPolicy(threshold, plea, draw(st.booleans()))
+#: Thresholds of 2 and 159, each with the plea codes 1, 72 (or the
+#: threshold, if lower) and the threshold, with the companion rule off and on.
+_POLICIES = [DispositionPolicy(threshold, plea, zero_rule) for threshold in (2, 159)
+             for plea in sorted({1, min(72, threshold), threshold}) for zero_rule in (False, True)]
+
+
+def _policies():
+    return st.sampled_from(_POLICIES)
 
 
 @st.composite
@@ -409,3 +414,59 @@ def test_pair_path_equals_the_per_charge_reference(config, data):
     assert skipped == ref_skipped
     assert pairs == ref_pairs
     assert [p.excluded_by_sensitivity for p in pairs] == [p.excluded_by_sensitivity for p in ref_pairs]
+
+
+# the readers share one tuple per distinct cell: a record and its case, two
+# cases, and a case's booked and filed columns may all hold one object
+_SHARED_CODES = {text: q(text) for text in _DIFF_CHARGES}
+
+
+@st.composite
+def _shared_matches(draw, policy):
+    """Matches whose cases draw their charge and disposition tuples from
+    one pool of shared objects, each charge cell booked at least once."""
+    threshold, plea = policy.conviction_threshold, policy.plea_to_other_code
+    codes = st.sampled_from((None, 0, plea, threshold - 1, threshold, threshold + 1, 300))
+    texts = st.lists(st.sampled_from(_DIFF_CHARGES), max_size=4)
+    charge_cells = [tuple(map(_SHARED_CODES.get, cell))
+                    for cell in draw(st.lists(texts, min_size=4, max_size=10, unique_by=tuple))]
+    disposition_cells = {n: draw(st.lists(st.tuples(*[codes] * n), min_size=1, max_size=3)) for n in range(5)}
+    matches = []
+    for i in range(draw(st.integers(len(charge_cells), 3 * len(charge_cells)))):
+        cases = []
+        for n in range(draw(st.sampled_from((1, 1, 1, 2)))):
+            booked = charge_cells[i % len(charge_cells)] if n == 0 else draw(st.sampled_from(charge_cells))
+            filed = draw(st.sampled_from(charge_cells))
+            cases.append(CourtCase(court_number=f"C{n}", sfid="S1", arrest_date=date(2016, 9, 1),
+                                   booking_charges=booked, filed_charges=filed,
+                                   dispositions=draw(st.sampled_from(disposition_cells[len(filed)]))))
+        record = replace(rec(record_id=f"R{i}", fta=draw(st.integers(1, 6)), nca=draw(st.integers(1, 6)),
+                             prior_conviction=draw(st.booleans()), pv=draw(st.integers(0, 2))),
+                         sfid=draw(st.sampled_from(("S1", "S2"))), booking_charges=cases[0].booking_charges)
+        matches.append(matched(*cases, record=record))
+    return matches, len(charge_cells)
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_pair_memos_equal_the_reference_over_shared_cells_past_their_bound(config, policy, data):
+    matches, cells = data.draw(_shared_matches(policy))
+    # fewer entries than the booked cells, so the memos fill mid-call
+    bound = data.draw(st.integers(1, cells - 1))
+    scored = []
+
+    def recording(subscores, charges, *rest):
+        scored.append(list(map(id, charges)))
+        return assess(subscores, charges, *rest)
+
+    assess = counterfactual.assess
+    with mock.patch.object(counterfactual, "_PAIR_MEMO_SIZE", bound), \
+            mock.patch.object(counterfactual, "assess", recording):
+        pairs, skipped = build_audit_pairs(matches, policy, config, {"S1"})
+        memo_sets, scored[:] = scored[:], []
+        ref_pairs, ref_skipped = _ref_build_audit_pairs(matches, policy, config, {"S1"})
+    assert skipped == ref_skipped
+    assert pairs == ref_pairs
+    # each side is scored over the very charges the reference picks, in its order
+    assert memo_sets == scored

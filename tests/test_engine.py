@@ -1,3 +1,4 @@
+import csv
 import itertools
 import random
 from dataclasses import replace
@@ -451,6 +452,49 @@ def test_an_audit_walks_each_distinct_charge_set_once(tmp_path, monkeypatch):
     assert violent_questions == []
     assert engine._summarize.cache_info().misses == len(distinct)
     assert len(facts_calls) == sum(map(len, distinct))
+
+
+def _count_column(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {key: int(count) for key, count in csv.reader(fh) if count != "count"}
+
+
+def test_each_scored_charge_set_looks_its_summary_up_once(tmp_path):
+    """``derive_subscores`` and then ``assess`` are given one tuple in
+    turn, and ``assess`` reuses the summary the first found, so the memo
+    is asked once per scored set: once per record the generator scores,
+    and once per side of each audit pair."""
+    from psa_audit.cli import main
+
+    def asked():
+        info = engine._summarize.cache_info()
+        return info.hits + info.misses
+
+    sim, out = tmp_path / "sim", tmp_path / "audit"
+    before = asked()
+    assert main(["simulate", "--n", "1500", "--seed", "7", "--out", str(sim)]) == 0
+    planted = _count_column(sim / "planted_counts.csv")
+    assert asked() - before == planted["records"] - planted["duplicates"] - planted["incomplete"]
+    before = asked()
+    assert main(["audit", "--sensitivity", "--psa", str(sim / "psa_records.csv"),
+                 "--court", str(sim / "court_cases.csv"), "--out", str(out)]) == 0
+    assert asked() - before == 2 * _count_column(out / "counts_summary.csv")["analyzed_pairs"] > 0
+
+
+def test_assess_reuses_the_summary_of_the_tuple_derive_subscores_was_given(config):
+    charges = (q("240 PC M"), q("459 PC F"))
+    before = engine._summarize.cache_info()
+    subs = derive_subscores(4, 5, 30, True, 1, charges, config)
+    result = assess(subs, charges, False, config.dmf, config.catalog)
+    after = engine._summarize.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    # an equal tuple, a list or another catalog is looked up again, to the same answer
+    assert assess(subs, tuple(list(charges)), False, config.dmf, config.catalog) is result
+    assert assess(subs, list(charges), False, config.dmf, config.catalog) is result
+    other = ChargeCatalog.from_file(data_path("charge_catalog.yaml"))
+    assert assess(subs, charges, False, config.dmf, other) == result
+    final = engine._summarize.cache_info()
+    assert final.hits + final.misses == after.hits + after.misses + 3
 
 
 def test_the_summary_memo_stays_within_its_bound(config):

@@ -38,6 +38,8 @@ def test_traced_simulate_and_audit_count_every_assess(tmp_path):
     # one assess per base record: duplicates copy a row, incomplete rows are not scored
     scored = planted["records"] - planted["duplicates"] - planted["incomplete"]
     assert doc["totals"]["engine.assess"]["calls"] == scored > 0
+    # the pool check and the generator share one memo, so each pool text is parsed once
+    assert doc["totals"]["charges.parse"]["calls"] == doc["distinct"]["charges.parse"] > 0
 
     out = tmp_path / "audit"
     doc = traced(tmp_path / "audit.json", "audit", "--sensitivity", "--psa", sim / "psa_records.csv",
