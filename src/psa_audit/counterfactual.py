@@ -209,11 +209,7 @@ def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: Engi
     scoring, when a matched case still has pending charges."""
     convicted = conviction_charges(match, policy)
     booked = booking_charges(match)
-    cases = match.matched_cases
-    if len(cases) == 1:
-        plea_entered = policy.plea_to_other_code in cases[0].dispositions
-    else:
-        plea_entered = any(policy.plea_to_other_code in case.dispositions for case in cases)
+    plea_entered = any(policy.plea_to_other_code in case.dispositions for case in match.matched_cases)
     return AuditPair(
         record_id=match.psa.record_id,
         booking_result=counterfactual_assess(match.psa, booked, config),
