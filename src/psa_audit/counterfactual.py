@@ -91,25 +91,28 @@ def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[C
     """
     if match.status is not MatchStatus.MATCHED:
         raise ValueError("conviction_charges needs a Matched record")
-    for case in match.matched_cases:
-        if not fully_disposed(case):
-            raise NotDisposed(f"case {case.court_number} has pending charges")
     convicted = []
     for case in match.matched_cases:
-        convicted += compress(case.filed_charges, _conviction_mask(case, policy))
+        mask = _conviction_mask(case, policy)
+        if mask is None:
+            raise NotDisposed(f"case {case.court_number} has pending charges")
+        convicted += compress(case.filed_charges, mask)
     return _dedup_sorted(convicted)
 
 
-def _conviction_mask(case: CourtCase, policy: DispositionPolicy) -> tuple[bool, ...]:
-    """Which filed charges of the fully disposed ``case`` ended in
-    conviction under ``policy``.  It reads nothing of the case but its
-    disposition codes."""
+def _conviction_mask(case: CourtCase, policy: DispositionPolicy) -> tuple[bool, ...] | None:
+    """Which filed charges of ``case`` ended in conviction under
+    ``policy``, or None while a charge is pending.  It reads nothing of
+    the case but its disposition codes."""
+    codes = case.dispositions
+    if None in codes:
+        return None
     # every code is terminal, so ``is_conviction`` reduces to the threshold
     # plus one per-case answer: whether a zero code convicts there, asked
     # only of a case that holds one
     threshold = policy.conviction_threshold
-    zero = 0 in case.dispositions and is_conviction(0, case, policy)
-    return tuple(code > threshold or (zero and code == 0) for code in case.dispositions)
+    zero = 0 in codes and is_conviction(0, case, policy)
+    return tuple(code > threshold or (zero and code == 0) for code in codes)
 
 
 def booking_charges(match: MatchResult) -> tuple[ChargeCode, ...]:
@@ -204,21 +207,6 @@ def changes(booking: PsaResult, conviction: PsaResult) -> tuple:
     return tuple(c.change(c.read(booking), c.read(conviction)) for c in COMPONENTS)
 
 
-def build_audit_pair(match: MatchResult, policy: DispositionPolicy, config: EngineConfig, group: str) -> AuditPair:
-    """The pair of one matched record; raises NotDisposed, before any
-    scoring, when a matched case still has pending charges."""
-    convicted = conviction_charges(match, policy)
-    booked = booking_charges(match)
-    plea_entered = any(policy.plea_to_other_code in case.dispositions for case in match.matched_cases)
-    return AuditPair(
-        record_id=match.psa.record_id,
-        booking_result=counterfactual_assess(match.psa, booked, config),
-        conviction_result=counterfactual_assess(match.psa, convicted, config),
-        excluded_by_sensitivity=plea_entered and not convicted,
-        group=group,
-    )
-
-
 #: The most entries each of ``build_audit_pairs``'s memos holds; a full
 #: memo keeps what it holds and stores nothing more.  The seeded 100k
 #: audit's one-case matches carry 5,958 distinct booked cells, 15,302
@@ -249,10 +237,11 @@ def build_audit_pairs(
     records; everyone else (missing designations included) is non-B.
 
     Returns (pairs, the record ids of the matches skipped as not fully
-    disposed).  No match is kept, so a caller that hands the matches over
-    one at a time frees each as its pair is built.  Pairs flagged
-    ``excluded_by_sensitivity`` stay in the main set; the sensitivity
-    variant of the analysis drops them.
+    disposed); a match that is not Matched raises ValueError, as in
+    ``conviction_charges``.  No match is kept, so a caller that hands the
+    matches over one at a time frees each as its pair is built.  Pairs
+    flagged ``excluded_by_sensitivity`` stay in the main set; the
+    sensitivity variant of the analysis drops them.
 
     A match with one case, as about 98% are, takes its two charge sets
     from memos that live for this call only, so no answer that depends on
@@ -263,39 +252,40 @@ def build_audit_pairs(
     the plea code was entered; and (filed charges, mask) to the convicted
     set.  Each entry holds the tuple whose id keys it, so that id is not
     reused while the entry lives, and each memo stores at most
-    ``_PAIR_MEMO_SIZE`` entries.  A match with several cases goes through
-    ``build_audit_pair``.  Either way each pair scores both its sets
-    through ``counterfactual_assess``.
+    ``_PAIR_MEMO_SIZE`` entries.  A match with several cases takes its
+    sets from ``booking_charges`` and ``conviction_charges``.  Either way
+    each pair scores both its sets through ``counterfactual_assess``.
     """
     plea = policy.plea_to_other_code
     booked_sets, outcomes, convicted_sets = {}, {}, {}
     pairs, skipped = [], []
     for m in matches:
         record = m.psa
-        group = "B" if record.sfid in b_people else "non-B"
         cases = m.matched_cases
-        if len(cases) != 1 or m.status is not MatchStatus.MATCHED:
+        if len(cases) == 1 and m.status is MatchStatus.MATCHED:
+            case = cases[0]
+            codes = case.dispositions
+            _, mask, plea_entered = outcomes.get(id(codes)) or _remember(outcomes, id(codes), (
+                codes, _conviction_mask(case, policy), plea in codes))
+            if mask is None:
+                skipped.append(record.record_id)
+                continue
+            filed = case.filed_charges
+            key = (id(filed), mask)
+            convicted = (convicted_sets.get(key) or _remember(convicted_sets, key, (
+                filed, _dedup_sorted(list(compress(filed, mask))))))[1]
+            booked = case.booking_charges
+            booked = (booked_sets.get(id(booked)) or _remember(booked_sets, id(booked), (
+                booked, _dedup_sorted(booked))))[1]
+        else:
             try:
-                pairs.append(build_audit_pair(m, policy, config, group))
+                convicted = conviction_charges(m, policy)
             except NotDisposed:
                 skipped.append(record.record_id)
-            continue
-        case = cases[0]
-        codes = case.dispositions
-        outcome = outcomes.get(id(codes)) or _remember(outcomes, id(codes), (
-            codes, _conviction_mask(case, policy) if fully_disposed(case) else None, plea in codes))
-        mask = outcome[1]
-        if mask is None:
-            skipped.append(record.record_id)
-            continue
-        filed = case.filed_charges
-        key = (id(filed), mask)
-        convicted = (convicted_sets.get(key) or _remember(convicted_sets, key, (
-            filed, _dedup_sorted(list(compress(filed, mask))))))[1]
-        booked = case.booking_charges
-        booked = (booked_sets.get(id(booked)) or _remember(booked_sets, id(booked), (
-            booked, _dedup_sorted(booked))))[1]
+                continue
+            booked = booking_charges(m)
+            plea_entered = any(plea in case.dispositions for case in cases)
         pairs.append(AuditPair(record.record_id, counterfactual_assess(record, booked, config),
-                               counterfactual_assess(record, convicted, config), outcome[2] and not convicted,
-                               group))
+                               counterfactual_assess(record, convicted, config), plea_entered and not convicted,
+                               "B" if record.sfid in b_people else "non-B"))
     return pairs, skipped

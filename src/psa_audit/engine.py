@@ -146,11 +146,6 @@ class DmfConfig:
         if len(self.cells) != 6 or any(len(row) != 6 or None in row for row in self.cells):
             raise ConfigError("decision matrix must be 6x6 (fta 1..6 by nca 1..6) with no missing cell")
 
-    def cell(self, fta: int, nca: int) -> SupervisionLevel | str:
-        if not (1 <= fta <= len(self.cells) and 1 <= nca <= len(self.cells[0])):
-            raise ConfigError(f"decision matrix has no cell ({fta}, {nca})")
-        return self.cells[fta - 1][nca - 1]
-
 
 @dataclass(frozen=True, slots=True)
 class PsaResult:

@@ -12,7 +12,6 @@ from psa_audit.counterfactual import (
     AuditPair,
     DispositionPolicy,
     booking_charges,
-    build_audit_pair,
     build_audit_pairs,
     changes,
     conviction_charges,
@@ -205,7 +204,7 @@ def test_exclusion_lost_at_top_initial_keeps_final(config):
     # cannot lower the final recommendation
     r = rec(fta=6, nca=6)
     m = matched(case(["187(A) PC F", "459 PC F"], [30, 160]), record=r)
-    pair = build_audit_pair(m, POLICY, config, "")
+    [pair], _ = build_audit_pairs([m], POLICY, config, set())
     exclusion_lost, _, _, delta = changes(pair.booking_result, pair.conviction_result)
     assert pair.booking_result.exclusion and not pair.conviction_result.exclusion
     assert exclusion_lost
@@ -219,7 +218,7 @@ def test_exclusion_downgraded_to_bumpup_saturates(config):
     # both route to the top level; the exclusion is still counted as lost.
     r = rec(fta=4, nca=4)
     m = matched(case(["273.5(A) PC F", "273.5(A) PC M"], [30, 160]), record=r)
-    pair = build_audit_pair(m, POLICY, config, "")
+    [pair], _ = build_audit_pairs([m], POLICY, config, set())
     assert pair.booking_result.initial is L.SFPDP_ACM
     assert pair.booking_result.exclusion
     assert pair.conviction_result.bumpup and not pair.conviction_result.exclusion
@@ -232,7 +231,7 @@ def test_exclusion_downgraded_to_bumpup_saturates(config):
 def test_bumpup_lost_lowers_final(config):
     r = rec(fta=2, nca=3)
     m = matched(case(["646.9 PC M", "459 PC F"], [30, 160]), record=r)
-    pair = build_audit_pair(m, POLICY, config, "")
+    [pair], _ = build_audit_pairs([m], POLICY, config, set())
     _, bumpup_lost, _, delta = changes(pair.booking_result, pair.conviction_result)
     assert bumpup_lost
     assert delta == 1
@@ -242,11 +241,12 @@ def test_bumpup_lost_lowers_final(config):
 
 def test_sensitivity_flag_marks_plea_to_other_case_only(config):
     m = matched(case(["459 PC F"], [72]))
-    pair = build_audit_pair(m, POLICY, config, "")
+    [pair], _ = build_audit_pairs([m], POLICY, config, set())
     assert pair.excluded_by_sensitivity
     # a plea with an in-case companion conviction is not flagged
     m2 = matched(case(["459 PC F", "484 PC M"], [72, 0]))
-    assert not build_audit_pair(m2, POLICY, config, "").excluded_by_sensitivity
+    [pair2], _ = build_audit_pairs([m2], POLICY, config, set())
+    assert not pair2.excluded_by_sensitivity
 
 
 def test_build_audit_pairs_empty_input(config):
@@ -260,6 +260,12 @@ def test_build_audit_pairs_skips_undisposed(config):
     pairs, skipped = build_audit_pairs([pending, done], POLICY, config, set())
     assert [p.record_id for p in pairs] == ["R2"]
     assert skipped == ["R1"]
+
+
+def test_build_audit_pairs_rejects_an_unresolved_match(config):
+    unresolved = MatchResult(psa=rec(), matched_cases=(), status=MatchStatus.UNRESOLVED)
+    with pytest.raises(ValueError, match="Matched record"):
+        build_audit_pairs([matched(case(["459 PC F"], [160])), unresolved], POLICY, config, set())
 
 
 def test_build_audit_pairs_labels_each_person_from_the_b_set(config):
@@ -288,14 +294,14 @@ def test_subset_monotonicity_and_delta_implication(config):
             pv=rng.randint(0, 2),
         )
         m = matched(case(booked, dispositions), record=r)
-        pair = build_audit_pair(m, POLICY, config, "")
+        [pair], _ = build_audit_pairs([m], POLICY, config, set())
         exclusion_lost, bumpup_lost, nvca_lost, delta = changes(pair.booking_result, pair.conviction_result)
         assert pair.conviction_result.final <= pair.booking_result.final
         if delta > 0:
             # the split cell adds a fourth mechanism: losing the only felony
             # (or violent misdemeanor) flips the split determination without
             # any exclusion/bump-up/flag being lost
-            split_flip = config.dmf.cell(r.fta, r.nca) == "SPLIT" and (
+            split_flip = config.dmf.cells[r.fta - 1][r.nca - 1] == "SPLIT" and (
                 pair.booking_result.initial != pair.conviction_result.initial
             )
             assert exclusion_lost or bumpup_lost or nvca_lost or split_flip
@@ -308,7 +314,7 @@ def test_per_record_types_stay_slotted(config):
     # one __dict__ per record, case, match, pair or result costs megabytes
     # at 100k records; a cached_property would silently bring it back
     m = matched(case(["459 PC F", "484 PC M"], [160, 30]))
-    pair = build_audit_pair(m, POLICY, config, "B")
+    [pair], _ = build_audit_pairs([m], POLICY, config, set())
     instances = (m.psa, m.matched_cases[0], m, pair, pair.booking_result, pair.booking_result.subscores)
     assert [type(x).__name__ for x in instances] == [
         "PsaRecord", "CourtCase", "MatchResult", "AuditPair", "PsaResult", "SubScores"]

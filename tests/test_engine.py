@@ -169,7 +169,7 @@ def test_shipped_dmf_is_monotone(config):
                     assert grid[i][j] <= grid[i + 1][j]
                 if j + 1 < 6:
                     assert grid[i][j] <= grid[i][j + 1]
-    assert [(f, n) for f in range(1, 7) for n in range(1, 7) if config.dmf.cell(f, n) == "SPLIT"] == [(5, 4)]
+    assert [(f, n) for f in range(1, 7) for n in range(1, 7) if config.dmf.cells[f - 1][n - 1] == "SPLIT"] == [(5, 4)]
 
 
 def test_assess_trivial_composition(config):
@@ -214,10 +214,10 @@ def test_dmf_config_is_checked_when_made(config):
     for cells in (rows[:5], rows[:5] + (rows[5][:5],), rows[:5] + (rows[5][:5] + (None,),)):
         with pytest.raises(ConfigError):
             DmfConfig(cells=cells)
-    # the engine reads each cell unchecked, as the checked ``cell`` gives it
+    # the engine reads each cell unchecked, as the matrix checked when made holds it
     no_charges = engine._summarize((), config.catalog)
     for fta, nca in itertools.product(range(1, 7), repeat=2):
-        cell = config.dmf.cell(fta, nca)
+        cell = config.dmf.cells[fta - 1][nca - 1]
         expected = L.SFPDP_ACM if cell == "SPLIT" else cell
         assert engine._initial(SubScores(fta, nca, False), no_charges, config.dmf) is expected
 
@@ -336,7 +336,7 @@ def ref_check_bumpup(charges, nvca_flag, catalog):
 
 
 def ref_initial_recommendation(subscores, charges, dmf, catalog):
-    value = dmf.cell(subscores.fta, subscores.nca)
+    value = dmf.cells[subscores.fta - 1][subscores.nca - 1]
     if value == "SPLIT":
         for c in charges:
             if c.is_felony() or (c.is_misdemeanor() and catalog.facts(c).violent):

@@ -3,13 +3,16 @@
 A name exported in ``psa_audit.__all__``, and every public function and
 method a package module defines, must be referenced by some package module
 other than ``__init__.py``, outside the ``def`` or ``class`` that defines
-it.  A name only the tests call is test-only code in the package.
+it, and a public method must be referenced as an attribute (``obj.name``),
+so that a local variable of the same name does not count as its caller.
+A name only the tests call is test-only code in the package.
 ``oracle.py`` is the one documented exception: its definitions exist for
 the tests, so they are not checked.  Each name a package module other
 than ``__init__.py`` imports must be read somewhere in that module.
 """
 
 import ast
+from itertools import chain
 from pathlib import Path
 
 import psa_audit
@@ -19,40 +22,49 @@ MODULES = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names a module loads or reads as attributes, skipping each
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names a module loads, names it reads as attributes), skipping each
     definition's references to its own name and to the names of the
     definitions around it."""
-    found = set()
+    names, attributes = set(), set()
 
     def visit(node: ast.AST, own: frozenset[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             own = own | {node.name}
         if isinstance(node, ast.Name) and node.id not in own:
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in own:
-            found.add(node.attr)
+            attributes.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, own)
 
     visit(tree, frozenset())
-    return found
+    return names, attributes
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _public_functions(module: str, tree: ast.Module):
-    """(qualified name, name) of each public top-level function and each
-    public method of a top-level class; dunders are not public."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    """(qualified name, name) of each public top-level function; dunders
+    are not public."""
     for node in tree.body:
-        if isinstance(node, functions) and not node.name.startswith("_"):
+        if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
             yield f"{module}.{node.name}", node.name
-        elif isinstance(node, ast.ClassDef):
+
+
+def _public_methods(module: str, tree: ast.Module):
+    """(qualified name, name) of each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
             for method in node.body:
-                if isinstance(method, functions) and not method.name.startswith("_"):
+                if isinstance(method, _FUNCTIONS) and not method.name.startswith("_"):
                     yield f"{module}.{node.name}.{method.name}", method.name
 
 
-REFERENCED = set().union(*map(_references, MODULES.values()))
+_REFERENCES = [_references(tree) for tree in MODULES.values()]
+ATTRIBUTES = set().union(*(attributes for _, attributes in _REFERENCES))
+REFERENCED = ATTRIBUTES.union(*(names for names, _ in _REFERENCES))
 
 
 def test_every_public_symbol_has_a_caller_in_the_package():
@@ -64,10 +76,20 @@ def test_every_public_function_and_method_has_a_caller_in_the_package():
     uncalled = sorted(
         qualified
         for path, tree in MODULES.items() if path.name != "oracle.py"
-        for qualified, name in _public_functions(path.stem, tree)
+        for qualified, name in chain(_public_functions(path.stem, tree), _public_methods(path.stem, tree))
         if name not in REFERENCED
     )
     assert uncalled == [], f"public functions and methods with no caller in the package: {', '.join(uncalled)}"
+
+
+def test_every_public_method_is_called_through_an_attribute_in_the_package():
+    uncalled = sorted(
+        qualified
+        for path, tree in MODULES.items() if path.name != "oracle.py"
+        for qualified, name in _public_methods(path.stem, tree)
+        if name not in ATTRIBUTES
+    )
+    assert uncalled == [], f"public methods never read as an attribute in the package: {', '.join(uncalled)}"
 
 
 def _imported_names(tree: ast.Module):
