@@ -5,7 +5,8 @@ booked charges from the matched court case(s) and once over only the
 charges that ended in a conviction.  The two 1..6 predictions are carried
 over from the administered form unchanged (they do not depend on booked
 charges); the violence flag is re-derived because its current-offense
-input does.
+input does.  Either side may be given as the charges stand, in any order
+and with repeats: the engine reads only order-free facts of a set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import compress
 from operator import attrgetter, gt, sub
 from typing import Any, Callable, Container, Iterable, NamedTuple, Sequence
 
-from .charges import ChargeCode
+from .charges import ChargeCode, _normalized
 from .engine import EngineConfig, PsaResult, assess, derive_subscores
 from .errors import NotDisposed
 from .linkage import CourtCase, MatchResult, MatchStatus, PsaRecord
@@ -67,9 +68,6 @@ def is_conviction(code: int | None, case: CourtCase, policy: DispositionPolicy) 
     ):
         return True
     return False
-
-
-_normalized = attrgetter("normalized")
 
 
 def _dedup_sorted(charges: Sequence[ChargeCode]) -> tuple[ChargeCode, ...]:
@@ -207,22 +205,12 @@ def changes(booking: PsaResult, conviction: PsaResult) -> tuple:
     return tuple(c.change(c.read(booking), c.read(conviction)) for c in COMPONENTS)
 
 
-#: The most entries each of ``build_audit_pairs``'s memos holds; a full
+#: The most entries ``build_audit_pairs``' dispositions memo holds; a full
 #: memo keeps what it holds and stores nothing more.  The seeded 100k
-#: audit's one-case matches carry 5,958 distinct booked cells, 15,302
-#: dispositions cells and 6,567 (filed cell, mask) keys.  Keeping every
-#: entry raised the wide 100k audit's peak from 84.9 to 90.5 MB, where the
-#: memos gain little; keeping the first cells instead of clearing a full
-#: memo misses less on both benchmark corpora (35,372 against 50,712 new
-#: entries asked for on the seeded one).
+#: audit's one-case matches carry 15,302 distinct dispositions cells;
+#: keeping the first cells instead of clearing a full memo misses less on
+#: both benchmark corpora.
 _PAIR_MEMO_SIZE = 4096
-
-
-def _remember(memo: dict, key, entry: tuple) -> tuple:
-    """Return ``entry``, stored under ``key`` while ``memo`` is not full."""
-    if len(memo) < _PAIR_MEMO_SIZE:
-        memo[key] = entry
-    return entry
 
 
 def build_audit_pairs(
@@ -243,21 +231,23 @@ def build_audit_pairs(
     flagged ``excluded_by_sensitivity`` stay in the main set; the
     sensitivity variant of the analysis drops them.
 
-    A match with one case, as about 98% are, takes its two charge sets
-    from memos that live for this call only, so no answer that depends on
+    A match with one case, as about 98% are, reads its dispositions from
+    a memo that lives for this call only, so no answer that depends on
     ``policy`` outlives it.  The readers share one tuple per distinct
-    cell, so the memos are keyed on the identity of a case's tuples: its
-    booked charges to their de-duplicated, sorted set; its dispositions
-    to their conviction mask (None while a charge is pending) and whether
-    the plea code was entered; and (filed charges, mask) to the convicted
-    set.  Each entry holds the tuple whose id keys it, so that id is not
-    reused while the entry lives, and each memo stores at most
-    ``_PAIR_MEMO_SIZE`` entries.  A match with several cases takes its
-    sets from ``booking_charges`` and ``conviction_charges``.  Either way
-    each pair scores both its sets through ``counterfactual_assess``.
+    cell, so the memo is keyed on the identity of a case's dispositions
+    tuple, to its conviction mask (None while a charge is pending) and
+    whether the plea code was entered.  Each entry holds the tuple whose
+    id keys it, so that id is not reused while the entry lives, and the
+    memo stores at most ``_PAIR_MEMO_SIZE`` entries.  The booking side is
+    scored over the case's booked cell as the reader shares it, and the
+    conviction side over the filed charges its mask keeps, in filing
+    order: the engine reads neither order nor repeats, so neither set is
+    sorted or de-duplicated.  A match with several cases takes its sets
+    from ``booking_charges`` and ``conviction_charges``.  Either way each
+    pair scores both its sets through ``counterfactual_assess``.
     """
     plea = policy.plea_to_other_code
-    booked_sets, outcomes, convicted_sets = {}, {}, {}
+    outcomes = {}
     pairs, skipped = [], []
     for m in matches:
         record = m.psa
@@ -265,18 +255,17 @@ def build_audit_pairs(
         if len(cases) == 1 and m.status is MatchStatus.MATCHED:
             case = cases[0]
             codes = case.dispositions
-            _, mask, plea_entered = outcomes.get(id(codes)) or _remember(outcomes, id(codes), (
-                codes, _conviction_mask(case, policy), plea in codes))
+            outcome = outcomes.get(id(codes))
+            if outcome is None:
+                outcome = (codes, _conviction_mask(case, policy), plea in codes)
+                if len(outcomes) < _PAIR_MEMO_SIZE:
+                    outcomes[id(codes)] = outcome
+            _, mask, plea_entered = outcome
             if mask is None:
                 skipped.append(record.record_id)
                 continue
-            filed = case.filed_charges
-            key = (id(filed), mask)
-            convicted = (convicted_sets.get(key) or _remember(convicted_sets, key, (
-                filed, _dedup_sorted(list(compress(filed, mask))))))[1]
+            convicted = tuple(compress(case.filed_charges, mask))
             booked = case.booking_charges
-            booked = (booked_sets.get(id(booked)) or _remember(booked_sets, id(booked), (
-                booked, _dedup_sorted(booked))))[1]
         else:
             try:
                 convicted = conviction_charges(m, policy)

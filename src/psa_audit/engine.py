@@ -20,31 +20,32 @@ membership, but its answers never change.  The four-step shape:
 The initial recommendation is always computed, even under an exclusion,
 so that audits can compare like with like.
 
-A charge set is walked once, into the few facts steps 1..4 read of it
-(the least violent, exclusion-listed and bump-up-listed charge, and
-whether any charge is a felony or a violent misdemeanor).  That summary
-is memoized per distinct charge set and catalog, so a set scored again
-is not walked again.  ``derive_subscores`` and then ``assess`` are given
-one side's charge tuple in turn, and the second reuses the summary the
-first looked up for that tuple object, so each side costs one lookup.
-The summary memo keeps the 2,048 most recently used sets
-(``_SUMMARY_MEMO_SIZE``), so it stays bounded however many distinct sets
-a run scores.  Equal decisions then share one immutable ``PsaResult``,
-reason strings included, from a second memo keyed on what the decision
-reads: sub-scores, extradition, those charge facts and the initial
-level.  That one is bounded by the distinct decisions, not by the
-distinct charge sets.
+A charge set is read only through its ``ChargeFacts``: the least violent,
+exclusion-listed and bump-up-listed charge text, and whether any charge is
+a felony or a violent misdemeanor.  None of these depends on the order of
+the set or on a repeated charge, so the engine takes any sequence of
+charges, such as a reader's booked cell as it stands, and never sorts or
+de-duplicates one.  The catalog classifies each distinct charge text once
+and memoizes a set's facts under the tuple of its charges' texts, whose
+hash is computed in C.  ``derive_subscores`` and then ``assess`` are given
+one side's charge tuple in turn, and the second reuses the facts the first
+looked up for that tuple object, so each side costs one lookup.  Equal
+decisions then share one immutable ``PsaResult``, reason strings
+included, from a second memo keyed on what the decision reads: the
+sub-score values, extradition, the set's facts and the initial level.
+That one is bounded by the distinct decisions, not by the distinct charge
+sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .charges import ChargeCatalog, ChargeCode, _require_keys, data_path, default_catalog, read_config
+from .charges import ChargeCatalog, ChargeCode, ChargeFacts, _require_keys, data_path, default_catalog, read_config
 from .errors import ConfigError
 
 
@@ -94,10 +95,16 @@ class SubScores:
 
 @dataclass(frozen=True)
 class FlagSpec:
-    """Integer weights plus the threshold for the binary violence flag."""
+    """Integer weights plus the threshold for the binary violence flag.
+    ``factor_weights`` holds the weights in ``_FACTORS`` order, an absent
+    factor's as 0, read from ``weights`` once, when the spec is made."""
 
     weights: Mapping[str, int]
     threshold: int
+    factor_weights: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "factor_weights", tuple(self.weights.get(name, 0) for name in _FACTORS))
 
 
 @dataclass(frozen=True)
@@ -121,9 +128,8 @@ def derive_subscores(fta: int, nca: int, age_at_arrest: int | None, prior_convic
         raise ValueError(f"age_at_arrest and prior_violent_convictions must be >= 0, got {age} and {priors}")
     violent = _summary(charges, config.catalog).violent is not None
     nvca = config.weights.nvca
-    w = nvca.weights.get
-    score = (w("age_at_arrest", 0) * age + w("prior_conviction", 0) * bool(prior_conviction)
-             + w("prior_violent_convictions", 0) * priors + w("current_offense_violent", 0) * violent)
+    w_age, w_conviction, w_priors, w_violent = nvca.factor_weights
+    score = w_age * age + w_conviction * bool(prior_conviction) + w_priors * priors + w_violent * violent
     return _subscores(fta, nca, score >= nvca.threshold)
 
 
@@ -158,75 +164,31 @@ class PsaResult:
     final: SupervisionLevel
 
 
-class _ChargeSummary(NamedTuple):
-    """What steps 2..4 read of a charge set, from one walk over it: the
-    least (normalized) violent, exclusion-listed and bump-up-listed
-    charges, or None, and whether any charge is a felony or a violent
-    misdemeanor."""
-
-    violent: str | None
-    exclusion: str | None
-    bumpup: str | None
-    felony_or_violent_misdemeanor: bool
-
-
-def _least(current: str | None, text: str) -> str:
-    return text if current is None or text < current else current
-
-
-#: The most charge sets whose summaries ``_summarize`` keeps.  A 100k audit
-#: of the seeded corpus scores 1,083 distinct sets, all of which stay in
-#: the memo; a corpus with tens of thousands keeps only the recent ones.
-#: Each side of a pair is looked up once, the booking side then the
-#: conviction side.  Full, the memo holds about 0.6 MB.
-_SUMMARY_MEMO_SIZE = 2048
-
-
-@lru_cache(maxsize=_SUMMARY_MEMO_SIZE)
-def _summarize(charges: tuple[ChargeCode, ...], catalog: ChargeCatalog) -> _ChargeSummary:
-    """The summary of ``charges`` under ``catalog``, walked once per
-    distinct set while it stays in the memo.  Callers pass the set as a
-    tuple (a list is not hashable), so a list and its tuple share one
-    summary."""
-    violent = exclusion = bumpup = None
-    top = False
-    for c in charges:
-        facts = catalog.facts(c)
-        if facts.violent:
-            violent = _least(violent, c.normalized)
-            top = top or c.is_misdemeanor()
-        if facts.exclusion:
-            exclusion = _least(exclusion, c.normalized)
-        if facts.bumpup:
-            bumpup = _least(bumpup, c.normalized)
-        top = top or c.is_felony()
-    return _ChargeSummary(violent, exclusion, bumpup, top)
-
-
-#: The last (charge tuple, catalog, summary) that ``_summary`` looked up,
-#: as one tuple so that it is read and set in one step: callers scoring in
-#: parallel threads can cost each other a lookup, never a wrong summary.
-#: It holds the charge tuple itself, so no other tuple can take its id
-#: while it is kept.
+#: The last (charge tuple, catalog, facts) that ``_summary`` looked up, as
+#: one tuple so that it is read and set in one step: callers scoring in
+#: parallel threads can cost each other a lookup, never wrong facts.  It
+#: holds the charge tuple itself, so no other tuple can take its id while
+#: it is kept, and it never holds a list: a list is copied, so a list
+#: changed between two asks is looked up again.
 _last_summary: tuple = ((), None, None)
 
 
-def _summary(charges: Sequence[ChargeCode], catalog: ChargeCatalog) -> _ChargeSummary:
-    """``_summarize`` of ``charges``, looked up once for a tuple that
+def _summary(charges: Sequence[ChargeCode], catalog: ChargeCatalog) -> ChargeFacts:
+    """``catalog.facts_of(charges)``, looked up once for a tuple that
     ``derive_subscores`` and then ``assess`` are given in turn: a second
     ask about the same tuple object under the same catalog reuses the
-    summary the first one found, without hashing the set again."""
+    facts the first one found, without reading the set again."""
     global _last_summary
     last_charges, last_catalog, summary = _last_summary
     if charges is last_charges and catalog is last_catalog:
         return summary
     key = tuple(charges)
-    summary = _summarize(key, catalog)
+    summary = catalog.facts_of(key)
     _last_summary = (key, catalog, summary)
     return summary
 
 
-def _exclusion(summary: _ChargeSummary, extradited: bool, nvca_flag: bool) -> tuple[bool, str]:
+def _exclusion(summary: ChargeFacts, extradited: bool, nvca_flag: bool) -> tuple[bool, str]:
     if extradited:
         return True, "extradited"
     if summary.exclusion is not None:
@@ -236,7 +198,7 @@ def _exclusion(summary: _ChargeSummary, extradited: bool, nvca_flag: bool) -> tu
     return False, ""
 
 
-def _bumpup(summary: _ChargeSummary, nvca_flag: bool) -> tuple[bool, str]:
+def _bumpup(summary: ChargeFacts, nvca_flag: bool) -> tuple[bool, str]:
     if summary.bumpup is not None:
         return True, f"bumpup-list:{summary.bumpup}"
     if nvca_flag and summary.violent is None:
@@ -244,7 +206,7 @@ def _bumpup(summary: _ChargeSummary, nvca_flag: bool) -> tuple[bool, str]:
     return False, ""
 
 
-def _initial(subscores: SubScores, summary: _ChargeSummary, dmf: DmfConfig) -> SupervisionLevel:
+def _initial(subscores: SubScores, summary: ChargeFacts, dmf: DmfConfig) -> SupervisionLevel:
     # SubScores holds fta and nca in 1..6 and DmfConfig is checked 6x6
     # with every cell present, so the cell needs no check here
     value = dmf.cells[subscores.fta - 1][subscores.nca - 1]
@@ -278,18 +240,20 @@ def assess(
     Equal decisions return one shared result.
     """
     summary = _summary(charges, catalog)
-    return _decide(subscores, extradited, summary, _initial(subscores, summary, dmf))
+    return _decide(subscores.fta, subscores.nca, subscores.nvca_flag, extradited, summary,
+                   _initial(subscores, summary, dmf))
 
 
 @lru_cache(maxsize=None)
 def _decide(
-    subscores: SubScores, extradited: bool, summary: _ChargeSummary, initial: SupervisionLevel
+    fta: int, nca: int, nvca_flag: bool, extradited: bool, summary: ChargeFacts, initial: SupervisionLevel
 ) -> PsaResult:
-    """The result of one decision.  The key holds only what the decision
-    reads of a charge set, never the set itself, so the memo grows with
-    the distinct decisions, not the distinct charge sets."""
-    exclusion, exclusion_reason = _exclusion(summary, extradited, subscores.nvca_flag)
-    bumpup, bumpup_reason = _bumpup(summary, subscores.nvca_flag)
+    """The result of one decision, holding the shared sub-scores.  The key
+    holds only what the decision reads of a charge set, never the set
+    itself, so the memo grows with the distinct decisions, not the
+    distinct charge sets; each part of it hashes without a Python call."""
+    exclusion, exclusion_reason = _exclusion(summary, extradited, nvca_flag)
+    bumpup, bumpup_reason = _bumpup(summary, nvca_flag)
     if exclusion:
         final = SupervisionLevel.RELEASE_NOT_RECOMMENDED
     elif bumpup:
@@ -297,7 +261,7 @@ def _decide(
     else:
         final = initial
     return PsaResult(
-        subscores=subscores,
+        subscores=_subscores(fta, nca, nvca_flag),
         exclusion=exclusion,
         exclusion_reason=exclusion_reason,
         bumpup=bumpup,

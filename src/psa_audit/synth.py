@@ -200,8 +200,8 @@ class GeneratorConfig:
             for text in self.charge_pools[pool]:
                 charge = charges[text]
                 facts = catalog.facts(charge)
-                have = {"violent": facts.violent, "exclusion-listed": facts.exclusion,
-                        "bump-up-listed": facts.bumpup, "felony": charge.is_felony()}
+                have = {"violent": facts.violent is not None, "exclusion-listed": facts.exclusion is not None,
+                        "bump-up-listed": facts.bumpup is not None, "felony": charge.is_felony()}
                 for fact, required in rules:
                     if have[fact] is not required:
                         rule = f"only {fact}" if required else f"no {fact}"

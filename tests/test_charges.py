@@ -1,16 +1,20 @@
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
+from psa_audit import charges
 from psa_audit.charges import (
     CatalogEntry,
     ChargeCatalog,
     ChargeClass,
     ChargeCode,
     Derivative,
+    data_path,
     default_catalog,
     matches,
     normalize_text,
     parse_charge_code,
+    read_config,
 )
 from psa_audit.errors import ConfigError, ParseError
 from psa_audit.synth import DEFAULT_CHARGE_POOLS
@@ -290,3 +294,18 @@ def test_catalog_rejects_bad_category():
         ChargeCatalog.from_dict({"patterns": [{"pattern": "187 PC", "category": "violent", "treat_as_bumpup": True}]})
     with pytest.raises(ConfigError):
         ChargeCatalog.from_dict({"patterns": []})
+
+
+#: The YAML loaders this PyYAML offers: libyaml's only when it was built with it.
+_LOADERS = [name for name in ("SafeLoader", "CSafeLoader") if hasattr(yaml, name)]
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_each_yaml_loader_reads_the_configs_alike_and_places_a_syntax_error(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(charges, "_YAML_LOADER", getattr(yaml, loader))
+    for name in ("charge_catalog.yaml", "dmf.yaml", "weights.yaml"):
+        assert read_config(data_path(name)) == yaml.safe_load(data_path(name).read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("n_records: [50\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"not valid YAML at line 2, column 1: "):
+        read_config(bad)

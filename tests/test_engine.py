@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
+from psa_audit import charges as charges_module
 from psa_audit import engine
 from psa_audit.charges import ChargeCatalog, data_path, parse_charge_code
 from psa_audit.engine import (
@@ -21,6 +23,7 @@ from psa_audit.engine import (
     load_weight_config,
 )
 from psa_audit.errors import ConfigError
+from psa_audit.oracle import oracle_assess
 from psa_audit.synth import DEFAULT_CHARGE_POOLS
 
 L = SupervisionLevel
@@ -215,7 +218,7 @@ def test_dmf_config_is_checked_when_made(config):
         with pytest.raises(ConfigError):
             DmfConfig(cells=cells)
     # the engine reads each cell unchecked, as the matrix checked when made holds it
-    no_charges = engine._summarize((), config.catalog)
+    no_charges = config.catalog.facts_of(())
     for fta, nca in itertools.product(range(1, 7), repeat=2):
         cell = config.dmf.cells[fta - 1][nca - 1]
         expected = L.SFPDP_ACM if cell == "SPLIT" else cell
@@ -416,15 +419,74 @@ def test_the_result_memo_does_not_grow_with_the_charge_sets(config):
     assert results[0] == ref_assess(SubScores(3, 2, False), [q("90000 PC M")], False, config.dmf, config.catalog)
 
 
+# catalog charges, a second spelling of two of them, and off-catalog codes
+# of each class, so that a drawn set mixes shared and fresh charge texts
+_ANY_CHARGE_TEXTS = (*CHARGE_POOL, *(t for pool in DEFAULT_CHARGE_POOLS.values() for t in pool),
+                     "240  pc M", "459PC F", "70001 PC M", "70002 PC F", "70003 PC", "70004 VC M 2")
+
+
+@st.composite
+def _order_free_inputs(draw):
+    charges = tuple(map(q, draw(st.lists(st.sampled_from(_ANY_CHARGE_TEXTS), max_size=5))))
+    # the same charges reordered, with some repeated, each repeat a copy
+    # of its charge where the draw says so
+    variant = list(draw(st.permutations(charges)))
+    for c in draw(st.lists(st.sampled_from(charges), max_size=3)) if charges else ():
+        variant.insert(draw(st.integers(0, len(variant))), q(c.raw) if draw(st.booleans()) else c)
+    form = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.none() | st.integers(0, 60)),
+            draw(st.none() | st.booleans()), draw(st.none() | st.integers(0, 3)))
+    return charges, tuple(variant) if draw(st.booleans()) else variant, form, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_order_free_inputs(), catalog_name=st.sampled_from(["default", "violent_includes_derivatives"]))
+def test_order_and_repeats_change_no_result(config, inputs, catalog_name):
+    """The engine reads only order-free facts of a charge set, which lets
+    the pair stage score a reader's cell without sorting or
+    de-duplicating it: a set in any order, with any charge repeated, gives
+    the very same sub-scores and result, equal to the oracle's."""
+    charges, variant, form, extradited = inputs
+    catalog = _catalogs(config)[catalog_name]
+    scored = replace(config, catalog=catalog)
+    subs = derive_subscores(*form, charges, scored)
+    result = assess(subs, charges, extradited, config.dmf, catalog)
+    assert derive_subscores(*form, variant, scored) is subs
+    assert assess(subs, variant, extradited, config.dmf, catalog) is result
+    assert result == oracle_assess(subs, charges, extradited, config.dmf, catalog)
+
+
 # ---------------------------------------------------------------------------
-# the charge-set summary memo
+# the catalog's per-charge and per-set memos
 
 
-def test_an_audit_walks_each_distinct_charge_set_once(tmp_path, monkeypatch):
-    """``derive_subscores`` reads the violence flag from the summary that
+@pytest.fixture
+def fresh_catalog():
+    """The packaged catalog, made anew so that its memos start empty."""
+    return ChargeCatalog.from_file(data_path("charge_catalog.yaml"))
+
+
+def _spy(monkeypatch, owner, name):
+    """Record the arguments of each call of ``owner.name`` (a method)."""
+    calls, method = [], getattr(owner, name)
+
+    def recording(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def _texts(charges):
+    return tuple(c.normalized for c in charges)
+
+
+def test_an_audit_walks_each_distinct_charge_set_once(tmp_path, monkeypatch, fresh_catalog):
+    """``derive_subscores`` reads the violence flag from the facts that
     ``assess`` reads, so a seeded audit asks the catalog no ``is_violent``
-    question and walks each distinct charge set once: one ``facts`` call
-    per charge of each distinct set, however often the set is scored."""
+    question; it folds each distinct tuple of charge texts once and
+    classifies each distinct charge text once, however often a set is
+    scored."""
     import psa_audit.counterfactual as counterfactual
     from psa_audit.cli import main
 
@@ -434,24 +496,41 @@ def test_an_audit_walks_each_distinct_charge_set_once(tmp_path, monkeypatch):
     scored = []
 
     def recording(subscores, charges, *rest):
-        scored.append(tuple(charges))
+        scored.append(_texts(charges))
         return assess(subscores, charges, *rest)
 
-    violent_questions, facts_calls = [], []
-    facts = ChargeCatalog.facts
+    violent_questions = []
+    monkeypatch.setattr(engine, "default_catalog", lambda: fresh_catalog)
     monkeypatch.setattr(counterfactual, "assess", recording)
     monkeypatch.setattr(ChargeCatalog, "is_violent", lambda self, c: violent_questions.append(c))
-    monkeypatch.setattr(ChargeCatalog, "facts", lambda self, c: facts_calls.append(c) or facts(self, c))
-    engine._summarize.cache_clear()
+    folded = _spy(monkeypatch, ChargeCatalog, "_fold")
+    classified = _spy(monkeypatch, ChargeCatalog, "_classify")
     assert main(["audit", "--sensitivity", "--psa", str(sim / "psa_records.csv"),
                  "--court", str(sim / "court_cases.csv"), "--out", str(tmp_path / "audit")]) == 0
 
     distinct = set(scored)
     assert len(scored) > 5 * len(distinct) > 0
-    assert len(distinct) < engine._SUMMARY_MEMO_SIZE  # so nothing was evicted
+    assert len(distinct) < charges_module._SET_MEMO_SIZE  # so every set was kept
     assert violent_questions == []
-    assert engine._summarize.cache_info().misses == len(distinct)
-    assert len(facts_calls) == sum(map(len, distinct))
+    assert sorted(texts for texts, _ in folded) == sorted(distinct)
+    texts = [c.normalized for (c,) in classified]
+    assert sorted(texts) == sorted({text for s in distinct for text in s})
+
+
+def test_each_distinct_charge_text_is_classified_once_per_catalog(monkeypatch, fresh_catalog, config):
+    classified = _spy(monkeypatch, ChargeCatalog, "_classify")
+    subs = SubScores(4, 5, False)
+    # two spellings of one charge, in many sets, orders and repeats
+    spellings = [q("240 PC M"), q("240  pc M"), q("459 PC F"), q("9999 PC M")]
+    assert spellings[0] is not spellings[1] and spellings[0].normalized == spellings[1].normalized
+    for charges in itertools.permutations(spellings + spellings[:2], 3):
+        assess(subs, charges, False, config.dmf, fresh_catalog)
+        fresh_catalog.facts(charges[0])
+    assert sorted(c.normalized for (c,) in classified) == ["240 PC M", "459 PC F", "9999 PC M"]
+    # another catalog keeps its own table
+    other = ChargeCatalog.from_file(data_path("charge_catalog.yaml"))
+    assess(subs, spellings, False, config.dmf, other)
+    assert len(classified) == 6
 
 
 def _count_column(path):
@@ -459,66 +538,72 @@ def _count_column(path):
         return {key: int(count) for key, count in csv.reader(fh) if count != "count"}
 
 
-def test_each_scored_charge_set_looks_its_summary_up_once(tmp_path):
+def test_each_scored_charge_set_looks_its_summary_up_once(tmp_path, monkeypatch):
     """``derive_subscores`` and then ``assess`` are given one tuple in
-    turn, and ``assess`` reuses the summary the first found, so the memo
+    turn, and ``assess`` reuses the facts the first found, so the set memo
     is asked once per scored set: once per record the generator scores,
     and once per side of each audit pair."""
     from psa_audit.cli import main
 
-    def asked():
-        info = engine._summarize.cache_info()
-        return info.hits + info.misses
-
+    asked = _spy(monkeypatch, ChargeCatalog, "facts_of")
     sim, out = tmp_path / "sim", tmp_path / "audit"
-    before = asked()
     assert main(["simulate", "--n", "1500", "--seed", "7", "--out", str(sim)]) == 0
     planted = _count_column(sim / "planted_counts.csv")
-    assert asked() - before == planted["records"] - planted["duplicates"] - planted["incomplete"]
-    before = asked()
+    assert len(asked) == planted["records"] - planted["duplicates"] - planted["incomplete"]
+    asked.clear()
     assert main(["audit", "--sensitivity", "--psa", str(sim / "psa_records.csv"),
                  "--court", str(sim / "court_cases.csv"), "--out", str(out)]) == 0
-    assert asked() - before == 2 * _count_column(out / "counts_summary.csv")["analyzed_pairs"] > 0
+    assert len(asked) == 2 * _count_column(out / "counts_summary.csv")["analyzed_pairs"] > 0
 
 
-def test_assess_reuses_the_summary_of_the_tuple_derive_subscores_was_given(config):
+def test_assess_reuses_the_summary_of_the_tuple_derive_subscores_was_given(monkeypatch, config):
+    asked = _spy(monkeypatch, ChargeCatalog, "facts_of")
     charges = (q("240 PC M"), q("459 PC F"))
-    before = engine._summarize.cache_info()
     subs = derive_subscores(4, 5, 30, True, 1, charges, config)
     result = assess(subs, charges, False, config.dmf, config.catalog)
-    after = engine._summarize.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert len(asked) == 1
     # an equal tuple, a list or another catalog is looked up again, to the same answer
     assert assess(subs, tuple(list(charges)), False, config.dmf, config.catalog) is result
     assert assess(subs, list(charges), False, config.dmf, config.catalog) is result
     other = ChargeCatalog.from_file(data_path("charge_catalog.yaml"))
     assert assess(subs, charges, False, config.dmf, other) == result
-    final = engine._summarize.cache_info()
-    assert final.hits + final.misses == after.hits + after.misses + 3
+    assert len(asked) == 4
+    # a list is never reused by identity: one changed between two asks is read anew
+    booked = [q("459 PC F")]
+    derive_subscores(4, 5, 30, True, 1, booked, config)
+    booked.append(q("240 PC M"))
+    flagged = SubScores(4, 5, True)
+    assert assess(flagged, booked, False, config.dmf, config.catalog).exclusion_reason == "violent+nvca:240 PC M"
+    assert len(asked) == 6
+    assert all(type(charges) is tuple for (charges,) in asked)
 
 
-def test_the_summary_memo_stays_within_its_bound(config):
-    bound = engine._SUMMARY_MEMO_SIZE
-    assert engine._summarize.cache_info().maxsize == bound
+def test_the_summary_memo_stays_within_its_bound(monkeypatch, fresh_catalog, config):
+    bound = charges_module._SET_MEMO_SIZE
     subs = SubScores(3, 2, False)
     # off-catalog misdemeanors, one distinct single-charge set each
     sets = [(q(f"{70000 + i} PC M"),) for i in range(bound + 200)]
-    first = assess(subs, sets[0], False, config.dmf, config.catalog)
+    first = assess(subs, sets[0], False, config.dmf, fresh_catalog)
     for s in sets:
-        derive_subscores(3, 2, None, None, None, s, config)
-        assess(subs, s, False, config.dmf, config.catalog)
-    assert engine._summarize.cache_info().currsize <= bound
-    # the first set's summary was evicted: scoring it again walks it anew,
-    # to the same result
-    misses = engine._summarize.cache_info().misses
-    assert assess(subs, sets[0], False, config.dmf, config.catalog) is first
-    assert engine._summarize.cache_info().misses == misses + 1
+        derive_subscores(3, 2, None, None, None, s, replace(config, catalog=fresh_catalog))
+        assess(subs, s, False, config.dmf, fresh_catalog)
+    assert len(fresh_catalog._set_facts) == bound
+    # the memo keeps the first sets it met: the first is looked up, a set
+    # past the bound is folded anew, each to the same result
+    folded = _spy(monkeypatch, ChargeCatalog, "_fold")
+    assert assess(subs, sets[0], False, config.dmf, fresh_catalog) is first
+    assert folded == []
+    assert assess(subs, sets[-1], False, config.dmf, fresh_catalog) is first
+    assert fresh_catalog.facts_of(sets[-1]) == fresh_catalog.facts_of(sets[-1])
+    assert len(folded) == 3
+    assert len(fresh_catalog._set_facts) == bound
 
 
-def test_a_list_and_its_tuple_share_one_summary_and_one_result(config):
+def test_a_list_and_its_tuple_share_one_summary_and_one_result(fresh_catalog, config):
     charges = [q("240 PC M"), q("646.9 PC M"), q("459 PC F")]
+    config = replace(config, catalog=fresh_catalog)
     subs = derive_subscores(4, 5, 30, True, 1, charges, config)
     assert derive_subscores(4, 5, 30, True, 1, tuple(charges), config) is subs
     result = assess(subs, charges, False, config.dmf, config.catalog)
     assert assess(subs, tuple(charges), False, config.dmf, config.catalog) is result
-    assert engine._summarize(tuple(charges), config.catalog) is engine._summarize(tuple(charges), config.catalog)
+    assert fresh_catalog.facts_of(tuple(charges)) is fresh_catalog.facts_of(charges)
