@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -128,7 +128,8 @@ class ChargeCode:
         return self.charge_class is ChargeClass.MISDEMEANOR
 
 
-_PREFIX_RE = re.compile(r"(\d+(?:\.\d+)?[A-Z]?)\s*/\s*(?=\d)")
+_PREFIX_KEY_RE = re.compile(r"\d+(?:\.\d+)?[A-Z]?")
+_PREFIX_RE = re.compile(rf"({_PREFIX_KEY_RE.pattern})\s*/\s*(?=\d)")
 _STATUTE_RE = re.compile(r"(\d+(?:\.\d+)?)([A-Z](?![A-Z]))?")
 _SPACED_SUFFIX_RE = re.compile(r" ([A-Z])(?=\()")
 _SUBDIV_RE = re.compile(r"\s*\(([A-Z0-9]+)\)")
@@ -268,7 +269,8 @@ class ChargeCatalog:
     memoized in this catalog instance under its normalized text, which
     equal charges share.  The facts of a charge set are its charges'
     facts folded together, memoized under the tuple of its charges' texts
-    for the first ``_SET_MEMO_SIZE`` tuples asked about.
+    for the first ``_SET_MEMO_SIZE`` tuples asked about.  Each loaded
+    config has its own catalog, so no memo outlives the run that filled it.
 
     Exclusion and bump-up membership is derivative-blind: an attempt,
     conspiracy, solicitation, or FTA form of a listed offense counts the
@@ -301,6 +303,9 @@ class ChargeCatalog:
             self._by_category[e.category].setdefault(e.pattern.statute, []).append(e)
         self._facts: dict[str, ChargeFacts] = {}
         self._set_facts: dict[tuple[str, ...], ChargeFacts] = {}
+        # (last tuple, its facts), set in one step: racing threads cost each other a lookup, never
+        # wrong facts.  Holding the tuple keeps its id from reuse.  It starts as None: () is shared.
+        self._last: tuple = (None, None)
 
     def _member(self, category: str, charge: ChargeCode) -> bool:
         for e in self._by_category[category].get(charge.statute, ()):
@@ -332,10 +337,18 @@ class ChargeCatalog:
         return found
 
     def facts_of(self, charges: Sequence[ChargeCode]) -> ChargeFacts:
-        """The facts of the set of ``charges``, folded from its charges'
-        facts unless its tuple of texts is memoized.  Threads racing past
-        the bound's check may store a few tuples more, which changes no
-        answer."""
+        """The facts of the set of ``charges``, reused for the tuple object
+        asked about last.  A list is copied, so it is always read anew."""
+        last, found = self._last
+        if charges is not last:
+            charges = tuple(charges)
+            found = self._lookup(charges)
+            self._last = (charges, found)
+        return found
+
+    def _lookup(self, charges: tuple[ChargeCode, ...]) -> ChargeFacts:
+        """The facts of ``charges``, memoized or folded.  Threads racing past
+        the bound's check may store a few tuples more, changing no answer."""
         texts = tuple(map(_normalized, charges))
         found = self._set_facts.get(texts)
         if found is None:
@@ -362,6 +375,7 @@ class ChargeCatalog:
             top = top or t
         return ChargeFacts(violent, exclusion, bumpup, top)
 
+    # perfbench calls these three by name, and its tracer wraps them on the class
     def is_violent(self, charge: ChargeCode) -> bool:
         return self.facts(charge).violent is not None
 
@@ -377,8 +391,11 @@ class ChargeCatalog:
                       {"patterns"}, "catalog")
         prefixes = dict(DEFAULT_DERIVATIVE_PREFIXES)
         for key, name in (doc.get("derivative_prefixes") or {}).items():
+            prefix = str(key).upper()
+            if not _PREFIX_KEY_RE.fullmatch(prefix):
+                raise ConfigError(f"derivative prefix {key!r} must be a statute without its slash, such as '664'")
             try:
-                prefixes[str(key).upper()] = Derivative(name)
+                prefixes[prefix] = Derivative(name)
             except ValueError:
                 raise ConfigError(f"unknown derivative kind {name!r} for prefix {key!r}") from None
         raw_patterns = doc["patterns"]
@@ -401,12 +418,12 @@ class ChargeCatalog:
                 CatalogEntry(
                     pattern=pattern,
                     category=category,
-                    treat_as_bumpup=bool(item.get("treat_as_bumpup", False)),
+                    treat_as_bumpup=_flag(item, "treat_as_bumpup", f"patterns[{i}]"),
                 )
             )
         return cls(
             entries,
-            violent_includes_derivatives=bool(doc.get("violent_includes_derivatives", False)),
+            violent_includes_derivatives=_flag(doc, "violent_includes_derivatives", "catalog"),
             derivative_prefixes=prefixes,
         )
 
@@ -449,6 +466,14 @@ def read_config(path: str | Path) -> dict:
     return doc
 
 
+def _flag(doc: dict, key: str, where: str) -> bool:
+    """``doc[key]`` when it is a YAML boolean, False when it is absent."""
+    value = doc.get(key, False)
+    if type(value) is not bool:
+        raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+    return value
+
+
 def _require_keys(doc, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a mapping")
@@ -460,6 +485,6 @@ def _require_keys(doc, allowed: set[str], required: set[str], where: str) -> Non
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-@lru_cache(maxsize=None)
 def default_catalog() -> ChargeCatalog:
+    """The packaged catalog, made anew, so that its memos start empty."""
     return ChargeCatalog.from_file(data_path("charge_catalog.yaml"))

@@ -1,9 +1,8 @@
 """Assessment engine: sub-scores, charge-based exclusion, decision matrix
 lookup, and bump-up, producing initial and final supervision recommendations.
 
-Every operation here is a pure function, so records can be scored in
-parallel with no coordination; the catalog memoizes each charge's list
-membership, but its answers never change.  The four-step shape:
+Every operation here is a pure function (the catalog's memos change no
+answer), so records can be scored in parallel.  The four-step shape:
 
   1. sub-scores (two 1..6 scales plus a binary violence flag): the scales
      are taken from the form, and ``derive_subscores`` derives the violence
@@ -25,11 +24,9 @@ exclusion-listed and bump-up-listed charge text, and whether any charge is
 a felony or a violent misdemeanor.  None of these depends on the order of
 the set or on a repeated charge, so the engine takes any sequence of
 charges, such as a reader's booked cell as it stands, and never sorts or
-de-duplicates one.  The catalog classifies each distinct charge text once
-and memoizes a set's facts under the tuple of its charges' texts, whose
-hash is computed in C.  ``derive_subscores`` and then ``assess`` are given
-one side's charge tuple in turn, and the second reuses the facts the first
-looked up for that tuple object, so each side costs one lookup.  Equal
+de-duplicates one.  The catalog owns every memo of charge facts, the
+last tuple asked about included, so one side's tuple given to
+``derive_subscores`` and then to ``assess`` costs one lookup.  Equal
 decisions then share one immutable ``PsaResult``, reason strings
 included, from a second memo keyed on what the decision reads: the
 sub-score values, extradition, the set's facts and the initial level.
@@ -126,7 +123,7 @@ def derive_subscores(fta: int, nca: int, age_at_arrest: int | None, prior_convic
     age, priors = age_at_arrest or 0, prior_violent_convictions or 0
     if age < 0 or priors < 0:
         raise ValueError(f"age_at_arrest and prior_violent_convictions must be >= 0, got {age} and {priors}")
-    violent = _summary(charges, config.catalog).violent is not None
+    violent = config.catalog.facts_of(charges).violent is not None
     nvca = config.weights.nvca
     w_age, w_conviction, w_priors, w_violent = nvca.factor_weights
     score = w_age * age + w_conviction * bool(prior_conviction) + w_priors * priors + w_violent * violent
@@ -162,30 +159,6 @@ class PsaResult:
     bumpup_reason: str
     initial: SupervisionLevel
     final: SupervisionLevel
-
-
-#: The last (charge tuple, catalog, facts) that ``_summary`` looked up, as
-#: one tuple so that it is read and set in one step: callers scoring in
-#: parallel threads can cost each other a lookup, never wrong facts.  It
-#: holds the charge tuple itself, so no other tuple can take its id while
-#: it is kept, and it never holds a list: a list is copied, so a list
-#: changed between two asks is looked up again.
-_last_summary: tuple = ((), None, None)
-
-
-def _summary(charges: Sequence[ChargeCode], catalog: ChargeCatalog) -> ChargeFacts:
-    """``catalog.facts_of(charges)``, looked up once for a tuple that
-    ``derive_subscores`` and then ``assess`` are given in turn: a second
-    ask about the same tuple object under the same catalog reuses the
-    facts the first one found, without reading the set again."""
-    global _last_summary
-    last_charges, last_catalog, summary = _last_summary
-    if charges is last_charges and catalog is last_catalog:
-        return summary
-    key = tuple(charges)
-    summary = catalog.facts_of(key)
-    _last_summary = (key, catalog, summary)
-    return summary
 
 
 def _exclusion(summary: ChargeFacts, extradited: bool, nvca_flag: bool) -> tuple[bool, str]:
@@ -239,7 +212,7 @@ def assess(
 
     Equal decisions return one shared result.
     """
-    summary = _summary(charges, catalog)
+    summary = catalog.facts_of(charges)
     return _decide(subscores.fta, subscores.nca, subscores.nvca_flag, extradited, summary,
                    _initial(subscores, summary, dmf))
 
@@ -355,7 +328,8 @@ def load_engine_config(
     """Resolve and load the three engine config files.
 
     Explicit per-file paths win; otherwise files are taken from
-    ``config_dir``; otherwise the packaged defaults are used.
+    ``config_dir``; otherwise the packaged defaults are used.  Each call
+    makes its own catalog, whose memos start empty.
     """
     base = Path(config_dir) if config_dir is not None else None
 

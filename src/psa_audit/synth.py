@@ -490,7 +490,7 @@ class _Generator:
             pv = self._draw_pv()
 
         texts, dispositions, first_convicted = self._plan_charges(scenario, disposed)
-        # a tuple, so that assess reuses the summary derive_subscores found
+        # a tuple, so that assess reuses the facts the catalog found for derive_subscores
         charges = tuple(map(self._charges.__getitem__, texts))
         fta, nca = self._draw_fta_nca(person.group, self._pinned_cells.get(scenario))
 

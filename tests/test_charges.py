@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 from hypothesis import given, strategies as st
@@ -294,6 +296,45 @@ def test_catalog_rejects_bad_category():
         ChargeCatalog.from_dict({"patterns": [{"pattern": "187 PC", "category": "violent", "treat_as_bumpup": True}]})
     with pytest.raises(ConfigError):
         ChargeCatalog.from_dict({"patterns": []})
+
+
+def _catalog_file(tmp_path, extra):
+    """A catalog file of one exclusion pattern and the lines of ``extra``."""
+    path = tmp_path / "catalog.yaml"
+    path.write_text(extra + '\npatterns:\n  - {pattern: "187(A) PC", category: exclusion}\n'
+                    '  - {pattern: "417.4 PC", category: weapon_ambiguous, treat_as_bumpup: false}\n',
+                    encoding="utf-8")
+    return path
+
+
+def test_catalog_flags_must_be_yaml_booleans(tmp_path):
+    grey = parse_charge_code("417.4 PC")
+    strict = ChargeCatalog.from_file(_catalog_file(tmp_path, "violent_includes_derivatives: false"))
+    assert not strict.is_bumpup_charge(grey)
+    for extra, key in (('violent_includes_derivatives: "false"', "violent_includes_derivatives"),
+                       ("violent_includes_derivatives: 0", "violent_includes_derivatives"),
+                       ("violent_includes_derivatives:", "violent_includes_derivatives")):
+        path = _catalog_file(tmp_path, extra)
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: .*{key} must be true or false"):
+            ChargeCatalog.from_file(path)
+    path = _catalog_file(tmp_path, "")
+    path.write_text(path.read_text(encoding="utf-8").replace("treat_as_bumpup: false", 'treat_as_bumpup: "false"'),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: patterns\[1\]: treat_as_bumpup must be"):
+        ChargeCatalog.from_file(path)
+
+
+def test_catalog_prefix_keys_name_a_statute_without_its_slash(tmp_path):
+    for key in ("600/", "600 /", "/600", "600(A)", "x"):
+        path = _catalog_file(tmp_path, f'derivative_prefixes: {{"{key}": conspiracy}}')
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: derivative prefix '{re.escape(key)}'"):
+            ChargeCatalog.from_file(path)
+    # a key without its slash applies, in either case
+    cat = ChargeCatalog.from_file(_catalog_file(tmp_path, 'derivative_prefixes: {"600": conspiracy, "77b": attempt}'))
+    for text, kind in (("600/187(A) PC F", Derivative.CONSPIRACY), ("77B/187(A) PC F", Derivative.ATTEMPT)):
+        charge = parse_charge_code(text, cat.derivative_prefixes)
+        assert charge.derivative is kind and charge.statute == "187"
+        assert cat.is_exclusion_charge(charge)
 
 
 #: The YAML loaders this PyYAML offers: libyaml's only when it was built with it.

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from psa_audit import charges as charges_module
 from psa_audit import engine
-from psa_audit.charges import ChargeCatalog, data_path, parse_charge_code
+from psa_audit.charges import ChargeCatalog, ChargeFacts, data_path, parse_charge_code
 from psa_audit.engine import (
     DmfConfig,
     FlagSpec,
@@ -20,6 +20,7 @@ from psa_audit.engine import (
     assess,
     derive_subscores,
     load_dmf_config,
+    load_engine_config,
     load_weight_config,
 )
 from psa_audit.errors import ConfigError
@@ -540,12 +541,12 @@ def _count_column(path):
 
 def test_each_scored_charge_set_looks_its_summary_up_once(tmp_path, monkeypatch):
     """``derive_subscores`` and then ``assess`` are given one tuple in
-    turn, and ``assess`` reuses the facts the first found, so the set memo
-    is asked once per scored set: once per record the generator scores,
-    and once per side of each audit pair."""
+    turn, and the catalog reuses the facts it found for the first, so the
+    set memo is asked once per scored set: once per record the generator
+    scores, and once per side of each audit pair."""
     from psa_audit.cli import main
 
-    asked = _spy(monkeypatch, ChargeCatalog, "facts_of")
+    asked = _spy(monkeypatch, ChargeCatalog, "_lookup")
     sim, out = tmp_path / "sim", tmp_path / "audit"
     assert main(["simulate", "--n", "1500", "--seed", "7", "--out", str(sim)]) == 0
     planted = _count_column(sim / "planted_counts.csv")
@@ -557,7 +558,7 @@ def test_each_scored_charge_set_looks_its_summary_up_once(tmp_path, monkeypatch)
 
 
 def test_assess_reuses_the_summary_of_the_tuple_derive_subscores_was_given(monkeypatch, config):
-    asked = _spy(monkeypatch, ChargeCatalog, "facts_of")
+    asked = _spy(monkeypatch, ChargeCatalog, "_lookup")
     charges = (q("240 PC M"), q("459 PC F"))
     subs = derive_subscores(4, 5, 30, True, 1, charges, config)
     result = assess(subs, charges, False, config.dmf, config.catalog)
@@ -594,7 +595,11 @@ def test_the_summary_memo_stays_within_its_bound(monkeypatch, fresh_catalog, con
     assert assess(subs, sets[0], False, config.dmf, fresh_catalog) is first
     assert folded == []
     assert assess(subs, sets[-1], False, config.dmf, fresh_catalog) is first
-    assert fresh_catalog.facts_of(sets[-1]) == fresh_catalog.facts_of(sets[-1])
+    # an equal but distinct tuple is looked up again, and so is the first
+    # once another tuple was asked about last
+    again = tuple(list(sets[-1]))
+    assert again is not sets[-1]
+    assert fresh_catalog.facts_of(again) == fresh_catalog.facts_of(sets[-1])
     assert len(folded) == 3
     assert len(fresh_catalog._set_facts) == bound
 
@@ -607,3 +612,43 @@ def test_a_list_and_its_tuple_share_one_summary_and_one_result(fresh_catalog, co
     result = assess(subs, charges, False, config.dmf, config.catalog)
     assert assess(subs, tuple(charges), False, config.dmf, config.catalog) is result
     assert fresh_catalog.facts_of(tuple(charges)) is fresh_catalog.facts_of(charges)
+
+
+def test_the_first_ask_about_no_charges_is_looked_up(fresh_catalog):
+    # the empty tuple is one shared object, so it must not match the
+    # last-asked slot of a catalog that has been asked nothing
+    assert fresh_catalog.facts_of(()) == ChargeFacts(None, None, None, False)
+
+
+def test_each_loaded_config_has_its_own_catalog_with_empty_memos(config):
+    config.catalog.facts_of((q("240 PC M"),))
+    first, second = load_engine_config(), load_engine_config()
+    assert first.catalog is not second.catalog
+    assert first.catalog is not config.catalog
+    for catalog in (first.catalog, second.catalog):
+        assert catalog._facts == {} and catalog._set_facts == {}
+        assert catalog._last == (None, None)
+
+
+def test_an_audit_folds_as_many_sets_after_another_audit_as_alone(tmp_path, monkeypatch):
+    """No memo outlives its run: an audit run after another in the same
+    process folds the sets it folds on a catalog of its own."""
+    from psa_audit.cli import main
+
+    for name, seed in (("first", 1), ("second", 2)):
+        assert main(["simulate", "--n", "2000", "--seed", str(seed), "--out", str(tmp_path / name)]) == 0
+    catalog_copy = tmp_path / "charge_catalog.yaml"
+    catalog_copy.write_bytes(data_path("charge_catalog.yaml").read_bytes())
+
+    def folds(name, *options):
+        folded = _spy(monkeypatch, ChargeCatalog, "_fold")
+        sim = tmp_path / name
+        assert main(["audit", "--psa", str(sim / "psa_records.csv"), "--court", str(sim / "court_cases.csv"),
+                     "--out", str(tmp_path / f"audit-{name}-{len(options)}"), *options]) == 0
+        monkeypatch.undo()
+        return len(folded)
+
+    # a catalog read from a copy of the packaged file is one no other run shares
+    alone = folds("second", "--catalog", str(catalog_copy))
+    assert folds("first") > 0
+    assert folds("second") == alone > 0

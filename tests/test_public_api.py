@@ -8,7 +8,8 @@ so that a local variable of the same name does not count as its caller.
 A name only the tests call is test-only code in the package.
 ``oracle.py`` is the one documented exception: its definitions exist for
 the tests, so they are not checked.  Each name a package module other
-than ``__init__.py`` imports must be read somewhere in that module.
+than ``__init__.py`` imports must be read somewhere in that module, and
+no package module has a ``global`` statement.
 """
 
 import ast
@@ -114,3 +115,13 @@ def test_every_imported_name_is_used():
     unused = sorted(f"{path.name}:{line} {name}" for path, tree in MODULES.items()
                     for line, name in _unused_imports(tree))
     assert unused == [], f"imported names no code uses: {', '.join(unused)}"
+
+
+def test_no_package_module_keeps_state_under_a_global_statement():
+    """State that outlives a call belongs to an object a caller holds,
+    such as a catalog, so that two runs in one process share none of it."""
+    found = [f"{path.name}:{node.lineno} {', '.join(node.names)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Global)]
+    assert found == [], f"global statements in the package: {', '.join(found)}"
