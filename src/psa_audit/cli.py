@@ -41,6 +41,7 @@ from .io import (
     SCHEMA_DOC,
     RowIssue,
     _Items,
+    _hard_issues,
     _shared_memos,
     join_charges,
     read_court_cases,
@@ -393,10 +394,6 @@ def _write_counts(path: Path, key: str, counts: dict) -> None:
 
 def _write_issues(path: Path, issues) -> None:
     write_csv(path, ("row", "record_id", "message"), [_rendered((i.row, i.record_id, i.message)) for i in issues])
-
-
-def _hard_issues(issues):
-    return [i for i in issues if not i.message.startswith("warning:")]
 
 
 def _exit_code(produced: bool, issues) -> int:

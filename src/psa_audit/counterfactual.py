@@ -2,7 +2,8 @@
 
 Each linked record is scored twice with the same engine: once over the
 booked charges from the matched court case(s) and once over only the
-charges that ended in a conviction.  The two 1..6 predictions are carried
+charges that ended in a conviction, which ``fully_disposed`` and
+``is_conviction`` alone decide.  The two 1..6 predictions are carried
 over from the administered form unchanged (they do not depend on booked
 charges); the violence flag is re-derived because its current-offense
 input does.  Either side may be given as the charges stand, in any order
@@ -100,25 +101,16 @@ def conviction_charges(match: MatchResult, policy: DispositionPolicy) -> tuple[C
 
 def _conviction_mask(case: CourtCase, policy: DispositionPolicy) -> tuple[bool, ...] | None:
     """Which filed charges of ``case`` ended in conviction under
-    ``policy``, or None while a charge is pending.  It reads nothing of
-    the case but its disposition codes."""
-    codes = case.dispositions
-    if None in codes:
+    ``policy``, by ``is_conviction``, or None while a charge is pending.
+    It reads nothing of the case but its disposition codes."""
+    if not fully_disposed(case):
         return None
-    # every code is terminal, so ``is_conviction`` reduces to the threshold
-    # plus one per-case answer: whether a zero code convicts there, asked
-    # only of a case that holds one
-    threshold = policy.conviction_threshold
-    zero = 0 in codes and is_conviction(0, case, policy)
-    return tuple(code > threshold or (zero and code == 0) for code in codes)
+    return tuple(is_conviction(code, case, policy) for code in case.dispositions)
 
 
 def booking_charges(match: MatchResult) -> tuple[ChargeCode, ...]:
     """Union of booked charges across the matched case(s)."""
-    cases = match.matched_cases
-    if len(cases) == 1:
-        return _dedup_sorted(cases[0].booking_charges)
-    return _dedup_sorted([c for case in cases for c in case.booking_charges])
+    return _dedup_sorted([c for case in match.matched_cases for c in case.booking_charges])
 
 
 def counterfactual_assess(
@@ -207,8 +199,8 @@ def changes(booking: PsaResult, conviction: PsaResult) -> tuple:
 
 #: The most entries ``build_audit_pairs``' dispositions memo holds; a full
 #: memo keeps what it holds and stores nothing more.  The seeded 100k
-#: audit's one-case matches carry 15,302 distinct dispositions cells;
-#: keeping the first cells instead of clearing a full memo misses less on
+#: audit's one-case matches carry 15,302 distinct dispositions tuples;
+#: keeping the first tuples instead of clearing a full memo misses less on
 #: both benchmark corpora.
 _PAIR_MEMO_SIZE = 4096
 
@@ -233,18 +225,16 @@ def build_audit_pairs(
 
     A match with one case, as about 98% are, reads its dispositions from
     a memo that lives for this call only, so no answer that depends on
-    ``policy`` outlives it.  The readers share one tuple per distinct
-    cell, so the memo is keyed on the identity of a case's dispositions
-    tuple, to its conviction mask (None while a charge is pending) and
-    whether the plea code was entered.  Each entry holds the tuple whose
-    id keys it, so that id is not reused while the entry lives, and the
-    memo stores at most ``_PAIR_MEMO_SIZE`` entries.  The booking side is
-    scored over the case's booked cell as the reader shares it, and the
-    conviction side over the filed charges its mask keeps, in filing
-    order: the engine reads neither order nor repeats, so neither set is
-    sorted or de-duplicated.  A match with several cases takes its sets
-    from ``booking_charges`` and ``conviction_charges``.  Either way each
-    pair scores both its sets through ``counterfactual_assess``.
+    ``policy`` outlives it.  The memo maps a case's dispositions tuple
+    to its conviction mask (None while a charge is pending) and whether
+    the plea code was entered, and stores at most ``_PAIR_MEMO_SIZE``
+    entries.  The booking side is scored over the case's booked cell as
+    the reader shares it, and the conviction side over the filed charges
+    its mask keeps, in filing order: the engine reads neither order nor
+    repeats, so neither set is sorted or de-duplicated.  A match with
+    several cases takes its sets from ``booking_charges`` and
+    ``conviction_charges``.  Either way each pair scores both its sets
+    through ``counterfactual_assess``.
     """
     plea = policy.plea_to_other_code
     outcomes = {}
@@ -252,15 +242,15 @@ def build_audit_pairs(
     for m in matches:
         record = m.psa
         cases = m.matched_cases
-        if len(cases) == 1 and m.status is MatchStatus.MATCHED:
+        if len(cases) == 1:
             case = cases[0]
             codes = case.dispositions
-            outcome = outcomes.get(id(codes))
+            outcome = outcomes.get(codes)
             if outcome is None:
-                outcome = (codes, _conviction_mask(case, policy), plea in codes)
+                outcome = (_conviction_mask(case, policy), plea in codes)
                 if len(outcomes) < _PAIR_MEMO_SIZE:
-                    outcomes[id(codes)] = outcome
-            _, mask, plea_entered = outcome
+                    outcomes[codes] = outcome
+            mask, plea_entered = outcome
             if mask is None:
                 skipped.append(record.record_id)
                 continue

@@ -19,15 +19,16 @@ they hold "\\r".
 
 Both input files go through one row loop, ``_read_table``, which numbers
 the rows, files every row issue and checks that each numbered row is
-either an item or a row error.  Each reader gives it one ``build`` and
-each column one parser.  That parser is a memo: each distinct cell text
-is parsed once, and every row carrying it shares the resulting immutable
-value (a date, a charge tuple, a level, ...).  The columns both files
-parse the same way (sfid, name, dob, arrest date, charge texts and
-charge cells) share one set of memos per run, ``_SharedMemos``, so a
-text both files carry is parsed once and a record and its case share
-its value; every other column has a memo per file.  Only the row ids,
-which are unique, are not memoized.
+either an item or a row error.  The row errors are the issues that are
+not warnings; ``_hard_issues`` picks them, for the commands too.  Each
+reader gives it one ``build`` and each column one parser.  That parser
+is a memo: each distinct cell text is parsed once, and every row
+carrying it shares the resulting immutable value (a date, a charge
+tuple, a level, ...).  The columns both files parse the same way (sfid,
+name, dob, arrest date, charge texts and charge cells) share one set of
+memos per run, ``_SharedMemos``, so a text both files carry is parsed
+once and a record and its case share its value; every other column has
+a memo per file.  Only the row ids, which are unique, are not memoized.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class _Memo(dict):
     looked up, so every row carrying that text shares one immutable value.
     A text whose parse raises is not stored, so each row carrying it raises
     its own error.  The generator keeps one of its pool texts' charges, and
-    one the other way round, from each distinct date to its written text."""
+    one the other way round, from each repeated value it writes (a cell's
+    text, a count or a date) to its field text, ``render_cell``'s."""
 
     __slots__ = ("parse", "args")
 
@@ -194,6 +196,11 @@ class _Items(list):
     numbered; an empty one with no rows stands for a file not read."""
 
     rows = 0
+
+
+def _hard_issues(issues: Iterable[RowIssue]) -> list[RowIssue]:
+    """The row errors among ``issues``: each issue but a ``warning:``."""
+    return [i for i in issues if not i.message.startswith("warning:")]
 
 
 def _read_table(
@@ -257,7 +264,7 @@ def _read_table(
         raise SchemaError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    errors = sum(not i.message.startswith("warning:") for i in issues)
+    errors = len(_hard_issues(issues))
     if len(items) + errors != number:
         raise RuntimeError(f"{path}: {number} data rows, but {len(items)} items and {errors} row errors")
     items.rows = number

@@ -329,13 +329,12 @@ class _Generator:
         self.court_rows: list[tuple] = []
         self.truth_rows: list[tuple] = []
         self.base_rows: list[tuple] = []  # the psa_rows a duplicate may copy
-        # the field text of a repeated cell's text, rendered the first time
-        # and then the one object every row holding it shares
-        self._share = _Memo(render_cell).__getitem__
-        self._count_text = _Memo(str)  # each count's text: fta, nca, age, prior violence
+        # the field text of a repeated value (a cell's text, a count or a
+        # date), rendered the first time and then the one object every row
+        # holding it shares
+        self._text = _Memo(render_cell)
         self._arrests: dict = {}  # each arrest date
-        # each distinct date's text, and each dob by its day in the dob range
-        self._date_text = _Memo(date.isoformat)
+        # each dob by its day in the dob range
         self._dobs: list[date | None] = [None] * _DOB_DAYS
         # the next row id: R000001, R000002, ... and CN0000001, ...
         self._next_record_id = map("R{:06d}".format, count(1)).__next__
@@ -382,7 +381,7 @@ class _Generator:
         group = self._draw_group()
         base_race = "B" if group == "B" else self._draw_nonb_race()
         below = self._below
-        name = self._share(f"{LAST_NAMES[below(len(LAST_NAMES))]}, {FIRST_NAMES[below(len(FIRST_NAMES))]}")
+        name = self._text[f"{LAST_NAMES[below(len(LAST_NAMES))]}, {FIRST_NAMES[below(len(FIRST_NAMES))]}"]
         days = below(_DOB_DAYS)
         dob = self._dobs[days]
         if dob is None:
@@ -424,7 +423,7 @@ class _Generator:
     def _offset_text(self, day: date, draw_offset) -> str:
         """The text of ``day`` moved by ``draw_offset()`` days."""
         offset = draw_offset()
-        return self._date_text[day + timedelta(days=offset) if offset else day]
+        return self._text[day + timedelta(days=offset) if offset else day]
 
     # -- record assembly ---------------------------------------------------
 
@@ -456,14 +455,14 @@ class _Generator:
         fta, nca = self._draw_fta_nca(person.group, None)
         # a one-charge list is its pool text
         misdemeanors = self.pools["neutral_misdemeanors"]
-        booked = self._share(misdemeanors[self._below(len(misdemeanors))])
+        booked = self._text[misdemeanors[self._below(len(misdemeanors))]]
         row = self._psa_row(person, arrest, person.age_at(arrest), fta, nca, False, booked,
                             prior_conviction=False, pv=0)
         blank = _BLANKABLE[self._below(len(_BLANKABLE))]
         i = PSA_COLUMNS.index(blank)
         row = (*row[:i], "", *row[i + 1:])
         self.psa_rows.append(row)
-        self.truth_rows.append((row[0], "incomplete", self._share(f"missing:{blank}"), self._share(person.group),
+        self.truth_rows.append((row[0], "incomplete", self._text[f"missing:{blank}"], self._text[person.group],
                                 "", "", "", "", ""))
 
     def _emit_base(self):
@@ -499,7 +498,7 @@ class _Generator:
         age = person.age_at(arrest)
         subs = derive_subscores(fta, nca, age, prior_conviction, pv, charges, self.engine)
         result = assess(subs, charges, False, self.engine.dmf, self.engine.catalog)
-        booked = self._share(";".join(texts))
+        booked = self._text[";".join(texts)]
         row = self._psa_row(person, arrest, age, fta, nca, subs.nvca_flag, booked, prior_conviction, pv,
                             (FLAG_TEXT[result.exclusion], FLAG_TEXT[result.bumpup], result.final.label))
         self.psa_rows.append(row)
@@ -515,9 +514,9 @@ class _Generator:
 
         convicted = ";".join(texts[first_convicted:]) if disposed else ""
         self.truth_rows.append((
-            row[0], "base", "unmatched" if unmatched else scenario, self._share(person.group),
+            row[0], "base", "unmatched" if unmatched else scenario, self._text[person.group],
             ";".join(matched_numbers),
-            FLAG_TEXT[disposed], self._share(convicted),
+            FLAG_TEXT[disposed], self._text[convicted],
             FLAG_TEXT[scenario == "overbooked_affected" and disposed and not unmatched], "",
         ))
 
@@ -569,24 +568,24 @@ class _Generator:
         arrest = self._offset_text(psa_arrest, self._draw_case_arrest_offset)
         number = self._next_court_number()
         self.court_rows.append((
-            number, person.sfid, person.name, self._date_text[person.dob], arrest,
-            self._draw_race(person), booked, booked, self._share(";".join(dispositions)),
+            number, person.sfid, person.name, self._text[person.dob], arrest,
+            self._draw_race(person), booked, booked, self._text[";".join(dispositions)],
         ))
         return number
 
     def _emit_decoy(self, person: _Person, psa_arrest: date, booked: list[str]):
         texts = list(islice((t for t in self.pools["neutral_misdemeanors"] if t not in booked), 2))
         if texts:
-            self._emit_case(person, psa_arrest, self._share(";".join(texts)), ["30"] * len(texts))
+            self._emit_case(person, psa_arrest, self._text[";".join(texts)], ["30"] * len(texts))
 
     def _psa_row(self, person: _Person, arrest: date, age: int, fta: int, nca: int, nvca: bool, booked: str,
                  prior_conviction: bool, pv: int, recorded=("", "", "")) -> tuple:
         """One assessment row in PSA_COLUMNS order; ``booked`` is the joined
         charge list's field text and ``recorded`` holds the texts of the
         form's exclusion, bump-up and recommendation."""
-        text = self._count_text
+        text = self._text
         return (
-            self._next_record_id(), person.sfid, person.name, self._date_text[person.dob], self._date_text[arrest],
+            self._next_record_id(), person.sfid, person.name, text[person.dob], text[arrest],
             self._offset_text(arrest, self._draw_assessment_offset), text[fta], text[nca], FLAG_TEXT[nvca],
             booked, text[age], FLAG_TEXT[prior_conviction], text[pv], *recorded,
         )

@@ -26,6 +26,7 @@ from psa_audit.engine import (
 from psa_audit.errors import ConfigError
 from psa_audit.oracle import oracle_assess
 from psa_audit.synth import DEFAULT_CHARGE_POOLS
+from test_acceptance import ORACLE_POOL
 
 L = SupervisionLevel
 
@@ -454,6 +455,69 @@ def test_order_and_repeats_change_no_result(config, inputs, catalog_name):
     assert derive_subscores(*form, variant, scored) is subs
     assert assess(subs, variant, extradited, config.dmf, catalog) is result
     assert result == oracle_assess(subs, charges, extradited, config.dmf, catalog)
+
+
+# ---------------------------------------------------------------------------
+# the engine's whole decision space
+
+
+#: The fact vectors (violent, exclusion-listed, bump-up-listed, felony or
+#: violent misdemeanor) that no set of at most three of c02's pool charges
+#: has under the default catalog, because each exclusion-listed charge in
+#: the pool is a felony.  A catalog or pool change that reaches one shows
+#: up here.
+_UNREACHED_BY_THE_ORACLE_POOL = {
+    (False, True, False, False), (False, True, True, False),
+    (True, True, False, False), (True, True, True, False),
+}
+#: An exclusion-listed charge with no class, which reaches those vectors.
+_UNCLASSED_EXCLUSION = "187(A) PC"
+
+
+def _fact_vector(facts):
+    return (facts.violent is not None, facts.exclusion is not None, facts.bumpup is not None,
+            facts.felony_or_violent_misdemeanor)
+
+
+def test_the_engine_equals_the_oracle_over_its_whole_decision_space(config, fresh_catalog):
+    """``assess`` reads a charge set only through its four facts, so one
+    witness set per fact vector, scored at every sub-score triple and
+    extradition value, makes every decision it can: 72 x 2 x 16 = 2,304
+    cells.  Each vector's witness is the first set of at most three of
+    c02's pool charges that has it, or else the unclassed exclusion charge
+    with at most two of them.  On every cell the result, reasons included,
+    is the oracle's; and the final level never falls as a fact or the
+    violence flag is added, the premise of "booking charges can only
+    raise"."""
+    catalog, dmf = fresh_catalog, config.dmf
+    pool = [parse_charge_code(t, catalog.derivative_prefixes) for t in ORACLE_POOL]
+    witnesses = {}
+    for size in range(4):
+        for subset in itertools.combinations(pool, size):
+            witnesses.setdefault(_fact_vector(catalog.facts_of(subset)), subset)
+    vectors = set(itertools.product((False, True), repeat=4))
+    assert vectors - witnesses.keys() == _UNREACHED_BY_THE_ORACLE_POOL
+    unclassed = (parse_charge_code(_UNCLASSED_EXCLUSION, catalog.derivative_prefixes),)
+    for size in range(3):
+        for subset in itertools.combinations(pool, size):
+            witnesses.setdefault(_fact_vector(catalog.facts_of(unclassed + subset)), unclassed + subset)
+    assert witnesses.keys() == vectors
+
+    final, wrong = {}, []
+    for vector, charges in witnesses.items():
+        for fta, nca, nvca, extradited in itertools.product(range(1, 7), range(1, 7), (False, True), (False, True)):
+            subs = SubScores(fta, nca, nvca)
+            got = assess(subs, charges, extradited, dmf, catalog)
+            if got != oracle_assess(subs, charges, extradited, dmf, catalog):
+                wrong.append((charges, subs, extradited))
+            final[fta, nca, extradited, (*vector, nvca)] = got.final
+    assert wrong == []
+    assert len(final) == 2304
+    # one fact or the flag added at a time: every ordered pair of cells is
+    # a chain of these steps
+    fell = [(cell, i) for cell, level in final.items() for i, held in enumerate(cell[3]) if not held
+            and final[(*cell[:3], (*cell[3][:i], True, *cell[3][i + 1:]))] < level]
+    assert fell == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ A name only the tests call is test-only code in the package.
 ``oracle.py`` is the one documented exception: its definitions exist for
 the tests, so they are not checked.  Each name a package module other
 than ``__init__.py`` imports must be read somewhere in that module, and
-no package module has a ``global`` statement.
+no package module has a ``global`` statement.  A package module imports
+only the standard library, PyYAML and the package itself.
 """
 
 import ast
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -125,3 +127,26 @@ def test_no_package_module_keeps_state_under_a_global_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Global)]
     assert found == [], f"global statements in the package: {', '.join(found)}"
+
+
+#: The top-level names a package module may import besides the standard
+#: library's: its one runtime dependency and the package itself.
+ALLOWED_IMPORTS = {"yaml", "psa_audit"}
+
+
+def test_the_package_imports_only_the_standard_library_and_pyyaml():
+    """numpy, scipy and hypothesis are installed for the tests, so an
+    import of one of them would run here and fail only where PyYAML is the
+    one dependency installed."""
+    foreign = sorted(
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.partition(".")[0] not in sys.stdlib_module_names | ALLOWED_IMPORTS
+    )
+    assert foreign == [], f"imports outside the standard library and PyYAML: {', '.join(foreign)}"
