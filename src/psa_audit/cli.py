@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from io import StringIO
 from itertools import count
 from operator import attrgetter
@@ -33,7 +33,7 @@ from .counterfactual import (
     changes,
     counterfactual_assess,
 )
-from .engine import EngineConfig, assess, load_engine_config
+from .engine import EngineConfig, PsaResult, assess, load_engine_config
 from .errors import ConfigError, PsaAuditError, SchemaError
 from .io import (
     FLAG_TEXT,
@@ -411,8 +411,9 @@ def _exit_code(produced: bool, issues) -> int:
 
 
 #: The columns of one engine result after its sub-scores, in
-#: score_results.csv and on each side of audit_pairs.csv.
-_RESULT_COLUMNS = ("exclusion", "exclusion_reason", "bumpup", "bumpup_reason", "initial", "final")
+#: score_results.csv and on each side of audit_pairs.csv: the fields of
+#: ``PsaResult`` after its first, ``subscores``.
+_RESULT_COLUMNS = tuple(f.name for f in fields(PsaResult))[1:]
 
 
 _result_cells = attrgetter(*_RESULT_COLUMNS)

@@ -17,11 +17,15 @@ then splits the row when it is read back.  So the free-text cells that
 outputs copy (ids, sfids, names and charge texts) are row errors when
 they hold "\\r".
 
-Both input files go through one row loop, ``_read_table``, which numbers
-the rows, files every row issue and checks that each numbered row is
-either an item or a row error.  The row errors are the issues that are
-not warnings; ``_hard_issues`` picks them, for the commands too.  Each
-reader gives it one ``build`` and each column one parser.  That parser
+Each input file's row is stated once, on its carrier: its columns are
+the fields of ``PsaRecord`` or ``CourtCase``, in order, and the carrier's
+constructor holds the rules on the whole row (a non-empty sfid, one
+disposition per filed charge).  Both files go through one row loop,
+``_read_table``, which numbers the rows, files every row issue and
+checks that each numbered row is either an item or a row error.  The
+row errors are the issues that are not warnings; ``_hard_issues`` picks
+them, for the commands too.  Each reader gives it one ``build``, which
+makes the carrier, and each column one parser.  That parser
 is a memo: each distinct cell text is parsed once, and every row
 carrying it shares the resulting immutable value (a date, a charge
 tuple, a level, ...).  The columns both files parse the same way (sfid,
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from itertools import chain, islice
 from operator import getitem, itemgetter
@@ -47,36 +51,10 @@ from .engine import SupervisionLevel
 from .errors import ParseError, SchemaError
 from .linkage import RACE_CATEGORIES, CourtCase, PsaRecord
 
-PSA_COLUMNS = (
-    "record_id",
-    "sfid",
-    "name",
-    "dob",
-    "arrest_date",
-    "psa_date",
-    "fta",
-    "nca",
-    "nvca_flag",
-    "booking_charges",
-    "age_at_arrest",
-    "prior_conviction",
-    "prior_violent_convictions",
-    "recorded_exclusion",
-    "recorded_bumpup",
-    "recorded_recommendation",
-)
-
-COURT_COLUMNS = (
-    "court_number",
-    "sfid",
-    "name",
-    "dob",
-    "arrest_date",
-    "race",
-    "booking_charges",
-    "filed_charges",
-    "dispositions",
-)
+#: Each input file's columns are its row carrier's fields, in order: the
+#: readers build a carrier from a row's cells positionally.
+PSA_COLUMNS = tuple(f.name for f in fields(PsaRecord))
+COURT_COLUMNS = tuple(f.name for f in fields(CourtCase))
 
 GROUND_TRUTH_COLUMNS = (
     "record_id",
@@ -217,7 +195,8 @@ def _read_table(
     ``items.rows`` is the number of rows numbered, counted apart from the
     items and issues: a RuntimeError is raised unless it equals the items
     plus the issues that are not warnings.  A file that cannot be read,
-    or is not UTF-8 text, is a SchemaError naming it."""
+    is not UTF-8 text or holds a line that csv cannot split (a field
+    longer than ``csv.field_size_limit()``) is a SchemaError naming it."""
     items, issues = _Items(), []
     first_row: dict[str, int] = {}
     number = 0
@@ -264,6 +243,8 @@ def _read_table(
         raise SchemaError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:  # a field over csv's field_size_limit, say
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
     errors = len(_hard_issues(issues))
     if len(items) + errors != number:
         raise RuntimeError(f"{path}: {number} data rows, but {len(items)} items and {errors} row errors")
@@ -375,9 +356,6 @@ def read_court_cases(
         filed = charges[filed] if "\r" not in filed else _split_charges(filed, "filed_charges", codes)
         # an entirely empty cell means every filed charge is pending
         disposed = dispositions[disposed] or pending[len(filed)]
-        if len(disposed) != len(filed):
-            raise ValueError(f"dispositions: {len(disposed)} codes for {len(filed)} filed charges")
-        # dob, arrest date and booking charges parse after the count check
         return CourtCase(cn, sfids[sfid], names[name], dobs[dob], arrest_dates[arrest_date], race,
                          charges[booked], filed, disposed)
 

@@ -38,7 +38,9 @@ class PsaRecord:
     a per-row carrier, made once per input row and never changed: it is
     not frozen only because a frozen dataclass sets each field through
     ``object.__setattr__``, which makes building one several times slower.
-    No code hashes a record or keys a memo on one."""
+    No code hashes a record or keys a memo on one.  Its fields are the
+    record file's columns, in order (``io.PSA_COLUMNS``); the reader
+    parses each cell, and the constructor holds the rules on the row."""
 
     record_id: str
     sfid: str
@@ -83,7 +85,8 @@ RACE_CATEGORIES = ("B", "C", "F", "H", "I", "J", "O", "U", "W")
 @dataclass(slots=True)
 class CourtCase:
     """One court case; a per-row carrier, not frozen for the same reason
-    as ``PsaRecord``."""
+    as ``PsaRecord``.  Its fields are the court file's columns, in order
+    (``io.COURT_COLUMNS``)."""
 
     court_number: str
     sfid: str
@@ -96,8 +99,11 @@ class CourtCase:
     dispositions: tuple[int | None, ...] = ()
 
     def __post_init__(self):
+        if not self.sfid:
+            raise ValueError("sfid must be non-empty")
         if len(self.dispositions) != len(self.filed_charges):
-            raise ValueError("each filed charge needs exactly one disposition slot")
+            raise ValueError(
+                f"dispositions: {len(self.dispositions)} codes for {len(self.filed_charges)} filed charges")
 
 
 class MatchStatus(Enum):

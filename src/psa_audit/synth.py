@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .charges import ChargeCatalog, parse_charge_code
 from .engine import EngineConfig, SupervisionLevel, assess, derive_subscores, load_engine_config
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .io import (
     COURT_COLUMNS,
     FLAG_TEXT,
@@ -133,8 +133,13 @@ class GeneratorConfig:
         if self.n_records < 0:
             raise ConfigError("n_records must be >= 0")
         for name in ("group_mix", "score_distributions", "charge_pools"):
-            if not isinstance(getattr(self, name), dict):
+            value = getattr(self, name)
+            if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be a mapping")
+            # the generator sorts the group names, and a manifest turns each key into a string
+            keys = [k for k in value if not isinstance(k, str)]
+            if keys:
+                raise ConfigError(f"{name} keys must be strings, got {keys[0]!r}")
         missing = set(DEFAULT_CHARGE_POOLS) - set(self.charge_pools)
         if missing:
             raise ConfigError(f"charge_pools missing {sorted(missing)}")
@@ -190,15 +195,19 @@ class GeneratorConfig:
         return cls(**doc)
 
     def check_pools(self, catalog: ChargeCatalog) -> _Memo:
-        """Raise ConfigError unless ``catalog`` says of each pool's charges
-        what the scenarios' planted outcomes need (``_POOL_RULES``).  The
-        rest of the config is checked on construction; this part needs the
-        run's catalog.  Returns the memo of the pool texts' charges it
-        parsed, each text once, for the generator to draw from."""
+        """Raise ConfigError unless each pool text parses and ``catalog``
+        says of each pool's charges what the scenarios' planted outcomes
+        need (``_POOL_RULES``).  The rest of the config is checked on
+        construction; this part needs the run's catalog.  Returns the memo
+        of the pool texts' charges it parsed, each text once, for the
+        generator to draw from."""
         charges = _Memo(parse_charge_code, catalog.derivative_prefixes)
         for pool, rules in _POOL_RULES.items():
             for text in self.charge_pools[pool]:
-                charge = charges[text]
+                try:
+                    charge = charges[text]
+                except ParseError as exc:
+                    raise ConfigError(f"charge pool {pool!r}: {exc}") from None
                 facts = catalog.facts(charge)
                 have = {"violent": facts.violent is not None, "exclusion-listed": facts.exclusion is not None,
                         "bump-up-listed": facts.bumpup is not None, "felony": charge.is_felony()}

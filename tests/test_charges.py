@@ -287,11 +287,24 @@ def test_pattern_subdivision_prefix_semantics():
     assert not matches(parse_charge_code("187 PC F"), narrow)
 
 
-def test_catalog_rejects_bad_category():
+def test_catalog_rejects_bad_category(tmp_path):
     from psa_audit.charges import ChargeCatalog
 
     with pytest.raises(ConfigError):
         ChargeCatalog.from_dict({"patterns": [{"pattern": "187 PC", "category": "nope"}]})
+    for doc, message in (
+        ({"derivative_prefixes": {"600": "bogus"}, "patterns": [{"pattern": "187 PC", "category": "violent"}]},
+         "unknown derivative kind 'bogus' for prefix '600'"),
+        ({"patterns": [{"pattern": "PC F", "category": "violent"}]},
+         "patterns[0]: no leading statute number in 'PC F'"),
+        ({"patterns": ["187 PC"]}, "patterns[0] must be a mapping"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ChargeCatalog.from_dict(doc)
+    path = tmp_path / "catalog.yaml"
+    path.write_bytes(b"patterns: []\n# \xff\n")
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: not UTF-8 text"):
+        ChargeCatalog.from_file(path)
     with pytest.raises(ConfigError):
         ChargeCatalog.from_dict({"patterns": [{"pattern": "187 PC", "category": "violent", "treat_as_bumpup": True}]})
     with pytest.raises(ConfigError):

@@ -81,6 +81,11 @@ def test_schema_flag(capsys):
     assert "psa_records.csv" in out and "court_cases.csv" in out
 
 
+def test_no_command_prints_help_and_is_a_usage_failure(capsys):
+    assert run([]) == 2
+    assert capsys.readouterr().out.startswith("usage: psa-audit")
+
+
 def test_score_fixture(tmp_path):
     psa = tmp_path / "psa.csv"
     rows = [psa_row(f"R{i}", f"S{i}") for i in range(3)]
@@ -122,25 +127,37 @@ def test_missing_column_is_schema_failure(tmp_path):
 
 def _unusable_input(tmp_path, kind):
     """A --psa/--court path the readers cannot read: no file, a directory,
-    or a file whose rows turn to non-UTF-8 bytes after its good first rows."""
+    or a file of both files' columns whose rows turn to non-UTF-8 bytes
+    after its good first rows, or whose second row holds a name longer
+    than csv's field size limit."""
     path = tmp_path / "bad.csv"
+    header = ",".join(dict.fromkeys(PSA_COLUMNS + COURT_COLUMNS))
     if kind == "directory":
         path.mkdir()
     elif kind == "not-utf8":
-        good = ",".join(COURT_COLUMNS) + "\n" + "C1,S1\n" * 5000
+        good = header + "\n" + "C1,S1\n" * 5000
         path.write_bytes(good.encode() + b"C2,\xff\xfe\n")
+    elif kind == "over-long field":
+        path.write_text(f"{header}\nX1,S1\nX2,S2,{'N' * (csv.field_size_limit() + 1)}\n", encoding="utf-8")
     return path
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+#: The start of each unusable input's error, after its path.
+_UNUSABLE = {"missing": "cannot read file", "directory": "cannot read file", "not-utf8": "not UTF-8 text",
+             "over-long field": f"line 3: field larger than field limit ({csv.field_size_limit()})"}
+
+
+@pytest.mark.parametrize("kind", list(_UNUSABLE))
 def test_missing_file_is_schema_failure(tmp_path, capsys, kind):
+    limit, message = csv.field_size_limit(), _UNUSABLE[kind]
     bad = _unusable_input(tmp_path, kind)
     for args in (["score", "--psa", bad], ["consistency", "--court", bad]):
         capsys.readouterr()
         assert run([*args, "--out", tmp_path / "out"]) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: {bad}: ")
+        assert line.startswith(f"error: {bad}: {message}")
         assert not (tmp_path / "out").exists()
+    assert csv.field_size_limit() == limit  # no reader raises the process-wide limit
 
 
 @pytest.mark.parametrize("kind", ["a file", "under a file"])
@@ -182,6 +199,8 @@ def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
         court_row("C2", charges=" 484 PC M ;459 PC F", dispositions="160;160"),
         court_row("C3", charges="PC F"),
         court_row("C4", charges="PC F"),
+        court_row("C5", dispositions="160;160"),
+        court_row("C6", dispositions="160;160", dob="2016-13-01"),  # a bad cell is named before the count
     ])
     cases, issues = read_court_cases(court)
     c1, c2 = cases
@@ -190,6 +209,8 @@ def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
     assert [(i.row, i.record_id, i.message) for i in issues] == [
         (3, "C3", "no leading statute number in 'PC F'"),
         (4, "C4", "no leading statute number in 'PC F'"),
+        (5, "C5", "dispositions: 2 codes for 1 filed charges"),
+        (6, "C6", "dob: expected YYYY-MM-DD, got '2016-13-01'"),
     ]
 
     psa = tmp_path / "psa.csv"
@@ -555,6 +576,7 @@ def test_validate_planted_discrepancy(tmp_path):
                     recorded_bumpup="false", recorded_recommendation="OR-NAS")
             for i in range(1000)]
     rows[7]["recorded_recommendation"] = "SFPDP-ACM"
+    rows[3]["recorded_recommendation"] = "1"  # a level may be written as its rank
     psa = tmp_path / "psa.csv"
     write_table(psa, PSA_COLUMNS, rows)
     court = tmp_path / "court.csv"
@@ -580,6 +602,23 @@ def test_consistency_command(tmp_path):
     rows = {r["designation"]: r for r in read_rows(out / "race_consistency.csv")}
     assert float(rows["B"]["B"]) == pytest.approx(100 * (2 / 3 + 1) / 2)
     assert "H" not in rows  # single-record individual excluded
+
+
+def test_a_court_row_without_an_sfid_is_a_row_error(tmp_path):
+    """Each blank-sfid case is listed, and none of them is counted as one
+    person with several designations."""
+    court = tmp_path / "court.csv"
+    write_table(court, COURT_COLUMNS, [
+        court_row("C1", "S1", race="B"), court_row("C2", "S1", race="B"),
+        court_row("C3", "", race="B"), court_row("C4", "  ", race="W"), court_row("C5", "", race="W"),
+    ])
+    out = tmp_path / "cons"
+    assert run(["consistency", "--court", court, "--out", out]) == 3
+    errors = read_rows(out / "input_errors.csv")
+    assert [(e["row"], e["record_id"], e["message"]) for e in errors] == [
+        (str(n), f"C{n}", "sfid must be non-empty") for n in (3, 4, 5)]
+    rows = read_rows(out / "race_consistency.csv")
+    assert [(r["designation"], r["n_individuals"]) for r in rows] == [("B", "1")]
 
 
 def test_dedupe_command(tmp_path):
@@ -899,7 +938,19 @@ def test_config_dir_lacking_a_file_is_a_config_error(sim_dir, tmp_path, capsys, 
     _assert_one_config_error(capsys, config_dir / name)
 
 
+@pytest.mark.parametrize("level", ["OR-NAS", "Release-Not-Recommended"])
+def test_simulate_needs_both_low_and_top_matrix_cells(tmp_path, capsys, level):
+    """The overbooked scenarios pin a low or a top cell, so a matrix of one
+    level cannot plant them."""
+    dmf = tmp_path / "dmf.yaml"
+    dmf.write_text("rows:\n" + f"  - [{', '.join([level] * 6)}]\n" * 6, encoding="utf-8")
+    assert run(["simulate", "--n", 10, "--dmf", dmf, "--out", tmp_path / "sim"]) == 2
+    assert "decision matrix must offer both low and top non-split cells" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 _SIX = "[1, 1, 1, 1, 1, 1]"
+_DIST = f"{{fta: {_SIX}, nca: {_SIX}}}"
 #: A pool charge that breaks its pool's rule.  The rule is checked against
 #: the run's catalog, and the error starts with the file's path like every
 #: other error in the file (test_synth checks that it names the pool and
@@ -917,6 +968,11 @@ _BAD_POOL = "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "neutral_felo
     "group_mix: 0.5\n",
     "group_mix: {B: 1.5, non-B: -0.5}\n",  # sums to 1 through a negative share
     "group_mix: {B: .nan, non-B: 0.5}\n",
+    "group_mix: {B: 0.5, X: 0.5}\n",  # X has no score distribution
+    # group names that are not strings: they do not sort among strings, and
+    # a manifest's JSON turns them into strings that sort otherwise
+    *(f"group_mix: {{{a}: 0.5, {b}: 0.5}}\nscore_distributions: {{{a}: {_DIST}, {b}: {_DIST}}}\n"
+      for a, b in (("1", "B"), ("2", "10"))),
     *(f"score_distributions: {{B: {b_entry}, non-B: {{fta: {_SIX}, nca: {_SIX}}}}}\n" for b_entry in (
         f"{{fta: {_SIX}}}",  # no nca
         f"{{fta: {_SIX}, nca: {_SIX}, nvca: {_SIX}}}",  # a third scale
@@ -931,6 +987,7 @@ _BAD_POOL = "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "neutral_felo
     # the five pools and one the generator never draws from
     "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "violent_felonies": ["246 PC F"]}) + "\n",
     _BAD_POOL,
+    "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "violent": ["abc"]}) + "\n",  # does not parse
     "duplicate_rate: 0.8\nincomplete_rate: 0.5\n",  # more than every record
 ])
 def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):

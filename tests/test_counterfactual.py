@@ -93,6 +93,7 @@ def test_companion_zero_rule():
 def test_companion_zero_requires_resolved_case():
     c = case(["459 PC F", "484 PC M", "466 PC M"], [72, 0, None])
     assert not is_conviction(0, c, POLICY)
+    assert not is_conviction(None, c, POLICY)  # a pending charge
 
 
 def test_fully_disposed():

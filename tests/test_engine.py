@@ -199,9 +199,14 @@ def test_assess_initial_computed_under_exclusion(config):
 
 def test_dmf_loader_rejects_bad_shapes(tmp_path):
     p = tmp_path / "dmf.yaml"
-    p.write_text("rows:\n  - [OR-NAS]\n")
-    with pytest.raises(ConfigError):
-        load_dmf_config(p)
+    for text in (
+        "rows:\n  - [OR-NAS]\n",
+        "rows:\n" + "  - [OR-NAS, OR-NAS, OR-NAS, OR-NAS, OR-NAS, OR-NAS]\n" * 5 + "  - [OR-NAS, OR-NAS]\n",
+        "rows:\n" + "  - [OR-NAS, OR-NAS, OR-NAS, OR-NAS, OR-NAS, null]\n" * 6,
+    ):
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            load_dmf_config(p)
     p.write_text("rows:\n" + "  - [OR-NAS, OR-NAS, OR-NAS, OR-NAS, OR-NAS, nonsense]\n" * 6)
     with pytest.raises(ConfigError):
         load_dmf_config(p)
@@ -212,6 +217,15 @@ def test_dmf_loader_rejects_bad_shapes(tmp_path):
     p.write_text("rows:\n" + "  - [OR-NAS, OR-NAS, OR-NAS, OR-NAS, OR-NAS, '\u0663']\n" * 6, encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown supervision level"):
         load_dmf_config(p)
+
+
+def test_dmf_levels_may_be_written_as_their_ranks(tmp_path):
+    text = data_path("dmf.yaml").read_text(encoding="utf-8")
+    for level in L:
+        text = text.replace(level.label, str(level.value))
+    p = tmp_path / "dmf.yaml"
+    p.write_text(text, encoding="utf-8")
+    assert load_dmf_config(p) == load_dmf_config(data_path("dmf.yaml"))
 
 
 def test_dmf_config_is_checked_when_made(config):
@@ -233,6 +247,8 @@ def test_weights_loader_rejects_bad_config(tmp_path):
         # a factor that no assessment record carries would silently add 0
         "nvca:\n  weights: {pending_charge: 1}\n  threshold: 1\n",
         "nvca:\n  weights: {bogus_factor: 1}\n  threshold: 1\n",
+        "nvca:\n  weights: {}\n  threshold: 1\n",
+        "nvca:\n  weights: {prior_conviction: 1.5}\n  threshold: 1\n",
         "nvca:\n  weights: {prior_conviction: 1}\n  threshold: true\n",
         # the audit's monotonicity relies on non-negative weights
         "nvca:\n  weights: {current_offense_violent: -2}\n  threshold: 1\n",

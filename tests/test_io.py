@@ -10,6 +10,7 @@ parse functions, one cell at a time.  The writer's reference is
 
 import csv
 import random
+import re
 from collections import Counter
 from datetime import date
 from unittest import mock
@@ -25,7 +26,9 @@ from psa_audit.engine import SupervisionLevel
 from psa_audit.io import (
     COURT_COLUMNS,
     FLAG_TEXT,
+    GROUND_TRUTH_COLUMNS,
     PSA_COLUMNS,
+    SCHEMA_DOC,
     parse_bool,
     parse_date,
     parse_int,
@@ -141,6 +144,7 @@ BAD_CELLS = {
         ("dob", "20160701", "dob: expected YYYY-MM-DD, got '20160701'"),
         ("arrest_date", "2016-W27-5", "arrest_date: expected YYYY-MM-DD, got '2016-W27-5'"),
         ("fta", "\u0663", "fta: expected an integer, got '\u0663'"),
+        ("nvca_flag", "yes", "nvca_flag: expected true/false, got 'yes'"),
         ("age_at_arrest", "1_9", "age_at_arrest: expected an integer, got '1_9'"),
         ("recorded_recommendation", "\u0663", "unknown supervision level '\u0663'"),
     ],
@@ -171,6 +175,16 @@ def test_a_bad_cell_on_two_rows_gives_two_row_issues(corpus, tmp_path, name, col
             (3, rows[2][key], message),
         ], column
         assert [getattr(x, key) for x in items] == [rows[1][key], rows[3][key]]
+
+
+def test_the_schema_text_lists_each_column_under_its_file():
+    """``--schema`` prints its own list of the files' columns, so a column
+    added to a file must be added there too."""
+    parts = re.split(r"^(\w+\.csv) ", SCHEMA_DOC, flags=re.M)
+    sections = {name: text.split("\n\n")[0] for name, text in zip(parts[1::2], parts[2::2])}
+    for name, columns in (("psa_records.csv", PSA_COLUMNS), ("court_cases.csv", COURT_COLUMNS),
+                          ("ground_truth.csv", GROUND_TRUTH_COLUMNS)):
+        assert [c for c in columns if not re.search(rf"\b{c}\b", sections[name])] == [], name
 
 
 @pytest.mark.parametrize("text", ["20160701", "2016-W27-5", "2016W275", "2016-07-01T00:00", "2016-7-1",

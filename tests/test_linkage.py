@@ -247,6 +247,7 @@ def test_candidate_window_offsets():
         if find_candidates(r, [c]):
             accepted.append(offset)
     assert accepted == [-1, 0, 1, 2]
+    assert find_candidates(rec(arrest=None), [case()]) == []  # no window without an arrest date
 
 
 def test_candidates_never_cross_sfids():
@@ -346,7 +347,7 @@ def test_psa_record_requires_sfid():
 
 
 def test_court_case_disposition_arity_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dispositions: 0 codes for 1 filed charges"):
         CourtCase(
             court_number="C1",
             sfid="S1",

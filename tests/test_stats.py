@@ -374,6 +374,8 @@ def test_rate_table_grouped():
 def test_rate_table_empty_raises():
     with pytest.raises(EmptyInput):
         rate_table(tally([]))
+    with pytest.raises(EmptyInput):
+        proportion_affected([])
 
 
 def test_proportion_affected_wrong_direction_not_counted():

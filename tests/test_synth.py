@@ -19,6 +19,7 @@ from psa_audit.oracle import oracle_assess
 from psa_audit.engine import SubScores, assess
 from psa_audit.synth import (
     DEFAULT_CHARGE_POOLS,
+    DEFAULT_SCORE_DISTRIBUTIONS,
     NONB_RACE_WEIGHTS,
     NONB_RACES,
     GeneratorConfig,
@@ -71,6 +72,11 @@ def test_config_validation():
         GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent": (246,)})
     with pytest.raises(ConfigError, match=r"unknown pools \['violent_felonies'\]"):
         GeneratorConfig(charge_pools={**DEFAULT_CHARGE_POOLS, "violent_felonies": ("246 PC F",)})
+    dist = DEFAULT_SCORE_DISTRIBUTIONS["B"]
+    with pytest.raises(ConfigError, match="group_mix keys must be strings, got 1"):
+        GeneratorConfig(group_mix={1: 0.5, "B": 0.5}, score_distributions={1: dist, "B": dist})
+    with pytest.raises(ConfigError, match="score_distributions keys must be strings, got 2"):
+        GeneratorConfig(group_mix={"B": 1.0}, score_distributions={"B": dist, 2: dist})
 
 
 _KIND_COLUMN, _SCENARIO_COLUMN = GROUND_TRUTH_COLUMNS.index("kind"), GROUND_TRUTH_COLUMNS.index("scenario")
