@@ -40,9 +40,9 @@ from .io import (
     PSA_COLUMNS,
     SCHEMA_DOC,
     RowIssue,
+    _ColumnMemos,
     _Items,
     _hard_issues,
-    _shared_memos,
     join_charges,
     read_court_cases,
     read_psa_records,
@@ -358,9 +358,9 @@ def _read_inputs(opts: dict, out_dir: Path):
     """Load the engine config and read whichever of ``--psa`` and
     ``--court`` the command takes, parsing charges with the catalog's
     derivative prefixes, and list every row issue in ``input_errors.csv``.
-    Both readers get one set of memos for the columns both files parse
-    the same way, so each of those cell texts is parsed once per run and
-    a record and its case share the value; the set is dropped on return.
+    Both readers get one set of column memos, so each cell text is parsed
+    once per run in each column name, and a record and its case share
+    the value of a column both files have; the set is dropped on return.
 
     Returns (config, records, cases, issues, counts); counts are the
     intake stages of ``counts_summary.csv``.  Each file's input rows are
@@ -370,7 +370,7 @@ def _read_inputs(opts: dict, out_dir: Path):
     parsed rows plus its row errors.
     """
     config = _engine_config(opts)
-    memos = _shared_memos(config.catalog.derivative_prefixes)
+    memos = _ColumnMemos(config.catalog.derivative_prefixes)
     records, psa_issues = read_psa_records(opts["psa"], memos=memos) if "psa" in opts else (_Items(), [])
     cases, court_issues = read_court_cases(opts["court"], memos=memos) if "court" in opts else (_Items(), [])
     issues = psa_issues + court_issues

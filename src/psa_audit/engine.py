@@ -141,9 +141,11 @@ _SPLIT = "SPLIT"
 class DmfConfig:
     """6x6 decision matrix indexed (fta, nca), values SupervisionLevel
     or the split-cell marker; checked once, when made, to be 6x6 with
-    no missing cell."""
+    no missing cell.  ``path`` names the file it was loaded from, for
+    errors ("" for a matrix made in code); it takes no part in equality."""
 
     cells: tuple[tuple[SupervisionLevel | str, ...], ...]
+    path: str = field(default="", compare=False)
 
     def __post_init__(self):
         if len(self.cells) != 6 or any(len(row) != 6 or None in row for row in self.cells):
@@ -305,7 +307,7 @@ def load_dmf_config(path: str | Path) -> DmfConfig:
         cells.append(tuple(parsed_row))
     if sum(row.count(_SPLIT) for row in cells) > 1:
         raise ConfigError(f"{path}: more than one SPLIT cell")
-    return DmfConfig(cells=tuple(cells))
+    return DmfConfig(cells=tuple(cells), path=str(path))
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,14 @@ disposition per filed charge).  Both files go through one row loop,
 checks that each numbered row is either an item or a row error.  The
 row errors are the issues that are not warnings; ``_hard_issues`` picks
 them, for the commands too.  Each reader gives it one ``build``, which
-makes the carrier, and each column one parser.  That parser
-is a memo: each distinct cell text is parsed once, and every row
+makes the carrier from the row's cells, parsed in column order.  Each
+column's parser is stated once, in ``_PARSERS`` under its name, and read
+through a memo: each distinct cell text is parsed once, and every row
 carrying it shares the resulting immutable value (a date, a charge
-tuple, a level, ...).  The columns both files parse the same way (sfid,
-name, dob, arrest date, charge texts and charge cells) share one set of
-memos per run, ``_SharedMemos``, so a text both files carry is parsed
-once and a record and its case share its value; every other column has
-a memo per file.  Only the row ids, which are unique, are not memoized.
+tuple, a level, ...).  A run keeps one set of memos, ``_ColumnMemos``,
+keyed by column name, so a text both files carry in a column of one
+name is parsed once and a record and its case share its value.  Only
+the row ids, which are unique, are not memoized.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from datetime import date
 from itertools import chain, islice
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .charges import ChargeCode, Derivative, parse_charge_code
 from .engine import SupervisionLevel
@@ -146,29 +146,6 @@ def _split_charges(cell: str, where: str, codes: _Memo) -> tuple[ChargeCode, ...
     return tuple(codes[text] for part in cell.split(";") if (text := _parse_text(part, where)))
 
 
-class _SharedMemos(NamedTuple):
-    """The memos of the columns both input files parse the same way: the
-    sfid, name, dob and arrest date cells, the charge texts (``codes``)
-    and the charge cells (``charges``, whose errors name booking_charges).
-    One set passed to both readers parses a text both files carry once,
-    and a record and its case share the value.  A memo stores only
-    successful parses, so sharing changes no row's issues."""
-
-    sfid: _Memo
-    name: _Memo
-    dob: _Memo
-    arrest_date: _Memo
-    codes: _Memo
-    charges: _Memo
-
-
-def _shared_memos(prefixes: Mapping[str, Derivative] | None = None) -> _SharedMemos:
-    """A fresh set of shared memos, parsing charges with ``prefixes``."""
-    codes = _Memo(parse_charge_code, prefixes)
-    return _SharedMemos(_Memo(_parse_text, "sfid"), _Memo(_parse_text, "name"), _Memo(parse_date, "dob"),
-                        _Memo(parse_date, "arrest_date"), codes, _Memo(_split_charges, "booking_charges", codes))
-
-
 class _Items(list):
     """A reader's items, and in ``rows`` the non-blank data rows it
     numbered; an empty one with no rows stands for a file not read."""
@@ -252,45 +229,6 @@ def _read_table(
     return items, issues
 
 
-def read_psa_records(
-    path: str | Path, prefixes: Mapping[str, Derivative] | None = None, *, memos: _SharedMemos | None = None
-) -> tuple[_Items[PsaRecord], list[RowIssue]]:
-    """Parse an assessment-record file.
-
-    Returns (records, issues).  Rows that cannot be parsed are skipped and
-    reported, as are rows with an empty or repeated ``record_id``; soft
-    invariant violations (e.g. a form date more than a day before the
-    arrest date) keep the row but add a warning issue.  ``memos`` is the
-    run's shared set (``_shared_memos``), which then sets the prefixes;
-    without it the reader builds its own from ``prefixes``.
-    """
-    if memos is None:
-        memos = _shared_memos(prefixes)
-    # one parser per column after record_id, in PSA_COLUMNS order
-    parsers = (
-        memos.sfid,
-        memos.name,
-        memos.dob,
-        memos.arrest_date,
-        _Memo(parse_date, "psa_date"),
-        _Memo(_parse_score, "fta"),
-        _Memo(_parse_score, "nca"),
-        _Memo(parse_bool, "nvca_flag"),
-        memos.charges,  # booking_charges
-        _Memo(_parse_count, "age_at_arrest"),
-        _Memo(parse_bool, "prior_conviction"),
-        _Memo(_parse_count, "prior_violent_convictions"),
-        _Memo(parse_bool, "recorded_exclusion"),
-        _Memo(parse_bool, "recorded_bumpup"),
-        _Memo(_parse_level),  # recorded_recommendation
-    )
-
-    def build(rid, cells):
-        return PsaRecord(rid, *map(getitem, parsers, cells))
-
-    return _read_table(path, PSA_COLUMNS, build, PsaRecord.validate)
-
-
 def _carriage_return(where: str, text: str) -> str:
     return f"{where}: must not hold a carriage return, got {text!r}"
 
@@ -318,46 +256,103 @@ def _parse_count(text: str, where: str) -> int | None:
     return v
 
 
-def _parse_level(text: str) -> SupervisionLevel | None:
+def _parse_level(text: str, where: str) -> SupervisionLevel | None:
     t = text.strip()
     if t == "":
         return None
     return SupervisionLevel.from_label(t)
 
 
-def _parse_race(text: str) -> str:
+def _parse_race(text: str, where: str) -> str:
     race = text.strip().upper()
     if race and race not in RACE_CATEGORIES:
-        raise ValueError(f"race: unknown designation {race!r}")
+        raise ValueError(f"{where}: unknown designation {race!r}")
     return race
 
 
-def _parse_dispositions(text: str) -> tuple[int | None, ...]:
+def _parse_dispositions(text: str, where: str) -> tuple[int | None, ...]:
     """A dispositions cell's codes, or () for an entirely empty cell."""
     t = text.strip()
-    return tuple(_parse_count(part, "dispositions") for part in t.split(";")) if t else ()
+    return tuple(_parse_count(part, where) for part in t.split(";")) if t else ()
+
+
+#: Each input column's parser, by column name: ``parse(text, column)``,
+#: whose errors name the column (a level's names only the text).  The
+#: charge cells' parser, ``_split_charges``, also takes the run's memo of
+#: charge texts.
+_PARSERS = {
+    "sfid": _parse_text, "name": _parse_text, "race": _parse_race,
+    "dob": parse_date, "arrest_date": parse_date, "psa_date": parse_date,
+    "fta": _parse_score, "nca": _parse_score,
+    "age_at_arrest": _parse_count, "prior_violent_convictions": _parse_count,
+    "nvca_flag": parse_bool, "prior_conviction": parse_bool,
+    "recorded_exclusion": parse_bool, "recorded_bumpup": parse_bool,
+    "recorded_recommendation": _parse_level,
+    "booking_charges": _split_charges, "dispositions": _parse_dispositions,
+}
+
+
+class _ColumnMemos(dict):
+    """A run's memo of each column, by column name, made from its
+    ``_PARSERS`` entry on first use, and in ``codes`` the memo of charge
+    texts, parsed with ``prefixes``.  Both readers given one set share a
+    memo where their files share a column name.  A memo stores only
+    successful parses, so sharing changes no row's issues."""
+
+    def __init__(self, prefixes: Mapping[str, Derivative] | None = None):
+        super().__init__()
+        self.codes = _Memo(parse_charge_code, prefixes)
+
+    def __missing__(self, column: str) -> _Memo:
+        parse = _PARSERS[column]
+        memo = self[column] = _Memo(parse, column, self.codes) if parse is _split_charges else _Memo(parse, column)
+        return memo
+
+
+def read_psa_records(
+    path: str | Path, prefixes: Mapping[str, Derivative] | None = None, *, memos: _ColumnMemos | None = None
+) -> tuple[_Items[PsaRecord], list[RowIssue]]:
+    """Parse an assessment-record file.
+
+    Returns (records, issues).  Rows that cannot be parsed are skipped and
+    reported, as are rows with an empty or repeated ``record_id``; soft
+    invariant violations (e.g. a form date more than a day before the
+    arrest date) keep the row but add a warning issue.  ``memos`` is the
+    run's set, which then sets the prefixes; without it the reader makes
+    its own from ``prefixes``.
+    """
+    if memos is None:
+        memos = _ColumnMemos(prefixes)
+    parsers = [memos[column] for column in PSA_COLUMNS[1:]]
+
+    def build(rid, cells):
+        return PsaRecord(rid, *map(getitem, parsers, cells))
+
+    return _read_table(path, PSA_COLUMNS, build, PsaRecord.validate)
 
 
 def read_court_cases(
-    path: str | Path, prefixes: Mapping[str, Derivative] | None = None, *, memos: _SharedMemos | None = None
+    path: str | Path, prefixes: Mapping[str, Derivative] | None = None, *, memos: _ColumnMemos | None = None
 ) -> tuple[_Items[CourtCase], list[RowIssue]]:
     """Parse a court-case file into (cases, issues), as
     ``read_psa_records`` parses a record file, with ``memos`` and
-    ``prefixes`` as there."""
-    sfids, names, dobs, arrest_dates, codes, charges = _shared_memos(prefixes) if memos is None else memos
-    races, dispositions = _Memo(_parse_race), _Memo(_parse_dispositions)
+    ``prefixes`` as there.  A filed_charges cell is read by the
+    booking_charges memo, and an entirely empty dispositions cell means
+    every filed charge is pending."""
+    if memos is None:
+        memos = _ColumnMemos(prefixes)
+    # map() stops at the shorter, so these leave the last two cells
+    parsers = [memos[column] for column in COURT_COLUMNS[1:-2]]
+    charges, dispositions = memos["booking_charges"], memos["dispositions"]
     pending = _Memo((None,).__mul__)  # n -> (None,) * n
 
     def build(cn, cells):
-        sfid, name, dob, arrest_date, race, booked, filed, disposed = cells
-        race = races[race]
-        # the two charge columns share one memo, whose errors name
-        # booking_charges: a filed cell that may fail on "\r" is split apart
-        filed = charges[filed] if "\r" not in filed else _split_charges(filed, "filed_charges", codes)
-        # an entirely empty cell means every filed charge is pending
-        disposed = dispositions[disposed] or pending[len(filed)]
-        return CourtCase(cn, sfids[sfid], names[name], dobs[dob], arrest_dates[arrest_date], race,
-                         charges[booked], filed, disposed)
+        values = [*map(getitem, parsers, cells)]
+        filed, disposed = cells[-2:]
+        # the booking memo's errors name booking_charges, so a filed cell
+        # that may fail on "\r" is split apart
+        filed = charges[filed] if "\r" not in filed else _split_charges(filed, "filed_charges", memos.codes)
+        return CourtCase(cn, *values, filed, dispositions[disposed] or pending[len(filed)])
 
     return _read_table(path, COURT_COLUMNS, build, None)
 

@@ -37,8 +37,10 @@ from datetime import date, timedelta
 from itertools import accumulate, count, islice
 from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .charges import ChargeCatalog, parse_charge_code
+from .counterfactual import DispositionPolicy
 from .engine import EngineConfig, SupervisionLevel, assess, derive_subscores, load_engine_config
 from .errors import ConfigError, ParseError
 from .io import (
@@ -80,8 +82,10 @@ DEFAULT_SCORE_DISTRIBUTIONS = {
 NONB_RACES = ("W", "H", "C", "O", "U")
 NONB_RACE_WEIGHTS = (55, 20, 10, 8, 7)
 
-#: The disposition texts of a convicted charge: codes 160..199.
-_CODES = tuple(map(str, range(160, 200)))
+#: The default policy's disposition texts: a convicted charge's, the forty
+#: codes above its threshold, and a guilty plea's that names other charges.
+_THRESHOLD, _PLEA = DispositionPolicy().conviction_threshold, str(DispositionPolicy().plea_to_other_code)
+_CODES = tuple(map(str, range(_THRESHOLD + 1, _THRESHOLD + 41)))
 #: The PSA columns an incomplete record leaves empty, one each.
 _BLANKABLE = ("arrest_date", "fta", "nca", "nvca_flag")
 #: Dates of birth are drawn from the _DOB_DAYS days from _FIRST_DOB on.
@@ -126,13 +130,15 @@ class GeneratorConfig:
     })
 
     def __post_init__(self):
-        for name in ("n_records", "seed"):
+        # each field is checked by its declared type, in declaration order
+        declared = get_type_hints(type(self)).items()
+        for name in [name for name, kind in declared if kind is int]:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_records < 0:
             raise ConfigError("n_records must be >= 0")
-        for name in ("group_mix", "score_distributions", "charge_pools"):
+        for name in [name for name, kind in declared if kind is dict]:
             value = getattr(self, name)
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be a mapping")
@@ -149,11 +155,12 @@ class GeneratorConfig:
         for pool, texts in self.charge_pools.items():
             if not (isinstance(texts, (list, tuple)) and texts and all(isinstance(t, str) for t in texts)):
                 raise ConfigError(f"charge pool {pool!r} must be a non-empty list of strings, got {texts!r}")
-        for name in (
-            "overbooking_rate", "saturation_share", "duplicate_rate", "incomplete_rate",
-            "disposed_rate", "plea_other_rate", "unmatched_rate", "decoy_rate",
-            "twin_rate", "companion_zero_share", "person_reuse_rate",
-        ):
+            # a record's pool texts are joined with ";" into one cell, and csv leaves a bare "\r" unquoted
+            bad = [t for t in texts if ";" in t or "\r" in t]
+            if bad:
+                raise ConfigError(f"charge pool {pool!r} takes one charge per text, with no ';' or '\\r', "
+                                  f"got {bad[0]!r}")
+        for name in [name for name, kind in declared if kind is float]:
             value = getattr(self, name)
             if not _is_number(value) or not (0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
@@ -368,18 +375,14 @@ class _Generator:
                               "overbooked_saturated": (top, frozenset(top))}
 
     def _classify_cells(self):
-        low, top = [], []
-        for fta in range(1, 7):
-            for nca in range(1, 7):
-                value = self.engine.dmf.cells[fta - 1][nca - 1]
-                if not isinstance(value, SupervisionLevel):  # the split cell
-                    continue
-                if value <= 3:
-                    low.append((fta, nca))
-                else:
-                    top.append((fta, nca))
+        dmf = self.engine.dmf
+        # each (fta, nca) cell but the split one, which holds a str, in matrix order
+        cells = [((fta, nca), level) for fta, row in enumerate(dmf.cells, 1) for nca, level in enumerate(row, 1)
+                 if isinstance(level, SupervisionLevel)]
+        low, top = [cell for cell, level in cells if level <= 3], [cell for cell, level in cells if level > 3]
         if not low or not top:
-            raise ConfigError("decision matrix must offer both low and top non-split cells")
+            where = f"{dmf.path}: " if dmf.path else ""
+            raise ConfigError(f"{where}decision matrix must offer both low and top non-split cells")
         return low, top
 
     # -- small draw helpers ------------------------------------------------
@@ -539,20 +542,16 @@ class _Generator:
         """
         rng, below, pools = self.rng, self._below, self.pools
         neutrals, misdemeanors = self.neutrals, pools["neutral_misdemeanors"]
-        if scenario == "overbooked_affected":
-            pool = pools["bumpup_nonviolent"] if rng.random() < 0.5 else pools["exclusion"]
+        if scenario.startswith("overbooked"):
+            # the affected plan's coin favours a bump-up charge, the saturated one's an exclusion
+            affected = scenario == "overbooked_affected"
+            pool = pools["bumpup_nonviolent" if (rng.random() < 0.5) == affected else "exclusion"]
             texts, codes, first = [pool[below(len(pool))]], ["30"], 1
-            for _ in range(below(3)):
-                texts.append(neutrals[below(len(neutrals))])
-                codes.append(_CODES[below(40)])
-        elif scenario == "overbooked_saturated":
-            pool = pools["exclusion"] if rng.random() < 0.5 else pools["bumpup_nonviolent"]
-            texts, codes, first = [pool[below(len(pool))]], ["30"], 1
-            for _ in range(1 + below(2)):
+            for _ in range(below(3) if affected else 1 + below(2)):
                 texts.append(neutrals[below(len(neutrals))])
                 codes.append(_CODES[below(40)])
         elif scenario == "plea_other_case":
-            texts, codes = [misdemeanors[below(len(misdemeanors))]], ["72"]
+            texts, codes = [misdemeanors[below(len(misdemeanors))]], [_PLEA]
             for _ in range(below(2)):
                 texts.append(misdemeanors[below(len(misdemeanors))])
                 codes.append("30")
@@ -564,7 +563,7 @@ class _Generator:
                 # plea-code encoding: the pleaded charge is an inert
                 # misdemeanor; its zero-coded companions are the convictions
                 texts.insert(0, misdemeanors[below(len(misdemeanors))])
-                codes, first = ["72"] + ["0"] * (len(texts) - 1), 1
+                codes, first = [_PLEA] + ["0"] * (len(texts) - 1), 1
             else:
                 codes, first = [_CODES[below(40)] for _ in texts], 0
 

@@ -287,11 +287,24 @@ def test_pattern_subdivision_prefix_semantics():
     assert not matches(parse_charge_code("187 PC F"), narrow)
 
 
+@pytest.mark.parametrize("charge, pattern, covered", [
+    ("187(A) F", "187(A) PC", True),  # a charge without a body matches a pattern's
+    ("187(A) VC F", "187(A) PC", False),  # the bodies differ
+    ("211 PC F 1", "211 PC F", True),
+    ("211 PC F 2", "211 PC F 1", False),  # the degrees differ
+    ("211 PC F", "211 PC F 1", False),
+])
+def test_a_pattern_covers_a_charge_only_where_each_part_it_names_agrees(charge, pattern, covered):
+    assert matches(parse_charge_code(charge), parse_charge_code(pattern)) is covered
+
+
 def test_catalog_rejects_bad_category(tmp_path):
     from psa_audit.charges import ChargeCatalog
 
     with pytest.raises(ConfigError):
         ChargeCatalog.from_dict({"patterns": [{"pattern": "187 PC", "category": "nope"}]})
+    with pytest.raises(ConfigError, match="unknown catalog category 'nope'"):
+        ChargeCatalog([CatalogEntry(parse_charge_code("187 PC"), "nope")])
     for doc, message in (
         ({"derivative_prefixes": {"600": "bogus"}, "patterns": [{"pattern": "187 PC", "category": "violent"}]},
          "unknown derivative kind 'bogus' for prefix '600'"),

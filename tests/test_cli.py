@@ -413,7 +413,7 @@ def test_reader_does_not_turn_program_errors_into_row_errors(tmp_path, monkeypat
 
     psa = tmp_path / "psa.csv"
     write_table(psa, PSA_COLUMNS, [psa_row("R1")])
-    monkeypatch.setattr("psa_audit.io.parse_date", broken)
+    monkeypatch.setitem(psa_audit.io._PARSERS, "dob", broken)
     with pytest.raises(TypeError):
         read_psa_records(psa)
 
@@ -706,6 +706,40 @@ def test_a_closed_stdout_changes_neither_the_outputs_nor_the_exit_code(sim_dir, 
     assert _tree_bytes(tmp_path / "piped") == _tree_bytes(tmp_path / "normal")
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: each write raises BrokenPipeError.
+    Its file descriptor is ``fd``."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_report_to_a_closed_pipe_goes_to_devnull_in_process(sim_dir, tmp_path, monkeypatch):
+    """The same as the test above, in this process, so that the handler of
+    the closed pipe is seen to run: it points the descriptor at devnull."""
+    args = ["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv", "--sensitivity"]
+    assert run([*args, "--out", tmp_path / "normal"]) == 0
+    sink = tmp_path / "stdout.txt"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert run([*args, "--out", tmp_path / "piped"]) == 0
+        os.write(fd, b"unseen")
+    finally:
+        os.close(fd)
+    assert sink.read_bytes() == b""
+    assert _tree_bytes(tmp_path / "piped") == _tree_bytes(tmp_path / "normal")
+
+
 @pytest.mark.parametrize("command, key, value", [("audit", "group_by", "none"), ("simulate", "n", 7)])
 def test_rerun_drops_the_dead_options_of_an_older_manifest(sim_dir, tmp_path, command, key, value):
     """An option no command reads shapes nothing, so the rerun's manifest
@@ -945,7 +979,8 @@ def test_simulate_needs_both_low_and_top_matrix_cells(tmp_path, capsys, level):
     dmf = tmp_path / "dmf.yaml"
     dmf.write_text("rows:\n" + f"  - [{', '.join([level] * 6)}]\n" * 6, encoding="utf-8")
     assert run(["simulate", "--n", 10, "--dmf", dmf, "--out", tmp_path / "sim"]) == 2
-    assert "decision matrix must offer both low and top non-split cells" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {dmf}: decision matrix must offer both low and top non-split cells" in err
     assert not (tmp_path / "sim").exists()
 
 
@@ -988,6 +1023,10 @@ _BAD_POOL = "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "neutral_felo
     "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "violent_felonies": ["246 PC F"]}) + "\n",
     _BAD_POOL,
     "charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "violent": ["abc"]}) + "\n",  # does not parse
+    # two charges in one text, and a text that splits its row: each is one
+    # cell of a corpus the readers would not read back as planted
+    *("charge_pools: " + json.dumps({**DEFAULT_CHARGE_POOLS, "exclusion": [text]}) + "\n"
+      for text in ("211 PC F;187(A) PC F", "211 PC\r F")),
     "duplicate_rate: 0.8\nincomplete_rate: 0.5\n",  # more than every record
 ])
 def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):

@@ -160,6 +160,12 @@ def test_identity_when_convicted_of_everything(config):
     assert counterfactual_assess(r, charges, config) == counterfactual_assess(r, list(charges), config)
 
 
+@pytest.mark.parametrize("scores", [{"fta": None}, {"nca": None}])
+def test_a_record_without_fta_or_nca_cannot_be_rescored(config, scores):
+    with pytest.raises(ValueError, match="record R1 has no sub-scores"):
+        counterfactual_assess(rec(**scores), [q("459 PC F")], config)
+
+
 def test_empty_conviction_set_keeps_initial(config):
     r = rec(fta=2, nca=3)
     res = counterfactual_assess(r, [], config)

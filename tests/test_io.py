@@ -1,6 +1,6 @@
-"""The readers parse each distinct cell once and share its value, the
-columns both files parse the same way once per run, and the writer
-writes what csv writes.
+"""The readers parse each distinct cell once and share its value, a
+column both files have once per run, and the cells of a row in column
+order; the writer writes what csv writes.
 
 Every reader check runs on a seeded simulated corpus or on small fixtures;
 the reference for each value is a fresh parse of its cell with the public
@@ -177,6 +177,23 @@ def test_a_bad_cell_on_two_rows_gives_two_row_issues(corpus, tmp_path, name, col
         assert [getattr(x, key) for x in items] == [rows[1][key], rows[3][key]]
 
 
+@pytest.mark.parametrize("name, columns, read, bad_cells, first", [
+    ("court_cases.csv", COURT_COLUMNS, read_court_cases, {"race": "Z", "dob": "2016-13-01"}, "dob:"),
+    ("court_cases.csv", COURT_COLUMNS, read_court_cases, {"dispositions": "x", "booking_charges": "PC F"},
+     "no leading statute number"),
+    ("psa_records.csv", PSA_COLUMNS, read_psa_records, {"recorded_recommendation": "X", "fta": "9"}, "fta:"),
+])
+def test_a_row_with_two_bad_cells_names_the_first_in_column_order(corpus, tmp_path, name, columns, read,
+                                                                   bad_cells, first):
+    rows = _cells(corpus / name)[:2]
+    rows[0].update(bad_cells)
+    _write(tmp_path / name, columns, rows)
+    items, issues = read(tmp_path / name)
+    assert len(items) == 1
+    (issue,) = [i for i in issues if not i.message.startswith("warning:")]
+    assert issue.message.startswith(first), issue
+
+
 def test_the_schema_text_lists_each_column_under_its_file():
     """``--schema`` prints its own list of the files' columns, so a column
     added to a file must be added there too."""
@@ -293,7 +310,7 @@ def _read_outcome(read, path, **kw):
 def test_shared_memos_read_what_each_file_reads_alone(tmp_path, court_first):
     psa, court = _faulty_pair(tmp_path)
     alone = {read: _read_outcome(read, path) for read, path in ((read_psa_records, psa), (read_court_cases, court))}
-    memos = psa_io._shared_memos()
+    memos = psa_io._ColumnMemos()
     order = [(read_psa_records, psa), (read_court_cases, court)]
     shared = {read: _read_outcome(read, path, memos=memos) for read, path in order[::-1 if court_first else 1]}
     assert shared == alone

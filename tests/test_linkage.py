@@ -356,6 +356,16 @@ def test_court_case_disposition_arity_enforced():
         )
 
 
+@pytest.mark.parametrize("status, cases, message", [
+    (MatchStatus.MATCHED, (), "Matched result needs at least one case"),
+    (MatchStatus.UNRESOLVED, (case(),), "only Matched results carry cases"),
+    (MatchStatus.DROPPED_DUPLICATE, (case(),), "only Matched results carry cases"),
+])
+def test_only_a_match_carries_cases_and_it_carries_one_at_least(status, cases, message):
+    with pytest.raises(ValueError, match=message):
+        MatchResult(psa=rec(), matched_cases=cases, status=status)
+
+
 def test_transposed_date_is_flagged_not_fatal():
     r = rec(arrest="2016-09-10", psa="2016-03-05")
     assert r.validate()

@@ -1,7 +1,7 @@
 import random
 import re
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -77,6 +77,18 @@ def test_config_validation():
         GeneratorConfig(group_mix={1: 0.5, "B": 0.5}, score_distributions={1: dist, "B": dist})
     with pytest.raises(ConfigError, match="score_distributions keys must be strings, got 2"):
         GeneratorConfig(group_mix={"B": 1.0}, score_distributions={"B": dist, 2: dist})
+
+
+#: The config's rates, read off its fields, so that a rate added later is checked too.
+_RATES = [f.name for f in fields(GeneratorConfig) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), "x"])
+@pytest.mark.parametrize("name", _RATES)
+def test_every_rate_must_be_a_number_in_0_1(name, value):
+    assert len(_RATES) >= 11
+    with pytest.raises(ConfigError, match=rf"^{name} must be a number in \[0, 1\], got "):
+        GeneratorConfig(**{name: value})
 
 
 _KIND_COLUMN, _SCENARIO_COLUMN = GROUND_TRUTH_COLUMNS.index("kind"), GROUND_TRUTH_COLUMNS.index("scenario")
