@@ -306,10 +306,9 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
 def _manifest_options(path: Path, command: str, opts: dict) -> dict:
     """The options of a manifest for ``command``, checked against its
     table: each option that is required or has a default is present, with
-    the option's type (a string for a path; a number where it takes a
-    float, taken as a float), and ``resolved_generator`` is valid.  Keys
-    the table lacks are dropped, so the new manifest names only what
-    shaped the outputs."""
+    the option's type (a string for a path), and ``resolved_generator``
+    is valid.  Keys the table lacks are dropped, so the new manifest
+    names only what shaped the outputs."""
     options = _COMMANDS[command][1]
     missing = sorted(o.key for o in options if (o.required or o.default is not None) and o.key not in opts)
     if missing:
@@ -319,8 +318,6 @@ def _manifest_options(path: Path, command: str, opts: dict) -> dict:
         if o.key not in opts:
             continue
         value, kind = opts[o.key], str if o.type is Path else o.type
-        if kind is float and type(value) is int:
-            value = float(value)
         if type(value) is not kind:
             raise SchemaError(f"{path}: option {o.key!r} must be of type {kind.__name__}, got {value!r}")
         checked[o.key] = value

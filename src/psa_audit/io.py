@@ -18,21 +18,22 @@ outputs copy (ids, sfids, names and charge texts) are row errors when
 they hold "\\r".
 
 Each input file's row is stated once, on its carrier: its columns are
-the fields of ``PsaRecord`` or ``CourtCase``, in order, and the carrier's
-constructor holds the rules on the whole row (a non-empty sfid, one
-disposition per filed charge).  Both files go through one row loop,
-``_read_table``, which numbers the rows, files every row issue and
-checks that each numbered row is either an item or a row error.  The
-row errors are the issues that are not warnings; ``_hard_issues`` picks
-them, for the commands too.  Each reader gives it one ``build``, which
-makes the carrier from the row's cells, parsed in column order.  Each
-column's parser is stated once, in ``_PARSERS`` under its name, and read
-through a memo: each distinct cell text is parsed once, and every row
-carrying it shares the resulting immutable value (a date, a charge
-tuple, a level, ...).  A run keeps one set of memos, ``_ColumnMemos``,
-keyed by column name, so a text both files carry in a column of one
-name is parsed once and a record and its case share its value.  Only
-the row ids, which are unique, are not memoized.
+the fields of ``PsaRecord`` or ``CourtCase``, in order, and the
+carrier's constructor holds the rules on the whole row (a non-empty
+sfid, one disposition per filed charge).  Both files go through one row
+loop, ``_read_table``, which numbers the rows, makes each carrier from
+the row's cells, parsed in column order, files every row issue and
+checks that each numbered row is either an item or a row error.  It is
+the one place that names a bad cell's column.  The row errors are the
+issues that are not warnings; ``_hard_issues`` picks them, for the
+commands too.  Each column's parser reads the cell's text alone; it is
+stated once, in ``_PARSERS`` under its name, and read through a memo:
+each distinct cell text is parsed once, and every row carrying it shares
+the resulting immutable value (a date, a charge tuple, a level, ...).  A
+run keeps one set of memos, ``_ColumnMemos``, keyed by column name, so a
+text both files carry in a column of one name is parsed once and a
+record and its case share its value.  Only the row ids, which are
+unique, are not memoized.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class RowIssue:
     message: str
 
 
-def parse_bool(text: str, where: str) -> bool | None:
+def parse_bool(text: str) -> bool | None:
     t = text.strip().lower()
     if t == "":
         return None
@@ -83,16 +84,16 @@ def parse_bool(text: str, where: str) -> bool | None:
         return True
     if t == "false":
         return False
-    raise ValueError(f"{where}: expected true/false, got {text!r}")
+    raise ValueError(f"expected true/false, got {text!r}")
 
 
-def parse_int(text: str, where: str) -> int | None:
+def parse_int(text: str) -> int | None:
     t = text.strip()
     if t == "":
         return None
     digits = t[1:] if t[0] in "+-" else t
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{where}: expected an integer, got {text!r}")
+        raise ValueError(f"expected an integer, got {text!r}")
     return int(t)
 
 
@@ -100,7 +101,7 @@ def parse_int(text: str, where: str) -> int | None:
 _DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def parse_date(text: str, where: str) -> date | None:
+def parse_date(text: str) -> date | None:
     t = text.strip()
     if t == "":
         return None
@@ -109,7 +110,7 @@ def parse_date(text: str, where: str) -> date | None:
             return date.fromisoformat(t)
     except ValueError:
         pass
-    raise ValueError(f"{where}: expected YYYY-MM-DD, got {text!r}")
+    raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
 
 
 def join_charges(charges: Iterable[ChargeCode]) -> str:
@@ -137,13 +138,13 @@ class _Memo(dict):
         return value
 
 
-def _split_charges(cell: str, where: str, codes: _Memo) -> tuple[ChargeCode, ...]:
-    """A ';'-joined charge cell of column ``where``.  ``codes`` is the
-    memo of charge texts, so each distinct stripped text is parsed once
-    and its ChargeCode is shared by every cell that carries it.  A
-    charge keeps its text in ``raw``, which the outputs copy, so a charge
-    text holding "\\r" is a row error too."""
-    return tuple(codes[text] for part in cell.split(";") if (text := _parse_text(part, where)))
+def _split_charges(cell: str, codes: _Memo) -> tuple[ChargeCode, ...]:
+    """A ';'-joined charge cell.  ``codes`` is the memo of charge texts,
+    so each distinct stripped text is parsed once and its ChargeCode is
+    shared by every cell that carries it.  A charge keeps its text in
+    ``raw``, which the outputs copy, so a charge text holding "\\r" is a
+    row error too."""
+    return tuple(codes[text] for part in cell.split(";") if (text := _parse_text(part)))
 
 
 class _Items(list):
@@ -159,16 +160,19 @@ def _hard_issues(issues: Iterable[RowIssue]) -> list[RowIssue]:
 
 
 def _read_table(
-    path: str | Path, columns: Sequence[str], build: Callable, warnings: Callable | None
+    path: str | Path, columns: Sequence[str], parsers: Sequence[_Memo], make: Callable, warnings: Callable | None
 ) -> tuple[_Items, list[RowIssue]]:
     """(items, issues) of a table keyed by its first column.  The header
     must name each of ``columns`` once.  Data rows are numbered from 1, and
     blank lines are skipped and not numbered.  A row is an issue, in this
     order, when its cell count is not the header's, when its id (a join
     key) holds "\\r" (the issue then gives an empty id), is empty or
-    repeats an earlier row's, or when ``build(id, other cells)`` raises
-    ValueError or ParseError; else ``build``'s value is an item, and each
-    of ``warnings(item)``, unless None, is a ``warning:`` issue.
+    repeats an earlier row's, or when ``make(id, *values)``, each other
+    cell's value looked up in its column's memo in ``parsers``, raises
+    ValueError or ParseError: the issue is then ``_cell_issue``'s, else
+    (a rule on the whole row) ``make``'s message.  Else ``make``'s value
+    is an item, and each of ``warnings(item)``, unless None, is a
+    ``warning:`` issue.
     ``items.rows`` is the number of rows numbered, counted apart from the
     items and issues: a RuntimeError is raised unless it equals the items
     plus the issues that are not warnings.  A file that cannot be read,
@@ -188,7 +192,8 @@ def _read_table(
             if repeated:
                 raise SchemaError(f"{path}: repeated columns {repeated}")
             at = header.index(columns[0])
-            pick = itemgetter(*map(header.index, columns[1:]))
+            pick = itemgetter(*map(header.index, columns[1:]), at)  # a tuple; map and zip drop the id
+            parses = (_parse_text, *(memo.__getitem__ for memo in parsers))
             width = len(header)
             pad = [""] * width
             for number, row in enumerate(filter(None, reader), start=1):
@@ -198,18 +203,19 @@ def _read_table(
                     row = (row + pad)[:width]  # so that every column has a cell
                 key = row[at].strip()
                 if "\r" in key:  # the issue's own id cell is written too
-                    error = error or _carriage_return(columns[0], key)
+                    error = error or _cell_issue(columns, parses, (key,))
                     key = ""
-                try:
-                    if error:
-                        raise ValueError(error)
-                    if not key:
-                        raise ValueError(f"{columns[0]} must be non-empty")
-                    if key in first_row:
-                        raise ValueError(f"{columns[0]} {key!r} repeats row {first_row[key]}")
-                    item = build(key, pick(row))
-                except (ValueError, ParseError) as exc:
-                    issues.append(RowIssue(number, key, str(exc)))
+                if not key:
+                    error = error or f"{columns[0]} must be non-empty"
+                elif key in first_row:
+                    error = error or f"{columns[0]} {key!r} repeats row {first_row[key]}"
+                if not error:
+                    try:
+                        item = make(key, *map(getitem, parsers, pick(row)))
+                    except (ValueError, ParseError) as exc:
+                        error = _cell_issue(columns, parses, (key, *pick(row))) or str(exc)
+                if error:
+                    issues.append(RowIssue(number, key, error))
                     continue
                 first_row[key] = number
                 items.append(item)
@@ -229,57 +235,64 @@ def _read_table(
     return items, issues
 
 
-def _carriage_return(where: str, text: str) -> str:
-    return f"{where}: must not hold a carriage return, got {text!r}"
+def _cell_issue(columns: Sequence[str], parses: Iterable[Callable], cells: Iterable[str]) -> str | None:
+    """The issue of the first cell, in column order, whose parse raises:
+    its column's name and the error.  None if every cell parses."""
+    for column, parse, cell in zip(columns, parses, cells):
+        try:
+            parse(cell)
+        except (ValueError, ParseError) as exc:
+            return f"{column}: {exc}"
+    return None
 
 
-def _parse_text(text: str, where: str) -> str:
+def _parse_text(text: str) -> str:
     """A free-text cell, stripped; one holding "\\r" inside would be
     written back unquoted (see the module docstring)."""
     t = text.strip()
     if "\r" in t:
-        raise ValueError(_carriage_return(where, t))
+        raise ValueError(f"must not hold a carriage return, got {t!r}")
     return t
 
 
-def _parse_score(text: str, where: str) -> int | None:
-    v = parse_int(text, where)
+def _parse_score(text: str) -> int | None:
+    v = parse_int(text)
     if v is not None and not (1 <= v <= 6):
-        raise ValueError(f"{where}: must be in 1..6, got {v}")
+        raise ValueError(f"must be in 1..6, got {v}")
     return v
 
 
-def _parse_count(text: str, where: str) -> int | None:
-    v = parse_int(text, where)
+def _parse_count(text: str) -> int | None:
+    v = parse_int(text)
     if v is not None and v < 0:
-        raise ValueError(f"{where}: must be >= 0, got {v}")
+        raise ValueError(f"must be >= 0, got {v}")
     return v
 
 
-def _parse_level(text: str, where: str) -> SupervisionLevel | None:
+def _parse_level(text: str) -> SupervisionLevel | None:
     t = text.strip()
     if t == "":
         return None
     return SupervisionLevel.from_label(t)
 
 
-def _parse_race(text: str, where: str) -> str:
+def _parse_race(text: str) -> str:
     race = text.strip().upper()
     if race and race not in RACE_CATEGORIES:
-        raise ValueError(f"{where}: unknown designation {race!r}")
+        raise ValueError(f"unknown designation {race!r}")
     return race
 
 
-def _parse_dispositions(text: str, where: str) -> tuple[int | None, ...]:
+def _parse_dispositions(text: str) -> tuple[int | None, ...]:
     """A dispositions cell's codes, or () for an entirely empty cell."""
     t = text.strip()
-    return tuple(_parse_count(part, where) for part in t.split(";")) if t else ()
+    return tuple(_parse_count(part) for part in t.split(";")) if t else ()
 
 
-#: Each input column's parser, by column name: ``parse(text, column)``,
-#: whose errors name the column (a level's names only the text).  The
-#: charge cells' parser, ``_split_charges``, also takes the run's memo of
-#: charge texts.
+#: Each input column's parser, by column name: ``parse(text)``, whose
+#: error says what is wrong with the text; ``_read_table`` names the
+#: column.  The charge cells' parser, ``_split_charges``, also takes the
+#: run's memo of charge texts; filed_charges reads the booking memo.
 _PARSERS = {
     "sfid": _parse_text, "name": _parse_text, "race": _parse_race,
     "dob": parse_date, "arrest_date": parse_date, "psa_date": parse_date,
@@ -305,7 +318,7 @@ class _ColumnMemos(dict):
 
     def __missing__(self, column: str) -> _Memo:
         parse = _PARSERS[column]
-        memo = self[column] = _Memo(parse, column, self.codes) if parse is _split_charges else _Memo(parse, column)
+        memo = self[column] = _Memo(parse, self.codes) if parse is _split_charges else _Memo(parse)
         return memo
 
 
@@ -324,11 +337,7 @@ def read_psa_records(
     if memos is None:
         memos = _ColumnMemos(prefixes)
     parsers = [memos[column] for column in PSA_COLUMNS[1:]]
-
-    def build(rid, cells):
-        return PsaRecord(rid, *map(getitem, parsers, cells))
-
-    return _read_table(path, PSA_COLUMNS, build, PsaRecord.validate)
+    return _read_table(path, PSA_COLUMNS, parsers, PsaRecord, PsaRecord.validate)
 
 
 def read_court_cases(
@@ -341,20 +350,13 @@ def read_court_cases(
     every filed charge is pending."""
     if memos is None:
         memos = _ColumnMemos(prefixes)
-    # map() stops at the shorter, so these leave the last two cells
-    parsers = [memos[column] for column in COURT_COLUMNS[1:-2]]
-    charges, dispositions = memos["booking_charges"], memos["dispositions"]
+    parsers = [memos["booking_charges" if c == "filed_charges" else c] for c in COURT_COLUMNS[1:]]
     pending = _Memo((None,).__mul__)  # n -> (None,) * n
 
-    def build(cn, cells):
-        values = [*map(getitem, parsers, cells)]
-        filed, disposed = cells[-2:]
-        # the booking memo's errors name booking_charges, so a filed cell
-        # that may fail on "\r" is split apart
-        filed = charges[filed] if "\r" not in filed else _split_charges(filed, "filed_charges", memos.codes)
-        return CourtCase(cn, *values, filed, dispositions[disposed] or pending[len(filed)])
+    def make(*values):  # the last two: the filed charges and their dispositions
+        return CourtCase(*values[:-1], values[-1] or pending[len(values[-2])])
 
-    return _read_table(path, COURT_COLUMNS, build, None)
+    return _read_table(path, COURT_COLUMNS, parsers, make, None)
 
 
 #: The rows ``write_csv`` joins into one string and writes at a time: tens

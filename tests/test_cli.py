@@ -207,8 +207,8 @@ def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
     assert c1.booking_charges[0] is c1.filed_charges[0] is c2.booking_charges[1]
     assert c1.booking_charges[1] is c2.filed_charges[0]
     assert [(i.row, i.record_id, i.message) for i in issues] == [
-        (3, "C3", "no leading statute number in 'PC F'"),
-        (4, "C4", "no leading statute number in 'PC F'"),
+        (3, "C3", "booking_charges: no leading statute number in 'PC F'"),
+        (4, "C4", "booking_charges: no leading statute number in 'PC F'"),
         (5, "C5", "dispositions: 2 codes for 1 filed charges"),
         (6, "C6", "dob: expected YYYY-MM-DD, got '2016-13-01'"),
     ]
@@ -224,8 +224,8 @@ def test_readers_share_parsed_charges_but_report_every_bad_row(tmp_path):
     assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 3
     errors = read_rows(out / "input_errors.csv")
     assert [(e["row"], e["record_id"], e["message"]) for e in errors] == [
-        ("2", "R2", "no leading statute number in 'PC F'"),
-        ("3", "R3", "no leading statute number in 'PC F'"),
+        ("2", "R2", "booking_charges: no leading statute number in 'PC F'"),
+        ("3", "R3", "booking_charges: no leading statute number in 'PC F'"),
     ]
     counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
     assert counts["psa_input_rows"] == 3
@@ -408,13 +408,13 @@ def test_write_csv_writes_each_cell_as_the_schema_says(tmp_path):
 
 
 def test_reader_does_not_turn_program_errors_into_row_errors(tmp_path, monkeypatch):
-    def broken(text, where):
+    def broken(text):
         raise TypeError("bug")
 
     psa = tmp_path / "psa.csv"
     write_table(psa, PSA_COLUMNS, [psa_row("R1")])
     monkeypatch.setitem(psa_audit.io._PARSERS, "dob", broken)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="bug"):
         read_psa_records(psa)
 
 
@@ -772,6 +772,7 @@ def test_rerun_rejects_bad_manifest(tmp_path, capsys):
         {"subcommand": "audit", "options": {k: v for k, v in audit.items() if k != "alpha"}},
         {"subcommand": "audit", "options": {k: v for k, v in audit.items() if k not in ("psa", "court")}},
         {"subcommand": "audit", "options": {**audit, "conviction_threshold": "159"}},
+        {"subcommand": "audit", "options": {**audit, "alpha": 1}},
         {"subcommand": "audit", "options": {**audit, "sensitivity": 1}},
         {"subcommand": "dedupe", "options": {"psa": 5}},
         # the link command is gone; audit writes each of its files

@@ -70,9 +70,9 @@ def _fresh_psa(row):
         "record_id": row["record_id"].strip(),
         "sfid": row["sfid"].strip(),
         "name": row["name"].strip(),
-        **{c: parse_date(row[c], c) for c in ("dob", "arrest_date", "psa_date")},
-        **{c: parse_int(row[c], c) for c in ("fta", "nca", "age_at_arrest", "prior_violent_convictions")},
-        **{c: parse_bool(row[c], c)
+        **{c: parse_date(row[c]) for c in ("dob", "arrest_date", "psa_date")},
+        **{c: parse_int(row[c]) for c in ("fta", "nca", "age_at_arrest", "prior_violent_convictions")},
+        **{c: parse_bool(row[c])
            for c in ("nvca_flag", "prior_conviction", "recorded_exclusion", "recorded_bumpup")},
         "booking_charges": _charges(row["booking_charges"]),
         "recorded_recommendation": SupervisionLevel.from_label(level) if level else None,
@@ -87,12 +87,12 @@ def _fresh_court(row):
         "court_number": row["court_number"].strip(),
         "sfid": row["sfid"].strip(),
         "name": row["name"].strip(),
-        "dob": parse_date(row["dob"], "dob"),
-        "arrest_date": parse_date(row["arrest_date"], "arrest_date"),
+        "dob": parse_date(row["dob"]),
+        "arrest_date": parse_date(row["arrest_date"]),
         "race": row["race"].strip().upper(),
         "booking_charges": _charges(row["booking_charges"]),
         "filed_charges": filed,
-        "dispositions": (tuple(parse_int(p, "dispositions") for p in disposed.split(";"))
+        "dispositions": (tuple(parse_int(p) for p in disposed.split(";"))
                          if disposed else (None,) * len(filed)),
     }
 
@@ -136,24 +136,36 @@ def test_each_value_equals_a_fresh_parse_of_its_cell(corpus, name, read, fresh):
                 assert _raw(getattr(item, f)) == _raw(expected[f])
 
 
-# (column, bad cell, its message) for each input file; a date is only
+# (column, bad cell, its message) for each input file, one or more for
+# each parsed column but sfid and name (whose one fault, a "\r", the
+# writer here cannot quote; tests/test_cli.py plants it); a date is only
 # YYYY-MM-DD and an integer only ASCII digits, on every Python version
 BAD_CELLS = {
     "psa_records.csv": [
         ("dob", "2016-13-01", "dob: expected YYYY-MM-DD, got '2016-13-01'"),
         ("dob", "20160701", "dob: expected YYYY-MM-DD, got '20160701'"),
         ("arrest_date", "2016-W27-5", "arrest_date: expected YYYY-MM-DD, got '2016-W27-5'"),
+        ("psa_date", "2016-7-1", "psa_date: expected YYYY-MM-DD, got '2016-7-1'"),
         ("fta", "\u0663", "fta: expected an integer, got '\u0663'"),
+        ("nca", "0", "nca: must be in 1..6, got 0"),
         ("nvca_flag", "yes", "nvca_flag: expected true/false, got 'yes'"),
         ("age_at_arrest", "1_9", "age_at_arrest: expected an integer, got '1_9'"),
-        ("recorded_recommendation", "\u0663", "unknown supervision level '\u0663'"),
+        ("prior_conviction", "1", "prior_conviction: expected true/false, got '1'"),
+        ("prior_violent_convictions", "-1", "prior_violent_convictions: must be >= 0, got -1"),
+        ("recorded_exclusion", "no", "recorded_exclusion: expected true/false, got 'no'"),
+        ("recorded_bumpup", "T", "recorded_bumpup: expected true/false, got 'T'"),
+        ("booking_charges", "PC F", "booking_charges: no leading statute number in 'PC F'"),
+        ("recorded_recommendation", "\u0663", "recorded_recommendation: unknown supervision level '\u0663'"),
     ],
     "court_cases.csv": [
         ("dob", "2016-13-01", "dob: expected YYYY-MM-DD, got '2016-13-01'"),
         ("arrest_date", "20160701", "arrest_date: expected YYYY-MM-DD, got '20160701'"),
+        ("race", "Z", "race: unknown designation 'Z'"),
         ("dispositions", "1_60", "dispositions: expected an integer, got '1_60'"),
         ("dispositions", "\u0661\u0666\u0660", "dispositions: expected an integer, got '\u0661\u0666\u0660'"),
         ("dispositions", "-170;-170;-170", "dispositions: must be >= 0, got -170"),
+        ("booking_charges", "PC F", "booking_charges: no leading statute number in 'PC F'"),
+        ("filed_charges", "PC F", "filed_charges: no leading statute number in 'PC F'"),
     ],
 }
 
@@ -180,7 +192,7 @@ def test_a_bad_cell_on_two_rows_gives_two_row_issues(corpus, tmp_path, name, col
 @pytest.mark.parametrize("name, columns, read, bad_cells, first", [
     ("court_cases.csv", COURT_COLUMNS, read_court_cases, {"race": "Z", "dob": "2016-13-01"}, "dob:"),
     ("court_cases.csv", COURT_COLUMNS, read_court_cases, {"dispositions": "x", "booking_charges": "PC F"},
-     "no leading statute number"),
+     "booking_charges: no leading statute number"),
     ("psa_records.csv", PSA_COLUMNS, read_psa_records, {"recorded_recommendation": "X", "fta": "9"}, "fta:"),
 ])
 def test_a_row_with_two_bad_cells_names_the_first_in_column_order(corpus, tmp_path, name, columns, read,
@@ -207,9 +219,9 @@ def test_the_schema_text_lists_each_column_under_its_file():
 @pytest.mark.parametrize("text", ["20160701", "2016-W27-5", "2016W275", "2016-07-01T00:00", "2016-7-1",
                                   "\u0662\u0660\u0661\u0666-07-01", "+2016-07-01"])
 def test_a_date_cell_is_only_yyyy_mm_dd(text):
-    assert parse_date(" 2016-07-01 ", "dob") == date(2016, 7, 1)
-    with pytest.raises(ValueError, match="dob: expected YYYY-MM-DD"):
-        parse_date(text, "dob")
+    assert parse_date(" 2016-07-01 ") == date(2016, 7, 1)
+    with pytest.raises(ValueError, match="expected YYYY-MM-DD"):
+        parse_date(text)
 
 
 def _plant_bad_cells(rows, column, bad, every):
@@ -318,7 +330,7 @@ def test_shared_memos_read_what_each_file_reads_alone(tmp_path, court_first):
     court_messages = [i.message for i in alone[read_court_cases][2]]
     for messages in psa_messages, court_messages:
         assert "dob: expected YYYY-MM-DD, got '2016-13-01'" in messages
-        assert messages.count("no leading statute number in 'PC F'") == 2
+        assert messages.count("booking_charges: no leading statute number in 'PC F'") == 2
         assert any(m.startswith("row has ") for m in messages)
     assert "booking_charges: must not hold a carriage return, got '459\\rPC F'" in psa_messages
     assert "filed_charges: must not hold a carriage return, got '459\\rPC F'" in court_messages
@@ -363,22 +375,23 @@ def test_a_reader_counts_its_rows_apart_from_what_it_keeps(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("id,x\n\nA,1\nB,bad\n\nC\nA,2\nD,warn\n\n", encoding="utf-8")
 
-    def build(key, x):
+    def parse(x):
         if x == "bad":
-            raise ValueError("x: bad")
-        return key, x
+            raise ValueError("bad")
+        return x
 
-    items, issues = psa_io._read_table(path, ("id", "x"), build, lambda item: ["odd"] if item[1] == "warn" else [])
+    items, issues = psa_io._read_table(path, ("id", "x"), [psa_io._Memo(parse)], lambda key, x: (key, x),
+                                       lambda item: ["odd"] if item[1] == "warn" else [])
     assert items == [("A", "1"), ("D", "warn")]
     assert [(i.row, i.message) for i in issues] == [
         (2, "x: bad"), (3, "row has 1 cells, header has 2"), (4, "id 'A' repeats row 1"), (5, "warning: odd")]
     assert items.rows == 5  # the non-blank lines after the header
 
-    def build_warning(key, x):
+    def make_warning(key, x):
         raise ValueError("warning: read as a warning, yet the row is dropped")
 
     with pytest.raises(RuntimeError, match="5 data rows, but 0 items and 1 row errors"):
-        psa_io._read_table(path, ("id", "x"), build_warning, None)
+        psa_io._read_table(path, ("id", "x"), [psa_io._Memo(str)], make_warning, None)
 
 
 def _schema_form(value):
