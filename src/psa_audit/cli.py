@@ -17,7 +17,6 @@ import sys
 from contextlib import redirect_stdout
 from dataclasses import asdict, fields, replace
 from io import StringIO
-from itertools import count
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -33,7 +32,7 @@ from .counterfactual import (
     changes,
     counterfactual_assess,
 )
-from .engine import EngineConfig, PsaResult, assess, load_engine_config
+from .engine import EngineConfig, PsaResult, assess, config_path, load_engine_config
 from .errors import ConfigError, PsaAuditError, SchemaError
 from .io import (
     FLAG_TEXT,
@@ -43,6 +42,7 @@ from .io import (
     _ColumnMemos,
     _Items,
     _hard_issues,
+    _item_rows,
     join_charges,
     read_court_cases,
     read_psa_records,
@@ -260,7 +260,9 @@ def _collect_options(command: str, args: argparse.Namespace) -> dict:
 def _generator_config(args: argparse.Namespace, opts: dict) -> GeneratorConfig:
     """A generator flag beats the ``--gen-config`` file, which beats the
     default.  Every error in the file, its pools' fit to the run's catalog
-    included, is reported under the file's path."""
+    included, is reported under the file's path.  Without the file, the
+    default pools' fit to a catalog the run names (``--catalog`` or
+    ``--config-dir``) is reported under the catalog's path."""
     gen_config = GeneratorConfig()
     if args.gen_config is not None:
         path = str(Path(args.gen_config).resolve())
@@ -271,6 +273,12 @@ def _generator_config(args: argparse.Namespace, opts: dict) -> GeneratorConfig:
             gen_config.check_pools(catalog)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    elif "catalog" in opts or "config_dir" in opts:
+        catalog = _engine_config(opts).catalog
+        try:
+            gen_config.check_pools(catalog)
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path('catalog', opts.get('catalog'), opts.get('config_dir'))}: {exc}") from None
     flags = {name: getattr(args, key) for key, name in _GENERATOR_FLAGS.items() if getattr(args, key) is not None}
     return replace(gen_config, **flags)
 
@@ -307,8 +315,9 @@ def _manifest_options(path: Path, command: str, opts: dict) -> dict:
     """The options of a manifest for ``command``, checked against its
     table: each option that is required or has a default is present, with
     the option's type (a string for a path), and ``resolved_generator``
-    is valid.  Keys the table lacks are dropped, so the new manifest
-    names only what shaped the outputs."""
+    is valid, its pools fitting the manifest's catalog.  Keys the table
+    lacks are dropped, so the new manifest names only what shaped the
+    outputs."""
     options = _COMMANDS[command][1]
     missing = sorted(o.key for o in options if (o.required or o.default is not None) and o.key not in opts)
     if missing:
@@ -322,8 +331,9 @@ def _manifest_options(path: Path, command: str, opts: dict) -> dict:
             raise SchemaError(f"{path}: option {o.key!r} must be of type {kind.__name__}, got {value!r}")
         checked[o.key] = value
     if "resolved_generator" in checked:
+        catalog = _engine_config(checked).catalog
         try:
-            GeneratorConfig.from_dict(checked["resolved_generator"])
+            GeneratorConfig.from_dict(checked["resolved_generator"]).check_pools(catalog)
         except (ConfigError, TypeError) as exc:
             raise SchemaError(f"{path}: option 'resolved_generator': {exc}") from None
     return checked
@@ -423,10 +433,7 @@ def _rendered(values) -> tuple:
 def cmd_score(opts: dict, out_dir: Path) -> int:
     config = _engine_config(opts)
     records, issues = read_psa_records(opts["psa"], config.catalog.derivative_prefixes)
-    # every input row is a record or a hard issue, so the records, in order,
-    # hold the row numbers the hard issues leave free
-    skipped = {i.row for i in _hard_issues(issues)}
-    record_rows = (n for n in count(1) if n not in skipped)
+    record_rows = _item_rows({i.row for i in _hard_issues(issues)})
     rows, row_errors = [], list(issues)
     for row, rec in zip(record_rows, records):
         subs = rec.subscores

@@ -320,6 +320,17 @@ class EngineConfig:
 CONFIG_FILENAMES = {"catalog": "charge_catalog.yaml", "dmf": "dmf.yaml", "weights": "weights.yaml"}
 
 
+def config_path(name: str, explicit: str | Path | None, config_dir: str | Path | None) -> Path:
+    """The engine config file ``name`` (a key of ``CONFIG_FILENAMES``) that
+    a run reads: an explicit path wins; otherwise the file is taken from
+    ``config_dir``; otherwise the packaged default is used."""
+    if explicit is not None:
+        return Path(explicit)
+    if config_dir is not None:
+        return Path(config_dir) / CONFIG_FILENAMES[name]
+    return data_path(CONFIG_FILENAMES[name])
+
+
 def load_engine_config(
     config_dir: str | Path | None = None,
     *,
@@ -327,24 +338,12 @@ def load_engine_config(
     dmf_path: str | Path | None = None,
     weights_path: str | Path | None = None,
 ) -> EngineConfig:
-    """Resolve and load the three engine config files.
-
-    Explicit per-file paths win; otherwise files are taken from
-    ``config_dir``; otherwise the packaged defaults are used.  Each call
-    makes its own catalog, whose memos start empty.
+    """Resolve (``config_path``) and load the three engine config files.
+    Each call makes its own catalog, whose memos start empty.
     """
-    base = Path(config_dir) if config_dir is not None else None
-
-    def resolve(explicit, name):
-        if explicit is not None:
-            return Path(explicit)
-        if base is not None:
-            return base / CONFIG_FILENAMES[name]
-        return data_path(CONFIG_FILENAMES[name])
-
-    cat_p = resolve(catalog_path, "catalog")
-    dmf_p = resolve(dmf_path, "dmf")
-    wts_p = resolve(weights_path, "weights")
+    cat_p = config_path("catalog", catalog_path, config_dir)
+    dmf_p = config_path("dmf", dmf_path, config_dir)
+    wts_p = config_path("weights", weights_path, config_dir)
     catalog = default_catalog() if cat_p == data_path(CONFIG_FILENAMES["catalog"]) else ChargeCatalog.from_file(cat_p)
     return EngineConfig(
         catalog=catalog,

@@ -20,11 +20,13 @@ they hold "\\r".
 Each input file's row is stated once, on its carrier: its columns are
 the fields of ``PsaRecord`` or ``CourtCase``, in order, and the
 carrier's constructor holds the rules on the whole row (a non-empty
-sfid, one disposition per filed charge).  Both files go through one row
-loop, ``_read_table``, which numbers the rows, makes each carrier from
+sfid, one disposition per filed charge).  Both files go through one
+reader, ``_read_table``, which numbers the rows, makes each carrier from
 the row's cells, parsed in column order, files every row issue and
-checks that each numbered row is either an item or a row error.  It is
-the one place that names a bad cell's column.  The row errors are the
+checks that each numbered row is either an item or a row error.  It
+reads the rows in blocks: a block in which no row is an issue is parsed
+a column at a time, and any other block goes through its row loop, the
+one place that names an issue and a bad cell's column.  The row errors are the
 issues that are not warnings; ``_hard_issues`` picks them, for the
 commands too.  Each column's parser reads the cell's text alone; it is
 stated once, in ``_PARSERS`` under its name, and read through a memo:
@@ -42,10 +44,10 @@ import csv
 import re
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import chain, islice
+from itertools import chain, count, filterfalse, islice
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .charges import ChargeCode, Derivative, parse_charge_code
 from .engine import SupervisionLevel
@@ -159,6 +161,17 @@ def _hard_issues(issues: Iterable[RowIssue]) -> list[RowIssue]:
     return [i for i in issues if not i.message.startswith("warning:")]
 
 
+def _item_rows(error_rows: Container[int]) -> Iterator[int]:
+    """The row numbers of a reader's items, in order, given its row
+    errors' row numbers: every numbered row is one or the other."""
+    return filterfalse(error_rows.__contains__, count(1))
+
+
+#: The non-blank rows ``_read_table`` reads at a time: a block is parsed
+#: a column at a time when no row of it is an issue.
+_BLOCK_ROWS = 1024
+
+
 def _read_table(
     path: str | Path, columns: Sequence[str], parsers: Sequence[_Memo], make: Callable, warnings: Callable | None
 ) -> tuple[_Items, list[RowIssue]]:
@@ -173,13 +186,31 @@ def _read_table(
     (a rule on the whole row) ``make``'s message.  Else ``make``'s value
     is an item, and each of ``warnings(item)``, unless None, is a
     ``warning:`` issue.
+    The non-blank rows are read ``_BLOCK_ROWS`` at a time.  A block whose
+    rows all have the header's width and new, distinct, non-empty ids
+    without "\\r" is parsed a column at a time: each column's cells
+    through its memo, then ``make`` over the rows.  If a cell or ``make``
+    raises, or ``warnings`` has something to say, the block goes through
+    the row loop instead, which alone names issues; so either way a block
+    gives the same items and issues.  A repeated id's first row is worked
+    out only when a repeat turns up.
     ``items.rows`` is the number of rows numbered, counted apart from the
     items and issues: a RuntimeError is raised unless it equals the items
     plus the issues that are not warnings.  A file that cannot be read,
     is not UTF-8 text or holds a line that csv cannot split (a field
     longer than ``csv.field_size_limit()``) is a SchemaError naming it."""
     items, issues = _Items(), []
-    first_row: dict[str, int] = {}
+    ids: list[str] = []  # the items' ids, in order
+    seen: set[str] = set()  # the same ids, to look up
+    error_rows: set[int] = set()
+    item_rows = _item_rows(error_rows)
+    first_rows: dict[str, int] = {}  # the rows of the first len(first_rows) ids, filled on a repeat
+
+    def first_row(key: str) -> int:
+        for i in range(len(first_rows), len(ids)):
+            first_rows[ids[i]] = next(item_rows)
+        return first_rows[key]
+
     number = 0
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -193,35 +224,58 @@ def _read_table(
                 raise SchemaError(f"{path}: repeated columns {repeated}")
             at = header.index(columns[0])
             pick = itemgetter(*map(header.index, columns[1:]), at)  # a tuple; map and zip drop the id
-            parses = (_parse_text, *(memo.__getitem__ for memo in parsers))
+            lookups = [memo.__getitem__ for memo in parsers]
+            parses = (_parse_text, *lookups)
             width = len(header)
             pad = [""] * width
-            for number, row in enumerate(filter(None, reader), start=1):
-                error = None
-                if len(row) != width:
-                    error = f"row has {len(row)} cells, header has {width}"
-                    row = (row + pad)[:width]  # so that every column has a cell
-                key = row[at].strip()
-                if "\r" in key:  # the issue's own id cell is written too
-                    error = error or _cell_issue(columns, parses, (key,))
-                    key = ""
-                if not key:
-                    error = error or f"{columns[0]} must be non-empty"
-                elif key in first_row:
-                    error = error or f"{columns[0]} {key!r} repeats row {first_row[key]}"
-                if not error:
-                    try:
-                        item = make(key, *map(getitem, parsers, pick(row)))
-                    except (ValueError, ParseError) as exc:
-                        error = _cell_issue(columns, parses, (key, *pick(row))) or str(exc)
-                if error:
-                    issues.append(RowIssue(number, key, error))
+            rows = filter(None, reader)
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                made = None
+                if set(map(len, block)) == {width}:
+                    cells = pick(list(zip(*block)))  # each column's cells, the ids last
+                    keys = list(map(str.strip, cells[-1]))
+                    fresh = set(keys)
+                    if all(keys) and "\r" not in "".join(keys) and len(fresh) == len(keys) and seen.isdisjoint(fresh):
+                        try:
+                            made = list(map(make, keys, *map(map, lookups, cells)))
+                        except (ValueError, ParseError):
+                            pass
+                        if made and warnings is not None and any(map(warnings, made)):
+                            made = None
+                if made is not None:
+                    items += made
+                    ids += keys
+                    seen |= fresh
+                    number += len(block)
                     continue
-                first_row[key] = number
-                items.append(item)
-                if warnings is not None:
-                    for soft in warnings(item):
-                        issues.append(RowIssue(number, key, f"warning: {soft}"))
+                for number, row in enumerate(block, start=number + 1):
+                    error = None
+                    if len(row) != width:
+                        error = f"row has {len(row)} cells, header has {width}"
+                        row = (row + pad)[:width]  # so that every column has a cell
+                    key = row[at].strip()
+                    if "\r" in key:  # the issue's own id cell is written too
+                        error = error or _cell_issue(columns, parses, (key,))
+                        key = ""
+                    if not key:
+                        error = error or f"{columns[0]} must be non-empty"
+                    elif key in seen:
+                        error = error or f"{columns[0]} {key!r} repeats row {first_row(key)}"
+                    if not error:
+                        try:
+                            item = make(key, *map(getitem, parsers, pick(row)))
+                        except (ValueError, ParseError) as exc:
+                            error = _cell_issue(columns, parses, (key, *pick(row))) or str(exc)
+                    if error:
+                        issues.append(RowIssue(number, key, error))
+                        error_rows.add(number)
+                        continue
+                    items.append(item)
+                    ids.append(key)
+                    seen.add(key)
+                    if warnings is not None:
+                        for soft in warnings(item):
+                            issues.append(RowIssue(number, key, f"warning: {soft}"))
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

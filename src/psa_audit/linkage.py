@@ -154,16 +154,16 @@ def _charge_key(record: PsaRecord) -> tuple[str, ...]:
     return tuple(sorted(c.text_key for c in record.booking_charges))
 
 
-def _content_order(record: PsaRecord):
-    """The records' content-only order.  Its first four fields order them
-    by (sfid, form date, charge key), a missing form date before every
-    date, so records with equal de-duplication keys sort next to each
-    other."""
+def _content_order(record: PsaRecord, charge_key: tuple[str, ...]):
+    """The records' content-only order, given the record's
+    ``_charge_key``.  Its first four fields order them by (sfid, form
+    date, charge key), a missing form date before every date, so records
+    with equal de-duplication keys sort next to each other."""
     return (
         record.sfid,
         record.psa_date is not None,
         record.psa_date or date.min,
-        _charge_key(record),
+        charge_key,
         record.arrest_date or date.min,
         record.fta or 0,
         record.nca or 0,
@@ -182,13 +182,23 @@ def _in_content_order(records: Iterable[PsaRecord]) -> Iterator[tuple[tuple | No
     key leads with the sfid, so the records are sorted by sfid first and
     then one person at a time by the whole key: only one person's keys
     are alive at once.  A person's only record needs no key to be placed,
-    and comes with None instead."""
+    and comes with None instead.  Records share their booking cells, so
+    each cell's charge key is computed once per call, kept by the cell's
+    identity: the records hold the cells until the call ends."""
+    charge_keys: dict[int, tuple[str, ...]] = {}
+
+    def order(r: PsaRecord):
+        key = charge_keys.get(id(r.booking_charges))
+        if key is None:
+            key = charge_keys[id(r.booking_charges)] = _charge_key(r)
+        return _content_order(r, key)
+
     for _, person in groupby(sorted(records, key=_sfid), key=_sfid):
         person = list(person)
         if len(person) == 1:
             yield None, person[0]
         else:
-            yield from sorted(((_content_order(r), r) for r in person), key=itemgetter(0))
+            yield from sorted(((order(r), r) for r in person), key=itemgetter(0))
 
 
 def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[PsaRecord]]:
@@ -234,11 +244,11 @@ def resolve_match(psa: PsaRecord, candidates: Sequence[CourtCase]) -> MatchResul
     steps is declared a match.  No candidate at all means the record goes
     to manual review.
     """
-    pool = sorted(candidates, key=_court_number)
-    if not pool:
+    if not candidates:
         return MatchResult(psa=psa, matched_cases=(), status=MatchStatus.UNRESOLVED, note="no-candidates")
-    if len(pool) == 1:
-        return MatchResult(psa=psa, matched_cases=tuple(pool), status=MatchStatus.MATCHED)
+    if len(candidates) == 1:
+        return MatchResult(psa=psa, matched_cases=tuple(candidates), status=MatchStatus.MATCHED)
+    pool = sorted(candidates, key=_court_number)
     # each candidate with the texts of its booked and filed charges; built
     # per call rather than cached on the case, so the sets die with the call
     pool = [(c, frozenset(ch.text_key for ch in c.booking_charges + c.filed_charges)) for c in pool]
@@ -303,7 +313,8 @@ def link_records(records: Sequence[PsaRecord], cases: Sequence[CourtCase]) -> Li
             lo = i
             while i < n and cases[i].sfid == person:
                 i += 1
-        result = resolve_match(r, find_candidates(r, cases[lo:i]))
+            own = cases[lo:i]
+        result = resolve_match(r, find_candidates(r, own))
         if result.status is MatchStatus.MATCHED:
             report.matched.append(result)
         else:

@@ -14,6 +14,7 @@ import pytest
 
 import psa_audit
 import psa_audit.cli as cli
+from psa_audit.charges import data_path
 from psa_audit.cli import _HANDLERS, main
 from psa_audit.counterfactual import COMPONENTS
 from psa_audit.engine import SupervisionLevel
@@ -939,8 +940,6 @@ CONFIG_FILES = ("charge_catalog.yaml", "dmf.yaml", "weights.yaml")
 
 
 def _copy_packaged_config(directory: Path) -> Path:
-    from psa_audit.charges import data_path
-
     directory.mkdir()
     for name in CONFIG_FILES:
         (directory / name).write_bytes(data_path(name).read_bytes())
@@ -1037,6 +1036,47 @@ def test_bad_gen_config_is_a_config_error(tmp_path, capsys, text):
     assert run(["simulate", "--gen-config", gen, "--out", tmp_path / "out"]) == 2
     _assert_one_config_error(capsys, gen)
     assert not (tmp_path / "out").exists()
+
+
+def _catalog_without_240(path):
+    """The packaged catalog without its 240 PC M entry, which the default
+    violent pool draws from, written to ``path``."""
+    lines = data_path("charge_catalog.yaml").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if '"240 PC M"' not in line]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept), encoding="utf-8")
+    return path
+
+
+_NOT_VIOLENT = "charge pool 'violent' takes only violent charges, got '240 PC M'"
+
+
+def test_a_catalog_that_fails_the_default_pools_is_named(tmp_path, capsys):
+    catalog = _catalog_without_240(tmp_path / "catalog.yaml")
+    assert run(["simulate", "--n", 10, "--catalog", catalog, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {catalog.resolve()}: {_NOT_VIOLENT}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_dir_catalog_that_fails_the_default_pools_is_named(tmp_path, capsys):
+    config_dir = _copy_packaged_config(tmp_path / "config")
+    catalog = _catalog_without_240(config_dir / "charge_catalog.yaml")
+    assert run(["simulate", "--n", 10, "--config-dir", config_dir, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {catalog.resolve()}: {_NOT_VIOLENT}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_manifest_whose_pools_fail_its_catalog_is_named(tmp_path, capsys):
+    assert run(["simulate", "--n", 10, "--out", tmp_path / "sim"]) == 0
+    manifest_path = tmp_path / "sim" / "run_manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["options"]["resolved_generator"]["charge_pools"]["violent"] = ["459 PC F"]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["rerun", manifest_path, "--out", tmp_path / "again"]) == 2
+    assert capsys.readouterr().err == (f"error: {manifest_path}: option 'resolved_generator': "
+                                       "charge pool 'violent' takes only violent charges, got '459 PC F'\n")
+    assert not (tmp_path / "again").exists()
 
 
 def test_gen_config_settings_reach_the_generator_and_flags_beat_them(tmp_path):

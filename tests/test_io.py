@@ -394,6 +394,58 @@ def test_a_reader_counts_its_rows_apart_from_what_it_keeps(tmp_path):
         psa_io._read_table(path, ("id", "x"), [psa_io._Memo(str)], make_warning, None)
 
 
+def test_a_repeat_names_its_first_row_in_an_earlier_block(tmp_path):
+    """A repeated id's first row is worked out from the items and the
+    rows the row errors leave free, across blocks read either way."""
+    path = tmp_path / "t.csv"
+    path.write_text("id,x\nA,1\nB,bad\nC,1\n\nD,1\nE,1\nC,2\n", encoding="utf-8")
+
+    def parse(x):
+        if x == "bad":
+            raise ValueError("bad")
+        return x
+
+    # blocks of two: A and B by the row loop, C and D a column at a time, E and C by the row loop
+    with mock.patch.object(psa_io, "_BLOCK_ROWS", 2):
+        items, issues = psa_io._read_table(path, ("id", "x"), [psa_io._Memo(parse)], lambda key, x: (key, x), None)
+    assert items == [("A", "1"), ("C", "1"), ("D", "1"), ("E", "1")]
+    assert [(i.row, i.message) for i in issues] == [(2, "x: bad"), (6, "id 'C' repeats row 3")]
+
+
+#: A valid record row, by column, and what each drawn row may change.
+_PSA_ROW = dict(zip(PSA_COLUMNS, (
+    "R", "S1", "N", "1980-01-01", "2020-01-05", "2020-01-05", "1", "2", "false", "459 PC F;484 PC M",
+    "40", "false", "0", "false", "false", "")))
+_FAULTY_ROWS = st.lists(st.tuples(
+    st.sampled_from(("R1", "R2", "R3", "R4", "R5", " R1 ", "", "R\r6")),  # empty, repeated, holding "\r"
+    st.sampled_from(("S1", "S2", "")),  # an empty sfid: the record refuses the whole row
+    st.sampled_from(("2020-01-05", "2020-01-04", "2020-01-01")),  # psa_date; the last is a warning
+    st.sampled_from(("1", "6", "9", "x")),  # fta; the last two do not parse
+    st.sampled_from((0, 0, 0, 1, -1)),  # cells added to or taken from the row
+    st.booleans(),  # a blank line before the row
+), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAULTY_ROWS)
+def test_a_table_reads_alike_in_blocks_of_any_size(tmp_path_factory, drawn):
+    """Blocks are read a column at a time only when no row of them is an
+    issue, so every block size gives the row loop's items and issues."""
+    lines = [",".join(PSA_COLUMNS)]
+    for record_id, sfid, psa_date, fta, cells, blank in drawn:
+        row = [*{**_PSA_ROW, "record_id": record_id, "sfid": sfid, "psa_date": psa_date, "fta": fta}.values()]
+        row = row + ["x"] * cells if cells >= 0 else row[:cells]
+        lines += [""] * blank + [",".join(f'"{cell}"' if "\r" in cell else cell for cell in row)]
+    path = tmp_path_factory.mktemp("blocks") / "psa.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reads = []
+    for block_rows in (1, 2, 3, psa_io._BLOCK_ROWS):
+        with mock.patch.object(psa_io, "_BLOCK_ROWS", block_rows):
+            records, issues = read_psa_records(path)
+        reads.append((list(records), issues, records.rows))
+    assert reads[1:] == reads[:1] * 3
+
+
 def _schema_form(value):
     """What csv is given for ``value``: the schema's text of a bool, a
     float or a level, which csv has no form for, and any other value as

@@ -119,11 +119,16 @@ def _dedup_key(record):
     return (record.sfid, record.psa_date, _charge_key(record))
 
 
+def _order(record):
+    """The record's content order, its charge key sorted afresh."""
+    return _content_order(record, _charge_key(record))
+
+
 def _reference_deduplicate(records):
     """De-duplication by one sort of every record by its whole content key."""
     unique, dropped = [], []
     kept = None
-    for r in sorted(records, key=_content_order):
+    for r in sorted(records, key=_order):
         key = _dedup_key(r)
         if key == kept:
             dropped.append(r)
@@ -138,7 +143,7 @@ def _reference_link_records(records, cases):
     looked up in a dict of per-sfid lists."""
     report = LinkReport()
     complete, incomplete = filter_complete(records)
-    for r in sorted(incomplete, key=_content_order):
+    for r in sorted(incomplete, key=_order):
         report.dropped_incomplete.append(MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_INCOMPLETE))
     unique, duplicates = _reference_deduplicate(complete)
     for r in duplicates:
@@ -170,7 +175,7 @@ def test_adjacency_dedupe_equals_the_set_based_rule(data):
     records = [rec(record_id=f"R{i}", sfid=sfid, psa=psa, charges=charges, arrest=arrest, fta=fta, nvca=nvca)
                for i, (sfid, psa, charges, arrest, fta, nvca) in enumerate(drawn)]
     seen, unique, dropped = set(), [], []
-    for r in sorted(records, key=_content_order):
+    for r in sorted(records, key=_order):
         key = _dedup_key(r)
         (dropped if key in seen else unique).append(r)
         seen.add(key)
@@ -216,6 +221,52 @@ def test_per_person_linkage_equals_the_global_sort_reference(drawn_records, draw
     for partition in ("matched", "unresolved", "dropped_incomplete", "dropped_duplicates"):
         assert _identities(getattr(report, partition)) == _identities(getattr(reference, partition)), partition
     assert _identities(report.all_results) == _identities(reference.all_results)
+
+
+def _outcomes(results):
+    """Each result's record id, court numbers, status and note."""
+    return [(m.psa.record_id, tuple(c.court_number for c in m.matched_cases), m.status, m.note) for m in results]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINK_RECORD, max_size=14), st.lists(_LINK_CASE, max_size=10))
+def test_shared_and_separate_equal_booking_cells_link_alike(drawn_records, drawn_cases):
+    """The walk keys each booking cell's sorted charge texts by the cell's
+    identity: records whose equal cells are one tuple, as the reader's
+    memo makes them, and records whose equal cells are separate tuples
+    de-duplicate and link alike."""
+    separate = [rec(record_id=f"R{i}", sfid=sfid, psa=psa, charges=charges, arrest=arrest, fta=fta, name=name)
+                for i, (sfid, psa, charges, arrest, fta, name) in enumerate(drawn_records)]
+    shared = [rec(record_id=r.record_id, sfid=r.sfid, psa=r.psa_date and r.psa_date.isoformat(), charges=(),
+                  arrest=r.arrest_date and r.arrest_date.isoformat(), fta=r.fta, name=r.name) for r in separate]
+    cells = {}
+    for r, drawn in zip(shared, drawn_records):
+        r.booking_charges = cells.setdefault(tuple(drawn[2]), tuple(map(parse_charge_code, drawn[2])))
+    assert shared == separate
+    cases = [case(court_number=number, sfid=sfid, arrest=arrest, charges=charges)
+             for sfid, arrest, charges, number in drawn_cases]
+    for a, b in zip(deduplicate(separate), deduplicate(shared)):
+        assert [r.record_id for r in a] == [r.record_id for r in b]
+    report, other = link_records(separate, cases), link_records(shared, cases)
+    assert _outcomes(report.all_results) == _outcomes(other.all_results)
+    assert report.counts() == other.counts()
+
+
+def test_resolve_match_of_unsorted_candidates():
+    """0, 1 and several candidates given in reverse court-number order."""
+    r = rec(charges=("459 PC F", "484 PC M"))
+    c1, c2, c3 = (case(court_number=f"C{i}", charges=charges)
+                  for i, charges in enumerate([("459 PC F", "484 PC M"), ("245(A)(1) PC F",), ("459 PC F",)], 1))
+    none = resolve_match(r, [])
+    assert (none.psa, none.matched_cases, none.status, none.note) == (r, (), MatchStatus.UNRESOLVED, "no-candidates")
+    one = resolve_match(r, [c3])
+    assert (one.psa, one.matched_cases, one.status, one.note) == (r, (c3,), MatchStatus.MATCHED, "")
+    # the top charge keeps C3 and C1, the second C1 alone
+    assert resolve_match(r, [c3, c2, c1]).matched_cases == (c1,)
+    # no candidate holds either charge: every one matches, in court-number order
+    assert resolve_match(rec(charges=("187(A) PC F",)), [c3, c2, c1]).matched_cases == (c1, c2, c3)
+    # the top charge keeps C3 and C1, and no second charge narrows them
+    assert resolve_match(rec(charges=("459 PC F",)), [c3, c2, c1]).matched_cases == (c1, c3)
 
 
 def test_link_peak_stays_near_its_net_growth(tmp_path, config):
