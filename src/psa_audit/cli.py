@@ -263,22 +263,19 @@ def _generator_config(args: argparse.Namespace, opts: dict) -> GeneratorConfig:
     included, is reported under the file's path.  Without the file, the
     default pools' fit to a catalog the run names (``--catalog`` or
     ``--config-dir``) is reported under the catalog's path."""
-    gen_config = GeneratorConfig()
+    gen_config, path = GeneratorConfig(), None  # the default pools fit the packaged catalog
     if args.gen_config is not None:
-        path = str(Path(args.gen_config).resolve())
+        path = Path(args.gen_config).resolve()
+    elif "catalog" in opts or "config_dir" in opts:
+        path = config_path("catalog", opts.get("catalog"), opts.get("config_dir"))
+    if path is not None:
         catalog = _engine_config(opts).catalog
-        doc = read_config(path)
+        doc = read_config(path) if args.gen_config is not None else {}
         try:
             gen_config = GeneratorConfig.from_dict(doc)
             gen_config.check_pools(catalog)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    elif "catalog" in opts or "config_dir" in opts:
-        catalog = _engine_config(opts).catalog
-        try:
-            gen_config.check_pools(catalog)
-        except ConfigError as exc:
-            raise ConfigError(f"{config_path('catalog', opts.get('catalog'), opts.get('config_dir'))}: {exc}") from None
     flags = {name: getattr(args, key) for key, name in _GENERATOR_FLAGS.items() if getattr(args, key) is not None}
     return replace(gen_config, **flags)
 

@@ -24,28 +24,28 @@ sfid, one disposition per filed charge).  Both files go through one
 reader, ``_read_table``, which numbers the rows, makes each carrier from
 the row's cells, parsed in column order, files every row issue and
 checks that each numbered row is either an item or a row error.  It
-reads the rows in blocks: a block in which no row is an issue is parsed
-a column at a time, and any other block goes through its row loop, the
-one place that names an issue and a bad cell's column.  The row errors are the
-issues that are not warnings; ``_hard_issues`` picks them, for the
-commands too.  Each column's parser reads the cell's text alone; it is
-stated once, in ``_PARSERS`` under its name, and read through a memo:
-each distinct cell text is parsed once, and every row carrying it shares
-the resulting immutable value (a date, a charge tuple, a level, ...).  A
-run keeps one set of memos, ``_ColumnMemos``, keyed by column name, so a
-text both files carry in a column of one name is parsed once and a
-record and its case share its value.  Only the row ids, which are
-unique, are not memoized.
+reads the rows in blocks: the rows of a block before its first row
+error are parsed a column at a time, and the rest go through its row
+loop, the one place that names a row error and a bad cell's column.
+The row errors are the issues that are not warnings; ``_hard_issues``
+picks them, for the commands too.  Each column's parser reads the cell's
+text alone; it is stated once, in ``_PARSERS`` under its name, and read
+through a memo: each distinct cell text is parsed once, and every row
+carrying it shares the resulting immutable value (a date, a charge
+tuple, a level, ...).  A run keeps one set of memos, ``_ColumnMemos``,
+keyed by column name, so a text both files carry in a column of one name
+is parsed once and a record and its case share its value.  Only the row
+ids, which are unique, are not memoized.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date
-from itertools import chain, count, filterfalse, islice
-from operator import getitem, itemgetter
+from itertools import chain, compress, count, filterfalse, islice
+from operator import attrgetter, getitem, itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
@@ -167,9 +167,10 @@ def _item_rows(error_rows: Container[int]) -> Iterator[int]:
     return filterfalse(error_rows.__contains__, count(1))
 
 
-#: The non-blank rows ``_read_table`` reads at a time: a block is parsed
-#: a column at a time when no row of it is an issue.
-_BLOCK_ROWS = 1024
+#: The non-blank rows ``_read_table`` reads at a time: the rows of a
+#: block before its first row error are parsed a column at a time and
+#: the rest row by row, so a small block loses little to a row error.
+_BLOCK_ROWS = 128
 
 
 def _read_table(
@@ -186,30 +187,24 @@ def _read_table(
     (a rule on the whole row) ``make``'s message.  Else ``make``'s value
     is an item, and each of ``warnings(item)``, unless None, is a
     ``warning:`` issue.
-    The non-blank rows are read ``_BLOCK_ROWS`` at a time.  A block whose
-    rows all have the header's width and new, distinct, non-empty ids
-    without "\\r" is parsed a column at a time: each column's cells
-    through its memo, then ``make`` over the rows.  If a cell or ``make``
-    raises, or ``warnings`` has something to say, the block goes through
-    the row loop instead, which alone names issues; so either way a block
-    gives the same items and issues.  A repeated id's first row is worked
-    out only when a repeat turns up.
+    The non-blank rows are read ``_BLOCK_ROWS`` at a time.  The rows of a
+    block before its first row error are made a column at a time
+    (``_made_by_column``), and the rest of the block goes through the row
+    loop, the one place that names a row error; so either way a row gives
+    the same item or issue.  The reader keeps a set of the items' ids,
+    and names a repeated id's first row once the table is read: the row
+    of the item whose ``columns[0]`` attribute is that id.
     ``items.rows`` is the number of rows numbered, counted apart from the
     items and issues: a RuntimeError is raised unless it equals the items
     plus the issues that are not warnings.  A file that cannot be read,
     is not UTF-8 text or holds a line that csv cannot split (a field
     longer than ``csv.field_size_limit()``) is a SchemaError naming it."""
     items, issues = _Items(), []
-    ids: list[str] = []  # the items' ids, in order
-    seen: set[str] = set()  # the same ids, to look up
-    error_rows: set[int] = set()
-    item_rows = _item_rows(error_rows)
-    first_rows: dict[str, int] = {}  # the rows of the first len(first_rows) ids, filled on a repeat
+    seen: set[str] = set()  # the items' ids
+    repeats: list[int] = []  # the places in issues of the repeated ids' issues
 
-    def first_row(key: str) -> int:
-        for i in range(len(first_rows), len(ids)):
-            first_rows[ids[i]] = next(item_rows)
-        return first_rows[key]
+    def warn(number: int, key: str, softs: Iterable[str]) -> None:
+        issues.extend(RowIssue(number, key, f"warning: {soft}") for soft in softs)
 
     number = 0
     try:
@@ -230,25 +225,16 @@ def _read_table(
             pad = [""] * width
             rows = filter(None, reader)
             while block := list(islice(rows, _BLOCK_ROWS)):
-                made = None
-                if set(map(len, block)) == {width}:
-                    cells = pick(list(zip(*block)))  # each column's cells, the ids last
-                    keys = list(map(str.strip, cells[-1]))
-                    fresh = set(keys)
-                    if all(keys) and "\r" not in "".join(keys) and len(fresh) == len(keys) and seen.isdisjoint(fresh):
-                        try:
-                            made = list(map(make, keys, *map(map, lookups, cells)))
-                        except (ValueError, ParseError):
-                            pass
-                        if made and warnings is not None and any(map(warnings, made)):
-                            made = None
-                if made is not None:
+                made, ids = _made_by_column(block, width, pick, lookups, make, seen)
+                if made:
                     items += made
-                    ids += keys
-                    seen |= fresh
-                    number += len(block)
-                    continue
-                for number, row in enumerate(block, start=number + 1):
+                    seen.update(ids[: len(made)])
+                    if warnings is not None:
+                        softs = list(map(warnings, made))
+                        for i in compress(range(len(softs)), softs):
+                            warn(number + 1 + i, ids[i], softs[i])
+                    number += len(made)
+                for number, row in enumerate(block[len(made) :], start=number + 1):
                     error = None
                     if len(row) != width:
                         error = f"row has {len(row)} cells, header has {width}"
@@ -259,8 +245,9 @@ def _read_table(
                         key = ""
                     if not key:
                         error = error or f"{columns[0]} must be non-empty"
-                    elif key in seen:
-                        error = error or f"{columns[0]} {key!r} repeats row {first_row(key)}"
+                    elif key in seen and not error:  # worded once the table is read, with its first row
+                        repeats.append(len(issues))
+                        error = "repeat"
                     if not error:
                         try:
                             item = make(key, *map(getitem, parsers, pick(row)))
@@ -268,25 +255,61 @@ def _read_table(
                             error = _cell_issue(columns, parses, (key, *pick(row))) or str(exc)
                     if error:
                         issues.append(RowIssue(number, key, error))
-                        error_rows.add(number)
                         continue
                     items.append(item)
-                    ids.append(key)
                     seen.add(key)
-                    if warnings is not None:
-                        for soft in warnings(item):
-                            issues.append(RowIssue(number, key, f"warning: {soft}"))
+                    if warnings is not None and (softs := warnings(item)):
+                        warn(number, key, softs)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:  # a field over csv's field_size_limit, say
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
+    if repeats:
+        wanted = {issues[i].record_id for i in repeats}
+        item_rows = _item_rows({i.row for i in _hard_issues(issues)})
+        first = {key: row for key, row in zip(map(attrgetter(columns[0]), items), item_rows) if key in wanted}
+        for i in repeats:
+            key = issues[i].record_id
+            issues[i] = replace(issues[i], message=f"{columns[0]} {key!r} repeats row {first[key]}")
     errors = len(_hard_issues(issues))
     if len(items) + errors != number:
         raise RuntimeError(f"{path}: {number} data rows, but {len(items)} items and {errors} row errors")
     items.rows = number
     return items, issues
+
+
+def _made_by_column(
+    block: list[list[str]], width: int, pick: Callable, lookups: Sequence[Callable], make: Callable, seen: set[str]
+) -> tuple[list, list[str]]:
+    """The items of ``block``'s rows before its first row error, made a
+    column at a time, and the stripped ids of the rows before its first
+    ragged one.  Those rows' cells go column by column through ``pick``
+    (each column's cells, the ids last), their other cells through
+    ``lookups`` and into ``make``, up to the first row whose id is empty,
+    holds "\\r" or repeats an id of ``seen`` or of the block, or
+    whose cell or ``make`` raises.  A warning is no row error."""
+    n = len(block)
+    if set(map(len, block)) != {width}:
+        n = next(compress(count(), map(width.__ne__, map(len, block))))  # the rows before a ragged one
+    if not n:
+        return [], []
+    cells = pick(list(zip(*block[:n])))
+    ids = list(map(str.strip, cells[-1]))
+    if not (all(ids) and "\r" not in "".join(ids) and len(set(ids)) == n and seen.isdisjoint(ids)):
+        fresh = set()
+        for i, key in enumerate(ids):
+            if not key or "\r" in key or key in seen or key in fresh:
+                n = i
+                break
+            fresh.add(key)
+    made = []
+    try:
+        made.extend(map(make, ids[:n], *map(map, lookups, cells)))  # keeps the items made before a raise
+    except (ValueError, ParseError):
+        pass
+    return made, ids
 
 
 def _cell_issue(columns: Sequence[str], parses: Iterable[Callable], cells: Iterable[str]) -> str | None:

@@ -180,11 +180,12 @@ _court_number = attrgetter("court_number")
 def _in_content_order(records: Iterable[PsaRecord]) -> Iterator[tuple[tuple | None, PsaRecord]]:
     """Each record with its ``_content_order`` key, in that order.  The
     key leads with the sfid, so the records are sorted by sfid first and
-    then one person at a time by the whole key: only one person's keys
-    are alive at once.  A person's only record needs no key to be placed,
-    and comes with None instead.  Records share their booking cells, so
-    each cell's charge key is computed once per call, kept by the cell's
-    identity: the records hold the cells until the call ends."""
+    then one person at a time by the whole key: the content keys live
+    only while their person is sorted.  A person's only record needs no
+    key to be placed, and comes with None instead.  Records share their
+    booking cells, so each cell's charge key is computed once per call and
+    kept, by the cell's identity, until the call ends: the records hold
+    the cells until then."""
     charge_keys: dict[int, tuple[str, ...]] = {}
 
     def order(r: PsaRecord):

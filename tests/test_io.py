@@ -11,7 +11,7 @@ parse functions, one cell at a time.  The writer's reference is
 import csv
 import random
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from datetime import date
 from unittest import mock
 
@@ -371,6 +371,11 @@ def test_the_audit_intake_parses_each_charge_text_once_and_shares_it(corpus, tmp
     assert all(case.booking_charges is record.booking_charges for record, case in same_cell)
 
 
+#: An item of an ("id", "x") table: a reader reads a kept id back as the
+#: item's attribute named by the first column.
+_Row = namedtuple("_Row", "id x")
+
+
 def test_a_reader_counts_its_rows_apart_from_what_it_keeps(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("id,x\n\nA,1\nB,bad\n\nC\nA,2\nD,warn\n\n", encoding="utf-8")
@@ -380,7 +385,7 @@ def test_a_reader_counts_its_rows_apart_from_what_it_keeps(tmp_path):
             raise ValueError("bad")
         return x
 
-    items, issues = psa_io._read_table(path, ("id", "x"), [psa_io._Memo(parse)], lambda key, x: (key, x),
+    items, issues = psa_io._read_table(path, ("id", "x"), [psa_io._Memo(parse)], _Row,
                                        lambda item: ["odd"] if item[1] == "warn" else [])
     assert items == [("A", "1"), ("D", "warn")]
     assert [(i.row, i.message) for i in issues] == [
@@ -395,21 +400,23 @@ def test_a_reader_counts_its_rows_apart_from_what_it_keeps(tmp_path):
 
 
 def test_a_repeat_names_its_first_row_in_an_earlier_block(tmp_path):
-    """A repeated id's first row is worked out from the items and the
-    rows the row errors leave free, across blocks read either way."""
+    """A repeated id's first row is found where its block was read a
+    column at a time, or where the row loop kept it."""
     path = tmp_path / "t.csv"
-    path.write_text("id,x\nA,1\nB,bad\nC,1\n\nD,1\nE,1\nC,2\n", encoding="utf-8")
+    path.write_text("id,x\nA,1\nB,bad\nC,1\n\nD,1\nE,1\nC,2\nD,2\nA,2\n", encoding="utf-8")
 
     def parse(x):
         if x == "bad":
             raise ValueError("bad")
         return x
 
-    # blocks of two: A and B by the row loop, C and D a column at a time, E and C by the row loop
+    # blocks of two: A a column at a time and B by the row loop, C and D a
+    # column at a time, E a column at a time and C by the row loop, D and A by it
     with mock.patch.object(psa_io, "_BLOCK_ROWS", 2):
-        items, issues = psa_io._read_table(path, ("id", "x"), [psa_io._Memo(parse)], lambda key, x: (key, x), None)
+        items, issues = psa_io._read_table(path, ("id", "x"), [psa_io._Memo(parse)], _Row, None)
     assert items == [("A", "1"), ("C", "1"), ("D", "1"), ("E", "1")]
-    assert [(i.row, i.message) for i in issues] == [(2, "x: bad"), (6, "id 'C' repeats row 3")]
+    assert [(i.row, i.message) for i in issues] == [
+        (2, "x: bad"), (6, "id 'C' repeats row 3"), (7, "id 'D' repeats row 4"), (8, "id 'A' repeats row 1")]
 
 
 #: A valid record row, by column, and what each drawn row may change.
@@ -429,8 +436,9 @@ _FAULTY_ROWS = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(_FAULTY_ROWS)
 def test_a_table_reads_alike_in_blocks_of_any_size(tmp_path_factory, drawn):
-    """Blocks are read a column at a time only when no row of them is an
-    issue, so every block size gives the row loop's items and issues."""
+    """Only the rows of a block before its first row error are read a
+    column at a time, so every block size gives the row loop's items and
+    issues."""
     lines = [",".join(PSA_COLUMNS)]
     for record_id, sfid, psa_date, fta, cells, blank in drawn:
         row = [*{**_PSA_ROW, "record_id": record_id, "sfid": sfid, "psa_date": psa_date, "fta": fta}.values()]
