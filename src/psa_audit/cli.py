@@ -31,6 +31,7 @@ from .counterfactual import (
     build_audit_pairs,
     changes,
     counterfactual_assess,
+    fully_disposed,
 )
 from .engine import EngineConfig, PsaResult, assess, config_path, load_engine_config
 from .errors import ConfigError, PsaAuditError, SchemaError
@@ -49,7 +50,7 @@ from .io import (
     render_cell,
     write_csv,
 )
-from .linkage import deduplicate, filter_complete, link_records
+from .linkage import MatchStatus, deduplicate, filter_complete, link_records
 from .stats import (
     DEFAULT_ALPHA,
     AffectedRow,
@@ -498,12 +499,23 @@ class _SizedRows:
 
 
 def _write_matches(path: Path, report) -> None:
+    """One row per parsed record, saying what became of it: its status,
+    then a matched record's cases and whether any of their charges is
+    still pending (a pending record gets no pair), or the id of the
+    record that a dropped duplicate duplicates."""
+    matched, duplicate = MatchStatus.MATCHED, MatchStatus.DROPPED_DUPLICATE
+
     def rows():
         for m in report.all_results:
-            yield (render_cell(m.psa.record_id), render_cell(m.psa.sfid), m.status.value,
-                   render_cell(";".join(c.court_number for c in m.matched_cases)))
+            status, cases = m.status, m.matched_cases
+            if status is matched:
+                tail = (render_cell(";".join(c.court_number for c in cases)), "",
+                        FLAG_TEXT[not all(map(fully_disposed, cases))])
+            else:
+                tail = ("", render_cell(m.note) if status is duplicate else "", "")
+            yield (render_cell(m.psa.record_id), render_cell(m.psa.sfid), status.value, *tail)
 
-    write_csv(path, ("record_id", "sfid", "status", "court_numbers"),
+    write_csv(path, ("record_id", "sfid", "status", "court_numbers", "duplicate_of", "pending"),
               _SizedRows(sum(report.counts().values()), rows))
 
 
@@ -666,7 +678,7 @@ def cmd_dedupe(opts: dict, out_dir: Path) -> int:
                       for c in PSA_COLUMNS) for r in unique]
     write_csv(out_dir / "deduped_records.csv", PSA_COLUMNS, rows)
     dropped = [(render_cell(r.record_id), "incomplete") for r in incomplete]
-    dropped += [(render_cell(r.record_id), "duplicate") for r in duplicates]
+    dropped += [(render_cell(r.record_id), "duplicate") for r, _ in duplicates]
     write_csv(out_dir / "dedupe_dropped.csv", ("record_id", "reason"), dropped)
     counts = {k: intake[k] for k in ("psa_input_rows", "row_errors", "records_parsed")}
     counts.update(dropped_incomplete=len(incomplete), dropped_duplicates=len(duplicates), kept=len(unique))

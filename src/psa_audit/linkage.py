@@ -116,7 +116,9 @@ class MatchStatus(Enum):
 @dataclass(slots=True)
 class MatchResult:
     """One record's linkage outcome; a per-row carrier, not frozen for the
-    same reason as ``PsaRecord``."""
+    same reason as ``PsaRecord``.  ``note`` holds why an Unresolved record
+    went to review ("no-candidates") and, on a DroppedDuplicate, the id of
+    the record it duplicates; it is empty otherwise."""
 
     psa: PsaRecord
     matched_cases: tuple[CourtCase, ...]
@@ -202,19 +204,20 @@ def _in_content_order(records: Iterable[PsaRecord]) -> Iterator[tuple[tuple | No
             yield from sorted(((order(r), r) for r in person), key=itemgetter(0))
 
 
-def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[PsaRecord]]:
+def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[tuple[PsaRecord, PsaRecord]]]:
     """Keep one representative per (sfid, psa_date, charge multiset).
 
     The representative is the least record under a content-only ordering,
     so the outcome does not depend on input order.  Returns (unique,
-    dropped duplicates).
+    dropped), each dropped duplicate paired with its representative:
+    (duplicate, kept).
     """
     unique, dropped = [], []
     kept = None  # the key of the last representative; equal keys are adjacent
     for order, r in _in_content_order(records):
         key = order and order[:4]  # None for a person's only record
         if key is not None and key == kept:
-            dropped.append(r)
+            dropped.append((r, unique[-1]))
         else:
             kept = key
             unique.append(r)
@@ -298,10 +301,11 @@ def link_records(records: Sequence[PsaRecord], cases: Sequence[CourtCase]) -> Li
         )
     unique, duplicates = deduplicate(complete)
     del complete  # ``unique`` and ``duplicates`` now hold its records
-    for r in duplicates:
+    for r, kept in duplicates:
         report.dropped_duplicates.append(
-            MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_DUPLICATE)
+            MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_DUPLICATE, note=kept.record_id)
         )
+    del duplicates  # the results now hold its records; its pairs would last the whole walk
     # ``unique`` is in sfid order, so one walk over the cases in sfid order
     # finds each person's cases
     cases = sorted(cases, key=_sfid)

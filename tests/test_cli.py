@@ -622,6 +622,38 @@ def test_a_court_row_without_an_sfid_is_a_row_error(tmp_path):
     assert [(r["designation"], r["n_individuals"]) for r in rows] == [("B", "1")]
 
 
+_LEDGER_STAGES = {"dropped_incomplete": "DroppedIncomplete", "dropped_duplicates": "DroppedDuplicate",
+                  "unresolved": "Unresolved", "matched": "Matched"}
+
+
+def test_matches_csv_is_the_ledger_of_every_record(sim_dir, tmp_path):
+    """matches.csv's rows alone give each link and pending stage of
+    counts_summary.csv, and each dropped duplicate names the record that
+    simulate planted it as a copy of."""
+    bad = _corrupt_copy(sim_dir, tmp_path / "corrupt")
+    out = tmp_path / "corrupt-audit"
+    assert run(["audit", "--psa", bad / "psa_records.csv", "--court", bad / "court_cases.csv", "--out", out]) == 3
+    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
+    ledger = read_rows(out / "matches.csv")
+    assert len(ledger) == counts["records_parsed"]
+    for stage, status in _LEDGER_STAGES.items():
+        assert sum(r["status"] == status for r in ledger) == counts[stage] > 0, stage
+    assert all(r["pending"] in (("true", "false") if r["status"] == "Matched" else ("",)) for r in ledger)
+    assert all((r["duplicate_of"] != "") == (r["status"] == "DroppedDuplicate") for r in ledger)
+    assert sum(r["pending"] == "true" for r in ledger) == counts["not_fully_disposed"] > 0
+    assert sorted(r["record_id"] for r in ledger if r["pending"] == "false") == sorted(
+        p["record_id"] for p in read_rows(out / "audit_pairs.csv"))
+
+    out = tmp_path / "audit"
+    assert run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
+                "--out", out]) == 0
+    planted = [(t["record_id"], t["duplicate_of"]) for t in read_rows(sim_dir / "ground_truth.csv")
+               if t["kind"] == "duplicate"]
+    found = [(r["record_id"], r["duplicate_of"]) for r in read_rows(out / "matches.csv")
+             if r["status"] == "DroppedDuplicate"]
+    assert planted and sorted(found) == sorted(planted)
+
+
 def test_dedupe_command(tmp_path):
     psa = tmp_path / "psa.csv"
     write_table(psa, PSA_COLUMNS, [psa_row("R1"), psa_row("R2"), psa_row("R3", fta="")])

@@ -51,7 +51,7 @@ GOLDEN = {
         'counts_summary.csv': '479f2f208ab821a39b70cc18ed219564e289d84820c8c1cda3358bf5492e73dd',
         'initial_distribution.csv': '91d82af58853060a1a724aaea7571569f3dcb3eb13fd1291201a938f7647d9ad',
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
-        'matches.csv': '7a903b9a6b071d406fc6d9f9dfd19a42e5ce626a866fd1b2112c5950420bd2ff',
+        'matches.csv': 'c8eb80958bef20af8bffa0d2ff85b985acdd4840d5563b989e2cf83b62a0af6e',
         'rate_table.csv': 'ae9dd4094c30b1996e1cdeeb5652526f8aaf92418bf48ef7c191e95784975973',
         'rate_table_sensitivity.csv': '8429f849dca65c51db5d09995ab61ed059d01e3b29d52cef9aac755e799f70f8',
         'review_unresolved.csv': '861802d8f9b0a206cbab345b432a54db00a89a3bab7255e155b0f2408399730b',

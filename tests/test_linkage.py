@@ -84,7 +84,7 @@ def test_dedup_identical_records_keep_one():
     b = rec(record_id="R2")
     unique, dropped = deduplicate([a, b])
     assert [u.record_id for u in unique] == ["R1"]
-    assert [d.record_id for d in dropped] == ["R2"]
+    assert [(d.record_id, k.record_id) for d, k in dropped] == [("R2", "R1")]
 
 
 def test_dedup_same_day_different_charges_both_kept():
@@ -125,15 +125,17 @@ def _order(record):
 
 
 def _reference_deduplicate(records):
-    """De-duplication by one sort of every record by its whole content key."""
+    """De-duplication by one sort of every record by its whole content key
+    and a dict of the records kept by their keys: (unique, [(duplicate,
+    the record kept for its key)])."""
+    kept = {}
     unique, dropped = [], []
-    kept = None
     for r in sorted(records, key=_order):
         key = _dedup_key(r)
-        if key == kept:
-            dropped.append(r)
+        if key in kept:
+            dropped.append((r, kept[key]))
         else:
-            kept = key
+            kept[key] = r
             unique.append(r)
     return unique, dropped
 
@@ -146,8 +148,9 @@ def _reference_link_records(records, cases):
     for r in sorted(incomplete, key=_order):
         report.dropped_incomplete.append(MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_INCOMPLETE))
     unique, duplicates = _reference_deduplicate(complete)
-    for r in duplicates:
-        report.dropped_duplicates.append(MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_DUPLICATE))
+    for r, kept in duplicates:
+        report.dropped_duplicates.append(
+            MatchResult(psa=r, matched_cases=(), status=MatchStatus.DROPPED_DUPLICATE, note=kept.record_id))
     by_sfid = {}
     for c in cases:
         by_sfid.setdefault(c.sfid, []).append(c)
@@ -174,12 +177,7 @@ def test_adjacency_dedupe_equals_the_set_based_rule(data):
     drawn = data.draw(st.lists(_RECORD_FIELDS, max_size=12))
     records = [rec(record_id=f"R{i}", sfid=sfid, psa=psa, charges=charges, arrest=arrest, fta=fta, nvca=nvca)
                for i, (sfid, psa, charges, arrest, fta, nvca) in enumerate(drawn)]
-    seen, unique, dropped = set(), [], []
-    for r in sorted(records, key=_order):
-        key = _dedup_key(r)
-        (dropped if key in seen else unique).append(r)
-        seen.add(key)
-    assert deduplicate(data.draw(st.permutations(records))) == (unique, dropped)
+    assert deduplicate(data.draw(st.permutations(records))) == _reference_deduplicate(records)
 
 
 def _identities(results):
@@ -216,7 +214,7 @@ def test_per_person_linkage_equals_the_global_sort_reference(drawn_records, draw
     unique, dropped = deduplicate(records)
     ref_unique, ref_dropped = _reference_deduplicate(records)
     assert list(map(id, unique)) == list(map(id, ref_unique))
-    assert list(map(id, dropped)) == list(map(id, ref_dropped))
+    assert [(id(d), id(k)) for d, k in dropped] == [(id(d), id(k)) for d, k in ref_dropped]
     report, reference = link_records(records, cases), _reference_link_records(records, cases)
     for partition in ("matched", "unresolved", "dropped_incomplete", "dropped_duplicates"):
         assert _identities(getattr(report, partition)) == _identities(getattr(reference, partition)), partition
@@ -245,8 +243,9 @@ def test_shared_and_separate_equal_booking_cells_link_alike(drawn_records, drawn
     assert shared == separate
     cases = [case(court_number=number, sfid=sfid, arrest=arrest, charges=charges)
              for sfid, arrest, charges, number in drawn_cases]
-    for a, b in zip(deduplicate(separate), deduplicate(shared)):
-        assert [r.record_id for r in a] == [r.record_id for r in b]
+    (unique, dropped), (shared_unique, shared_dropped) = deduplicate(separate), deduplicate(shared)
+    assert [r.record_id for r in unique] == [r.record_id for r in shared_unique]
+    assert [(d.record_id, k.record_id) for d, k in dropped] == [(d.record_id, k.record_id) for d, k in shared_dropped]
     report, other = link_records(separate, cases), link_records(shared, cases)
     assert _outcomes(report.all_results) == _outcomes(other.all_results)
     assert report.counts() == other.counts()
