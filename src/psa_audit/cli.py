@@ -37,7 +37,6 @@ from .engine import EngineConfig, PsaResult, assess, config_path, load_engine_co
 from .errors import ConfigError, PsaAuditError, SchemaError
 from .io import (
     FLAG_TEXT,
-    PSA_COLUMNS,
     SCHEMA_DOC,
     RowIssue,
     _ColumnMemos,
@@ -50,7 +49,7 @@ from .io import (
     render_cell,
     write_csv,
 )
-from .linkage import MatchStatus, deduplicate, filter_complete, link_records
+from .linkage import MatchStatus, link_records
 from .stats import (
     DEFAULT_ALPHA,
     AffectedRow,
@@ -207,7 +206,6 @@ _COMMANDS = {
                  (_Option("resolved_generator", dict, required=True), *_ENGINE_FILES)),
     "consistency": ("race-designation consistency matrix from court data", (_COURT,)),
     "validate": ("agreement of engine outputs with recorded form columns", (_PSA, _COURT, *_ENGINE_FILES)),
-    "dedupe": ("completeness filter and de-duplication only", (_PSA,)),
 }
 
 
@@ -627,7 +625,7 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# consistency / validate / dedupe
+# consistency / validate
 
 
 def cmd_consistency(opts: dict, out_dir: Path) -> int:
@@ -670,29 +668,12 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
     return _exit_code(any(comparisons.values()), issues)
 
 
-def cmd_dedupe(opts: dict, out_dir: Path) -> int:
-    _, records, _, issues, intake = _read_inputs(opts, out_dir)
-    complete, incomplete = filter_complete(records)
-    unique, duplicates = deduplicate(complete)
-    rows = [_rendered(join_charges(r.booking_charges) if c == "booking_charges" else getattr(r, c)
-                      for c in PSA_COLUMNS) for r in unique]
-    write_csv(out_dir / "deduped_records.csv", PSA_COLUMNS, rows)
-    dropped = [(render_cell(r.record_id), "incomplete") for r in incomplete]
-    dropped += [(render_cell(r.record_id), "duplicate") for r, _ in duplicates]
-    write_csv(out_dir / "dedupe_dropped.csv", ("record_id", "reason"), dropped)
-    counts = {k: intake[k] for k in ("psa_input_rows", "row_errors", "records_parsed")}
-    counts.update(dropped_incomplete=len(incomplete), dropped_duplicates=len(duplicates), kept=len(unique))
-    _write_counts(out_dir / "counts_summary.csv", "stage", counts)
-    return _exit_code(bool(unique), issues)
-
-
 _HANDLERS = {
     "score": cmd_score,
     "audit": cmd_audit,
     "simulate": cmd_simulate,
     "consistency": cmd_consistency,
     "validate": cmd_validate,
-    "dedupe": cmd_dedupe,
 }
 
 

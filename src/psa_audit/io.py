@@ -505,7 +505,7 @@ sfid, name or charge text holds a carriage return (\\r) inside it;
 columns may come in any order, and other columns are ignored, but a
 header that names a required column twice is a schema error)
 
-psa_records.csv (input to score/audit/validate/dedupe)
+psa_records.csv (input to score/audit/validate)
   record_id     unique, non-empty row id; an empty or repeated id makes
                 the row a row error
   sfid          person identifier shared with the court file

@@ -350,7 +350,6 @@ def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
     for command, inputs in (
         ("audit", [*psa, *court]),
         ("validate", [*psa, *court]),
-        ("dedupe", psa),
         ("consistency", court),
         ("score", psa),
     ):
@@ -359,10 +358,11 @@ def test_every_command_lists_the_same_row_issues(sim_dir, tmp_path):
         errors[command] = out / ("score_errors.csv" if command == "score" else "input_errors.csv")
     both = errors["audit"].read_bytes()
     assert errors["validate"].read_bytes() == both
-    psa_rows, court_rows = read_rows(errors["dedupe"]), read_rows(errors["consistency"])
+    # score lists the record file's issues, and the records that lack sub-scores
+    psa_rows = [r for r in read_rows(errors["score"]) if r["message"] != "missing sub-scores"]
+    court_rows = read_rows(errors["consistency"])
     assert psa_rows and court_rows
     assert read_rows(errors["audit"]) == psa_rows + court_rows
-    assert [r for r in read_rows(errors["score"]) if r["message"] != "missing sub-scores"] == psa_rows
 
 
 def test_score_errors_name_each_input_row_in_row_order(sim_dir, tmp_path):
@@ -654,38 +654,11 @@ def test_matches_csv_is_the_ledger_of_every_record(sim_dir, tmp_path):
     assert planted and sorted(found) == sorted(planted)
 
 
-def test_dedupe_command(tmp_path):
-    psa = tmp_path / "psa.csv"
-    write_table(psa, PSA_COLUMNS, [psa_row("R1"), psa_row("R2"), psa_row("R3", fta="")])
-    out = tmp_path / "dedupe"
-    assert run(["dedupe", "--psa", psa, "--out", out]) == 0
-    assert len(read_rows(out / "deduped_records.csv")) == 1
-    dropped = {r["record_id"]: r["reason"] for r in read_rows(out / "dedupe_dropped.csv")}
-    assert dropped == {"R2": "duplicate", "R3": "incomplete"}
-
-
-def test_dedupe_counts_conserve_every_row(sim_dir, tmp_path):
-    """Every input row is parsed or a row error, and every parsed record is
-    kept or dropped as incomplete or as a duplicate."""
-    bad = _corrupt_copy(sim_dir, tmp_path / "corrupt")
-    out = tmp_path / "dedupe"
-    assert run(["dedupe", "--psa", bad / "psa_records.csv", "--out", out]) == 3
-    counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
-    assert list(counts) == ["psa_input_rows", "row_errors", "records_parsed",
-                            "dropped_incomplete", "dropped_duplicates", "kept"]
-    assert counts["psa_input_rows"] == len(read_rows(bad / "psa_records.csv"))
-    assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
-    assert counts["row_errors"] == len(read_rows(out / "input_errors.csv")) > 0
-    assert counts["records_parsed"] == counts["kept"] + counts["dropped_incomplete"] + counts["dropped_duplicates"]
-    assert counts["kept"] == len(read_rows(out / "deduped_records.csv"))
-    assert counts["dropped_incomplete"] > 0 and counts["dropped_duplicates"] > 0
-
-
 def test_every_run_writes_a_manifest(sim_dir, tmp_path):
-    out = tmp_path / "dedupe"
-    run(["dedupe", "--psa", sim_dir / "psa_records.csv", "--out", out])
+    out = tmp_path / "score"
+    run(["score", "--psa", sim_dir / "psa_records.csv", "--out", out])
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["subcommand"] == "dedupe"
+    assert manifest["subcommand"] == "score"
     assert manifest["tool"] == "psa-audit"
     assert Path(manifest["options"]["psa"]).is_absolute()
 
@@ -704,7 +677,7 @@ def test_rerun_simulate_byte_identical(tmp_path):
     assert _tree_bytes(first) == _tree_bytes(second)
 
 
-@pytest.mark.parametrize("command", ["score", "audit", "consistency", "validate", "dedupe"])
+@pytest.mark.parametrize("command", ["score", "audit", "consistency", "validate"])
 def test_rerun_byte_identical(sim_dir, tmp_path, command):
     psa, court = ["--psa", sim_dir / "psa_records.csv"], ["--court", sim_dir / "court_cases.csv"]
     args = {
@@ -713,7 +686,6 @@ def test_rerun_byte_identical(sim_dir, tmp_path, command):
         "consistency": court,
         # a resolved engine-file option round-trips too
         "validate": [*psa, *court, "--config-dir", _copy_packaged_config(tmp_path / "cfg")],
-        "dedupe": psa,
     }[command]
     first = tmp_path / "first"
     rc = run([command, *args, "--out", first])
@@ -807,9 +779,10 @@ def test_rerun_rejects_bad_manifest(tmp_path, capsys):
         {"subcommand": "audit", "options": {**audit, "conviction_threshold": "159"}},
         {"subcommand": "audit", "options": {**audit, "alpha": 1}},
         {"subcommand": "audit", "options": {**audit, "sensitivity": 1}},
-        {"subcommand": "dedupe", "options": {"psa": 5}},
-        # the link command is gone; audit writes each of its files
+        {"subcommand": "audit", "options": {**audit, "psa": 5}},
+        # the link and dedupe commands are gone: audit's matches.csv holds what they wrote
         {"subcommand": "link", "options": {"psa": audit["psa"], "court": audit["court"]}},
+        {"subcommand": "dedupe", "options": {"psa": audit["psa"]}},
         {"subcommand": "simulate", "options": {"resolved_generator": [150, 11]}},
         {"subcommand": "simulate", "options": {}},
         {"subcommand": "simulate", "options": {"resolved_generator": {"bogus": 1}}},
@@ -876,7 +849,6 @@ def test_every_write_csv_call_gets_written_cells(sim_dir, tmp_path, monkeypatch)
         "score": psa,
         "simulate": ["--n", 300, "--seed", 5],
         "consistency": court,
-        "dedupe": psa,
     }
     assert set(commands) == set(_HANDLERS)
     for command, args in commands.items():
@@ -910,13 +882,12 @@ def test_a_carriage_return_in_an_id_sfid_or_name_is_a_row_error(tmp_path, column
     psa = tmp_path / "psa.csv"
     _write_quoting_carriage_returns(psa, PSA_COLUMNS, psa_rows)
 
-    out = tmp_path / "dedupe"
-    assert run(["dedupe", "--psa", psa, "--out", out]) == 3
-    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "input_errors.csv")] == [
+    out = tmp_path / "score"
+    assert run(["score", "--psa", psa, "--out", out]) == 3
+    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "score_errors.csv")] == [
         ("3", record_id, message)]
     _assert_every_csv_reads_back_whole(out)
-    records, issues = read_psa_records(out / "deduped_records.csv")
-    assert [r.record_id for r in records] == ["R1", "R2", "R4", "R5"] and issues == []
+    assert [r["record_id"] for r in read_rows(out / "score_results.csv")] == ["R1", "R2", "R4", "R5"]
 
     court_column = "court_number" if column == "record_id" else column
     court_rows = [court_row(f"C{i}", f"S{i}", name="ADAMS, ALEX", dob="1980-01-01") for i in range(1, 6)]
@@ -931,13 +902,16 @@ def test_a_carriage_return_in_an_id_sfid_or_name_is_a_row_error(tmp_path, column
     _assert_every_csv_reads_back_whole(out)
     assert sorted(m["record_id"] for m in read_rows(out / "matches.csv")) == ["R1", "R2", "R4", "R5"]
     assert [p["record_id"] for p in read_rows(out / "audit_pairs.csv")] == ["R1", "R2", "R5"]
+    # R4's case is the row error, so R4 is written back whole for review
+    assert [(r["record_id"], r["name"], r["booking_charges"]) for r in read_rows(out / "review_unresolved.csv")] == [
+        ("R4", "ADAMS, ALEX", "459 PC F")]
 
 
 @pytest.mark.parametrize("column", ["booking_charges", "filed_charges"])
 def test_a_carriage_return_in_a_charge_text_is_a_row_error(tmp_path, column):
-    """A charge keeps its text, which dedupe, matches and review outputs
-    copy, so a "\\r" inside one is a row error that names its column; the
-    court file's two charge columns share one memo of cells."""
+    """A charge keeps its text, which the review output copies, so a
+    "\\r" inside one is a row error that names its column; the court
+    file's two charge columns share one memo of cells."""
     cell = "459\rPC F"
     psa_rows = [psa_row(f"R{i}", f"S{i}") for i in range(1, 6)]
     psa_rows[2]["booking_charges"] = cell
@@ -945,12 +919,11 @@ def test_a_carriage_return_in_a_charge_text_is_a_row_error(tmp_path, column):
     _write_quoting_carriage_returns(psa, PSA_COLUMNS, psa_rows)
     psa_issue = ("3", "R3", f"booking_charges: must not hold a carriage return, got {cell!r}")
 
-    out = tmp_path / "dedupe"
-    assert run(["dedupe", "--psa", psa, "--out", out]) == 3
-    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "input_errors.csv")] == [psa_issue]
+    out = tmp_path / "score"
+    assert run(["score", "--psa", psa, "--out", out]) == 3
+    assert [(e["row"], e["record_id"], e["message"]) for e in read_rows(out / "score_errors.csv")] == [psa_issue]
     _assert_every_csv_reads_back_whole(out)
-    records, issues = read_psa_records(out / "deduped_records.csv")
-    assert [r.record_id for r in records] == ["R1", "R2", "R4", "R5"] and issues == []
+    assert [r["record_id"] for r in read_rows(out / "score_results.csv")] == ["R1", "R2", "R4", "R5"]
 
     court_rows = [court_row(f"C{i}", f"S{i}") for i in range(1, 6)]
     court_rows[3][column] = cell
@@ -962,6 +935,8 @@ def test_a_carriage_return_in_a_charge_text_is_a_row_error(tmp_path, column):
         psa_issue, ("4", "C4", f"{column}: must not hold a carriage return, got {cell!r}")]
     _assert_every_csv_reads_back_whole(out)
     assert [p["record_id"] for p in read_rows(out / "audit_pairs.csv")] == ["R1", "R2", "R5"]
+    assert [(r["record_id"], r["booking_charges"]) for r in read_rows(out / "review_unresolved.csv")] == [
+        ("R4", "459 PC F")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden outputs: every file that the six subcommands write over a seeded
+"""Golden outputs: every file that the five subcommands write over a seeded
 10k-record corpus must keep its SHA-256, and each command its exit code.
 
 The digests pin the output bytes of ``simulate --n 10000 --seed 2026`` and
@@ -28,7 +28,6 @@ COMMANDS = {
     "audit": ["audit", "--psa", "{psa}", "--court", "{court}", "--sensitivity"],
     "consistency": ["consistency", "--court", "{court}"],
     "validate": ["validate", "--psa", "{psa}", "--court", "{court}"],
-    "dedupe": ["dedupe", "--psa", "{psa}"],
 }
 
 #: command -> (exit code, {output file: SHA-256})
@@ -65,12 +64,6 @@ GOLDEN = {
         'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
         'validation_mismatches.csv': 'fe573def3be3bc4e92b2218e4825ca2c3614e7e35ab4ac84f4fc09bb3215f0f5',
         'validation_report.csv': 'f449eb63ec5fd6a72a06a29c6df4d712892ac513d03c5c7265ef69c4e6958665',
-    }),
-    'dedupe': (0, {
-        'counts_summary.csv': '5830765fab311312dfd1c0af05f2682504d56a9ee7de5afba42509512a74640a',
-        'dedupe_dropped.csv': 'cfdbe3a9ecc9fad3b63f2cfa80347a0f90142602ed5710f5b80a723ed3c2cf71',
-        'deduped_records.csv': '40fcc9d6365022b9403223d1c477bd7a9e40a47d1058bc27be5e7d2f044b23f2',
-        'input_errors.csv': '330e6aae28749ae3d45b96eb9e3102fe968b659d3641c4a254eb22cb3b99eb1c',
     }),
 }
 
