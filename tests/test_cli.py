@@ -636,6 +636,9 @@ def test_matches_csv_is_the_ledger_of_every_record(sim_dir, tmp_path):
     counts = {r["stage"]: int(r["count"]) for r in read_rows(out / "counts_summary.csv")}
     ledger = read_rows(out / "matches.csv")
     assert len(ledger) == counts["records_parsed"]
+    assert counts["psa_input_rows"] == len(read_rows(bad / "psa_records.csv"))
+    assert counts["psa_input_rows"] == counts["records_parsed"] + counts["row_errors"]
+    assert counts["row_errors"] == len(read_rows(out / "input_errors.csv")) - counts["court_row_errors"] > 0
     for stage, status in _LEDGER_STAGES.items():
         assert sum(r["status"] == status for r in ledger) == counts[stage] > 0, stage
     assert all(r["pending"] in (("true", "false") if r["status"] == "Matched" else ("",)) for r in ledger)
@@ -780,7 +783,7 @@ def test_rerun_rejects_bad_manifest(tmp_path, capsys):
         {"subcommand": "audit", "options": {**audit, "alpha": 1}},
         {"subcommand": "audit", "options": {**audit, "sensitivity": 1}},
         {"subcommand": "audit", "options": {**audit, "psa": 5}},
-        # the link and dedupe commands are gone: audit's matches.csv holds what they wrote
+        # the link and dedupe commands are gone; audit's outputs hold what they wrote
         {"subcommand": "link", "options": {"psa": audit["psa"], "court": audit["court"]}},
         {"subcommand": "dedupe", "options": {"psa": audit["psa"]}},
         {"subcommand": "simulate", "options": {"resolved_generator": [150, 11]}},
