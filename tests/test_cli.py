@@ -626,10 +626,38 @@ _LEDGER_STAGES = {"dropped_incomplete": "DroppedIncomplete", "dropped_duplicates
                   "unresolved": "Unresolved", "matched": "Matched"}
 
 
+def test_matches_csv_says_what_became_of_each_record(tmp_path):
+    psa, court = tmp_path / "psa.csv", tmp_path / "court.csv"
+    write_table(psa, PSA_COLUMNS, [
+        psa_row("R1"),
+        psa_row("R2"),  # a copy of R1
+        psa_row("R3", fta=""),
+        psa_row("R4", "S4"),
+        psa_row("R5", "S5"),
+    ])
+    write_table(court, COURT_COLUMNS, [court_row("C1"), court_row("C4", "S4", dispositions="")])
+    out = tmp_path / "audit"
+    assert run(["audit", "--psa", psa, "--court", court, "--out", out]) == 0
+    assert sorted(list(r.values()) for r in read_rows(out / "matches.csv")) == [
+        ["R1", "S1", "Matched", "C1", "", "false"],
+        ["R2", "S1", "DroppedDuplicate", "", "R1", ""],
+        ["R3", "S1", "DroppedIncomplete", "", "", ""],
+        ["R4", "S4", "Matched", "C4", "", "true"],
+        ["R5", "S5", "Unresolved", "", "", ""],
+    ]
+
+
+def test_dedupe_is_not_a_command(sim_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["dedupe", "--psa", sim_dir / "psa_records.csv", "--out", tmp_path / "out"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'dedupe'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_matches_csv_is_the_ledger_of_every_record(sim_dir, tmp_path):
     """matches.csv's rows alone give each link and pending stage of
-    counts_summary.csv, and each dropped duplicate names the record that
-    simulate planted it as a copy of."""
+    counts_summary.csv."""
     bad = _corrupt_copy(sim_dir, tmp_path / "corrupt")
     out = tmp_path / "corrupt-audit"
     assert run(["audit", "--psa", bad / "psa_records.csv", "--court", bad / "court_cases.csv", "--out", out]) == 3
@@ -647,6 +675,8 @@ def test_matches_csv_is_the_ledger_of_every_record(sim_dir, tmp_path):
     assert sorted(r["record_id"] for r in ledger if r["pending"] == "false") == sorted(
         p["record_id"] for p in read_rows(out / "audit_pairs.csv"))
 
+
+def test_each_dropped_duplicate_names_the_record_it_was_planted_from(sim_dir, tmp_path):
     out = tmp_path / "audit"
     assert run(["audit", "--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv",
                 "--out", out]) == 0
