@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             return _cmd_rerun(args)
-        return _dispatch(args.command, _collect_options(args.command, args), Path(args.out))
+        return _dispatch(args.command, *_collect_options(args.command, args), Path(args.out))
     except PsaAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -128,11 +128,23 @@ def _map_large_blocks() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
-def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
-    """Run one command, holding back what it prints until its outputs and
-    its manifest are written, so a closed stdout cannot cut the run short.
-    A run that fails before it writes anything leaves no ``out_dir`` that
-    it made."""
+def _dispatch(command: str, opts: dict, pools_source: str | None, out_dir: Path) -> int:
+    """Run one command from its options, as the command line or a manifest
+    gives them.  Before ``out_dir`` is made, load the run's engine config,
+    once, and check simulate's generator against its catalog, reporting an
+    error under ``pools_source``, what set the pools (None when the
+    default pools meet the packaged catalog, which they fit).  Then call
+    the command's handler with the options and the config, holding back
+    what it prints until its outputs and its manifest are written, so a
+    closed stdout cannot cut the run short.  A run that fails before it
+    writes anything leaves no ``out_dir`` that it made."""
+    config = load_engine_config(opts.get("config_dir"), catalog_path=opts.get("catalog"),
+                                dmf_path=opts.get("dmf"), weights_path=opts.get("weights"))
+    if pools_source is not None:
+        try:
+            GeneratorConfig.from_dict(opts["resolved_generator"]).check_pools(config.catalog)
+        except (ConfigError, TypeError) as exc:
+            raise ConfigError(f"{pools_source}: {exc}") from None
     made = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,7 +152,7 @@ def _dispatch(command: str, opts: dict, out_dir: Path) -> int:
         raise SchemaError(f"{out_dir}: cannot make the output directory: {exc.strerror or exc}") from None
     try:
         with redirect_stdout(StringIO()) as report:
-            code = _HANDLERS[command](opts, out_dir)
+            code = _COMMANDS[command].handler(opts, config, out_dir)
     except PsaAuditError:
         if made and not any(out_dir.iterdir()):
             out_dir.rmdir()
@@ -187,28 +199,6 @@ _GENERATOR_FLAGS = {"n": "n_records", "seed": "seed", **{f: f for f in (
     "overbooking_rate", "saturation_share", "duplicate_rate", "incomplete_rate",
     "disposed_rate", "plea_other_rate", "unmatched_rate")}}
 
-#: Each command's help and options, in the form a handler receives and a
-#: manifest records them; a manifest must hold each option that is required
-#: or has a default.  simulate's command line gives ``resolved_generator``,
-#: a whole ``GeneratorConfig``, as ``--gen-config`` and the generator flags.
-_COMMANDS = {
-    "score": ("score each assessment record over its booked charges", (_PSA, *_ENGINE_FILES)),
-    "audit": ("full booking-vs-conviction audit pipeline", (
-        _PSA, _COURT,
-        _Option("sensitivity", bool, False,
-                help="also emit tables excluding records whose only plea points outside the case"),
-        _Option("alpha", float, DEFAULT_ALPHA),
-        _Option("conviction_threshold", int, DispositionPolicy.conviction_threshold),
-        _Option("plea_to_other_code", int, DispositionPolicy.plea_to_other_code),
-        _Option("no_companion_zero", bool, False),
-        *_ENGINE_FILES)),
-    "simulate": ("generate a synthetic dataset with planted ground truth",
-                 (_Option("resolved_generator", dict, required=True), *_ENGINE_FILES)),
-    "consistency": ("race-designation consistency matrix from court data", (_COURT,)),
-    "validate": ("agreement of engine outputs with recorded form columns", (_PSA, _COURT, *_ENGINE_FILES)),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psa-audit",
@@ -218,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schema", action="store_true", help="print the file schemas and exit")
     parser.add_argument("--version", action="version", version=f"psa-audit {__version__}")
     sub = parser.add_subparsers(dest="command")
-    for command, (help_text, options) in _COMMANDS.items():
+    for command, (help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for o in options:
             flag = "--" + o.key.replace("_", "-")
@@ -240,39 +230,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_options(command: str, args: argparse.Namespace) -> dict:
+def _collect_options(command: str, args: argparse.Namespace) -> tuple[dict, str | None]:
     """The given options of a command line in their manifest form: paths
     resolved, and simulate's generator settings frozen into
-    ``resolved_generator``, so a rerun ignores later changes of defaults."""
-    options = _COMMANDS[command][1]
+    ``resolved_generator``, so a rerun ignores later changes of defaults.
+    With them comes what answers for simulate's charge pools: the
+    ``--gen-config`` file, else a catalog the run names (``--catalog`` or
+    ``--config-dir``), else None."""
     opts = {}
-    for o in options:
+    for o in _COMMANDS[command].options:
         if o.type is not dict and (value := getattr(args, o.key)) is not None:
             opts[o.key] = str(Path(value).resolve()) if o.type is Path else value
-    # after the engine files, whose catalog checks a --gen-config file's pools
-    for o in options:
-        if o.type is dict:
-            opts[o.key] = asdict(_generator_config(args, opts))
-    return opts
+    if command != "simulate":
+        return opts, None
+    opts["resolved_generator"] = asdict(_generator_config(args))
+    if args.gen_config is not None:
+        return opts, str(Path(args.gen_config).resolve())
+    if "catalog" in opts or "config_dir" in opts:
+        return opts, str(config_path("catalog", opts.get("catalog"), opts.get("config_dir")))
+    return opts, None
 
 
-def _generator_config(args: argparse.Namespace, opts: dict) -> GeneratorConfig:
+def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
     """A generator flag beats the ``--gen-config`` file, which beats the
-    default.  Every error in the file, its pools' fit to the run's catalog
-    included, is reported under the file's path.  Without the file, the
-    default pools' fit to a catalog the run names (``--catalog`` or
-    ``--config-dir``) is reported under the catalog's path."""
-    gen_config, path = GeneratorConfig(), None  # the default pools fit the packaged catalog
+    default.  An error in the file is reported under the file's path."""
+    gen_config = GeneratorConfig()
     if args.gen_config is not None:
         path = Path(args.gen_config).resolve()
-    elif "catalog" in opts or "config_dir" in opts:
-        path = config_path("catalog", opts.get("catalog"), opts.get("config_dir"))
-    if path is not None:
-        catalog = _engine_config(opts).catalog
-        doc = read_config(path) if args.gen_config is not None else {}
+        doc = read_config(path)
         try:
             gen_config = GeneratorConfig.from_dict(doc)
-            gen_config.check_pools(catalog)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     flags = {name: getattr(args, key) for key, name in _GENERATOR_FLAGS.items() if getattr(args, key) is not None}
@@ -302,19 +289,18 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("options"), dict)):
         raise SchemaError(f"{path}: not a valid run manifest: needs a mapping with an 'options' mapping")
     command = manifest.get("subcommand")
-    if not isinstance(command, str) or command not in _HANDLERS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise SchemaError(f"{path}: unknown subcommand {command!r}")
-    return _dispatch(command, _manifest_options(path, command, manifest["options"]), Path(args.out))
+    pools_source = f"{path}: option 'resolved_generator'" if command == "simulate" else None
+    return _dispatch(command, _manifest_options(path, command, manifest["options"]), pools_source, Path(args.out))
 
 
 def _manifest_options(path: Path, command: str, opts: dict) -> dict:
     """The options of a manifest for ``command``, checked against its
     table: each option that is required or has a default is present, with
-    the option's type (a string for a path), and ``resolved_generator``
-    is valid, its pools fitting the manifest's catalog.  Keys the table
-    lacks are dropped, so the new manifest names only what shaped the
-    outputs."""
-    options = _COMMANDS[command][1]
+    the option's type (a string for a path).  Keys the table lacks are
+    dropped, so the new manifest names only what shaped the outputs."""
+    options = _COMMANDS[command].options
     missing = sorted(o.key for o in options if (o.required or o.default is not None) and o.key not in opts)
     if missing:
         raise SchemaError(f"{path}: run manifest lacks options {missing}")
@@ -326,22 +312,7 @@ def _manifest_options(path: Path, command: str, opts: dict) -> dict:
         if type(value) is not kind:
             raise SchemaError(f"{path}: option {o.key!r} must be of type {kind.__name__}, got {value!r}")
         checked[o.key] = value
-    if "resolved_generator" in checked:
-        catalog = _engine_config(checked).catalog
-        try:
-            GeneratorConfig.from_dict(checked["resolved_generator"]).check_pools(catalog)
-        except (ConfigError, TypeError) as exc:
-            raise SchemaError(f"{path}: option 'resolved_generator': {exc}") from None
     return checked
-
-
-def _engine_config(opts: dict) -> EngineConfig:
-    return load_engine_config(
-        opts.get("config_dir"),
-        catalog_path=opts.get("catalog"),
-        dmf_path=opts.get("dmf"),
-        weights_path=opts.get("weights"),
-    )
 
 
 def _audit_settings(opts: dict) -> tuple[DispositionPolicy, float]:
@@ -357,22 +328,21 @@ def _audit_settings(opts: dict) -> tuple[DispositionPolicy, float]:
     return policy, alpha
 
 
-def _read_inputs(opts: dict, out_dir: Path):
-    """Load the engine config and read whichever of ``--psa`` and
-    ``--court`` the command takes, parsing charges with the catalog's
-    derivative prefixes, and list every row issue in ``input_errors.csv``.
+def _read_inputs(opts: dict, config: EngineConfig, out_dir: Path):
+    """Read whichever of ``--psa`` and ``--court`` the command takes,
+    parsing charges with the run's catalog's derivative prefixes, and list
+    every row issue in ``input_errors.csv``.
     Both readers get one set of column memos, so each cell text is parsed
     once per run in each column name, and a record and its case share
     the value of a column both files have; the set is dropped on return.
 
-    Returns (config, records, cases, issues, counts); counts are the
+    Returns (records, cases, issues, counts); counts are the
     intake stages of ``counts_summary.csv``.  Each file's input rows are
     the data rows its reader numbered, and ``row_errors`` and
     ``court_row_errors`` count the rows of the record and of the case
     file that were skipped; the reader checks that its input rows are its
     parsed rows plus its row errors.
     """
-    config = _engine_config(opts)
     memos = _ColumnMemos(config.catalog.derivative_prefixes)
     records, psa_issues = read_psa_records(opts["psa"], memos=memos) if "psa" in opts else (_Items(), [])
     cases, court_issues = read_court_cases(opts["court"], memos=memos) if "court" in opts else (_Items(), [])
@@ -386,7 +356,7 @@ def _read_inputs(opts: dict, out_dir: Path):
         "court_row_errors": court_errors,
         "records_parsed": len(records),
     }
-    return config, records, cases, issues, counts
+    return records, cases, issues, counts
 
 
 def _write_counts(path: Path, key: str, counts: dict) -> None:
@@ -426,8 +396,7 @@ def _rendered(values) -> tuple:
     return tuple(map(render_cell, values))
 
 
-def cmd_score(opts: dict, out_dir: Path) -> int:
-    config = _engine_config(opts)
+def cmd_score(opts: dict, config: EngineConfig, out_dir: Path) -> int:
     records, issues = read_psa_records(opts["psa"], config.catalog.derivative_prefixes)
     record_rows = _item_rows({i.row for i in _hard_issues(issues)})
     rows, row_errors = [], list(issues)
@@ -569,7 +538,7 @@ def _popped(items: list) -> Iterator:
         yield items.pop()
 
 
-def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
+def _audit_intake(opts: dict, config: EngineConfig, out_dir: Path, policy: DispositionPolicy):
     """Read, link and pair: write ``input_errors.csv``, ``matches.csv`` and
     ``review_unresolved.csv``, and return (pairs, counts, issues).
 
@@ -578,7 +547,7 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
     built, so the intake is freed while the pairs grow; a pair keeps only
     its record id, its group and its two results.
     """
-    config, records, cases, issues, intake = _read_inputs(opts, out_dir)
+    records, cases, issues, intake = _read_inputs(opts, config, out_dir)
 
     report = link_records(records, cases)
     _write_matches(out_dir / "matches.csv", report)
@@ -594,11 +563,11 @@ def _audit_intake(opts: dict, out_dir: Path, policy: DispositionPolicy):
     return pairs, counts, issues
 
 
-def cmd_audit(opts: dict, out_dir: Path) -> int:
+def cmd_audit(opts: dict, config: EngineConfig, out_dir: Path) -> int:
     """Every table, ``audit_pairs.csv`` and ``sensitivity_excluded`` read one
     tally; the sensitivity scope is its entries not ``excluded_by_sensitivity``."""
     policy, alpha = _audit_settings(opts)
-    pairs, counts, issues = _audit_intake(opts, out_dir, policy)
+    pairs, counts, issues = _audit_intake(opts, config, out_dir, policy)
     entries = tally(pairs)
     counts["sensitivity_excluded"] = count_by(entries, attrgetter("excluded_by_sensitivity"))[True]
     _write_counts(out_dir / "counts_summary.csv", "stage", counts)
@@ -617,8 +586,8 @@ def cmd_audit(opts: dict, out_dir: Path) -> int:
 # simulate
 
 
-def cmd_simulate(opts: dict, out_dir: Path) -> int:
-    dataset = generate(GeneratorConfig.from_dict(opts["resolved_generator"]), _engine_config(opts))
+def cmd_simulate(opts: dict, config: EngineConfig, out_dir: Path) -> int:
+    dataset = generate(GeneratorConfig.from_dict(opts["resolved_generator"]), config)
     write_dataset(dataset, out_dir)
     _write_counts(out_dir / "planted_counts.csv", "quantity", dataset.planted_counts())
     return EXIT_OK
@@ -628,8 +597,8 @@ def cmd_simulate(opts: dict, out_dir: Path) -> int:
 # consistency / validate
 
 
-def cmd_consistency(opts: dict, out_dir: Path) -> int:
-    _, _, cases, issues, _ = _read_inputs(opts, out_dir)
+def cmd_consistency(opts: dict, config: EngineConfig, out_dir: Path) -> int:
+    _, cases, issues, _ = _read_inputs(opts, config, out_dir)
     matrix = race_consistency(cases)
     rows = [_rendered((cat, matrix.individuals[cat], *percents)) for cat, percents in matrix.rows.items()]
     write_csv(out_dir / "race_consistency.csv",
@@ -638,8 +607,8 @@ def cmd_consistency(opts: dict, out_dir: Path) -> int:
     return _exit_code(bool(rows), issues)
 
 
-def cmd_validate(opts: dict, out_dir: Path) -> int:
-    config, records, cases, issues, _ = _read_inputs(opts, out_dir)
+def cmd_validate(opts: dict, config: EngineConfig, out_dir: Path) -> int:
+    records, cases, issues, _ = _read_inputs(opts, config, out_dir)
     report = link_records(records, cases)
     comparisons = {c.name: [] for c in COMPONENTS}
     mismatches = []
@@ -668,12 +637,33 @@ def cmd_validate(opts: dict, out_dir: Path) -> int:
     return _exit_code(any(comparisons.values()), issues)
 
 
-_HANDLERS = {
-    "score": cmd_score,
-    "audit": cmd_audit,
-    "simulate": cmd_simulate,
-    "consistency": cmd_consistency,
-    "validate": cmd_validate,
+class _Command(NamedTuple):
+    help: str
+    options: tuple[_Option, ...]
+    handler: Callable[[dict, EngineConfig, Path], int]
+
+
+#: Each command's help, its options, in the form its handler receives and a
+#: manifest records them, and its handler; a manifest must hold each option
+#: that is required or has a default.  simulate's command line gives
+#: ``resolved_generator``, a whole ``GeneratorConfig``, as ``--gen-config``
+#: and the generator flags.
+_COMMANDS = {
+    "score": _Command("score each assessment record over its booked charges", (_PSA, *_ENGINE_FILES), cmd_score),
+    "audit": _Command("full booking-vs-conviction audit pipeline", (
+        _PSA, _COURT,
+        _Option("sensitivity", bool, False,
+                help="also emit tables excluding records whose only plea points outside the case"),
+        _Option("alpha", float, DEFAULT_ALPHA),
+        _Option("conviction_threshold", int, DispositionPolicy.conviction_threshold),
+        _Option("plea_to_other_code", int, DispositionPolicy.plea_to_other_code),
+        _Option("no_companion_zero", bool, False),
+        *_ENGINE_FILES), cmd_audit),
+    "simulate": _Command("generate a synthetic dataset with planted ground truth",
+                         (_Option("resolved_generator", dict, required=True), *_ENGINE_FILES), cmd_simulate),
+    "consistency": _Command("race-designation consistency matrix from court data", (_COURT,), cmd_consistency),
+    "validate": _Command("agreement of engine outputs with recorded form columns",
+                         (_PSA, _COURT, *_ENGINE_FILES), cmd_validate),
 }
 
 

@@ -226,18 +226,17 @@ def deduplicate(records: Iterable[PsaRecord]) -> tuple[list[PsaRecord], list[tup
 
 def find_candidates(psa: PsaRecord, cases: Iterable[CourtCase]) -> list[CourtCase]:
     """Cases sharing the record's sfid with an arrest date in the
-    one-day-before to two-days-after window, ordered by court number."""
+    one-day-before to two-days-after window, in the order of ``cases``
+    (``resolve_match`` orders two or more by court number)."""
     if psa.arrest_date is None:
         return []
     lo = psa.arrest_date - WINDOW_BEFORE
     hi = psa.arrest_date + WINDOW_AFTER
-    out = [
+    return [
         c
         for c in cases
         if c.sfid == psa.sfid and c.arrest_date is not None and lo <= c.arrest_date <= hi
     ]
-    out.sort(key=_court_number)
-    return out
 
 
 def resolve_match(psa: PsaRecord, candidates: Sequence[CourtCase]) -> MatchResult:

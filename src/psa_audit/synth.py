@@ -352,8 +352,11 @@ class _Generator:
         self._arrests: dict = {}  # each arrest date
         # each dob by its day in the dob range
         self._dobs: list[date | None] = [None] * _DOB_DAYS
-        # the next row id: R000001, R000002, ... and CN0000001, ...
-        self._next_record_id = map("R{:06d}".format, count(1)).__next__
+        # the next row id: R000001, R000002, ... and CN0000001, ...; a record
+        # id has as many digits as the last one needs, so ids sort as text
+        # in the order they were made
+        width = max(6, len(str(config.n_records)))
+        self._next_record_id = map(f"R{{:0{width}d}}".format, count(1)).__next__
         self._next_court_number = map("CN{:07d}".format, count(1)).__next__
         # every draw is built once, here, not per record
         rng = self.rng

@@ -15,7 +15,7 @@ import pytest
 import psa_audit
 import psa_audit.cli as cli
 from psa_audit.charges import data_path
-from psa_audit.cli import _HANDLERS, main
+from psa_audit.cli import _COMMANDS, main
 from psa_audit.counterfactual import COMPONENTS
 from psa_audit.engine import SupervisionLevel
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, render_cell, write_csv
@@ -883,7 +883,7 @@ def test_every_write_csv_call_gets_written_cells(sim_dir, tmp_path, monkeypatch)
         "simulate": ["--n", 300, "--seed", 5],
         "consistency": court,
     }
-    assert set(commands) == set(_HANDLERS)
+    assert set(commands) == set(_COMMANDS)
     for command, args in commands.items():
         assert run([command, *args, "--out", tmp_path / command]) in (0, 3)
     assert {path.parent.name for path in written} == set(commands)
@@ -1213,6 +1213,41 @@ def test_config_dir_with_packaged_copies_matches_the_defaults(sim_dir, tmp_path)
     assert _tree_bytes(tmp_path / "default", skip) == _tree_bytes(tmp_path / "copies", skip)
 
 
+def test_each_run_loads_its_engine_config_once(sim_dir, tmp_path, monkeypatch):
+    """A run loads its engine config once and hands it down, on every route:
+    each command, simulate with each source of its pools, and a rerun of a
+    simulate and of an audit manifest."""
+    load, calls = cli.load_engine_config, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_engine_config", counted)
+    config_dir = _copy_packaged_config(tmp_path / "cfg")
+    gen = tmp_path / "gen.yaml"
+    gen.write_text("n_records: 50\n", encoding="utf-8")
+    psa, court = ["--psa", sim_dir / "psa_records.csv"], ["--court", sim_dir / "court_cases.csv"]
+    routes = {
+        "score": ["score", *psa],
+        "audit": ["audit", "--sensitivity", *psa, *court],
+        "validate": ["validate", *psa, *court],
+        "consistency": ["consistency", *court],
+        "simulate": ["simulate", "--n", 50],
+        "simulate_catalog": ["simulate", "--n", 50, "--catalog", config_dir / "charge_catalog.yaml"],
+        "simulate_config_dir": ["simulate", "--n", 50, "--config-dir", config_dir],
+        "simulate_gen_config": ["simulate", "--gen-config", gen],
+        "rerun_simulate": ["rerun", tmp_path / "simulate" / "run_manifest.json"],
+        "rerun_audit": ["rerun", tmp_path / "audit" / "run_manifest.json"],
+    }
+    loads = {}
+    for name, args in routes.items():
+        calls.clear()
+        assert run([*args, "--out", tmp_path / name]) in (0, 3), name
+        loads[name] = len(calls)
+    assert loads == dict.fromkeys(routes, 1)
+
+
 # ---------------------------------------------------------------------------
 # the cyclic collector is paused while a command runs
 
@@ -1346,7 +1381,8 @@ def test_audit_pair_stage_frees_more_than_it_builds(tmp_path, monkeypatch):
 @pytest.mark.parametrize("collecting", [True, False])
 def test_main_pauses_the_collector_and_restores_the_callers_setting(tmp_path, monkeypatch, collecting):
     seen = []
-    monkeypatch.setitem(_HANDLERS, "score", lambda opts, out: seen.append(gc.isenabled()) or 0)
+    monkeypatch.setitem(_COMMANDS, "score", _COMMANDS["score"]._replace(
+        handler=lambda opts, config, out: seen.append(gc.isenabled()) or 0))
     psa = tmp_path / "psa.csv"
     write_table(psa, PSA_COLUMNS, [psa_row()])
     (gc.enable if collecting else gc.disable)()

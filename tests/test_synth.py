@@ -133,6 +133,15 @@ _DRAW_TABLES = {
 }
 
 
+def test_record_ids_sort_as_text_in_the_order_they_were_made(config):
+    """A record id has as many digits as the last one needs, and at least
+    six: at a million records "R1000000" would otherwise sort before
+    "R591884", and de-duplication, which keeps the least record, would keep
+    a planted copy over its source.  Building the generator draws nothing."""
+    for n_records, first in ((999_999, "R000001"), (10**6, "R0000001")):
+        assert _Generator(GeneratorConfig(n_records=n_records), config)._next_record_id() == first
+
+
 @pytest.mark.parametrize("table", sorted(_DRAW_TABLES))
 def test_each_draw_table_draws_what_random_choices_draws(config, table):
     """The generator's seeded bytes rest on its draw tables agreeing with
