@@ -65,7 +65,7 @@ from .stats import (
     rate_table,
     tally,
 )
-from .synth import GeneratorConfig, generate, write_dataset
+from .synth import GENERATOR_FIELDS, GeneratorConfig, generate, write_dataset
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -194,10 +194,6 @@ _ENGINE_FILES = (
     _Option("weights", Path, help="weight config file (overrides --config-dir)"),
 )
 
-#: simulate's generator flags, each with the ``GeneratorConfig`` field it sets.
-_GENERATOR_FLAGS = {"n": "n_records", "seed": "seed", **{f: f for f in (
-    "overbooking_rate", "saturation_share", "duplicate_rate", "incomplete_rate",
-    "disposed_rate", "plea_other_rate", "unmatched_rate")}}
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -212,11 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for o in options:
             flag = "--" + o.key.replace("_", "-")
-            if o.type is dict:
-                for key, name in _GENERATOR_FLAGS.items():
-                    default = getattr(GeneratorConfig, name)
-                    p.add_argument("--" + key.replace("_", "-"), type=type(default),
-                                   help=f"{name} (default {default})")
+            if o.type is dict:  # a flag per int or float GeneratorConfig field
+                for name, kind in GENERATOR_FIELDS.items():
+                    if kind in (int, float):
+                        key = "n" if name == "n_records" else name
+                        p.add_argument("--" + key.replace("_", "-"), dest=name, metavar=key.upper(), type=kind,
+                                       help=f"{name} (default {getattr(GeneratorConfig, name)})")
                 p.add_argument("--gen-config", help="YAML file of generator settings (flags override it)")
             elif o.type is bool:
                 p.add_argument(flag, action="store_true", help=o.help)
@@ -232,38 +229,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _collect_options(command: str, args: argparse.Namespace) -> tuple[dict, str | None]:
     """The given options of a command line in their manifest form: paths
-    resolved, and simulate's generator settings frozen into
-    ``resolved_generator``, so a rerun ignores later changes of defaults.
-    With them comes what answers for simulate's charge pools: the
-    ``--gen-config`` file, else a catalog the run names (``--catalog`` or
-    ``--config-dir``), else None."""
-    opts = {}
+    resolved, and simulate's generator settings frozen into its ``dict``
+    option, so a rerun ignores later changes of defaults.  With them comes
+    what answers for simulate's charge pools: the ``--gen-config`` file,
+    else a catalog the run names (``--catalog`` or ``--config-dir``), else None."""
+    opts, generator = {}, None
     for o in _COMMANDS[command].options:
-        if o.type is not dict and (value := getattr(args, o.key)) is not None:
+        if o.type is dict:
+            generator = o.key
+        elif (value := getattr(args, o.key)) is not None:
             opts[o.key] = str(Path(value).resolve()) if o.type is Path else value
-    if command != "simulate":
+    if generator is None:
         return opts, None
-    opts["resolved_generator"] = asdict(_generator_config(args))
-    if args.gen_config is not None:
-        return opts, str(Path(args.gen_config).resolve())
-    if "catalog" in opts or "config_dir" in opts:
-        return opts, str(config_path("catalog", opts.get("catalog"), opts.get("config_dir")))
-    return opts, None
+    path = None if args.gen_config is None else Path(args.gen_config).resolve()
+    opts[generator] = asdict(_generator_config(args, path))
+    if path is None and ("catalog" in opts or "config_dir" in opts):
+        path = config_path("catalog", opts.get("catalog"), opts.get("config_dir"))
+    return opts, None if path is None else str(path)
 
 
-def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    """A generator flag beats the ``--gen-config`` file, which beats the
-    default.  An error in the file is reported under the file's path."""
+def _generator_config(args: argparse.Namespace, path: Path | None) -> GeneratorConfig:
+    """A generator flag beats the ``--gen-config`` file at ``path``, which
+    beats the default.  An error in the file is reported under its path."""
     gen_config = GeneratorConfig()
-    if args.gen_config is not None:
-        path = Path(args.gen_config).resolve()
+    if path is not None:
         doc = read_config(path)
         try:
             gen_config = GeneratorConfig.from_dict(doc)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    flags = {name: getattr(args, key) for key, name in _GENERATOR_FLAGS.items() if getattr(args, key) is not None}
-    return replace(gen_config, **flags)
+    return replace(gen_config, **{k: v for k, v in vars(args).items() if k in GENERATOR_FIELDS and v is not None})
 
 
 def _write_manifest(out_dir: Path, command: str, opts: dict) -> None:
@@ -647,7 +642,7 @@ class _Command(NamedTuple):
 #: manifest records them, and its handler; a manifest must hold each option
 #: that is required or has a default.  simulate's command line gives
 #: ``resolved_generator``, a whole ``GeneratorConfig``, as ``--gen-config``
-#: and the generator flags.
+#: and a flag per int or float field.
 _COMMANDS = {
     "score": _Command("score each assessment record over its booked charges", (_PSA, *_ENGINE_FILES), cmd_score),
     "audit": _Command("full booking-vs-conviction audit pipeline", (

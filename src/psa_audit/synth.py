@@ -105,7 +105,10 @@ class GeneratorConfig:
     disposition; ``saturation_share`` of those are planted with a
     top-level initial recommendation so the drop cannot move the final.
     The planted affected rate is therefore
-    overbooking_rate * (1 - saturation_share).
+    overbooking_rate * (1 - saturation_share).  Each int and float field is
+    a ``simulate`` flag: ``--n`` for ``n_records``, else its name with dashes,
+    as ``--decoy-rate``, ``--twin-rate``, ``--companion-zero-share`` and
+    ``--person-reuse-rate``.
     """
 
     n_records: int = 2450
@@ -131,14 +134,13 @@ class GeneratorConfig:
 
     def __post_init__(self):
         # each field is checked by its declared type, in declaration order
-        declared = get_type_hints(type(self)).items()
-        for name in [name for name, kind in declared if kind is int]:
+        for name in [name for name, kind in GENERATOR_FIELDS.items() if kind is int]:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_records < 0:
             raise ConfigError("n_records must be >= 0")
-        for name in [name for name, kind in declared if kind is dict]:
+        for name in [name for name, kind in GENERATOR_FIELDS.items() if kind is dict]:
             value = getattr(self, name)
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be a mapping")
@@ -160,7 +162,7 @@ class GeneratorConfig:
             if bad:
                 raise ConfigError(f"charge pool {pool!r} takes one charge per text, with no ';' or '\\r', "
                                   f"got {bad[0]!r}")
-        for name in [name for name, kind in declared if kind is float]:
+        for name in [name for name, kind in GENERATOR_FIELDS.items() if kind is float]:
             value = getattr(self, name)
             if not _is_number(value) or not (0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
@@ -195,8 +197,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        unknown = set(doc) - set(GENERATOR_FIELDS)
         if unknown:
             raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
         return cls(**doc)
@@ -223,6 +224,10 @@ class GeneratorConfig:
                         rule = f"only {fact}" if required else f"no {fact}"
                         raise ConfigError(f"charge pool {pool!r} takes {rule} charges, got {text!r}")
         return charges
+
+
+#: Each ``GeneratorConfig`` field's declared type, in declaration order.
+GENERATOR_FIELDS = get_type_hints(GeneratorConfig)
 
 
 @dataclass(slots=True)

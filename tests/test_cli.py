@@ -3,14 +3,18 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import psa_audit
 import psa_audit.cli as cli
@@ -21,7 +25,7 @@ from psa_audit.engine import SupervisionLevel
 from psa_audit.io import COURT_COLUMNS, PSA_COLUMNS, read_court_cases, read_psa_records, render_cell, write_csv
 from psa_audit.linkage import CourtCase, PsaRecord
 from psa_audit.stats import AffectedRow, RateRow
-from psa_audit.synth import DEFAULT_CHARGE_POOLS
+from psa_audit.synth import DEFAULT_CHARGE_POOLS, GeneratorConfig
 
 
 def run(args):
@@ -1133,6 +1137,58 @@ def test_gen_config_settings_reach_the_generator_and_flags_beat_them(tmp_path):
     assert planted["records"] == "60"
 
 
+#: Each int and float field of ``GeneratorConfig``, by its declared type.
+_SCALAR_FIELDS = {name: kind for name, kind in get_type_hints(GeneratorConfig).items() if kind in (int, float)}
+
+
+def _flag(name):
+    """The simulate flag of a generator field: ``--n`` for n_records, else
+    the field's name with dashes."""
+    return "--n" if name == "n_records" else "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("name", _SCALAR_FIELDS)
+def test_each_generator_flag_reaches_the_manifest_and_beats_the_file(tmp_path, name):
+    in_file, on_flag = (21, 22) if _SCALAR_FIELDS[name] is int else (0.1, 0.05)
+    gen = tmp_path / "gen.yaml"
+    size = {} if name == "n_records" else {"n_records": 20}
+    gen.write_text(json.dumps({**size, name: in_file}), encoding="utf-8")
+    assert run(["simulate", "--gen-config", gen, _flag(name), on_flag, "--out", tmp_path / "sim"]) == 0
+    manifest = json.loads((tmp_path / "sim" / "run_manifest.json").read_text(encoding="utf-8"))
+    expected = asdict(GeneratorConfig(**size, **{name: on_flag}))
+    assert manifest["options"]["resolved_generator"] == json.loads(json.dumps(expected))
+
+
+def test_the_twin_decoy_reuse_and_companion_flags_act_on_the_corpus(tmp_path):
+    def simulate(out, *flags):
+        assert run(["simulate", "--n", 2000, "--seed", 5, *flags, "--out", tmp_path / out]) == 0
+        return [read_rows(tmp_path / out / f"{name}.csv") for name in ("psa_records", "court_cases", "ground_truth")]
+
+    def matched_base_records(truth):
+        return [r for r in truth if r["kind"] == "base" and r["scenario"] != "unmatched"]
+
+    def own_sfids(psa, truth):
+        """Whether each record but a duplicate has an sfid of its own."""
+        duplicates = {r["record_id"] for r in truth if r["kind"] == "duplicate"}
+        sfids = [r["sfid"] for r in psa if r["record_id"] not in duplicates]
+        return len(set(sfids)) == len(sfids)
+
+    def zero_codes(court):
+        return sum(code == "0" for r in court for code in r["dispositions"].split(";"))
+
+    psa, court, truth = simulate("default")
+    assert len(court) > len(matched_base_records(truth))
+    assert not own_sfids(psa, truth)
+    assert zero_codes(court) > 0
+
+    _, court, truth = simulate("single", "--twin-rate", 0, "--decoy-rate", 0)
+    assert sorted(r["court_number"] for r in court) == sorted(r["true_match"] for r in matched_base_records(truth))
+    psa, _, truth = simulate("own", "--person-reuse-rate", 0)
+    assert own_sfids(psa, truth)
+    _, court, _ = simulate("plain", "--companion-zero-share", 0)
+    assert zero_codes(court) == 0
+
+
 def test_gen_config_score_distributions_may_zero_some_scores(tmp_path):
     gen = tmp_path / "gen.yaml"
     gen.write_text(f"score_distributions: {{B: {{fta: [0, 0, 1, 1, 0, 0], nca: {_SIX}}}, "
@@ -1175,10 +1231,15 @@ def test_scenario_rates_summing_past_one_are_config_errors(tmp_path, capsys, fla
     assert not (tmp_path / "sim").exists()
 
 
-def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
-    assert run(["simulate", "--n", 10, "--overbooking-rate", 1.5, "--out", tmp_path / "sim"]) == 2
-    assert "overbooking_rate" in capsys.readouterr().err
+@pytest.mark.parametrize("name", [name for name in _SCALAR_FIELDS if name != "seed"])  # every int is a seed
+def test_bad_generator_flag_values_are_config_errors(tmp_path, capsys, name):
+    bad = -3 if _SCALAR_FIELDS[name] is int else 1.5
+    assert run(["simulate", _flag(name), bad, "--out", tmp_path / "sim"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
     assert not (tmp_path / "sim").exists()
+
+
+def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
     inputs = ["--psa", sim_dir / "psa_records.csv", "--court", sim_dir / "court_cases.csv"]
     rc = run(["audit", *inputs, "--conviction-threshold", 0, "--out", tmp_path / "audit"])
     assert rc == 2
@@ -1202,6 +1263,29 @@ def test_bad_flag_values_are_config_errors(sim_dir, tmp_path, capsys):
         assert run(["rerun", manifest, "--out", tmp_path / "rerun"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "rerun").exists()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), orders=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+def test_the_order_of_the_input_rows_changes_no_audit_output(tmp_path_factory, seed, orders):
+    """Permuting the data rows of both input files of a seeded corpus
+    leaves every file of the audit's output byte-identical, except the
+    manifest, which names the inputs.  Each file's permutation is a
+    shuffle seeded by one of ``orders``, so a failure shrinks in about a
+    minute; a drawn permutation of 300 rows used up hypothesis's
+    five-minute shrinking budget."""
+    root = tmp_path_factory.mktemp("order")
+    assert run(["simulate", "--n", 300, "--seed", seed, "--out", root / "sim"]) == 0
+    (root / "shuffled").mkdir()
+    for name, order in zip(("psa_records.csv", "court_cases.csv"), orders):
+        header, *rows = (root / "sim" / name).read_bytes().splitlines(keepends=True)
+        random.Random(order).shuffle(rows)
+        (root / "shuffled" / name).write_bytes(header + b"".join(rows))
+    for corpus in ("sim", "shuffled"):
+        inputs = ["--psa", root / corpus / "psa_records.csv", "--court", root / corpus / "court_cases.csv"]
+        assert run(["audit", *inputs, "--sensitivity", "--out", root / f"audit_{corpus}"]) == 0
+    skip = ("run_manifest.json",)
+    assert _tree_bytes(root / "audit_sim", skip) == _tree_bytes(root / "audit_shuffled", skip)
 
 
 def test_config_dir_with_packaged_copies_matches_the_defaults(sim_dir, tmp_path):
